@@ -260,7 +260,7 @@ def _install_trace(out: Path) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    keys = {"mode", "input", "target_input", "estimators", "level", "seed", "out",
+    keys = {"mode", "input", "target_input", "estimators", "level", "out",
             "balance_columns"}
     cfg = _merge_config(args, keys)
     mode = cfg["mode"] or "transport"
@@ -328,7 +328,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     _echo_config(out, "estimate",
                  {"mode": mode, "input": cfg["input"], "target_input": cfg["target_input"],
                   "estimators": [k.value for k in kinds], "level": level,
-                  "seed": cfg["seed"], "benchmark_sample": benchmark_selector,
+                  "benchmark_sample": benchmark_selector,
                   "out": str(out)})
     for kind, message in failures:
         print(f"estimator {kind} failed: {message}", file=sys.stderr)
@@ -386,7 +386,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    keys = {"mode", "input", "target_input", "seed", "out"}
+    keys = {"mode", "input", "target_input", "out"}
     cfg = _merge_config(args, keys)
     mode = cfg["mode"] or "transport"
     if cfg["input"] is None:
@@ -412,7 +412,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     export_scores(rho, pi, dataset, out / "scores.csv")
     _echo_config(out, "diagnose",
                  {"mode": mode, "input": cfg["input"], "target_input": cfg["target_input"],
-                  "seed": cfg["seed"], "out": str(out)})
+                  "out": str(out)})
     return 0
 
 
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="optional second CSV holding the target sample")
     est.add_argument("--estimators", default=None, help="comma-separated estimator kinds")
     est.add_argument("--level", type=float, default=None)
-    est.add_argument("--seed", type=int, default=None)
     est.add_argument("--out", default=None)
     est.add_argument("--config", default=None, help="JSON config file")
     est.add_argument("--balance-columns", dest="balance_columns", default=None)
@@ -464,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--mode", choices=["transport", "fusion"], default=None)
     diag.add_argument("--input", default=None)
     diag.add_argument("--target-input", dest="target_input", default=None)
-    diag.add_argument("--seed", type=int, default=None)
     diag.add_argument("--out", default=None)
     diag.add_argument("--config", default=None)
     diag.set_defaults(func=cmd_diagnose)

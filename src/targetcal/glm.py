@@ -82,6 +82,9 @@ def fit_logistic(
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     check_full_rank(design * np.sqrt(w)[:, None], "logistic design")
+    # Per-coefficient score tolerance: 1e-9 absolute, raised to what float
+    # rounding of the score sum leaves reachable at large n.
+    score_tol = np.maximum(1e-9, 1e-12 * (w @ np.abs(design)))
 
     beta = np.zeros(p)
     ll = _quasi_loglik(y, expit(o), w)
@@ -91,7 +94,7 @@ def fit_logistic(
         lp = design @ beta + o
         mu = expit(lp)
         score = design.T @ (w * (y - mu))
-        if np.max(np.abs(score)) <= 1e-9:
+        if np.all(np.abs(score) <= score_tol):
             converged = True
             break
         info = (design * (w * mu * (1.0 - mu))[:, None]).T @ design

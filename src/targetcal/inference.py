@@ -1,8 +1,10 @@
 """Variance estimation and confidence intervals.
 
-The calibration estimators get an M-estimation sandwich built from the
-stacked estimating equations of (target moments, dual vectors, effect); the
-augmented and TMLE estimators get a plug-in influence-function variance.
+The calibration estimators get an M-estimation sandwich built from one
+stacked system of estimating equations over the calibrated groups (the
+study sample for transport, both samples for data fusion): target moments,
+one dual pair per group, effect. The augmented and TMLE estimators get a
+plug-in influence-function variance.
 Duals enter the stack in the (gamma, delta) parameterization, where the unit
 weight is exp(-z c'delta - c'gamma); the solver's (lambda, gamma_joint)
 vectors convert via gamma = gamma_joint - lambda, delta = 2 lambda, which
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .data import BalanceMatrix, Dataset, TargetMoments
+from .data import BalanceMatrix, Dataset, target_moments
 from .errors import (
     InvalidLevelError,
     MissingComponentsError,
@@ -36,45 +39,10 @@ class VarianceReport:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Wichura's AS 241 rational approximation)."""
+    """Inverse standard-normal CDF."""
     if not 0.0 < p < 1.0:
         raise InvalidLevelError("quantile argument must lie in (0, 1)")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r = r - 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r = r - 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    val = num / den
-    return -val if q < 0 else val
+    return NormalDist().inv_cdf(p)
 
 
 def confidence_interval(tau_hat: float, se: float, level: float) -> tuple[float, float]:
@@ -98,127 +66,71 @@ def _app_weights(cmat: np.ndarray, z: np.ndarray, gamma: np.ndarray,
     return np.exp(-(cmat @ gamma) - z * (cmat @ delta))
 
 
-def transport_system(
+def calibration_system(
     cmat: np.ndarray,
     s: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
     nu: np.ndarray,
+    groups: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked per-unit residuals and summed analytic Jacobian, transport case.
+    """Stacked per-unit residuals and summed analytic Jacobian.
 
-    Parameter vector nu = (theta0, gamma, delta, tau), length 3m + 1. Rows of
-    the residual matrix: target-moment block, sampling-constraint block,
-    arm-constraint block, effect equation. All blocks vanish exactly at the
-    fitted parameters because they restate the solver's converged
-    constraints.
+    ``groups`` holds the calibrated sample labels: (1,) for transport,
+    (0, 1) for data fusion. Parameter vector nu = (theta0, gamma_g for g in
+    groups, delta_g for g in groups, tau), length (2G + 1)m + 1 for G groups.
+    Rows of the residual matrix: target-moment block, one
+    sampling-constraint block and one arm-constraint block per group, effect
+    equation. Treatment and outcome are zeroed outside the calibrated groups,
+    so unobserved target-sample values never enter. All blocks vanish
+    exactly at the fitted parameters because they restate the solver's
+    converged constraints.
     """
     n, m = cmat.shape
+    n_groups = len(groups)
     theta0 = nu[:m]
-    gamma = nu[m:2 * m]
-    delta = nu[2 * m:3 * m]
-    tau = nu[3 * m]
+    tau = nu[-1]
     s = np.asarray(s, dtype=float)
-    z = np.where(s == 1, z, 0.0)
-    y = np.where(s == 1, y, 0.0)
+    calibrated = np.isin(s, groups)
+    z = np.where(calibrated, z, 0.0)
+    y = np.where(calibrated, y, 0.0)
 
-    p = _app_weights(cmat, z, gamma, delta) * s
-    zp = z * p
-    n1 = s.sum()
-    n0 = n - n1
-
-    k = 3 * m + 1
-    psi = np.zeros((n, k))
-    psi[:, :m] = (1.0 - s)[:, None] * (cmat - theta0)
-    psi[:, m:2 * m] = p[:, None] * cmat - np.outer(s, theta0)
-    psi[:, 2 * m:3 * m] = zp[:, None] * cmat - np.outer(s, theta0 / 2.0)
-    contrast = (2.0 * z - 1.0) * y - z * tau
-    psi[:, 3 * m] = p * contrast
-
-    M = cmat.T @ (cmat * p[:, None])
-    T = cmat.T @ (cmat * zp[:, None])
-    eye = np.eye(m)
-    A = np.zeros((k, k))
-    A[:m, :m] = -n0 * eye
-    A[m:2 * m, :m] = -n1 * eye
-    A[m:2 * m, m:2 * m] = -M
-    A[m:2 * m, 2 * m:3 * m] = -T
-    A[2 * m:3 * m, :m] = -(n1 / 2.0) * eye
-    A[2 * m:3 * m, m:2 * m] = -T
-    A[2 * m:3 * m, 2 * m:3 * m] = -T
-    A[3 * m, m:2 * m] = -(p * contrast) @ cmat
-    A[3 * m, 2 * m:3 * m] = -(zp * (y - tau)) @ cmat
-    A[3 * m, 3 * m] = -zp.sum()
-    return psi, A
-
-
-def fusion_system(
-    cmat: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    nu: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked residuals and summed Jacobian for the data-fusion case.
-
-    Parameter vector nu = (theta0, gamma0, gamma1, delta0, delta1, tau),
-    length 5m + 1; the effect equation runs over all units.
-    """
-    n, m = cmat.shape
-    theta0 = nu[:m]
-    gamma = {0: nu[m:2 * m], 1: nu[2 * m:3 * m]}
-    delta = {0: nu[3 * m:4 * m], 1: nu[4 * m:5 * m]}
-    tau = nu[5 * m]
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    ind = {0: (s == 0).astype(float), 1: s}
+    # Per group: unit indicator, then the gamma and delta slices of nu.
+    blocks = [((s == g).astype(float), slice((1 + j) * m, (2 + j) * m),
+               slice((1 + n_groups + j) * m, (2 + n_groups + j) * m))
+              for j, g in enumerate(groups)]
     p = np.zeros(n)
-    for g in (0, 1):
-        p += ind[g] * _app_weights(cmat, z, gamma[g], delta[g])
+    for ind, g_rows, d_rows in blocks:
+        p += ind * _app_weights(cmat, z, nu[g_rows], nu[d_rows])
     zp = z * p
-    counts = {g: ind[g].sum() for g in (0, 1)}
-
-    k = 5 * m + 1
-    psi = np.zeros((n, k))
-    psi[:, :m] = ind[0][:, None] * (cmat - theta0)
-    for g, lo in ((0, m), (1, 2 * m)):
-        pg = ind[g] * p
-        psi[:, lo:lo + m] = pg[:, None] * cmat - np.outer(ind[g], theta0)
-    for g, lo in ((0, 3 * m), (1, 4 * m)):
-        zpg = ind[g] * zp
-        psi[:, lo:lo + m] = zpg[:, None] * cmat - np.outer(ind[g], theta0 / 2.0)
     contrast = (2.0 * z - 1.0) * y - z * tau
-    psi[:, 5 * m] = p * contrast
+    target = (s == 0).astype(float)
 
+    k = len(nu)
+    psi = np.zeros((n, k))
+    psi[:, :m] = target[:, None] * (cmat - theta0)
+    psi[:, -1] = p * contrast
     eye = np.eye(m)
     A = np.zeros((k, k))
-    A[:m, :m] = -counts[0] * eye
-    for g in (0, 1):
-        pg = ind[g] * p
-        zpg = ind[g] * zp
+    A[:m, :m] = -target.sum() * eye
+    for ind, g_rows, d_rows in blocks:
+        pg = ind * p
+        zpg = ind * zp
+        count = ind.sum()
+        psi[:, g_rows] = pg[:, None] * cmat - np.outer(ind, theta0)
+        psi[:, d_rows] = zpg[:, None] * cmat - np.outer(ind, theta0 / 2.0)
         Mg = cmat.T @ (cmat * pg[:, None])
         Tg = cmat.T @ (cmat * zpg[:, None])
-        z_lo = m + g * m
-        x_lo = 3 * m + g * m
-        A[z_lo:z_lo + m, :m] = -counts[g] * eye
-        A[z_lo:z_lo + m, z_lo:z_lo + m] = -Mg
-        A[z_lo:z_lo + m, x_lo:x_lo + m] = -Tg
-        A[x_lo:x_lo + m, :m] = -(counts[g] / 2.0) * eye
-        A[x_lo:x_lo + m, z_lo:z_lo + m] = -Tg
-        A[x_lo:x_lo + m, x_lo:x_lo + m] = -Tg
-        A[5 * m, z_lo:z_lo + m] = -(pg * contrast) @ cmat
-        A[5 * m, x_lo:x_lo + m] = -(zpg * (y - tau)) @ cmat
-    A[5 * m, 5 * m] = -zp.sum()
+        A[g_rows, :m] = -count * eye
+        A[g_rows, g_rows] = -Mg
+        A[g_rows, d_rows] = -Tg
+        A[d_rows, :m] = -(count / 2.0) * eye
+        A[d_rows, g_rows] = -Tg
+        A[d_rows, d_rows] = -Tg
+        A[-1, g_rows] = -(pg * contrast) @ cmat
+        A[-1, d_rows] = -(zpg * (y - tau)) @ cmat
+    A[-1, -1] = -zp.sum()
     return psi, A
-
-
-def _sandwich(psi: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Var(nu_hat) = A^-1 (psi' psi) A^-T for summed Jacobian A."""
-    bread_t = np.linalg.solve(A, psi.T)  # A^-1 psi'
-    cov = bread_t @ bread_t.T
-    return 0.5 * (cov + cov.T)
 
 
 def _check_solvable(A: np.ndarray) -> None:
@@ -229,6 +141,32 @@ def _check_solvable(A: np.ndarray) -> None:
         raise SingularJacobianError(f"Jacobian is numerically singular (cond {cond:.2e})")
 
 
+def _sandwich_variance(
+    dataset: Dataset,
+    c: BalanceMatrix,
+    duals: tuple,
+    groups: tuple,
+    tau_hat: float,
+    level: float,
+) -> VarianceReport:
+    """Sandwich variance of tau_hat, one dual solution per calibrated group.
+
+    Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
+    it equals ||psi x||^2.
+    """
+    theta0 = target_moments(c, dataset.s).theta0
+    gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
+    nu = np.concatenate([theta0, *gammas, *deltas, [tau_hat]])
+    psi, A = calibration_system(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
+    _check_solvable(A)
+    e_tau = np.zeros(len(nu))
+    e_tau[-1] = 1.0
+    x = np.linalg.solve(A.T, e_tau)
+    se = math.sqrt(float(np.sum((psi @ x) ** 2)))
+    low, high = confidence_interval(tau_hat, se, level)
+    return VarianceReport(se=se, ci_low=low, ci_high=high, method="sandwich", level=level)
+
+
 def sandwich_variance_transport(
     dataset: Dataset,
     c: BalanceMatrix,
@@ -237,16 +175,7 @@ def sandwich_variance_transport(
     level: float = 0.95,
 ) -> VarianceReport:
     """Robust variance for the transport calibration estimator (3m+1 stack)."""
-    m = c.m
-    theta0 = TargetMoments(c.c[dataset.s == 0].mean(axis=0)).theta0
-    gamma, delta = convert_dual(dual.eta, m)
-    nu = np.concatenate([theta0, gamma, delta, [tau_hat]])
-    psi, A = transport_system(c.c, dataset.s, dataset.z, dataset.y, nu)
-    _check_solvable(A)
-    cov = _sandwich(psi, A)
-    se = math.sqrt(max(cov[-1, -1], 0.0))
-    low, high = confidence_interval(tau_hat, se, level)
-    return VarianceReport(se=se, ci_low=low, ci_high=high, method="sandwich", level=level)
+    return _sandwich_variance(dataset, c, (dual,), (1,), tau_hat, level)
 
 
 def sandwich_variance_fusion(
@@ -258,17 +187,7 @@ def sandwich_variance_fusion(
     level: float = 0.95,
 ) -> VarianceReport:
     """Robust variance for the data-fusion calibration estimator (5m+1 stack)."""
-    m = c.m
-    theta0 = TargetMoments(c.c[dataset.s == 0].mean(axis=0)).theta0
-    gamma0, delta0 = convert_dual(dual_target.eta, m)
-    gamma1, delta1 = convert_dual(dual_study.eta, m)
-    nu = np.concatenate([theta0, gamma0, gamma1, delta0, delta1, [tau_hat]])
-    psi, A = fusion_system(c.c, dataset.s, dataset.z, dataset.y, nu)
-    _check_solvable(A)
-    cov = _sandwich(psi, A)
-    se = math.sqrt(max(cov[-1, -1], 0.0))
-    low, high = confidence_interval(tau_hat, se, level)
-    return VarianceReport(se=se, ci_low=low, ci_high=high, method="sandwich", level=level)
+    return _sandwich_variance(dataset, c, (dual_target, dual_study), (0, 1), tau_hat, level)
 
 
 def influence_variance(

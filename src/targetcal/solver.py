@@ -13,6 +13,12 @@ whose Lagrangian dual reduces to the smooth convex minimization
 with implied weights w_i = base_i * exp(-a_i . eta). Stationarity of f is
 exactly the primal constraint set, so a converged dual solution delivers
 exact balance up to the residual tolerance.
+
+Every arm-balancing problem (transport, each sample of data fusion, the
+within-cohort benchmark) comes from one assembly over a group of units:
+rows [(2z-1) c_i, c_i] with targets [0, |group| * theta]. Only the group
+and theta differ between them; the sampling problem keeps the c_i block
+alone.
 """
 
 from __future__ import annotations
@@ -212,6 +218,27 @@ def _theta_vector(theta0) -> np.ndarray:
     return theta0.theta0 if isinstance(theta0, TargetMoments) else np.asarray(theta0, dtype=float)
 
 
+def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.ndarray,
+                 label: str) -> EntropyProblem:
+    """Arm balance plus calibration to theta over the units in ``rows``.
+
+    Rows are [(2z-1)*c_i, c_i]; targets are [0, |rows| * theta], so a solution
+    balances the two arms against each other (each arm total lands on
+    |rows| * theta / 2) and the whole group against the moments theta.
+    """
+    if rows.size == 0:
+        raise EmptyTargetError(f"{label} is empty")
+    z_act = np.asarray(z, dtype=float)[rows]
+    for arm in (0.0, 1.0):
+        if not np.any(z_act == arm):
+            raise EmptyArmError(f"{label} has no units with z={int(arm)}")
+    c_act = c.c[rows]
+    sign = (2.0 * z_act - 1.0)[:, None]
+    a = np.hstack([sign * c_act, c_act])
+    b = np.concatenate([np.zeros(c.m), rows.size * theta])
+    return EntropyProblem(a=a, b=b, active_rows=rows, n_units=len(z))
+
+
 def assemble_sampling(c: BalanceMatrix, s: np.ndarray, theta0) -> EntropyProblem:
     """Inverse-odds-of-sampling calibration: reweight the study sample so its
     weighted balance moments equal the target-sample totals n1 * theta0."""
@@ -225,69 +252,31 @@ def assemble_sampling(c: BalanceMatrix, s: np.ndarray, theta0) -> EntropyProblem
 
 
 def assemble_transport(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -> EntropyProblem:
-    """Joint treatment-contrast and sampling calibration over the study sample.
-
-    Rows are [(2z-1)*c_i, c_i]; targets are [0, n1 * theta0], so a solution
-    balances the two study arms against each other (each arm total lands on
-    n1 * theta0 / 2) and the whole study sample against the target moments.
-    """
-    s = np.asarray(s)
-    z = np.asarray(z, dtype=float)
-    active = np.flatnonzero(s == 1)
-    if active.size == 0:
-        raise EmptyTargetError("study sample is empty")
-    z_act = z[active]
-    for arm in (0.0, 1.0):
-        if not np.any(z_act == arm):
-            raise EmptyArmError(f"study sample has no units with z={int(arm)}")
-    theta = _theta_vector(theta0)
-    n1 = active.size
-    sign = (2.0 * z_act - 1.0)[:, None]
-    a = np.hstack([sign * c.c[active], c.c[active]])
-    b = np.concatenate([np.zeros(c.m), n1 * theta])
-    return EntropyProblem(a=a, b=b, active_rows=active, n_units=len(s))
+    """Joint treatment-contrast and sampling calibration over the study sample:
+    the arm balance of the study sample aimed at the target moments theta0."""
+    active = np.flatnonzero(np.asarray(s) == 1)
+    return _arm_balance(c, z, active, _theta_vector(theta0), "study sample")
 
 
 def assemble_fusion(
     c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0
 ) -> tuple[EntropyProblem, EntropyProblem]:
-    """One transport-style problem per sample, both aimed at theta0.
+    """One arm balance per sample, both aimed at theta0.
 
     Returns (target-sample problem, study-sample problem); the target-sample
     block is the weight-stabilization constraint set with totals n0 * theta0.
     """
     s = np.asarray(s)
-    z = np.asarray(z, dtype=float)
     theta = _theta_vector(theta0)
-    problems = []
-    for sample in (0, 1):
-        active = np.flatnonzero(s == sample)
-        if active.size == 0:
-            raise EmptyTargetError(f"sample s={sample} is empty")
-        z_act = z[active]
-        for arm in (0.0, 1.0):
-            if not np.any(z_act == arm):
-                raise EmptyArmError(f"sample s={sample} has no units with z={int(arm)}")
-        sign = (2.0 * z_act - 1.0)[:, None]
-        a = np.hstack([sign * c.c[active], c.c[active]])
-        b = np.concatenate([np.zeros(c.m), active.size * theta])
-        problems.append(EntropyProblem(a=a, b=b, active_rows=active, n_units=len(s)))
-    return problems[0], problems[1]
+    return tuple(
+        _arm_balance(c, z, np.flatnonzero(s == g), theta, f"sample s={g}") for g in (0, 1)
+    )
 
 
 def assemble_ate_benchmark(c: BalanceMatrix, z: np.ndarray) -> EntropyProblem:
     """Single-sample special case: balance the two arms against the
     full-sample balance means (totals n * theta_full)."""
-    z = np.asarray(z, dtype=float)
-    n = c.n
-    for arm in (0.0, 1.0):
-        if not np.any(z == arm):
-            raise EmptyArmError(f"no units with z={int(arm)}")
-    theta_full = c.c.mean(axis=0)
-    sign = (2.0 * z - 1.0)[:, None]
-    a = np.hstack([sign * c.c, c.c])
-    b = np.concatenate([np.zeros(c.m), n * theta_full])
-    return EntropyProblem(a=a, b=b, active_rows=np.arange(n), n_units=n)
+    return _arm_balance(c, z, np.arange(c.n), c.c.mean(axis=0), "sample")
 
 
 def iterative_calibration(
@@ -307,35 +296,24 @@ def iterative_calibration(
     assemble_transport solution. Kept as an independent cross-check of the
     joint solver.
     """
-    s = np.asarray(s)
-    z = np.asarray(z, dtype=float)
-    theta = _theta_vector(theta0)
-    active = np.flatnonzero(s == 1)
-    if active.size == 0:
-        raise EmptyTargetError("study sample is empty")
-    z_act = z[active]
-    for arm in (0.0, 1.0):
-        if not np.any(z_act == arm):
-            raise EmptyArmError(f"study sample has no units with z={int(arm)}")
-    c_act = c.c[active]
-    n1 = active.size
-    sign = (2.0 * z_act - 1.0)[:, None]
-    contrast = sign * c_act
-
+    joint = assemble_transport(c, s, z, theta0)
     m = c.m
+    # Contiguous copies: on strided views BLAS may sum in another order.
+    contrast, c_act = (np.ascontiguousarray(block) for block in np.hsplit(joint.a, 2))
+    n1 = c_act.shape[0]
     gamma_total = np.zeros(m)
     lambda_total = np.zeros(m)
     p = np.ones(n1)
     outer = 0
     for outer in range(1, max_outer + 1):
         samp = EntropyProblem(
-            a=c_act, b=n1 * theta, active_rows=np.arange(n1), n_units=n1, base=p
+            a=c_act, b=joint.b[m:], active_rows=np.arange(n1), n_units=n1, base=p
         )
         samp_sol = solve_entropy_dual(samp)
         gamma_total += samp_sol.eta
         q = p * np.exp(-(c_act @ samp_sol.eta))
         bal = EntropyProblem(
-            a=contrast, b=np.zeros(m), active_rows=np.arange(n1), n_units=n1, base=q
+            a=contrast, b=joint.b[:m], active_rows=np.arange(n1), n_units=n1, base=q
         )
         bal_sol = solve_entropy_dual(bal)
         lambda_total += bal_sol.eta
@@ -349,16 +327,14 @@ def iterative_calibration(
             f"iterative calibration did not stabilize in {max_outer} passes"
         )
     eta = np.concatenate([lambda_total, gamma_total])
-    a_joint = np.hstack([contrast, c_act])
-    b_joint = np.concatenate([np.zeros(m), n1 * theta])
-    resid_vec = np.abs(a_joint.T @ p - b_joint) / (1.0 + np.abs(b_joint))
-    weights = np.zeros(len(s))
-    weights[active] = p
+    resid_vec = np.abs(joint.a.T @ p - joint.b) / (1.0 + np.abs(joint.b))
+    weights = np.zeros(joint.n_units)
+    weights[joint.active_rows] = p
     return DualSolution(
         eta=eta,
         weights=weights,
         converged=True,
         iterations=outer,
-        grad_norm=float(np.max(np.abs(b_joint - a_joint.T @ p))),
+        grad_norm=float(np.max(np.abs(joint.b - joint.a.T @ p))),
         constraint_residual=float(np.max(resid_vec)),
     )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from targetcal import sim
+from targetcal.data import build_balance_matrix
 from targetcal.errors import DimensionMismatchError, RankDeficientError
 from targetcal.glm import expit, fit_linear, fit_logistic, logit, predict
 
@@ -44,6 +46,13 @@ class TestLogistic:
         mu = expit(design @ fit.coefficients)
         score = design.T @ (w * (y - mu))
         assert np.max(np.abs(score)) <= 1e-8
+
+    def test_large_n_sampling_score_converges(self):
+        # At n = 200k float rounding of the score sum sits above 1e-9.
+        ds = sim.generate(sim.SCENARIOS["D"], 200_000,
+                          sim.derive_seed(0, "cli", 200_000, 2))
+        fit = fit_logistic(build_balance_matrix(ds).c, ds.s)
+        assert fit.converged
 
     def test_fractional_responses(self):
         rng = np.random.default_rng(11)

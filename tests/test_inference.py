@@ -11,15 +11,14 @@ from targetcal.estimators import (
     tau_cal_transport,
 )
 from targetcal.inference import (
+    calibration_system,
     confidence_interval,
     convert_dual,
     estimate_with_ci,
-    fusion_system,
     influence_variance,
     normal_quantile,
     sandwich_variance_fusion,
     sandwich_variance_transport,
-    transport_system,
 )
 
 from conftest import draw_row_a, random_feasible_transport
@@ -70,7 +69,7 @@ def fitted_transport(seed=414, n=800):
 class TestTransportSystem:
     def test_residuals_vanish_at_fit(self):
         _, dt, c, _, _, nu = fitted_transport()
-        psi, _ = transport_system(c.c, dt.s, dt.z, dt.y, nu)
+        psi, _ = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
 
     def test_jacobian_matches_finite_differences(self):
@@ -86,7 +85,7 @@ class TestTransportSystem:
                 0.2 * rng.standard_normal(2 * m),
                 [rng.standard_normal()],
             ])
-            psi, A = transport_system(c.c, ds.s, ds.z, ds.y, nu)
+            psi, A = calibration_system(c.c, ds.s, ds.z, ds.y, nu, groups=(1,))
             k = len(nu)
             fd = np.zeros((k, k))
             h = 1e-6
@@ -95,14 +94,14 @@ class TestTransportSystem:
                 up[j] += h
                 dn[j] -= h
                 fd[:, j] = (
-                    transport_system(c.c, ds.s, ds.z, ds.y, up)[0].sum(axis=0)
-                    - transport_system(c.c, ds.s, ds.z, ds.y, dn)[0].sum(axis=0)
+                    calibration_system(c.c, ds.s, ds.z, ds.y, up, groups=(1,))[0].sum(axis=0)
+                    - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(1,))[0].sum(axis=0)
                 ) / (2 * h)
             assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
 
     def test_theta_block_is_minus_n0_identity(self):
         ds, dt, c, _, _, nu = fitted_transport()
-        _, A = transport_system(c.c, dt.s, dt.z, dt.y, nu)
+        _, A = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         m = c.m
         assert np.allclose(A[:m, :m], -ds.n_target * np.eye(m))
 
@@ -148,11 +147,13 @@ class TestSandwich:
 
     def test_covariance_psd(self):
         ds, dt, c, theta0, est, nu = fitted_transport(seed=77)
-        psi, A = transport_system(c.c, dt.s, dt.z, dt.y, nu)
+        psi, A = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         bread = np.linalg.solve(A, psi.T)
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
+        report = sandwich_variance_transport(dt, c, est.nuisance["dual"], est.tau_hat)
+        assert report.se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
     def test_unit_order_invariance(self):
         ds, dt, c, theta0, est, _ = fitted_transport(seed=99, n=400)
@@ -175,7 +176,7 @@ class TestSandwich:
         g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
         g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
         nu = np.concatenate([theta0.theta0, g0, g1, d0, d1, [est.tau_hat]])
-        psi, A = fusion_system(c.c, ds.s, ds.z, ds.y, nu)
+        psi, A = calibration_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
         k = len(nu)
         fd = np.zeros((k, k))
@@ -185,8 +186,8 @@ class TestSandwich:
             up[j] += h
             dn[j] -= h
             fd[:, j] = (
-                fusion_system(c.c, ds.s, ds.z, ds.y, up)[0].sum(axis=0)
-                - fusion_system(c.c, ds.s, ds.z, ds.y, dn)[0].sum(axis=0)
+                calibration_system(c.c, ds.s, ds.z, ds.y, up, groups=(0, 1))[0].sum(axis=0)
+                - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(0, 1))[0].sum(axis=0)
             ) / (2 * h)
         assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
         report = sandwich_variance_fusion(
@@ -196,6 +197,7 @@ class TestSandwich:
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
+        assert report.se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
 
 class TestInfluence:

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import glm, solver
-from .data import (
-    BalanceMatrix,
-    Dataset,
-    effective_sample_size,
-    standardized_mean_differences,
-)
+from .data import BalanceMatrix, Dataset, effective_sample_size
 from .errors import DegenerateOutcomeError, EmptyArmError, ModeError
 
 
@@ -91,12 +86,11 @@ def _arm_outcome_fits(c_rows: np.ndarray, z: np.ndarray, y: np.ndarray):
     return fits
 
 
-def _weight_diagnostics(weights: np.ndarray, smd_after: dict) -> dict:
+def _weight_diagnostics(weights: np.ndarray) -> dict:
     active = weights > 0
     return {
         "ess": effective_sample_size(weights[active]),
         "max_weight": float(weights.max()),
-        "smd_after": smd_after,
     }
 
 
@@ -220,9 +214,6 @@ def _augmented(dataset: Dataset, c: BalanceMatrix, theta0, outcome_sample: int,
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)
 
-    smd_after = {
-        "sample": standardized_mean_differences(c, (s == 1).astype(int), np.where(study, q, 1.0))
-    }
     return TauEstimate(
         tau_hat=tau,
         kind=kind,
@@ -234,7 +225,7 @@ def _augmented(dataset: Dataset, c: BalanceMatrix, theta0, outcome_sample: int,
             "mu0": mu0,
             "mu1": mu1,
         },
-        diagnostics=_weight_diagnostics(q, smd_after),
+        diagnostics=_weight_diagnostics(q),
     )
 
 
@@ -259,18 +250,12 @@ def tau_cal_transport(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate
     sol = solver.solve_entropy_dual(solver.assemble_transport(c, s, dataset.z, theta0))
     w = sol.weights
     tau = _hajek_contrast(w[study], z, y)
-    smd_after = {
-        "sample": standardized_mean_differences(c, (s == 1).astype(int), np.where(study, w, 1.0)),
-        "treatment": standardized_mean_differences(
-            BalanceMatrix(c.c[study], names=c.names), z.astype(int), w[study]
-        ),
-    }
     return TauEstimate(
         tau_hat=tau,
         kind=EstimatorKind.CAL_T,
         weights_used=w,
         nuisance={"dual": sol},
-        diagnostics=_weight_diagnostics(w, smd_after),
+        diagnostics=_weight_diagnostics(w),
     )
 
 
@@ -283,16 +268,12 @@ def tau_cal_fusion(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate:
     )
     w = sol_target.weights + sol_study.weights
     tau = _hajek_contrast(w, dataset.z, dataset.y)
-    smd_after = {
-        "sample": standardized_mean_differences(c, (s == 1).astype(int), w),
-        "treatment": standardized_mean_differences(c, dataset.z.astype(int), w),
-    }
     return TauEstimate(
         tau_hat=tau,
         kind=EstimatorKind.CAL_F,
         weights_used=w,
         nuisance={"dual_target": sol_target, "dual_study": sol_study},
-        diagnostics=_weight_diagnostics(w, smd_after),
+        diagnostics=_weight_diagnostics(w),
     )
 
 
@@ -307,13 +288,12 @@ def tau_cbps_benchmark(dataset: Dataset, c: BalanceMatrix,
     sol = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z))
     w = sol.weights
     tau = _hajek_contrast(w, z, y)
-    smd_after = {"treatment": standardized_mean_differences(c_sub, z.astype(int), w)}
     return TauEstimate(
         tau_hat=tau,
         kind=EstimatorKind.CBPS,
         weights_used=w,
         nuisance={"dual": sol, "z": z, "y": y, "selector": sample_selector},
-        diagnostics=_weight_diagnostics(w, smd_after),
+        diagnostics=_weight_diagnostics(w),
     )
 
 

@@ -161,7 +161,10 @@ def solve_entropy_dual(
             # pure Newton step guarded by the gradient instead.
             trial = eta + step
             rel_now = float(np.max(np.abs(grad) / b_scale))
-            rel_trial = float(np.max(np.abs(dual_gradient(problem, trial)) / b_scale))
+            # Weights that overflow at the trial make its gradient NaN, which
+            # the isfinite guard below rejects.
+            with np.errstate(invalid="ignore"):
+                rel_trial = float(np.max(np.abs(dual_gradient(problem, trial)) / b_scale))
             if np.isfinite(rel_trial) and rel_trial < rel_now:
                 eta = trial
                 f_val = dual_objective(problem, eta)
@@ -180,9 +183,10 @@ def solve_entropy_dual(
             # Step direction exhausted; report the violation as-is.
             break
     w = _active_weights(problem, eta)
-    violation = np.abs(a.T @ w - b) / b_scale
+    with np.errstate(invalid="ignore"):
+        violation = np.abs(a.T @ w - b) / b_scale
+        grad_norm = float(np.max(np.abs(b - a.T @ w)))
     residual = float(np.max(violation))
-    grad_norm = float(np.max(np.abs(b - a.T @ w)))
     converged = residual <= RESIDUAL_TOL
     if _TRACE is not None:
         _TRACE(

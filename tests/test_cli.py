@@ -107,6 +107,20 @@ class TestEstimate:
         assert code == 1
         assert "SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["", "0.7"], ids=["empty", "fraction"])
+    def test_non_binary_sample_indicator_rejected(self, demo_csv, tmp_path, capsys, cell):
+        lines = demo_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[0] = cell
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", "--mode", "fusion", "--input", str(bad),
+                     "--out", str(tmp_path / "o"), "--estimators", "UNADJ"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "column 's'" in err and "row 6" in err
+
     def test_config_file_merging(self, demo_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "fusion", "estimators": "UNADJ"}))

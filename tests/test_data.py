@@ -11,6 +11,7 @@ from targetcal.data import (
     effective_sample_size,
     export_scores,
     load_dataset_csv,
+    read_csv_columns,
     standardized_mean_differences,
     target_moments,
 )
@@ -27,6 +28,7 @@ from targetcal.errors import (
 from targetcal.sim import SCENARIOS, generate
 
 from conftest import tiny_dataset
+from oracles import export_scores_per_row, read_csv_columns_per_cell, smd_per_column
 
 # Monte Carlo oracle values, frozen from a 4e7-draw direct simulation of the
 # baseline generative models (sampling logit 0.5 - 0.5x1 + 0.5x2 - 0.5x3
@@ -175,6 +177,24 @@ class TestSMD:
         smd = standardized_mean_differences(BalanceMatrix(mat), np.array([1, 1, 0, 0]))
         assert smd[1] == 0.0
 
+    @pytest.mark.parametrize("n", [37, 500, 2000, 200_000])
+    def test_bit_identical_to_per_column_reference(self, n):
+        rng = np.random.default_rng(n)
+        mat = np.column_stack([np.ones(n), rng.standard_normal((n, 4)) * [1.0, 3.0, 0.1, 7.0],
+                               np.full(n, 2.0)])
+        group = (rng.random(n) < 0.4).astype(int)
+        group[:2] = [0, 1]
+        for weights in (None, rng.random(n) + 0.05):
+            got = standardized_mean_differences(BalanceMatrix(mat), group, weights)
+            want = smd_per_column(BalanceMatrix(mat), group, weights)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_weight_group_rejected(self):
+        mat = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(AllZeroError):
+            standardized_mean_differences(BalanceMatrix(mat), np.array([1, 1, 0, 0]),
+                                          np.array([1.0, 1.0, 0.0, 0.0]))
+
 
 class TestESS:
     def test_uniform_weights(self):
@@ -240,6 +260,16 @@ class TestExportScores:
         assert np.max(np.abs(got_rho - rho)) < 1e-12
         assert np.max(np.abs(got_pi - pi)) < 1e-12
 
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        ds = generate(SCENARIOS["A"], 300, seed=5).to_transport()
+        assert not ds.z_observed.all()
+        rng = np.random.default_rng(3)
+        rho = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
+        pi = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
+        export_scores(rho, pi, ds, tmp_path / "got.csv")
+        export_scores_per_row(rho, pi, ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 class TestCsvIngestion:
     def test_single_file_round_trip(self, tmp_path):
@@ -278,6 +308,91 @@ class TestCsvIngestion:
         path.write_text("s,z,y,x1\n1,1,hello,0.1\n0,0,1.0,0.2\n")
         with pytest.raises(SchemaError):
             load_dataset_csv(path)
+
+
+def assert_same_columns(got, want):
+    (gcols, gnames), (wcols, wnames) = got, want
+    assert gnames == wnames
+    assert set(gcols) == set(wcols)
+    for key, value in wcols.items():
+        assert gcols[key].dtype == value.dtype, key
+        assert gcols[key].shape == value.shape, key
+        assert np.array_equal(gcols[key], value, equal_nan=True), key
+
+
+class TestCsvAgainstPerCellParser:
+    """read_csv_columns must return what the per-cell reference parser
+    returns, and fail where it fails with a message that extends its own."""
+
+    VALID = {
+        "plain": ("fusion", "s,z,y,x1,x2\n1,1,2.5,0.1,-3\n0,0,1.5,1e-3,4\n"),
+        "quoted": ("fusion", 's,"z",y,x1\r\n"1","0","2.5","0.1"\r\n0,1,"-1",7\r\n'),
+        "blank_lines": ("fusion", "s,z,y,x1\n\n1,1,2.5,0.1\n\n\n0,0,1.5,0.2\n\n"),
+        "padded": ("fusion", " s , z ,y, x1 \n 1 , 0 ,2.5 , 0.3\n0,1 , -1.5,  4 \n"),
+        "target_blanks": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,,,0.2\n0, , ,0.3\n1,0,1,0.4\n"),
+        "no_trailing_newline": ("fusion", "s,z,y,x1\n1,1,2.5,0.1\n0,0,1.5,0.2"),
+        "header_only": ("fusion", "s,z,y,x1,x2\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALID))
+    def test_valid_inputs(self, tmp_path, case):
+        mode, text = self.VALID[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert_same_columns(read_csv_columns(path, mode=mode),
+                            read_csv_columns_per_cell(path, mode=mode))
+
+    def test_two_file_force_s(self, tmp_path):
+        study = tmp_path / "study.csv"
+        target = tmp_path / "target.csv"
+        study.write_text("z,y,x1,x2\n1,2.5,0.1,0.2\n0,1.5,0.3,0.4\n")
+        target.write_text("x1,x2\n0.5,0.6\n0.7,0.8\n0.9,1.0\n")
+        assert_same_columns(read_csv_columns(study, mode="transport", force_s=1),
+                            read_csv_columns_per_cell(study, mode="transport", force_s=1))
+        assert_same_columns(read_csv_columns(target, mode="transport", force_s=0),
+                            read_csv_columns_per_cell(target, mode="transport", force_s=0))
+
+    def test_generated_cohort(self, tmp_path):
+        ds = generate(SCENARIOS["D"], 2000, seed=9)
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["s", "z", "y", "x1", "x2", "x3", "x4"])
+            for i in range(ds.n):
+                zy = ["", ""] if ds.s[i] == 0 and i % 3 == 0 else [int(ds.z[i]), repr(float(ds.y[i]))]
+                w.writerow([int(ds.s[i]), *zy, *map(repr, ds.x[i].tolist())])
+        assert_same_columns(read_csv_columns(path, mode="transport"),
+                            read_csv_columns_per_cell(path, mode="transport"))
+
+    INVALID = {
+        "ragged_short": "s,z,y,x1\n1,1,2.5,0.1\n0,0,1.5\n1,0,1,2\n",
+        "ragged_long": "s,z,y,x1\n1,1,2.5,0.1\n1,0,1,2\n0,0,1.5,3,4\n",
+        "ragged_first_row": "s,z,y,x1\n1,1,2.5,0.1,9\n0,0,1.5,3\n",
+        "ragged_every_row": "s,z,y,x1\n1,1,2.5\n0,0,1.5\n",
+        "non_numeric_covariate": "s,z,y,x1,x2\n1,1,2.5,0.1,0.2\n0,0,1.5,abc,0.3\n",
+        "non_numeric_outcome": "s,z,y,x1\n1,1,2.5,0.1\n0,0,oops,0.3\n",
+        "missing_s": "z,y,x1\n1,2.5,0.1\n",
+        "missing_y": "s,z,x1\n1,1,0.1\n0,0,0.2\n",
+        "no_covariates": "s,z,y\n1,1,2.5\n",
+        "empty_file": "",
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_inputs(self, tmp_path, case):
+        path = tmp_path / "d.csv"
+        path.write_text(self.INVALID[case])
+        with pytest.raises(SchemaError) as want:
+            read_csv_columns_per_cell(path, mode="fusion")
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert str(got.value).startswith(str(want.value))
+
+    @pytest.mark.parametrize("cell", ["", " ", "0.7", "2", "-1", "nan", "yes"])
+    def test_sample_indicator_must_be_binary(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"s,z,y,x1\n1,1,2.5,0.1\n{cell},0,1.5,0.2\n")
+        with pytest.raises(SchemaError, match="column 's'.*row 3"):
+            read_csv_columns(path, mode="fusion")
 
 
 def test_study_share_matches_oracle():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from targetcal.data import Dataset, build_balance_matrix, target_moments
+from targetcal.data import (
+    BalanceMatrix,
+    Dataset,
+    build_balance_matrix,
+    standardized_mean_differences,
+    target_moments,
+)
 from targetcal.errors import DegenerateOutcomeError, ModeError
 from targetcal.estimators import (
     EstimatorKind,
@@ -198,12 +204,26 @@ class TestCalibration:
         assert abs(shifted - base) <= 1e-10
 
     def test_smds_killed(self):
+        # SMDs of the weights each calibration estimator returns, recomputed
+        # as smd.csv does: sample and treatment contrasts for CAL_T and CAL_F,
+        # the within-study treatment contrast for CBPS.
         ds = draw_row_a(1200, np.random.default_rng(11))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_cal_transport(ds.to_transport(), c, theta0)
-        for smd in est.diagnostics["smd_after"].values():
-            assert np.max(smd) <= 1e-8
+        study = ds.s == 1
+        c_study = BalanceMatrix(c.c[study])
+        w_t = tau_cal_transport(ds.to_transport(), c, theta0).weights_used
+        w_f = tau_cal_fusion(ds, c, theta0).weights_used
+        w_b = tau_cbps_benchmark(ds, c, "study").weights_used
+        smds = {
+            "CAL_T sample": standardized_mean_differences(c, ds.s, np.where(study, w_t, 1.0)),
+            "CAL_T treatment": standardized_mean_differences(c_study, ds.z[study], w_t[study]),
+            "CAL_F sample": standardized_mean_differences(c, ds.s, w_f),
+            "CAL_F treatment": standardized_mean_differences(c, ds.z, w_f),
+            "CBPS treatment": standardized_mean_differences(c_study, ds.z[study], w_b),
+        }
+        for label, smd in smds.items():
+            assert np.max(smd) <= 1e-8, label
 
     def test_fusion_rejects_transport_dataset(self):
         ds = draw_row_a(400, np.random.default_rng(12))

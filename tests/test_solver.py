@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from targetcal.data import build_balance_matrix, target_moments
 from targetcal.errors import NotConvergedError, RankDeficientError
+from targetcal.sim import SCENARIOS, derive_seed, generate
 from targetcal.solver import (
     EntropyProblem,
     assemble_ate_benchmark,
@@ -284,6 +287,21 @@ class TestIterativeCalibration:
                     - np.average(y[z == 0], weights=ws[z == 0]))
 
         assert hajek(alt.weights) == pytest.approx(hajek(joint.weights), abs=1e-6)
+
+
+def test_infeasible_solve_emits_no_warning():
+    # A scenario-B replicate with no overlap: the pure-Newton branch tries a
+    # point whose weights overflow; it must be rejected without a warning.
+    ds = generate(SCENARIOS["B"], 500, derive_seed(7, "B", 500, 2, 0))
+    c = build_balance_matrix(ds)
+    theta0 = target_moments(c, ds.s)
+    problems = [assemble_transport(c, ds.s, ds.z, theta0),
+                assemble_fusion(c, ds.s, ds.z, theta0)[1]]
+    for problem in problems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConvergedError):
+                solve_entropy_dual(problem)
 
 
 def test_exact_balance_over_random_instances():

@@ -18,7 +18,7 @@ from .data import (
     standardized_mean_differences,
     target_moments,
 )
-from .estimators import EstimatorKind, TauEstimate, compute_tau
+from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 from .inference import (
     EstimateReport,
     VarianceReport,
@@ -49,6 +49,7 @@ __all__ = [
     "EntropyProblem",
     "EstimateReport",
     "EstimatorKind",
+    "Fits",
     "TargetMoments",
     "TauEstimate",
     "VarianceReport",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import glm, solver
+from . import solver
 from .data import (
     BalanceMatrix,
     BalanceSpec,
@@ -31,7 +31,7 @@ from .data import (
     target_moments,
 )
 from .errors import ConfigError, ModeError, SchemaError, TargetcalError
-from .estimators import FUSION_ONLY, EstimatorKind
+from .estimators import EstimatorKind, Fits
 from .inference import estimate_with_ci
 from .sim import RNG_ALGORITHM, RunnerConfig, run_experiment
 
@@ -40,6 +40,11 @@ log = logging.getLogger("targetcal")
 DEFAULT_ESTIMATORS = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T"
 DEFAULT_ESTIMATORS_FUSION = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T,AUG_F,CAL_F,CBPS"
 DEFAULT_SIM_ESTIMATORS = "TMLE,AUG_T,CAL_T,AUG_F,CAL_F"
+
+# The calibration weights each estimator leaves in smd.csv: the Fits member
+# that holds them.
+WEIGHT_SETS = {EstimatorKind.AUG_T: "sampling", EstimatorKind.CAL_T: "transport",
+               EstimatorKind.CAL_F: "fusion"}
 
 
 def _fmt(x) -> str:
@@ -79,19 +84,21 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
     return raw
 
 
+def _number(key: str, value, cast, default=None):
+    """A flag or config value converted by ``cast``; ``default`` when unset."""
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: cannot read {value!r} as {cast.__name__}") from None
+
+
 def _merge_config(args: argparse.Namespace, keys: set) -> dict:
     """Config-file values fill in wherever the flag was left at its default."""
     cfg = _load_config_file(args.config, keys)
-    merged = {}
-    for key in keys:
-        flag_val = getattr(args, key)
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in cfg:
-            merged[key] = cfg[key]
-        else:
-            merged[key] = None
-    return merged
+    return {key: cfg.get(key) if getattr(args, key) is None else getattr(args, key)
+            for key in keys}
 
 
 def _echo_config(out: Path, command: str, effective: dict) -> None:
@@ -119,13 +126,13 @@ def _parse_estimators(text: str) -> list:
 
 def _load_input(mode: str, input_path: str,
                 target_path: str | None) -> tuple[Dataset, list]:
+    if mode not in ("transport", "fusion"):
+        raise ConfigError(f"unknown mode '{mode}'")
     if target_path is None:
         cols, names = read_csv_columns(input_path, mode=mode)
     else:
         study, study_names = read_csv_columns(input_path, mode=mode, force_s=1)
-        target, target_names = read_csv_columns(
-            target_path, mode="fusion" if mode == "fusion" else "transport", force_s=0
-        )
+        target, target_names = read_csv_columns(target_path, mode=mode, force_s=0)
         if study_names != target_names:
             raise SchemaError(
                 "study and target files must share covariate columns "
@@ -180,59 +187,35 @@ def _parse_balance_spec(text: str | None, cov_names: list) -> BalanceSpec | None
     return BalanceSpec(entries=tuple(entries))
 
 
-def _fit_scores(dataset: Dataset, c: BalanceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Logistic-MLE sampling and propensity scores on the balance columns."""
-    rho_fit = glm.fit_logistic(c.c, dataset.s.astype(float))
-    rho = glm.predict(rho_fit, c.c)
-    study = dataset.s == 1
-    pi_fit = glm.fit_logistic(c.c[study], dataset.observed_z(study))
-    pi = glm.predict(pi_fit, c.c)
-    return rho, pi
-
-
 def _smd_rows(dataset: Dataset, c: BalanceMatrix, weight_sets: dict) -> list:
     """Long-format SMD table: sample and treatment comparisons, one row per
     (comparison, balance column, weighting)."""
-    rows = []
     names = list(c.names) if c.names else [f"c{j}" for j in range(c.m)]
-    comparisons = {"sample": dataset.s.astype(int)}
-    weightings = {"unweighted": None, **weight_sets}
-    for label, weights in weightings.items():
-        smd = standardized_mean_differences(c, comparisons["sample"], weights)
-        for j in range(1, c.m):
-            rows.append(["sample", names[j], label, smd[j]])
     study = dataset.s == 1
-    c_study = BalanceMatrix(c.c[study], names=c.names)
-    z_study = dataset.observed_z(study).astype(int)
-    for label, weights in weightings.items():
-        w = None if weights is None else weights[study]
-        smd = standardized_mean_differences(c_study, z_study, w)
-        for j in range(1, c.m):
-            rows.append(["treatment(study)", names[j], label, smd[j]])
+    everyone = slice(None)
+    comparisons = [
+        ("sample", c, dataset.s.astype(int), everyone),
+        ("treatment(study)", BalanceMatrix(c.c[study], names=c.names),
+         dataset.observed_z(study).astype(int), study),
+    ]
     if dataset.mode == "fusion":
-        z_all = dataset.z.astype(int)
-        for label, weights in weightings.items():
-            smd = standardized_mean_differences(c, z_all, weights)
-            for j in range(1, c.m):
-                rows.append(["treatment(pooled)", names[j], label, smd[j]])
+        comparisons.append(("treatment(pooled)", c, dataset.z.astype(int), everyone))
+    rows = []
+    for comparison, cmat, groups, units in comparisons:
+        for label, weights in {"unweighted": None, **weight_sets}.items():
+            smd = standardized_mean_differences(
+                cmat, groups, None if weights is None else weights[units])
+            rows += [[comparison, names[j], label, smd[j]] for j in range(1, c.m)]
     return rows
 
 
-def _calibration_weight_sets(dataset: Dataset, c: BalanceMatrix, theta0) -> dict:
-    """Sampling, transport, and (in fusion mode) fusion calibration weights,
-    each padded with unit weights off their active sample."""
-    out = {}
-    q = solver.solve_entropy_dual(solver.assemble_sampling(c, dataset.s, theta0)).weights
-    out["sampling"] = np.where(dataset.s == 1, q, 1.0)
-    p = solver.solve_entropy_dual(
-        solver.assemble_transport(c, dataset.s, dataset.z, theta0)
-    ).weights
-    out["transport"] = np.where(dataset.s == 1, p, 1.0)
-    if dataset.mode == "fusion":
-        sol_t, sol_s = solver.assemble_fusion(c, dataset.s, dataset.z, theta0)
-        w = solver.solve_entropy_dual(sol_t).weights + solver.solve_entropy_dual(sol_s).weights
-        out["fusion"] = w
-    return out
+def _weight_set(fits: Fits, label: str) -> np.ndarray:
+    """One calibration weight set of ``fits`` for the SMD and ESS tables; the
+    study-sample sets carry unit weight on the target sample."""
+    if label == "fusion":
+        sol_target, sol_study = fits.fusion
+        return sol_target.weights + sol_study.weights
+    return np.where(fits.dataset.s == 1, getattr(fits, label).weights, 1.0)
 
 
 def _install_trace(out: Path) -> None:
@@ -264,11 +247,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "balance_columns"}
     cfg = _merge_config(args, keys)
     mode = cfg["mode"] or "transport"
-    if mode not in ("transport", "fusion"):
-        raise ConfigError(f"unknown mode '{mode}'")
     if cfg["input"] is None:
         raise ConfigError("--input is required")
-    level = float(cfg["level"]) if cfg["level"] is not None else 0.95
+    level = _number("level", cfg["level"], float, 0.95)
     if not 0.0 < level < 1.0:
         raise ConfigError("level must lie in (0, 1)")
     out = Path(cfg["out"] or "targetcal-out")
@@ -284,33 +265,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     theta0 = target_moments(c, dataset.s)
     default = DEFAULT_ESTIMATORS_FUSION if mode == "fusion" else DEFAULT_ESTIMATORS
     kinds = _parse_estimators(cfg["estimators"] or default)
-    benchmark_selector = "target" if mode == "fusion" else "study"
+    fits = Fits(dataset, c, theta0)
 
     results, failures = [], []
     weight_sets = {}
     for kind in kinds:
         try:
-            if kind in FUSION_ONLY and mode != "fusion":
-                raise ModeError(f"{kind.value} requires fusion mode")
-            report = estimate_with_ci(dataset, c, theta0, kind, level=level,
-                                      sample_selector=benchmark_selector)
-            diag = report.estimate.diagnostics
-            results.append(
-                [kind.value, report.tau_hat, report.se, report.ci_low, report.ci_high,
-                 diag.get("ess", float("nan")), diag.get("max_weight", float("nan")),
-                 report.method]
-            )
-            if report.estimate.weights_used is not None and kind in (
-                EstimatorKind.CAL_T, EstimatorKind.CAL_F, EstimatorKind.AUG_T,
-            ):
-                w = report.estimate.weights_used
-                label = {"CAL_T": "transport", "CAL_F": "fusion", "AUG_T": "sampling"}[kind.value]
-                if kind is EstimatorKind.CAL_F:
-                    weight_sets[label] = w
-                else:
-                    weight_sets[label] = np.where(dataset.s == 1, w, 1.0)
+            report = estimate_with_ci(dataset, c, theta0, kind, level=level, fits=fits)
         except TargetcalError as exc:
             failures.append((kind.value, f"{type(exc).__name__}: {exc}"))
+            continue
+        diag = report.estimate.diagnostics
+        results.append(
+            [kind.value, report.tau_hat, report.se, report.ci_low, report.ci_high,
+             diag.get("ess", float("nan")), diag.get("max_weight", float("nan")),
+             report.method]
+        )
+        if kind in WEIGHT_SETS:
+            weight_sets[WEIGHT_SETS[kind]] = _weight_set(fits, WEIGHT_SETS[kind])
 
     _write_csv(out / "results.csv",
                ["estimator", "tau_hat", "se", "ci_low", "ci_high", "ess", "max_weight",
@@ -323,12 +295,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                      f"{_sig6(row[3]):>12}{_sig6(row[4]):>12}\n")
     _write_csv(out / "smd.csv", ["comparison", "column", "weighting", "smd"],
                _smd_rows(dataset, c, weight_sets))
-    rho, pi = _fit_scores(dataset, c)
-    export_scores(rho, pi, dataset, out / "scores.csv")
+    export_scores(fits.rho, fits.pi, dataset, out / "scores.csv")
     _echo_config(out, "estimate",
                  {"mode": mode, "input": cfg["input"], "target_input": cfg["target_input"],
                   "estimators": [k.value for k in kinds], "level": level,
-                  "benchmark_sample": benchmark_selector,
+                  "benchmark_sample": "target" if mode == "fusion" else "study",
                   "out": str(out)})
     for kind, message in failures:
         print(f"estimator {kind} failed: {message}", file=sys.stderr)
@@ -340,18 +311,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "out", "u_standardize", "per_replicate", "oracle_n"}
     cfg = _merge_config(args, keys)
     scenarios = tuple((cfg["scenarios"] or "A,B,C,D,E,F,G,H").replace(" ", "").split(","))
-    sizes = tuple(int(v) for v in str(cfg["sizes"] or "500,2000").split(","))
+    sizes = tuple(_number("sizes", v, int) for v in str(cfg["sizes"] or "500,2000").split(","))
     kinds = _parse_estimators(cfg["estimators"] or DEFAULT_SIM_ESTIMATORS)
     runner = RunnerConfig(
         scenarios=scenarios,
         ns=sizes,
-        reps=int(cfg["reps"]) if cfg["reps"] is not None else 10,
+        reps=_number("reps", cfg["reps"], int, 10),
         kinds=tuple(kinds),
-        seed=int(cfg["seed"]) if cfg["seed"] is not None else 0,
-        workers=int(cfg["workers"]) if cfg["workers"] is not None else 1,
-        level=float(cfg["level"]) if cfg["level"] is not None else 0.95,
+        seed=_number("seed", cfg["seed"], int, 0),
+        workers=_number("workers", cfg["workers"], int, 1),
+        level=_number("level", cfg["level"], float, 0.95),
         u_standardize=cfg["u_standardize"] or "empirical",
-        oracle_n=int(cfg["oracle_n"]) if cfg["oracle_n"] is not None else 2_000_000,
+        oracle_n=_number("oracle_n", cfg["oracle_n"], int, 2_000_000),
         keep_replicates=bool(cfg["per_replicate"]),
     )
     out = Path(cfg["out"] or "targetcal-out")
@@ -397,19 +368,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         _install_trace(out)
     dataset, cov_names = _load_input(mode, cfg["input"], cfg["target_input"])
     c = build_balance_matrix(dataset, BalanceSpec.identity(dataset.x.shape[1], names=cov_names))
-    theta0 = target_moments(c, dataset.s)
-    weight_sets = _calibration_weight_sets(dataset, c, theta0)
+    fits = Fits(dataset, c, target_moments(c, dataset.s))
+    labels = ("sampling", "transport") + (("fusion",) if dataset.mode == "fusion" else ())
+    weight_sets = {label: _weight_set(fits, label) for label in labels}
     _write_csv(out / "smd.csv", ["comparison", "column", "weighting", "smd"],
                _smd_rows(dataset, c, weight_sets))
     ess_rows = []
     for label, w in weight_sets.items():
-        active = w > 0
-        if label in ("sampling", "transport"):
-            active = dataset.s == 1
+        active = w > 0 if label == "fusion" else dataset.s == 1
         ess_rows.append([label, effective_sample_size(w[active]), float(w[active].max())])
     _write_csv(out / "ess.csv", ["weighting", "ess", "max_weight"], ess_rows)
-    rho, pi = _fit_scores(dataset, c)
-    export_scores(rho, pi, dataset, out / "scores.csv")
+    export_scores(fits.rho, fits.pi, dataset, out / "scores.csv")
     _echo_config(out, "diagnose",
                  {"mode": mode, "input": cfg["input"], "target_input": cfg["target_input"],
                   "out": str(out)})

@@ -345,8 +345,8 @@ def _float_column(path, cells: np.ndarray, label: str,
 
     Returns the values and the mask of non-blank fields. With ``blanks`` a
     blank field reads as NaN; any other field that is not a number raises
-    SchemaError naming the field, its column and its row (the header is
-    row 1 and blank lines are not counted).
+    SchemaError naming the field, its column and its row (the line of the
+    file it is on).
     """
     try:
         return cells.astype(float), np.ones(len(cells), dtype=bool)
@@ -362,8 +362,21 @@ def _float_column(path, cells: np.ndarray, label: str,
             values[i] = float(field)
         except ValueError:
             what = f"non-numeric value '{field.strip()}'" if seen[i] else "empty value"
-            raise SchemaError(f"{path}: {what} in {label} (row {i + 2})") from None
+            raise SchemaError(f"{path}: {what} in {label} (row {_file_line(path, i)})") from None
     return values, seen
+
+
+def _file_line(path, row: int) -> int:
+    """The line on which data row ``row`` of ``path`` starts; data rows count
+    from 0 after the header and skip blank lines, as np.loadtxt counts them."""
+    starts, start = [], 1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for record in reader:
+            if record:
+                starts.append(start)
+            start = reader.line_num + 1
+    return starts[row + 1]
 
 
 def read_csv_columns(path, mode: str = "fusion",
@@ -409,14 +422,14 @@ def read_csv_columns(path, mode: str = "fusion",
                 first, got, row = map(int, ragged.groups())
                 if first != len(header):
                     got, row = first, 1
-                raise SchemaError(
-                    f"{path}: row {row + 1} has {got} fields, expected {len(header)}"
-                ) from None
+                raise SchemaError(f"{path}: row {_file_line(path, row - 1)} has {got} "
+                                  f"fields, expected {len(header)}") from None
     n = cells.shape[0]
     if n == 0:
         cells = np.empty((0, len(header)), dtype=object)
     elif cells.shape[1] != len(header):
-        raise SchemaError(f"{path}: row 2 has {cells.shape[1]} fields, expected {len(header)}")
+        raise SchemaError(f"{path}: row {_file_line(path, 0)} has {cells.shape[1]} fields, "
+                          f"expected {len(header)}")
 
     if force_s is not None:
         s = np.full(n, force_s, dtype=np.int8)
@@ -426,7 +439,7 @@ def read_csv_columns(path, mode: str = "fusion",
         bad = np.flatnonzero((s != 0.0) & (s != 1.0))
         if bad.size:
             raise SchemaError(f"{path}: column 's' must be 0 or 1, got "
-                              f"'{cells[bad[0], j].strip()}' (row {bad[0] + 2})")
+                              f"'{cells[bad[0], j].strip()}' (row {_file_line(path, bad[0])})")
         s = s.astype(np.int8)
     cols = {"s": s}
     for name in ("z", "y"):

@@ -2,15 +2,16 @@
 G-computation, TMLE, augmented (transport and fusion), full-calibration
 Hajek contrasts (transport and fusion), and the within-cohort benchmark.
 
-Every estimator is a pure function of (dataset, balance matrix, moments);
-the simulation harness may evaluate several kinds on one replicate
-concurrently.
+Every estimator is a function of (dataset, fits): ``Fits`` holds one
+dataset's nuisance fits and calibration solves, each computed on first use,
+so estimators run on the same dataset share them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,20 +37,80 @@ FUSION_ONLY = {EstimatorKind.AUG_F, EstimatorKind.CAL_F}
 @dataclass
 class TauEstimate:
     tau_hat: float
-    kind: EstimatorKind
+    kind: EstimatorKind | None = None
     weights_used: np.ndarray | None = None
     nuisance: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
 
-def _selector_mask(dataset: Dataset, sample_selector: str) -> np.ndarray:
-    if sample_selector == "study":
-        return dataset.s == 1
-    if sample_selector == "target":
-        return dataset.s == 0
-    if sample_selector == "pooled":
-        return np.ones(dataset.n, dtype=bool)
-    raise ModeError(f"unknown sample selector '{sample_selector}'")
+def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
+    """Main-terms linear fits of y on the balance columns, one per arm of the
+    sample s == ``sample``: (models, mu0, mu1), mu predicted on every unit."""
+    rows = dataset.s == sample
+    c_rows = c.c[rows]
+    z = dataset.observed_z(rows)
+    y = dataset.observed_y(rows)
+    models = []
+    for arm in (0, 1):
+        mask = z == arm
+        if not mask.any():
+            raise EmptyArmError(f"no units with z={arm} to fit the outcome model")
+        models.append(glm.fit_linear(c_rows[mask], y[mask]))
+    return models, glm.predict(models[0], c.c), glm.predict(models[1], c.c)
+
+
+class Fits:
+    """One dataset's nuisance fits and calibration solves, each computed once,
+    on first use.
+
+    Every member except ``fusion`` reads only the balance matrix, the sample
+    indicator and study-sample treatment and outcome, so a Fits built on a
+    fusion dataset also serves its transport view. A solve or fit that
+    raises is not cached: the next reader tries again and raises the same
+    error. Readers share the cached arrays, so none may modify them.
+    """
+
+    def __init__(self, dataset: Dataset, c: BalanceMatrix, theta0):
+        self.dataset = dataset
+        self.c = c
+        self.theta0 = theta0
+
+    @cached_property
+    def sampling(self) -> solver.DualSolution:
+        """Study-sample weights calibrated to the target moments."""
+        return solver.solve_entropy_dual(
+            solver.assemble_sampling(self.c, self.dataset.s, self.theta0))
+
+    @cached_property
+    def transport(self) -> solver.DualSolution:
+        """Joint arm-balance and sampling calibration of the study sample."""
+        return solver.solve_entropy_dual(
+            solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0))
+
+    @cached_property
+    def fusion(self) -> tuple:
+        """Per-sample arm-balance solves (target, study); reads target z."""
+        z = self.dataset.observed_z(np.ones(self.dataset.n, dtype=bool))
+        return tuple(map(solver.solve_entropy_dual,
+                         solver.assemble_fusion(self.c, self.dataset.s, z, self.theta0)))
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Logistic sampling score P(s=1 | c) on every unit."""
+        fit = glm.fit_logistic(self.c.c, self.dataset.s.astype(float))
+        return glm.predict(fit, self.c.c)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Logistic propensity score, fit on the study sample, on every unit."""
+        study = self.dataset.s == 1
+        fit = glm.fit_logistic(self.c.c[study], self.dataset.observed_z(study))
+        return glm.predict(fit, self.c.c)
+
+    @cached_property
+    def study_outcome(self) -> tuple:
+        """Per-arm study-sample outcome models: (models, mu0, mu1)."""
+        return _outcome_models(self.dataset, self.c, 1)
 
 
 def _hajek_contrast(weights: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
@@ -70,76 +131,44 @@ def _hajek_contrast(weights: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
     return float(np.average(y[treated], weights=w1) - np.average(y[control], weights=w0))
 
 
-def _require_fusion(dataset: Dataset, what: str) -> None:
-    if dataset.mode != "fusion":
-        raise ModeError(f"{what} requires a fusion-mode dataset")
+def _cohort(dataset: Dataset) -> np.ndarray:
+    """The benchmark cohort: the target sample when its outcomes are
+    observed (fusion mode), else the study sample."""
+    return dataset.s == (0 if dataset.mode == "fusion" else 1)
 
 
-def _arm_outcome_fits(c_rows: np.ndarray, z: np.ndarray, y: np.ndarray):
-    """Main-terms linear fits of y on the balance columns, one per arm."""
-    fits = {}
-    for arm in (0, 1):
-        mask = z == arm
-        if not mask.any():
-            raise EmptyArmError(f"no units with z={arm} to fit the outcome model")
-        fits[arm] = glm.fit_linear(c_rows[mask], y[mask])
-    return fits
-
-
-def _weight_diagnostics(weights: np.ndarray) -> dict:
-    active = weights > 0
-    return {
-        "ess": effective_sample_size(weights[active]),
-        "max_weight": float(weights.max()),
-    }
-
-
-def tau_unadjusted(dataset: Dataset, sample_selector: str = "study") -> TauEstimate:
-    """Crude difference of arm means within the selected sample."""
-    mask = _selector_mask(dataset, sample_selector)
+def tau_unadjusted(dataset: Dataset, fits: Fits) -> TauEstimate:
+    """Crude difference of arm means within the benchmark cohort."""
+    mask = _cohort(dataset)
     z = dataset.observed_z(mask)
     y = dataset.observed_y(mask)
     tau = _hajek_contrast(np.ones(mask.sum()), z, y)
-    return TauEstimate(
-        tau_hat=tau,
-        kind=EstimatorKind.UNADJ,
-        nuisance={"z": z, "y": y, "selector": sample_selector},
-        diagnostics={},
-    )
+    return TauEstimate(tau_hat=tau, nuisance={"z": z, "y": y})
 
 
-def tau_gcomp(dataset: Dataset, c: BalanceMatrix) -> TauEstimate:
+def tau_gcomp(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Outcome-regression standardization: fit per-arm means on the study
     sample, average their contrast over the target sample."""
-    study = dataset.s == 1
     target = dataset.s == 0
-    z = dataset.observed_z(study)
-    y = dataset.observed_y(study)
-    fits = _arm_outcome_fits(c.c[study], z, y)
-    mu0 = glm.predict(fits[0], c.c)
-    mu1 = glm.predict(fits[1], c.c)
+    (fit0, fit1), mu0, mu1 = fits.study_outcome
     tau = float(np.mean(mu1[target] - mu0[target]))
-    return TauEstimate(
-        tau_hat=tau,
-        kind=EstimatorKind.GCOMP,
-        nuisance={"fit0": fits[0], "fit1": fits[1], "mu0": mu0, "mu1": mu1},
-        diagnostics={},
-    )
+    return TauEstimate(tau_hat=tau,
+                       nuisance={"fit0": fit0, "fit1": fit1, "mu0": mu0, "mu1": mu1})
 
 
-def tau_tmle(dataset: Dataset, c: BalanceMatrix) -> TauEstimate:
+def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Targeted update of initial outcome fits on the standardized scale.
 
     Pipeline: standardize the study outcomes to [0, 1]; fit per-arm
-    fractional-logistic initial means; fit the sampling score on all units
-    and the propensity score on the study sample; regress the standardized
-    outcome on the two score-derived covariates with the initial fit as a
-    fixed offset (no intercept); update, unstandardize, and average the
-    updated contrast over the target sample.
+    fractional-logistic initial means; take the sampling score and the
+    propensity score from ``fits``; regress the standardized outcome on the
+    two score-derived covariates with the initial fit as a fixed offset (no
+    intercept); update, unstandardize, and average the updated contrast over
+    the target sample.
     """
-    s = dataset.s
-    study = s == 1
-    target = s == 0
+    c = fits.c
+    study = dataset.s == 1
+    target = dataset.s == 0
     z = dataset.observed_z(study)
     y = dataset.observed_y(study)
     y_lo, y_hi = float(y.min()), float(y.max())
@@ -148,20 +177,17 @@ def tau_tmle(dataset: Dataset, c: BalanceMatrix) -> TauEstimate:
     y_star = (y - y_lo) / (y_hi - y_lo)
 
     c_study = c.c[study]
-    fits = {}
+    initial = {}
     for arm in (0, 1):
         mask = z == arm
         if not mask.any():
             raise EmptyArmError(f"no study units with z={arm}")
-        fits[arm] = glm.fit_logistic(c_study[mask], y_star[mask])
-    mu0_star = glm.predict(fits[0], c.c)
-    mu1_star = glm.predict(fits[1], c.c)
+        initial[arm] = glm.fit_logistic(c_study[mask], y_star[mask])
+    mu0_star = glm.predict(initial[0], c.c)
+    mu1_star = glm.predict(initial[1], c.c)
 
-    rho_fit = glm.fit_logistic(c.c, s.astype(float))
-    rho = glm.predict(rho_fit, c.c)
-    pi_fit = glm.fit_logistic(c_study, z)
-    pi = glm.predict(pi_fit, c.c)
-
+    rho = fits.rho
+    pi = fits.pi
     ratio0 = (1.0 - rho) / (rho * (1.0 - pi))
     ratio1 = (1.0 - rho) / (rho * pi)
     h0 = (1.0 - z) * ratio0[study]
@@ -175,147 +201,93 @@ def tau_tmle(dataset: Dataset, c: BalanceMatrix) -> TauEstimate:
     tau = float(np.mean(eta1[target] - eta0[target]))
     return TauEstimate(
         tau_hat=tau,
-        kind=EstimatorKind.TMLE,
-        nuisance={
-            "rho": rho,
-            "pi": pi,
-            "epsilon": (float(eps0), float(eps1)),
-            "eta0": eta0,
-            "eta1": eta1,
-            "outcome_range": (y_lo, y_hi),
-        },
-        diagnostics={},
+        nuisance={"epsilon": (float(eps0), float(eps1)), "eta0": eta0, "eta1": eta1,
+                  "outcome_range": (y_lo, y_hi)},
     )
 
 
-def _augmented(dataset: Dataset, c: BalanceMatrix, theta0, outcome_sample: int,
-               kind: EstimatorKind) -> TauEstimate:
-    s = dataset.s
-    study = s == 1
-    target = s == 0
+def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate:
+    study = dataset.s == 1
+    target = dataset.s == 0
     z = dataset.observed_z(study)
     y = dataset.observed_y(study)
     n1, n0 = dataset.n_study, dataset.n_target
 
-    q_sol = solver.solve_entropy_dual(solver.assemble_sampling(c, s, theta0))
-    q = q_sol.weights
-
-    pi_fit = glm.fit_logistic(c.c[study], z)
-    pi = glm.predict(pi_fit, c.c)
+    q = fits.sampling.weights
+    pi = fits.pi
     pi_study = pi[study]
-
-    fit_mask = s == outcome_sample
-    fits = _arm_outcome_fits(
-        c.c[fit_mask], dataset.observed_z(fit_mask), dataset.observed_y(fit_mask)
-    )
-    mu0 = glm.predict(fits[0], c.c)
-    mu1 = glm.predict(fits[1], c.c)
+    _, mu0, mu1 = (fits.study_outcome if outcome_sample == 1
+                   else _outcome_models(dataset, fits.c, outcome_sample))
 
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)
-
-    return TauEstimate(
-        tau_hat=tau,
-        kind=kind,
-        weights_used=q,
-        nuisance={
-            "sampling_dual": q_sol,
-            "pi_fit": pi_fit,
-            "pi": pi,
-            "mu0": mu0,
-            "mu1": mu1,
-        },
-        diagnostics=_weight_diagnostics(q),
-    )
+    return TauEstimate(tau_hat=tau, weights_used=q,
+                       nuisance={"pi": pi, "mu0": mu0, "mu1": mu1})
 
 
-def tau_aug_transport(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate:
+def tau_aug_transport(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Augmented estimator: calibrated sampling weights de-bias study-sample
     outcome-model residuals, added to the target-sample model contrast."""
-    return _augmented(dataset, c, theta0, outcome_sample=1, kind=EstimatorKind.AUG_T)
+    return _augmented(dataset, fits, outcome_sample=1)
 
 
-def tau_aug_fusion(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate:
+def tau_aug_fusion(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Augmented estimator with outcome models fit on the target sample."""
-    _require_fusion(dataset, "AUG fusion")
-    return _augmented(dataset, c, theta0, outcome_sample=0, kind=EstimatorKind.AUG_F)
+    return _augmented(dataset, fits, outcome_sample=0)
 
 
-def tau_cal_transport(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate:
+def tau_cal_transport(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Hajek contrast under the joint study-sample calibration weights."""
-    s = dataset.s
-    study = s == 1
-    z = dataset.observed_z(study)
-    y = dataset.observed_y(study)
-    sol = solver.solve_entropy_dual(solver.assemble_transport(c, s, dataset.z, theta0))
-    w = sol.weights
-    tau = _hajek_contrast(w[study], z, y)
-    return TauEstimate(
-        tau_hat=tau,
-        kind=EstimatorKind.CAL_T,
-        weights_used=w,
-        nuisance={"dual": sol},
-        diagnostics=_weight_diagnostics(w),
-    )
+    study = dataset.s == 1
+    sol = fits.transport
+    tau = _hajek_contrast(sol.weights[study], dataset.observed_z(study),
+                          dataset.observed_y(study))
+    return TauEstimate(tau_hat=tau, weights_used=sol.weights, nuisance={"dual": sol})
 
 
-def tau_cal_fusion(dataset: Dataset, c: BalanceMatrix, theta0) -> TauEstimate:
+def tau_cal_fusion(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Hajek contrast over all units under the per-sample calibration weights."""
-    _require_fusion(dataset, "CAL fusion")
-    s = dataset.s
-    sol_target, sol_study = map(
-        solver.solve_entropy_dual, solver.assemble_fusion(c, s, dataset.z, theta0)
-    )
+    sol_target, sol_study = fits.fusion
     w = sol_target.weights + sol_study.weights
     tau = _hajek_contrast(w, dataset.z, dataset.y)
-    return TauEstimate(
-        tau_hat=tau,
-        kind=EstimatorKind.CAL_F,
-        weights_used=w,
-        nuisance={"dual_target": sol_target, "dual_study": sol_study},
-        diagnostics=_weight_diagnostics(w),
-    )
+    return TauEstimate(tau_hat=tau, weights_used=w,
+                       nuisance={"dual_target": sol_target, "dual_study": sol_study})
 
 
-def tau_cbps_benchmark(dataset: Dataset, c: BalanceMatrix,
-                       sample_selector: str = "study") -> TauEstimate:
-    """Within-cohort benchmark: arm-balancing weights aimed at the selected
+def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
+    """Within-cohort benchmark: arm-balancing weights aimed at the benchmark
     cohort's own balance means, then a Hajek contrast."""
-    mask = _selector_mask(dataset, sample_selector)
+    mask = _cohort(dataset)
     z = dataset.observed_z(mask)
     y = dataset.observed_y(mask)
-    c_sub = BalanceMatrix(c.c[mask], names=c.names)
+    c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
     sol = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z))
-    w = sol.weights
-    tau = _hajek_contrast(w, z, y)
-    return TauEstimate(
-        tau_hat=tau,
-        kind=EstimatorKind.CBPS,
-        weights_used=w,
-        nuisance={"dual": sol, "z": z, "y": y, "selector": sample_selector},
-        diagnostics=_weight_diagnostics(w),
-    )
+    tau = _hajek_contrast(sol.weights, z, y)
+    return TauEstimate(tau_hat=tau, weights_used=sol.weights,
+                       nuisance={"dual": sol, "z": z, "y": y})
 
 
-def compute_tau(dataset: Dataset, c: BalanceMatrix, theta0, kind: EstimatorKind,
-                sample_selector: str | None = None) -> TauEstimate:
-    """Dispatch a point estimate by kind."""
-    if kind in FUSION_ONLY:
-        _require_fusion(dataset, kind.value)
-    if kind is EstimatorKind.UNADJ:
-        return tau_unadjusted(dataset, sample_selector or "study")
-    if kind is EstimatorKind.GCOMP:
-        return tau_gcomp(dataset, c)
-    if kind is EstimatorKind.TMLE:
-        return tau_tmle(dataset, c)
-    if kind is EstimatorKind.AUG_T:
-        return tau_aug_transport(dataset, c, theta0)
-    if kind is EstimatorKind.AUG_F:
-        return tau_aug_fusion(dataset, c, theta0)
-    if kind is EstimatorKind.CAL_T:
-        return tau_cal_transport(dataset, c, theta0)
-    if kind is EstimatorKind.CAL_F:
-        return tau_cal_fusion(dataset, c, theta0)
-    if kind is EstimatorKind.CBPS:
-        return tau_cbps_benchmark(dataset, c, sample_selector or "study")
-    raise ModeError(f"unknown estimator kind {kind}")
+TAU = {
+    EstimatorKind.UNADJ: tau_unadjusted,
+    EstimatorKind.GCOMP: tau_gcomp,
+    EstimatorKind.TMLE: tau_tmle,
+    EstimatorKind.AUG_T: tau_aug_transport,
+    EstimatorKind.AUG_F: tau_aug_fusion,
+    EstimatorKind.CAL_T: tau_cal_transport,
+    EstimatorKind.CAL_F: tau_cal_fusion,
+    EstimatorKind.CBPS: tau_cbps_benchmark,
+}
+
+
+def compute_tau(dataset: Dataset, kind: EstimatorKind, fits: Fits) -> TauEstimate:
+    """Point estimate of one kind; a weighting estimator also reports the
+    effective sample size and largest weight of its nonzero weights."""
+    if kind in FUSION_ONLY and dataset.mode != "fusion":
+        raise ModeError(f"{kind.value} requires fusion mode")
+    est = TAU[kind](dataset, fits)
+    est.kind = kind
+    w = est.weights_used
+    if w is not None:
+        est.diagnostics = {"ess": effective_sample_size(w[w > 0]),
+                           "max_weight": float(w.max())}
+    return est

@@ -25,7 +25,7 @@ from .errors import (
     MissingComponentsError,
     SingularJacobianError,
 )
-from .estimators import EstimatorKind, TauEstimate
+from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 from .solver import DualSolution
 
 
@@ -265,33 +265,31 @@ def estimate_with_ci(
     theta0,
     kind: EstimatorKind,
     level: float = 0.95,
-    sample_selector: str | None = None,
+    fits: Fits | None = None,
 ) -> EstimateReport:
     """Compute a point estimate and the matching variance for its kind.
 
     Calibration estimators get the M-estimation sandwich; augmented and TMLE
     estimators the plug-in influence variance; the benchmark estimators a
-    descriptive approximation.
+    descriptive approximation. Pass one ``fits`` to every kind run on the
+    same data to share its nuisance fits and solves; without it each call
+    fits its own.
     """
-    from .estimators import compute_tau
-
-    est = compute_tau(dataset, c, theta0, kind, sample_selector=sample_selector)
+    if fits is None:
+        fits = Fits(dataset, c, theta0)
+    est = compute_tau(dataset, kind, fits)
     if kind is EstimatorKind.CAL_T:
-        report = sandwich_variance_transport(dataset, c, est.nuisance["dual"],
-                                             est.tau_hat, level)
+        report = sandwich_variance_transport(dataset, c, fits.transport, est.tau_hat, level)
     elif kind is EstimatorKind.CAL_F:
-        report = sandwich_variance_fusion(dataset, c, est.nuisance["dual_target"],
-                                          est.nuisance["dual_study"], est.tau_hat, level)
+        report = sandwich_variance_fusion(dataset, c, *fits.fusion, est.tau_hat, level)
     elif kind in (EstimatorKind.AUG_T, EstimatorKind.AUG_F):
-        report = influence_variance(kind, dataset, est.weights_used,
-                                    est.nuisance["pi"], est.nuisance["mu1"],
-                                    est.nuisance["mu0"], est.tau_hat, level)
-    elif kind is EstimatorKind.TMLE:
-        rho = est.nuisance["rho"]
-        q_tmle = (dataset.n_study / dataset.n_target) * (1.0 - rho) / rho
-        report = influence_variance(kind, dataset, q_tmle, est.nuisance["pi"],
-                                    est.nuisance["eta1"], est.nuisance["eta0"],
+        report = influence_variance(kind, dataset, est.weights_used, fits.pi,
+                                    est.nuisance["mu1"], est.nuisance["mu0"],
                                     est.tau_hat, level)
+    elif kind is EstimatorKind.TMLE:
+        q_tmle = (dataset.n_study / dataset.n_target) * (1.0 - fits.rho) / fits.rho
+        report = influence_variance(kind, dataset, q_tmle, fits.pi, est.nuisance["eta1"],
+                                    est.nuisance["eta0"], est.tau_hat, level)
     else:
         report = descriptive_variance(est, dataset, c, level)
     return EstimateReport(

@@ -10,6 +10,7 @@ execution order.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, build_balance_matrix, target_moments
 from .errors import ConfigError, DegenerateDrawError, NonFiniteError, TargetcalError
-from .estimators import FUSION_ONLY, EstimatorKind
+from .estimators import FUSION_ONLY, EstimatorKind, Fits
 from .glm import expit
 from .inference import estimate_with_ci
 
@@ -332,12 +333,15 @@ def _evaluate_replicate(task: tuple) -> list:
         ]
     c = build_balance_matrix(dataset)
     theta0 = target_moments(c, dataset.s)
+    # One Fits serves both views (only its fusion member reads target-sample
+    # data); the transport view keeps the other kinds from target outcomes.
+    fits = Fits(dataset, c, theta0)
     transport_view = dataset.to_transport()
     for kv in kind_values:
         kind = EstimatorKind(kv)
         view = dataset if kind in FUSION_ONLY else transport_view
         try:
-            report = estimate_with_ci(view, c, theta0, kind, level=level)
+            report = estimate_with_ci(view, c, theta0, kind, level=level, fits=fits)
             results.append(
                 ReplicateResult(
                     scenario_id, n, kv, rep, seed,
@@ -389,14 +393,14 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
         batches = [_evaluate_replicate(t) for t in tasks]
     replicates = [r for batch in batches for r in batch]
 
+    cells = defaultdict(list)
+    for r in replicates:
+        cells[(r.scenario, r.n, r.kind)].append(r)
     rows = []
     for sid in config.scenarios:
         for n in config.ns:
             for kv in kind_values:
-                cell = [
-                    r for r in replicates
-                    if (r.scenario, r.n, r.kind) == (sid, n, kv)
-                ]
+                cell = cells[(sid, n, kv)]
                 ok = [r for r in cell if not r.failed and math.isfinite(r.tau_hat)]
                 tau0 = tau0s[sid]
                 if ok:

@@ -236,6 +236,33 @@ class TestSimulate:
         assert len(rows) == 8  # scenarios A..H x 1 size x 1 estimator
 
 
+
+class TestConfigValidation:
+    """A bad mode or a config value that is not a number is a ConfigError
+    naming it, not a silent run or a traceback."""
+
+    CASES = {
+        "diagnose_mode": ("diagnose", {"mode": "bogus"}, [], "mode"),
+        "estimate_level": ("estimate", {"level": "abc"}, [], "level"),
+        "simulate_reps": ("simulate", {"reps": "x"}, [], "reps"),
+        "simulate_sizes": ("simulate", None, ["--sizes", "100,abc"], "sizes"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected(self, demo_csv, tmp_path, capsys, case):
+        command, config, flags, key = self.CASES[case]
+        argv = [command, "--out", str(tmp_path / "o"), *flags]
+        if command != "simulate":
+            argv += ["--input", str(demo_csv)]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+        assert "Traceback" not in err
+
 def test_verbose_solver_dump(demo_csv, tmp_path):
     out = tmp_path / "v"
     code = main(["--verbose", "estimate", "--mode", "fusion", "--input", str(demo_csv),

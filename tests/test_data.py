@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,21 @@ class TestCsvAgainstPerCellParser:
         with pytest.raises(SchemaError, match="column 's'.*row 3"):
             read_csv_columns(path, mode="fusion")
 
+
+    BLANK_LINES = {
+        "ragged": ("s,z,y,x1\n1,1,2.5,0.1\n\n\n0,0,1.5\n", "row 5 has 3 fields"),
+        "non_numeric": ("s,z,y,x1\n1,1,2.5,0.1\n\n\n0,0,abc,0.2\n", "column 'y' (row 5)"),
+        "bad_s": ("s,z,y,x1\n1,1,2.5,0.1\n\n\n0.7,0,1.5,0.2\n", "got '0.7' (row 5)"),
+        "every_row_ragged": ("s,z,y,x1\n\n1,1,2.5\n0,0,1.5\n", "row 3 has 3 fields"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLANK_LINES))
+    def test_error_names_file_line_after_blank_lines(self, tmp_path, case):
+        text, message = self.BLANK_LINES[case]
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_csv_columns(path, mode="fusion")
 
 def test_study_share_matches_oracle():
     ds = generate(SCENARIOS["A"], 1_000_000, seed=31)

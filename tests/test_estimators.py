@@ -11,6 +11,7 @@ from targetcal.data import (
 from targetcal.errors import DegenerateOutcomeError, ModeError
 from targetcal.estimators import (
     EstimatorKind,
+    Fits,
     compute_tau,
     tau_aug_fusion,
     tau_aug_transport,
@@ -42,15 +43,15 @@ def balanced_fixture(y=None):
 class TestUnadjusted:
     def test_y_equals_z(self):
         ds = balanced_fixture(y=np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
-        assert tau_unadjusted(ds, "study").tau_hat == pytest.approx(1.0)
+        assert tau_unadjusted(ds.to_transport(), fits=None).tau_hat == pytest.approx(1.0)
 
     def test_equal_arm_means(self):
         ds = balanced_fixture(y=np.array([2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]))
-        assert tau_unadjusted(ds, "study").tau_hat == pytest.approx(0.0)
+        assert tau_unadjusted(ds.to_transport(), fits=None).tau_hat == pytest.approx(0.0)
 
     def test_confounded_crude_difference(self):
         ds = draw_row_a(100_000, np.random.default_rng(17))
-        est = tau_unadjusted(ds, "study")
+        est = tau_unadjusted(ds.to_transport(), fits=None)
         assert est.tau_hat == pytest.approx(ORACLE_CRUDE_STUDY, abs=0.12)
         # the confounding bias is real: far from the true effect
         assert abs(est.tau_hat - (-4.00)) > 0.15
@@ -65,23 +66,25 @@ class TestGcomp:
         y = 2.0 + x[:, 0]
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
-        assert tau_gcomp(ds, c).tau_hat == pytest.approx(0.0, abs=1e-10)
+        assert tau_gcomp(ds, Fits(ds, c, None)).tau_hat == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_shift_equivariance(self):
         rng = np.random.default_rng(2)
         ds = draw_row_a(600, rng)
         c = build_balance_matrix(ds)
-        base = tau_gcomp(ds.to_transport(), c).tau_hat
+        dt = ds.to_transport()
+        base = tau_gcomp(dt, Fits(dt, c, None)).tau_hat
         alpha = 3.25
         y_shift = np.where(ds.z == 1, ds.y + alpha, ds.y)
-        ds2 = Dataset.fusion(ds.s, ds.z, y_shift, ds.x)
-        shifted = tau_gcomp(ds2.to_transport(), c).tau_hat
+        dt2 = Dataset.fusion(ds.s, ds.z, y_shift, ds.x).to_transport()
+        shifted = tau_gcomp(dt2, Fits(dt2, c, None)).tau_hat
         assert shifted == pytest.approx(base + alpha, abs=1e-8)
 
     def test_consistency_at_large_n(self):
         ds = draw_row_a(100_000, np.random.default_rng(3))
         c = build_balance_matrix(ds)
-        assert tau_gcomp(ds.to_transport(), c).tau_hat == pytest.approx(-4.00, abs=0.06)
+        dt = ds.to_transport()
+        assert tau_gcomp(dt, Fits(dt, c, None)).tau_hat == pytest.approx(-4.00, abs=0.06)
 
 
 class TestTmle:
@@ -99,7 +102,8 @@ class TestTmle:
         y = np.where(z == 1, rng.random(n) < p1, rng.random(n) < p0).astype(float)
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
-        est = tau_tmle(ds.to_transport(), c)
+        dt = ds.to_transport()
+        est = tau_tmle(dt, Fits(dt, c, None))
         eps0, eps1 = est.nuisance["epsilon"]
         assert abs(eps0) < 0.08 and abs(eps1) < 0.08
         truth = np.mean((p1 - p0)[ds.s == 0])
@@ -108,7 +112,8 @@ class TestTmle:
     def test_updated_predictions_bounded(self):
         ds = draw_row_a(800, np.random.default_rng(4))
         c = build_balance_matrix(ds)
-        est = tau_tmle(ds.to_transport(), c)
+        dt = ds.to_transport()
+        est = tau_tmle(dt, Fits(dt, c, None))
         y_lo, y_hi = est.nuisance["outcome_range"]
         for key in ("eta0", "eta1"):
             assert np.all(est.nuisance[key] >= y_lo - 1e-12)
@@ -117,13 +122,15 @@ class TestTmle:
     def test_degenerate_outcome_rejected(self):
         ds = balanced_fixture(y=np.array([2.0, 2.0, 2.0, 2.0, 1.0, 5.0, 3.0, 2.0]))
         c = build_balance_matrix(ds)
+        dt = ds.to_transport()
         with pytest.raises(DegenerateOutcomeError):
-            tau_tmle(ds.to_transport(), c)
+            tau_tmle(dt, Fits(dt, c, None))
 
     def test_consistency_at_large_n(self):
         ds = draw_row_a(50_000, np.random.default_rng(5))
         c = build_balance_matrix(ds)
-        assert tau_tmle(ds.to_transport(), c).tau_hat == pytest.approx(-4.00, abs=0.1)
+        dt = ds.to_transport()
+        assert tau_tmle(dt, Fits(dt, c, None)).tau_hat == pytest.approx(-4.00, abs=0.1)
 
 
 class TestAugmented:
@@ -131,23 +138,26 @@ class TestAugmented:
         ds = draw_row_a(50_000, np.random.default_rng(6))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        aug = tau_aug_transport(ds.to_transport(), c, theta0)
-        gcomp = tau_gcomp(ds.to_transport(), c)
+        dt = ds.to_transport()
+        aug = tau_aug_transport(dt, Fits(dt, c, theta0))
+        gcomp = tau_gcomp(dt, Fits(dt, c, None))
         assert aug.tau_hat == pytest.approx(gcomp.tau_hat, abs=0.05)
 
     def test_sampling_weights_sum_to_n1(self):
         ds = draw_row_a(2_000, np.random.default_rng(7))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        aug = tau_aug_transport(ds.to_transport(), c, theta0)
+        dt = ds.to_transport()
+        aug = tau_aug_transport(dt, Fits(dt, c, theta0))
         assert aug.weights_used[ds.s == 1].sum() == pytest.approx(ds.n_study, rel=1e-8)
 
     def test_fusion_requires_fusion_mode(self):
         ds = draw_row_a(400, np.random.default_rng(8))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
+        dt = ds.to_transport()
         with pytest.raises(ModeError):
-            tau_aug_fusion(ds.to_transport(), c, theta0)
+            tau_aug_fusion(dt, Fits(dt, c, theta0))
 
     def test_fusion_uses_target_outcome_models(self):
         # treatment effect 3 in the target sample, 1 in the study sample: the
@@ -161,7 +171,7 @@ class TestAugmented:
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_aug_fusion(ds, c, theta0)
+        est = tau_aug_fusion(ds, Fits(ds, c, theta0))
         target = ds.s == 0
         model_term = np.mean(est.nuisance["mu1"][target] - est.nuisance["mu0"][target])
         assert model_term == pytest.approx(3.0, abs=1e-8)
@@ -172,7 +182,8 @@ class TestCalibration:
         ds = balanced_fixture()
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_cal_transport(ds.to_transport(), c, theta0)
+        dt = ds.to_transport()
+        est = tau_cal_transport(dt, Fits(dt, c, theta0))
         study = ds.s == 1
         z, y = ds.z[study], ds.y[study]
         crude = y[z == 1].mean() - y[z == 0].mean()
@@ -183,7 +194,8 @@ class TestCalibration:
         ds = draw_row_a(900, np.random.default_rng(9))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_cal_transport(ds.to_transport(), c, theta0)
+        dt = ds.to_transport()
+        est = tau_cal_transport(dt, Fits(dt, c, theta0))
         study = ds.s == 1
         w = est.weights_used[study]
         z, y = ds.z[study], ds.y[study]
@@ -198,9 +210,10 @@ class TestCalibration:
         ds = draw_row_a(700, np.random.default_rng(10))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        base = tau_cal_transport(ds.to_transport(), c, theta0).tau_hat
-        ds2 = Dataset.fusion(ds.s, ds.z, ds.y + 11.0, ds.x)
-        shifted = tau_cal_transport(ds2.to_transport(), c, theta0).tau_hat
+        dt = ds.to_transport()
+        base = tau_cal_transport(dt, Fits(dt, c, theta0)).tau_hat
+        dt2 = Dataset.fusion(ds.s, ds.z, ds.y + 11.0, ds.x).to_transport()
+        shifted = tau_cal_transport(dt2, Fits(dt2, c, theta0)).tau_hat
         assert abs(shifted - base) <= 1e-10
 
     def test_smds_killed(self):
@@ -212,9 +225,10 @@ class TestCalibration:
         theta0 = target_moments(c, ds.s)
         study = ds.s == 1
         c_study = BalanceMatrix(c.c[study])
-        w_t = tau_cal_transport(ds.to_transport(), c, theta0).weights_used
-        w_f = tau_cal_fusion(ds, c, theta0).weights_used
-        w_b = tau_cbps_benchmark(ds, c, "study").weights_used
+        dt = ds.to_transport()
+        w_t = tau_cal_transport(dt, Fits(dt, c, theta0)).weights_used
+        w_f = tau_cal_fusion(ds, Fits(ds, c, theta0)).weights_used
+        w_b = tau_cbps_benchmark(dt, Fits(dt, c, None)).weights_used
         smds = {
             "CAL_T sample": standardized_mean_differences(c, ds.s, np.where(study, w_t, 1.0)),
             "CAL_T treatment": standardized_mean_differences(c_study, ds.z[study], w_t[study]),
@@ -229,8 +243,9 @@ class TestCalibration:
         ds = draw_row_a(400, np.random.default_rng(12))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
+        dt = ds.to_transport()
         with pytest.raises(ModeError):
-            tau_cal_fusion(ds.to_transport(), c, theta0)
+            tau_cal_fusion(dt, Fits(dt, c, theta0))
 
     def test_single_sample_rejected_at_construction(self):
         with pytest.raises(ModeError):
@@ -244,8 +259,9 @@ class TestCalibration:
             ds = draw_row_a(800, np.random.default_rng(3000 + r))
             c = build_balance_matrix(ds)
             theta0 = target_moments(c, ds.s)
-            errs_t.append((tau_cal_transport(ds.to_transport(), c, theta0).tau_hat + 4.0) ** 2)
-            errs_f.append((tau_cal_fusion(ds, c, theta0).tau_hat + 4.0) ** 2)
+            dt = ds.to_transport()
+            errs_t.append((tau_cal_transport(dt, Fits(dt, c, theta0)).tau_hat + 4.0) ** 2)
+            errs_f.append((tau_cal_fusion(ds, Fits(ds, c, theta0)).tau_hat + 4.0) ** 2)
         assert np.mean(errs_f) < np.mean(errs_t)
 
 
@@ -253,14 +269,16 @@ class TestCbps:
     def test_randomized_balanced_close_to_unadjusted(self):
         ds = balanced_fixture()
         c = build_balance_matrix(ds)
-        est = tau_cbps_benchmark(ds, c, "study")
-        crude = tau_unadjusted(ds, "study")
+        dt = ds.to_transport()
+        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
+        crude = tau_unadjusted(dt, fits=None)
         assert est.tau_hat == pytest.approx(crude.tau_hat, abs=1e-8)
 
     def test_arm_moment_equality(self):
         ds = draw_row_a(1500, np.random.default_rng(13))
         c = build_balance_matrix(ds)
-        est = tau_cbps_benchmark(ds, c, "study")
+        dt = ds.to_transport()
+        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
         study = ds.s == 1
         cs = c.c[study]
         z = ds.z[study]
@@ -273,7 +291,8 @@ class TestCbps:
     def test_recovers_study_ate(self):
         ds = draw_row_a(100_000, np.random.default_rng(14))
         c = build_balance_matrix(ds)
-        est = tau_cbps_benchmark(ds, c, "study")
+        dt = ds.to_transport()
+        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
         assert est.tau_hat == pytest.approx(ORACLE_STUDY_ATE, abs=0.06)
 
 
@@ -281,6 +300,21 @@ def test_dispatch_covers_every_kind(baseline_balance):
     ds, c, theta0 = baseline_balance
     for kind in EstimatorKind:
         view = ds if kind in (EstimatorKind.AUG_F, EstimatorKind.CAL_F) else ds.to_transport()
-        est = compute_tau(view, c, theta0, kind)
+        est = compute_tau(view, kind, Fits(view, c, theta0))
         assert np.isfinite(est.tau_hat)
         assert est.kind is kind
+
+
+def test_benchmark_cohort_follows_mode(baseline_balance):
+    # UNADJ and CBPS use the target sample when its outcomes are observed
+    # (fusion data) and the study sample on the transport view
+    ds, c, theta0 = baseline_balance
+    for view, cohort in ((ds, ds.s == 0), (ds.to_transport(), ds.s == 1)):
+        fits = Fits(view, c, theta0)
+        z, y = ds.z[cohort], ds.y[cohort]
+        crude = compute_tau(view, EstimatorKind.UNADJ, fits)
+        assert crude.tau_hat == pytest.approx(y[z == 1].mean() - y[z == 0].mean(), abs=1e-12)
+        cbps = compute_tau(view, EstimatorKind.CBPS, fits)
+        assert len(cbps.weights_used) == cohort.sum()
+        assert np.array_equal(cbps.nuisance["z"], z)
+        assert np.array_equal(cbps.nuisance["y"], y)

@@ -5,7 +5,9 @@ from scipy import stats
 from targetcal.data import Dataset, build_balance_matrix, target_moments
 from targetcal.errors import InvalidLevelError, MissingComponentsError
 from targetcal.estimators import (
+    FUSION_ONLY,
     EstimatorKind,
+    Fits,
     tau_aug_transport,
     tau_cal_fusion,
     tau_cal_transport,
@@ -60,7 +62,7 @@ def fitted_transport(seed=414, n=800):
     c = build_balance_matrix(ds)
     theta0 = target_moments(c, ds.s)
     dt = ds.to_transport()
-    est = tau_cal_transport(dt, c, theta0)
+    est = tau_cal_transport(dt, Fits(dt, c, theta0))
     gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
     nu = np.concatenate([theta0.theta0, gamma, delta, [est.tau_hat]])
     return ds, dt, c, theta0, est, nu
@@ -111,7 +113,8 @@ class TestTransportSystem:
             ds = random_feasible_transport(rng, n=100, m=3)
             c = build_balance_matrix(ds)
             theta0 = target_moments(c, ds.s)
-            est = tau_cal_transport(ds.to_transport(), c, theta0)
+            dt = ds.to_transport()
+            est = tau_cal_transport(dt, Fits(dt, c, theta0))
             gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
             study = ds.s == 1
             w_app = np.exp(-(c.c @ gamma) - ds.z * (c.c @ delta))[study]
@@ -123,7 +126,7 @@ class TestTransportSystem:
             ds = random_feasible_transport(rng, n=160, m=3)
             c = build_balance_matrix(ds)
             theta0 = target_moments(c, ds.s)
-            est = tau_cal_fusion(ds, c, theta0)
+            est = tau_cal_fusion(ds, Fits(ds, c, theta0))
             m = c.m
             g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
             g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
@@ -163,7 +166,7 @@ class TestSandwich:
         c_p = build_balance_matrix(ds_p)
         theta_p = target_moments(c_p, ds_p.s)
         dt_p = ds_p.to_transport()
-        est_p = tau_cal_transport(dt_p, c_p, theta_p)
+        est_p = tau_cal_transport(dt_p, Fits(dt_p, c_p, theta_p))
         se_p = sandwich_variance_transport(dt_p, c_p, est_p.nuisance["dual"], est_p.tau_hat).se
         assert se_p == pytest.approx(base, rel=1e-8)
 
@@ -171,7 +174,7 @@ class TestSandwich:
         ds = draw_row_a(600, np.random.default_rng(123))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_cal_fusion(ds, c, theta0)
+        est = tau_cal_fusion(ds, Fits(ds, c, theta0))
         m = c.m
         g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
         g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
@@ -213,7 +216,8 @@ class TestInfluence:
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_aug_transport(ds.to_transport(), c, theta0)
+        dt = ds.to_transport()
+        est = tau_aug_transport(dt, Fits(dt, c, theta0))
         report = influence_variance(
             EstimatorKind.AUG_T, ds.to_transport(), est.weights_used,
             est.nuisance["pi"], est.nuisance["mu1"], est.nuisance["mu0"], est.tau_hat)
@@ -242,3 +246,28 @@ class TestEstimateWithCi:
         narrow = estimate_with_ci(ds.to_transport(), c, theta0, EstimatorKind.CAL_T, level=0.8)
         wide = estimate_with_ci(ds.to_transport(), c, theta0, EstimatorKind.CAL_T, level=0.99)
         assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
+
+
+class TestSharedFits:
+    """One Fits shared by every kind gives the same bits as a fresh Fits per
+    kind, whatever order the kinds run in and whichever view the Fits was
+    built on."""
+
+    def _bits(self, view, c, theta0, kinds, fits=None):
+        out = {}
+        for kind in kinds:
+            report = estimate_with_ci(view, c, theta0, kind, fits=fits)
+            out[kind] = (report.tau_hat.hex(), report.se.hex())
+        return out
+
+    def test_same_bits_as_fresh_fits(self, baseline_balance):
+        ds, c, theta0 = baseline_balance
+        dt = ds.to_transport()
+        transport_kinds = [k for k in EstimatorKind if k not in FUSION_ONLY]
+        cases = [(ds, ds, list(EstimatorKind)), (dt, dt, transport_kinds),
+                 (dt, ds, transport_kinds)]  # the last: a fusion Fits serving its view
+        for view, built_on, kinds in cases:
+            fresh = self._bits(view, c, theta0, kinds)
+            for order in (kinds, kinds[::-1]):
+                shared = Fits(built_on, c, theta0)
+                assert self._bits(view, c, theta0, order, fits=shared) == fresh

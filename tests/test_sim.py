@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from targetcal import glm, sim, solver
 from targetcal.errors import ConfigError, DegenerateDrawError, NonFiniteError
 from targetcal.estimators import EstimatorKind
 from targetcal.sim import (
@@ -284,3 +285,24 @@ class TestRunner:
             assert row.n_ok + row.n_failed == 2
             if row.n_ok:
                 assert math.isfinite(row.bias)
+
+
+def test_replicate_shares_one_nuisance_plan(monkeypatch):
+    # TMLE, AUG_T and AUG_F share the propensity fit and TMLE's sampling
+    # score; AUG_T and AUG_F share one sampling solve. Only TMLE's two
+    # initial outcome fits and its fluctuation fit are its own.
+    calls = {"fit_logistic": 0, "assemble_sampling": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(glm, "fit_logistic", counted("fit_logistic", glm.fit_logistic))
+    monkeypatch.setattr(solver, "assemble_sampling",
+                        counted("assemble_sampling", solver.assemble_sampling))
+    kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
+    results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95, "empirical", 10))
+    assert [r.kind for r in results if not r.failed] == list(kinds)
+    assert calls == {"fit_logistic": 5, "assemble_sampling": 1}

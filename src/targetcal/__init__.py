@@ -10,7 +10,6 @@ from .data import (
     BalanceMatrix,
     BalanceSpec,
     Dataset,
-    TargetMoments,
     build_balance_matrix,
     effective_sample_size,
     export_scores,
@@ -50,7 +49,6 @@ __all__ = [
     "EstimateReport",
     "EstimatorKind",
     "Fits",
-    "TargetMoments",
     "TauEstimate",
     "VarianceReport",
     "assemble_ate_benchmark",

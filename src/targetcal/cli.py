@@ -20,22 +20,21 @@ import numpy as np
 
 from . import solver
 from .data import (
+    MODES,
     BalanceMatrix,
     BalanceSpec,
     Dataset,
     build_balance_matrix,
     effective_sample_size,
     export_scores,
-    read_csv_columns,
+    load_dataset_csv,
     standardized_mean_differences,
     target_moments,
 )
-from .errors import ConfigError, ModeError, SchemaError, TargetcalError
+from .errors import ConfigError, TargetcalError
 from .estimators import EstimatorKind, Fits
 from .inference import estimate_with_ci
 from .sim import RNG_ALGORITHM, RunnerConfig, run_experiment
-
-log = logging.getLogger("targetcal")
 
 DEFAULT_ESTIMATORS = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T"
 DEFAULT_ESTIMATORS_FUSION = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T,AUG_F,CAL_F,CBPS"
@@ -85,9 +84,15 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
 
 
 def _number(key: str, value, cast, default=None):
-    """A flag or config value converted by ``cast``; ``default`` when unset."""
+    """A flag or config value converted by ``cast``; ``default`` when unset.
+
+    A bool is not a number, and an int key takes only an integral value
+    (1e6 reads, 2.5 does not)."""
     if value is None:
         return default
+    if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{key}: cannot read {value!r} as {cast.__name__}")
     try:
         return cast(value)
     except (TypeError, ValueError):
@@ -126,40 +131,9 @@ def _parse_estimators(text: str) -> list:
 
 def _load_input(mode: str, input_path: str,
                 target_path: str | None) -> tuple[Dataset, list]:
-    if mode not in ("transport", "fusion"):
+    if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'")
-    if target_path is None:
-        cols, names = read_csv_columns(input_path, mode=mode)
-    else:
-        study, study_names = read_csv_columns(input_path, mode=mode, force_s=1)
-        target, target_names = read_csv_columns(target_path, mode=mode, force_s=0)
-        if study_names != target_names:
-            raise SchemaError(
-                "study and target files must share covariate columns "
-                f"({study_names} vs {target_names})"
-            )
-        cols = {
-            key: np.concatenate([study[key], target[key]])
-            for key in ("s", "z", "y", "z_observed", "y_observed")
-        }
-        cols["x"] = np.vstack([study["x"], target["x"]])
-        names = study_names
-    if mode == "transport":
-        target_rows = cols["s"] == 0
-        observed = cols["z_observed"][target_rows] | cols["y_observed"][target_rows]
-        if observed.any():
-            log.warning(
-                "transport mode: ignoring z/y observed for %d target-sample units",
-                int(observed.sum()),
-            )
-        for key in ("z_observed", "y_observed"):
-            cols[key] = cols[key] & (cols["s"] == 1)
-        cols["z"] = np.where(cols["z_observed"], cols["z"], np.nan)
-        cols["y"] = np.where(cols["y_observed"], cols["y"], np.nan)
-    dataset = Dataset(**cols)
-    if mode == "fusion" and dataset.mode != "fusion":
-        raise ModeError("fusion mode requested but z/y are not observed everywhere")
-    return dataset, names
+    return load_dataset_csv(input_path, mode=mode, target_path=target_path)
 
 
 def _parse_balance_spec(text: str | None, cov_names: list) -> BalanceSpec | None:
@@ -196,7 +170,7 @@ def _smd_rows(dataset: Dataset, c: BalanceMatrix, weight_sets: dict) -> list:
     comparisons = [
         ("sample", c, dataset.s.astype(int), everyone),
         ("treatment(study)", BalanceMatrix(c.c[study], names=c.names),
-         dataset.observed_z(study).astype(int), study),
+         dataset.z[study].astype(int), study),
     ]
     if dataset.mode == "fusion":
         comparisons.append(("treatment(pooled)", c, dataset.z.astype(int), everyone))

@@ -8,6 +8,7 @@ read-only), so they can be shared freely across concurrent replicate workers.
 from __future__ import annotations
 
 import csv
+import logging
 import re
 import warnings
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ from .errors import (
     ZeroVarianceError,
 )
 
+log = logging.getLogger("targetcal")
+
 # Relative singular-value cutoff below which balance columns are declared
 # collinear.
 RANK_TOL = 1e-10
@@ -38,21 +41,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+MODES = ("fusion", "transport")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Per-unit sample indicator, treatment, outcome, and covariates.
 
-    ``z`` and ``y`` may be unobserved for target-sample units (transport
-    mode); observation status lives in the explicit boolean masks, never in
-    sentinel values. In fusion mode both masks are all-True.
+    ``mode`` is the one observation rule: in fusion mode z and y are
+    observed for every unit; in transport mode only for the study sample
+    (s = 1), and the target sample's z and y are stored as NaN.
     """
 
     s: np.ndarray
     z: np.ndarray
     y: np.ndarray
     x: np.ndarray
-    z_observed: np.ndarray
-    y_observed: np.ndarray
+    mode: str = "fusion"
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=np.int8)
@@ -64,12 +69,11 @@ class Dataset:
             raise ModeError("need at least two units")
         z = np.asarray(self.z, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        zo = np.asarray(self.z_observed, dtype=bool)
-        yo = np.asarray(self.y_observed, dtype=bool)
-        for name, arr in (("s", s), ("z", z), ("y", y),
-                          ("z_observed", zo), ("y_observed", yo)):
+        for name, arr in (("s", s), ("z", z), ("y", y)):
             if arr.shape != (n,):
                 raise ModeError(f"{name} must have length {n}")
+        if self.mode not in MODES:
+            raise ModeError(f"unknown mode '{self.mode}'")
         if not np.isin(s, (0, 1)).all():
             raise ModeError("s must be binary")
         if s.min() == s.max():
@@ -77,18 +81,16 @@ class Dataset:
         if not np.isfinite(x).all():
             raise NonFiniteError("covariates contain NaN or infinity")
         study = s == 1
-        if not (zo[study].all() and yo[study].all()):
+        if np.isnan(z[study]).any() or np.isnan(y[study]).any():
             raise ModeError("z and y must be observed for every study-sample unit")
-        obs_z = z[zo]
-        if not np.isin(obs_z, (0.0, 1.0)).all():
+        if self.mode == "transport":
+            z = np.where(study, z, np.nan)
+            y = np.where(study, y, np.nan)
+        seen = study if self.mode == "transport" else slice(None)
+        if not np.isin(z[seen], (0.0, 1.0)).all():
             raise ModeError("observed z must be binary")
-        if not np.isfinite(y[yo]).all():
+        if not np.isfinite(y[seen]).all():
             raise NonFiniteError("observed y contains NaN or infinity")
-        if zo.all():
-            # Fusion-shaped data: the outcome must be observed wherever the
-            # treatment is, otherwise the mode is ambiguous.
-            if not yo.all():
-                raise ModeError("fusion mode requires y observed for all units")
         for arm in (0.0, 1.0):
             if not np.any(z[study] == arm):
                 raise ModeError(f"study sample has no units with z={int(arm)}")
@@ -96,24 +98,16 @@ class Dataset:
         object.__setattr__(self, "z", _freeze(z))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "z_observed", _freeze(zo))
-        object.__setattr__(self, "y_observed", _freeze(yo))
 
     @classmethod
     def fusion(cls, s, z, y, x) -> "Dataset":
         """Build a fusion-mode dataset (z and y observed everywhere)."""
-        n = len(np.asarray(s))
-        ones = np.ones(n, dtype=bool)
-        return cls(s=s, z=z, y=y, x=x, z_observed=ones, y_observed=ones)
+        return cls(s, z, y, x, mode="fusion")
 
     @classmethod
     def transport(cls, s, z, y, x) -> "Dataset":
         """Build a transport-mode dataset; target-sample z and y are dropped."""
-        s = np.asarray(s, dtype=np.int8)
-        mask = s == 1
-        z = np.where(mask, np.asarray(z, dtype=float), np.nan)
-        y = np.where(mask, np.asarray(y, dtype=float), np.nan)
-        return cls(s=s, z=z, y=y, x=x, z_observed=mask.copy(), y_observed=mask.copy())
+        return cls(s, z, y, x, mode="transport")
 
     @property
     def n(self) -> int:
@@ -127,26 +121,16 @@ class Dataset:
     def n_target(self) -> int:
         return self.n - self.n_study
 
-    @property
-    def mode(self) -> str:
-        """"fusion" when z and y are observed everywhere, else "transport"."""
-        return "fusion" if bool(self.z_observed.all() and self.y_observed.all()) else "transport"
-
     def to_transport(self) -> "Dataset":
         """Return a view of the data with target-sample z and y masked out."""
         return Dataset.transport(self.s, self.z, self.y, self.x)
 
-    def observed_z(self, mask: np.ndarray) -> np.ndarray:
-        """Treatment for the units selected by ``mask``; all must be observed."""
-        if not self.z_observed[mask].all():
+    def observed(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Treatment and outcome for the units selected by ``mask``; all must
+        be observed."""
+        if self.mode == "transport" and not self.s[mask].all():
             raise ModeError("requested z values include unobserved entries")
-        return self.z[mask]
-
-    def observed_y(self, mask: np.ndarray) -> np.ndarray:
-        """Outcome for the units selected by ``mask``; all must be observed."""
-        if not self.y_observed[mask].all():
-            raise ModeError("requested y values include unobserved entries")
-        return self.y[mask]
+        return self.z[mask], self.y[mask]
 
 
 def _transform_registry() -> dict[str, Callable[[np.ndarray], np.ndarray]]:
@@ -197,16 +181,6 @@ class BalanceMatrix:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
-class TargetMoments:
-    """Target-sample means of the balance columns (first entry is 1)."""
-
-    theta0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", _freeze(np.asarray(self.theta0, dtype=float)))
-
-
 def check_full_rank(mat: np.ndarray, what: str = "matrix") -> None:
     """Raise RankDeficientError if standardized columns are collinear.
 
@@ -250,13 +224,14 @@ def build_balance_matrix(dataset: Dataset, spec: BalanceSpec | None = None) -> B
     return BalanceMatrix(c=c, names=tuple(spec.column_names()))
 
 
-def target_moments(c: BalanceMatrix, s: np.ndarray) -> TargetMoments:
-    """Means of the balance columns over the target sample (s = 0)."""
+def target_moments(c: BalanceMatrix, s: np.ndarray) -> np.ndarray:
+    """Means of the balance columns over the target sample (s = 0), as a
+    read-only array whose first entry is 1."""
     s = np.asarray(s)
     mask = s == 0
     if not mask.any():
         raise EmptyTargetError("no target-sample units")
-    return TargetMoments(theta0=c.c[mask].mean(axis=0))
+    return _freeze(c.c[mask].mean(axis=0))
 
 
 def standardized_mean_differences(
@@ -329,14 +304,15 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
             raise SchemaError(f"{name} score vector has wrong length")
         if not ((v > 0.0) & (v < 1.0)).all():
             raise OutOfRangeError(f"{name} scores must lie strictly in (0, 1)")
-    z_fields = [repr(z) if seen else ""
-                for z, seen in zip(dataset.z.tolist(), dataset.z_observed.tolist())]
-    rows = zip(range(dataset.n), dataset.s.tolist(), z_fields, rho_hat.tolist(), pi_hat.tolist())
+    fusion = dataset.mode == "fusion"
+    rows = zip(range(dataset.n), dataset.s.tolist(), dataset.z.tolist(),
+               rho_hat.tolist(), pi_hat.tolist())
     # No field (an int, a float repr or "") ever needs quoting, so the lines
     # are the bytes csv.writer would write, at a fraction of its cost.
     with open(path, "w", newline="") as fh:
         fh.write("unit_id,s,z,sampling_score,propensity_score\r\n")
-        fh.writelines(f"{i},{s},{z},{rho!r},{pi!r}\r\n" for i, s, z, rho, pi in rows)
+        fh.writelines(f"{i},{s},{repr(z) if fusion or s else ''},{rho!r},{pi!r}\r\n"
+                      for i, s, z, rho, pi in rows)
 
 
 def _float_column(path, cells: np.ndarray, label: str,
@@ -388,9 +364,9 @@ def read_csv_columns(path, mode: str = "fusion",
     column is treated as a covariate. ``s`` must be 0 or 1 in every row.
     Empty z/y fields mark absent values. Fields may be quoted and padded
     with whitespace; blank lines are skipped and there are no comment lines.
-    Returns a dict of arrays (s, z, y, x, z_observed, y_observed) plus the
-    covariate column names; two-file workflows concatenate these before
-    constructing a Dataset.
+    Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
+    masks mark non-blank z and y fields, plus the covariate column names;
+    load_dataset_csv turns them into a Dataset.
     """
     with open(path, newline="") as fh:
         try:
@@ -455,7 +431,34 @@ def read_csv_columns(path, mode: str = "fusion",
     return cols, [header[j] for j in cov_cols]
 
 
-def load_dataset_csv(path, mode: str = "fusion") -> tuple[Dataset, list[str]]:
-    """Read a single-file dataset from CSV; see read_csv_columns for the schema."""
-    cols, cov_names = read_csv_columns(path, mode=mode)
-    return Dataset(**cols), cov_names
+def load_dataset_csv(path, mode: str = "fusion",
+                     target_path=None) -> tuple[Dataset, list[str]]:
+    """Read a dataset from CSV: one file with an ``s`` column, or a study
+    file plus a ``target_path`` file, neither with one. See read_csv_columns
+    for the schema.
+
+    In transport mode the target sample's z and y are dropped, with a
+    warning when any were given; in fusion mode every target-sample z and y
+    field must be filled in. Returns the dataset and its covariate names.
+    """
+    if target_path is None:
+        cols, names = read_csv_columns(path, mode=mode)
+    else:
+        study, names = read_csv_columns(path, mode=mode, force_s=1)
+        target, target_names = read_csv_columns(target_path, mode=mode, force_s=0)
+        if names != target_names:
+            raise SchemaError(
+                "study and target files must share covariate columns "
+                f"({names} vs {target_names})"
+            )
+        cols = {key: np.concatenate([study[key], target[key]]) for key in study}
+    z_seen, y_seen = cols.pop("z_observed"), cols.pop("y_observed")
+    target_rows = cols["s"] == 0
+    if mode == "transport":
+        dropped = int((z_seen | y_seen)[target_rows].sum())
+        if dropped:
+            log.warning("transport mode: ignoring z/y observed for %d target-sample units",
+                        dropped)
+    elif mode == "fusion" and not (z_seen & y_seen)[target_rows].all():
+        raise ModeError("fusion mode requested but z/y are not observed everywhere")
+    return Dataset(**cols, mode=mode), names

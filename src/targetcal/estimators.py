@@ -48,8 +48,7 @@ def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
     sample s == ``sample``: (models, mu0, mu1), mu predicted on every unit."""
     rows = dataset.s == sample
     c_rows = c.c[rows]
-    z = dataset.observed_z(rows)
-    y = dataset.observed_y(rows)
+    z, y = dataset.observed(rows)
     models = []
     for arm in (0, 1):
         mask = z == arm
@@ -90,9 +89,10 @@ class Fits:
     @cached_property
     def fusion(self) -> tuple:
         """Per-sample arm-balance solves (target, study); reads target z."""
-        z = self.dataset.observed_z(np.ones(self.dataset.n, dtype=bool))
-        return tuple(map(solver.solve_entropy_dual,
-                         solver.assemble_fusion(self.c, self.dataset.s, z, self.theta0)))
+        if self.dataset.mode != "fusion":
+            raise ModeError("requested z values include unobserved entries")
+        return tuple(map(solver.solve_entropy_dual, solver.assemble_fusion(
+            self.c, self.dataset.s, self.dataset.z, self.theta0)))
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -104,7 +104,7 @@ class Fits:
     def pi(self) -> np.ndarray:
         """Logistic propensity score, fit on the study sample, on every unit."""
         study = self.dataset.s == 1
-        fit = glm.fit_logistic(self.c.c[study], self.dataset.observed_z(study))
+        fit = glm.fit_logistic(self.c.c[study], self.dataset.z[study])
         return glm.predict(fit, self.c.c)
 
     @cached_property
@@ -140,8 +140,7 @@ def _cohort(dataset: Dataset) -> np.ndarray:
 def tau_unadjusted(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Crude difference of arm means within the benchmark cohort."""
     mask = _cohort(dataset)
-    z = dataset.observed_z(mask)
-    y = dataset.observed_y(mask)
+    z, y = dataset.observed(mask)
     tau = _hajek_contrast(np.ones(mask.sum()), z, y)
     return TauEstimate(tau_hat=tau, nuisance={"z": z, "y": y})
 
@@ -169,8 +168,7 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     c = fits.c
     study = dataset.s == 1
     target = dataset.s == 0
-    z = dataset.observed_z(study)
-    y = dataset.observed_y(study)
+    z, y = dataset.observed(study)
     y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi <= y_lo:
         raise DegenerateOutcomeError("study outcomes have zero range")
@@ -209,8 +207,7 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
 def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate:
     study = dataset.s == 1
     target = dataset.s == 0
-    z = dataset.observed_z(study)
-    y = dataset.observed_y(study)
+    z, y = dataset.observed(study)
     n1, n0 = dataset.n_study, dataset.n_target
 
     q = fits.sampling.weights
@@ -240,8 +237,7 @@ def tau_cal_transport(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Hajek contrast under the joint study-sample calibration weights."""
     study = dataset.s == 1
     sol = fits.transport
-    tau = _hajek_contrast(sol.weights[study], dataset.observed_z(study),
-                          dataset.observed_y(study))
+    tau = _hajek_contrast(sol.weights[study], *dataset.observed(study))
     return TauEstimate(tau_hat=tau, weights_used=sol.weights, nuisance={"dual": sol})
 
 
@@ -258,8 +254,7 @@ def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Within-cohort benchmark: arm-balancing weights aimed at the benchmark
     cohort's own balance means, then a Hajek contrast."""
     mask = _cohort(dataset)
-    z = dataset.observed_z(mask)
-    y = dataset.observed_y(mask)
+    z, y = dataset.observed(mask)
     c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
     sol = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z))
     tau = _hajek_contrast(sol.weights, z, y)

@@ -154,7 +154,7 @@ def _sandwich_variance(
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
     it equals ||psi x||^2.
     """
-    theta0 = target_moments(c, dataset.s).theta0
+    theta0 = target_moments(c, dataset.s)
     gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
     nu = np.concatenate([theta0, *gammas, *deltas, [tau_hat]])
     psi, A = calibration_system(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
@@ -216,8 +216,7 @@ def influence_variance(
     study = s == 1
     target = s == 0
     n, n1, n0 = dataset.n, dataset.n_study, dataset.n_target
-    z = dataset.observed_z(study)
-    y = dataset.observed_y(study)
+    z, y = dataset.observed(study)
     resid = z * (y - mu1[study]) / pi[study] - (1.0 - z) * (y - mu0[study]) / (1.0 - pi[study])
     d = np.zeros(n)
     d[study] = (n / n1) * q[study] * resid
@@ -325,8 +324,7 @@ def descriptive_variance(estimate: TauEstimate, dataset: Dataset,
         target = dataset.s == 0
         study = dataset.s == 1
         cbar = c.c[target].mean(axis=0)
-        z = dataset.observed_z(study)
-        y = dataset.observed_y(study)
+        z, y = dataset.observed(study)
         var = 0.0
         for arm, key in ((0, "fit0"), (1, "fit1")):
             mask = z == arm

@@ -325,14 +325,18 @@ def _evaluate_replicate(task: tuple) -> list:
             break
         except DegenerateDrawError:
             continue
+
+    def failed(error: str) -> list:
+        return [ReplicateResult(scenario_id, n, kv, rep, seed, failed=True, error=error)
+                for kv in kind_values]
+
     if dataset is None:
-        return [
-            ReplicateResult(scenario_id, n, kv, rep, seed, failed=True,
-                            error="degenerate draw after redraws")
-            for kv in kind_values
-        ]
-    c = build_balance_matrix(dataset)
-    theta0 = target_moments(c, dataset.s)
+        return failed("degenerate draw after redraws")
+    try:
+        c = build_balance_matrix(dataset)
+        theta0 = target_moments(c, dataset.s)
+    except TargetcalError as exc:
+        return failed(f"{type(exc).__name__}: {exc}")
     # One Fits serves both views (only its fusion member reads target-sample
     # data); the transport view keeps the other kinds from target outcomes.
     fits = Fits(dataset, c, theta0)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BalanceMatrix, TargetMoments, check_full_rank
+from .data import BalanceMatrix, check_full_rank
 from .errors import EmptyArmError, EmptyTargetError, NotConvergedError
 
 # Stopping rule defaults. The gradient of the dual equals the signed
@@ -218,10 +218,6 @@ def solve_entropy_dual(
     )
 
 
-def _theta_vector(theta0) -> np.ndarray:
-    return theta0.theta0 if isinstance(theta0, TargetMoments) else np.asarray(theta0, dtype=float)
-
-
 def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.ndarray,
                  label: str) -> EntropyProblem:
     """Arm balance plus calibration to theta over the units in ``rows``.
@@ -239,7 +235,7 @@ def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.nd
     c_act = c.c[rows]
     sign = (2.0 * z_act - 1.0)[:, None]
     a = np.hstack([sign * c_act, c_act])
-    b = np.concatenate([np.zeros(c.m), rows.size * theta])
+    b = np.concatenate([np.zeros(c.m), rows.size * np.asarray(theta, dtype=float)])
     return EntropyProblem(a=a, b=b, active_rows=rows, n_units=len(z))
 
 
@@ -250,16 +246,16 @@ def assemble_sampling(c: BalanceMatrix, s: np.ndarray, theta0) -> EntropyProblem
     active = np.flatnonzero(s == 1)
     if active.size == 0:
         raise EmptyTargetError("study sample is empty")
-    theta = _theta_vector(theta0)
     n1 = active.size
-    return EntropyProblem(a=c.c[active], b=n1 * theta, active_rows=active, n_units=len(s))
+    return EntropyProblem(a=c.c[active], b=n1 * np.asarray(theta0, dtype=float),
+                          active_rows=active, n_units=len(s))
 
 
 def assemble_transport(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -> EntropyProblem:
     """Joint treatment-contrast and sampling calibration over the study sample:
     the arm balance of the study sample aimed at the target moments theta0."""
     active = np.flatnonzero(np.asarray(s) == 1)
-    return _arm_balance(c, z, active, _theta_vector(theta0), "study sample")
+    return _arm_balance(c, z, active, theta0, "study sample")
 
 
 def assemble_fusion(
@@ -271,9 +267,8 @@ def assemble_fusion(
     block is the weight-stabilization constraint set with totals n0 * theta0.
     """
     s = np.asarray(s)
-    theta = _theta_vector(theta0)
     return tuple(
-        _arm_balance(c, z, np.flatnonzero(s == g), theta, f"sample s={g}") for g in (0, 1)
+        _arm_balance(c, z, np.flatnonzero(s == g), theta0, f"sample s={g}") for g in (0, 1)
     )
 
 

@@ -79,7 +79,8 @@ def export_scores_per_row(rho_hat, pi_hat, dataset, path):
         writer = csv.writer(fh)
         writer.writerow(["unit_id", "s", "z", "sampling_score", "propensity_score"])
         for i in range(dataset.n):
-            z_field = repr(float(dataset.z[i])) if dataset.z_observed[i] else ""
+            seen = dataset.mode == "fusion" or dataset.s[i] == 1
+            z_field = repr(float(dataset.z[i])) if seen else ""
             writer.writerow(
                 [i, int(dataset.s[i]), z_field, repr(float(rho_hat[i])), repr(float(pi_hat[i]))]
             )

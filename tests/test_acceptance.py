@@ -222,11 +222,15 @@ class TestCriterion7OracleEquivalence:
             except NotConvergedError:
                 continue
             eta = np.zeros(k)
+            f = lambda e: dual_objective(prob, e)
             for _ in range(3):
+                # A tolerance below f's float resolution is never met and
+                # every restart would run to maxfev; a few ulps of f at the
+                # start point is the finest one that can be.
                 res = minimize(
-                    lambda e: dual_objective(prob, e), eta, method="Nelder-Mead",
-                    options={"maxiter": 200_000, "maxfev": 200_000,
-                             "xatol": 1e-13, "fatol": 1e-15, "adaptive": True},
+                    f, eta, method="Nelder-Mead",
+                    options={"maxiter": 200_000, "maxfev": 200_000, "xatol": 1e-13,
+                             "fatol": 4 * np.spacing(abs(f(eta))), "adaptive": True},
                 )
                 eta = res.x
             w_oracle = np.exp(-(prob.a @ eta))
@@ -272,12 +276,12 @@ class TestCriterion8DerivativeChecks:
             m = c.m
             if trial % 2 == 0:
                 nu = np.concatenate([
-                    theta0.theta0 + 0.05 * rng.standard_normal(m),
+                    theta0 + 0.05 * rng.standard_normal(m),
                     0.2 * rng.standard_normal(2 * m), [rng.standard_normal()]])
                 system = lambda v: calibration_system(c.c, ds.s, ds.z, ds.y, v, groups=(1,))
             else:
                 nu = np.concatenate([
-                    theta0.theta0 + 0.05 * rng.standard_normal(m),
+                    theta0 + 0.05 * rng.standard_normal(m),
                     0.2 * rng.standard_normal(4 * m), [rng.standard_normal()]])
                 system = lambda v: calibration_system(c.c, ds.s, ds.z, ds.y, v, groups=(0, 1))
             _, A = system(nu)

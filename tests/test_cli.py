@@ -246,6 +246,8 @@ class TestConfigValidation:
         "estimate_level": ("estimate", {"level": "abc"}, [], "level"),
         "simulate_reps": ("simulate", {"reps": "x"}, [], "reps"),
         "simulate_sizes": ("simulate", None, ["--sizes", "100,abc"], "sizes"),
+        "simulate_reps_fraction": ("simulate", {"reps": 2.5}, [], "reps"),
+        "simulate_workers_bool": ("simulate", {"workers": True}, [], "workers"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -262,6 +264,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
         assert "Traceback" not in err
+
+    def test_integral_float_reads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle_n": 5e4, "reps": 2.0}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenarios", "A", "--sizes", "60", "--estimators",
+                     "CAL_T", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert (echo["oracle_n"], echo["reps"]) == (50000, 2)
+
 
 def test_verbose_solver_dump(demo_csv, tmp_path):
     out = tmp_path / "v"

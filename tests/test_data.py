@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from targetcal.cli import _load_input
 from targetcal.data import (
     BalanceMatrix,
     BalanceSpec,
@@ -61,14 +62,19 @@ class TestDataset:
     def test_transport_masks_target(self):
         ds = tiny_dataset().to_transport()
         assert ds.mode == "transport"
-        assert not ds.z_observed[ds.s == 0].any()
+        assert np.isnan(ds.z[ds.s == 0]).all()
         with pytest.raises(ModeError):
-            ds.observed_y(ds.s == 0)
+            ds.observed(ds.s == 0)
 
     def test_fusion_mode_detected(self):
         ds = tiny_dataset()
         assert ds.mode == "fusion"
         assert ds.n == 6 and ds.n_study == 4 and ds.n_target == 2
+
+    def test_unknown_mode_rejected(self):
+        ds = tiny_dataset()
+        with pytest.raises(ModeError):
+            Dataset(ds.s, ds.z, ds.y, ds.x, mode="bogus")
 
     def test_arrays_immutable(self):
         ds = tiny_dataset()
@@ -113,12 +119,12 @@ class TestTargetMoments:
     def test_plain_mean(self):
         c = BalanceMatrix(np.array([[1.0, 2.0], [1.0, 4.0]]))
         theta = target_moments(c, np.array([0, 0]))
-        assert np.allclose(theta.theta0, [1.0, 3.0])
+        assert np.allclose(theta, [1.0, 3.0])
 
     def test_only_target_rows(self):
         c = BalanceMatrix(np.array([[1.0, 2.0], [1.0, 4.0]]))
         theta = target_moments(c, np.array([0, 1]))
-        assert np.allclose(theta.theta0, [1.0, 2.0])
+        assert np.allclose(theta, [1.0, 2.0])
 
     def test_empty_target_rejected(self):
         c = BalanceMatrix(np.array([[1.0, 2.0], [1.0, 4.0]]))
@@ -132,13 +138,13 @@ class TestTargetMoments:
         theta = target_moments(c, ds.s)
         perm = rng.permutation(ds.n)
         theta_p = target_moments(BalanceMatrix(c.c[perm]), ds.s[perm])
-        assert np.allclose(theta.theta0, theta_p.theta0)
+        assert np.allclose(theta, theta_p)
 
     def test_against_monte_carlo_oracle(self):
         ds = generate(SCENARIOS["A"], 1_000_000, seed=77)
         c = build_balance_matrix(ds)
         theta = target_moments(c, ds.s)
-        assert np.all(np.abs(theta.theta0[1:] - np.array(ORACLE_TARGET_MEANS)) < 0.01)
+        assert np.all(np.abs(theta[1:] - np.array(ORACLE_TARGET_MEANS)) < 0.01)
 
 
 class TestSMD:
@@ -263,7 +269,7 @@ class TestExportScores:
 
     def test_bytes_match_per_row_writer(self, tmp_path):
         ds = generate(SCENARIOS["A"], 300, seed=5).to_transport()
-        assert not ds.z_observed.all()
+        assert ds.mode == "transport"
         rng = np.random.default_rng(3)
         rho = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
         pi = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
@@ -297,6 +303,39 @@ class TestCsvIngestion:
             w.writerow([0, "", "", -0.6])
         ds, _ = load_dataset_csv(path, mode="transport")
         assert ds.mode == "transport"
+
+    def test_fusion_rejects_blank_target_fields(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n1,1,2.5,0.1\n1,0,1.5,0.3\n0,,,-0.6\n")
+        with pytest.raises(ModeError):
+            load_dataset_csv(path, mode="fusion")
+
+    def test_transport_drops_target_fields(self, tmp_path, caplog):
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n1,1,2.5,0.1\n1,0,1.5,0.3\n0,1,3.5,-0.6\n0,,,0.2\n")
+        ds, _ = load_dataset_csv(path, mode="transport")
+        assert ds.mode == "transport"
+        assert np.isnan(ds.z[2:]).all() and np.isnan(ds.y[2:]).all()
+        assert [r.message for r in caplog.records if r.name == "targetcal"] == [
+            "transport mode: ignoring z/y observed for 1 target-sample units"]
+
+    @pytest.mark.parametrize("mode", ["fusion", "transport"])
+    def test_two_files_match_one_file_and_cli(self, tmp_path, mode):
+        rows = ["1,1,2.5,0.1", "1,0,1.5,0.3", "0,1,3.5,-0.6", "0,0,0.5,0.2"]
+        (tmp_path / "both.csv").write_text("s,z,y,x1\n" + "\n".join(rows) + "\n")
+        (tmp_path / "study.csv").write_text(
+            "z,y,x1\n" + "\n".join(r[2:] for r in rows[:2]) + "\n")
+        (tmp_path / "target.csv").write_text(
+            "z,y,x1\n" + "\n".join(r[2:] for r in rows[2:]) + "\n")
+        got = load_dataset_csv(tmp_path / "study.csv", mode=mode,
+                               target_path=tmp_path / "target.csv")
+        for want in (load_dataset_csv(tmp_path / "both.csv", mode=mode),
+                     _load_input(mode, str(tmp_path / "study.csv"),
+                                 str(tmp_path / "target.csv"))):
+            assert got[1] == want[1] and got[0].mode == want[0].mode == mode
+            for key in ("s", "z", "y", "x"):
+                assert np.array_equal(getattr(got[0], key), getattr(want[0], key),
+                                      equal_nan=True), key
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "d.csv"

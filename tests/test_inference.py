@@ -64,7 +64,7 @@ def fitted_transport(seed=414, n=800):
     dt = ds.to_transport()
     est = tau_cal_transport(dt, Fits(dt, c, theta0))
     gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
-    nu = np.concatenate([theta0.theta0, gamma, delta, [est.tau_hat]])
+    nu = np.concatenate([theta0, gamma, delta, [est.tau_hat]])
     return ds, dt, c, theta0, est, nu
 
 
@@ -83,7 +83,7 @@ class TestTransportSystem:
             m = c.m
             # random parameter point (not necessarily the fit)
             nu = np.concatenate([
-                theta0.theta0 + 0.05 * rng.standard_normal(m),
+                theta0 + 0.05 * rng.standard_normal(m),
                 0.2 * rng.standard_normal(2 * m),
                 [rng.standard_normal()],
             ])
@@ -178,7 +178,7 @@ class TestSandwich:
         m = c.m
         g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
         g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
-        nu = np.concatenate([theta0.theta0, g0, g1, d0, d1, [est.tau_hat]])
+        nu = np.concatenate([theta0, g0, g1, d0, d1, [est.tau_hat]])
         psi, A = calibration_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
         k = len(nu)

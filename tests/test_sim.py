@@ -270,6 +270,18 @@ class TestRunner:
         failed = [r for r in table.replicates if r.failed]
         assert all(r.error for r in failed)
 
+    def test_small_n_fails_per_replicate(self):
+        # At n=4 the balance matrix has fewer rows than columns; each
+        # replicate records the error and the other sizes still run.
+        cfg = RunnerConfig(scenarios=("A",), ns=(4, 60), reps=3,
+                           kinds=(EstimatorKind.CAL_T,), seed=1,
+                           tau0_overrides={"A": -4.0}, keep_replicates=True)
+        table = run_experiment(cfg)
+        assert [row.n for row in table.rows] == [4, 60]
+        small = table.row("A", 4, "CAL_T")
+        assert small.n_ok == 0 and small.n_failed == 3
+        assert all(r.failed and r.error for r in table.replicates if r.n == 4)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             run_experiment(RunnerConfig(scenarios=("Z",), reps=1))

@@ -173,9 +173,9 @@ class TestAssemblies:
         contrast = cs.T @ ((2 * z - 1) * w)
         total = cs.T @ w
         assert np.max(np.abs(contrast)) / n1 < 1e-8
-        assert np.max(np.abs(total - n1 * theta0.theta0) / (1 + n1 * np.abs(theta0.theta0))) < 1e-8
+        assert np.max(np.abs(total - n1 * theta0) / (1 + n1 * np.abs(theta0))) < 1e-8
         arm = cs.T @ (z * w)
-        assert np.max(np.abs(arm - n1 * theta0.theta0 / 2) / (1 + np.abs(n1 * theta0.theta0 / 2))) < 1e-7
+        assert np.max(np.abs(arm - n1 * theta0 / 2) / (1 + np.abs(n1 * theta0 / 2))) < 1e-7
 
     def test_fusion_constraints_hold(self):
         rng = np.random.default_rng(6)
@@ -191,7 +191,7 @@ class TestAssemblies:
             ns = mask.sum()
             assert np.max(np.abs(cm.T @ ((2 * z - 1) * w))) / ns < 1e-8
             total = cm.T @ w
-            assert np.max(np.abs(total - ns * theta0.theta0) / (1 + ns * np.abs(theta0.theta0))) < 1e-8
+            assert np.max(np.abs(total - ns * theta0) / (1 + ns * np.abs(theta0))) < 1e-8
 
     def test_benchmark_arms_match_full_means(self):
         rng = np.random.default_rng(12)

@@ -29,7 +29,6 @@ from .data import (
     export_scores,
     load_dataset_csv,
     standardized_mean_differences,
-    target_moments,
 )
 from .errors import ConfigError, TargetcalError
 from .estimators import EstimatorKind, Fits
@@ -39,6 +38,8 @@ from .sim import RNG_ALGORITHM, RunnerConfig, run_experiment
 DEFAULT_ESTIMATORS = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T"
 DEFAULT_ESTIMATORS_FUSION = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T,AUG_F,CAL_F,CBPS"
 DEFAULT_SIM_ESTIMATORS = "TMLE,AUG_T,CAL_T,AUG_F,CAL_F"
+# Config keys holding a list, written as a comma-separated string like the flag.
+LISTED_KEYS = {"scenarios", "sizes", "estimators", "balance_columns"}
 
 # The calibration weights each estimator leaves in smd.csv: the Fits member
 # that holds them.
@@ -80,6 +81,9 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in LISTED_KEYS & set(raw):
+        if raw[key] is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"{key}: expected a comma-separated string, got {raw[key]!r}")
     return raw
 
 
@@ -236,16 +240,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if spec is None:
         spec = BalanceSpec.identity(dataset.x.shape[1], names=cov_names)
     c = build_balance_matrix(dataset, spec)
-    theta0 = target_moments(c, dataset.s)
     default = DEFAULT_ESTIMATORS_FUSION if mode == "fusion" else DEFAULT_ESTIMATORS
     kinds = _parse_estimators(cfg["estimators"] or default)
-    fits = Fits(dataset, c, theta0)
+    fits = Fits(dataset, c)
 
     results, failures = [], []
     weight_sets = {}
     for kind in kinds:
         try:
-            report = estimate_with_ci(dataset, c, theta0, kind, level=level, fits=fits)
+            report = estimate_with_ci(dataset, fits, kind=kind, level=level)
         except TargetcalError as exc:
             failures.append((kind.value, f"{type(exc).__name__}: {exc}"))
             continue
@@ -273,6 +276,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     _echo_config(out, "estimate",
                  {"mode": mode, "input": cfg["input"], "target_input": cfg["target_input"],
                   "estimators": [k.value for k in kinds], "level": level,
+                  "balance_columns": cfg["balance_columns"],
                   "benchmark_sample": "target" if mode == "fusion" else "study",
                   "out": str(out)})
     for kind, message in failures:
@@ -285,7 +289,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "out", "u_standardize", "per_replicate", "oracle_n"}
     cfg = _merge_config(args, keys)
     scenarios = tuple((cfg["scenarios"] or "A,B,C,D,E,F,G,H").replace(" ", "").split(","))
-    sizes = tuple(_number("sizes", v, int) for v in str(cfg["sizes"] or "500,2000").split(","))
+    sizes = tuple(_number("sizes", v, int) for v in (cfg["sizes"] or "500,2000").split(","))
     kinds = _parse_estimators(cfg["estimators"] or DEFAULT_SIM_ESTIMATORS)
     runner = RunnerConfig(
         scenarios=scenarios,
@@ -342,7 +346,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         _install_trace(out)
     dataset, cov_names = _load_input(mode, cfg["input"], cfg["target_input"])
     c = build_balance_matrix(dataset, BalanceSpec.identity(dataset.x.shape[1], names=cov_names))
-    fits = Fits(dataset, c, target_moments(c, dataset.s))
+    fits = Fits(dataset, c)
     labels = ("sampling", "transport") + (("fusion",) if dataset.mode == "fusion" else ())
     weight_sets = {label: _weight_set(fits, label) for label in labels}
     _write_csv(out / "smd.csv", ["comparison", "column", "weighting", "smd"],

@@ -362,7 +362,8 @@ def read_csv_columns(path, mode: str = "fusion",
     The header must contain ``s`` (unless ``force_s`` fixes the indicator for
     the whole file) and, depending on mode, ``z`` and ``y``; every remaining
     column is treated as a covariate. ``s`` must be 0 or 1 in every row.
-    Empty z/y fields mark absent values. Fields may be quoted and padded
+    Empty z/y fields mark absent values; transport mode reads target-sample
+    z/y as NaN without casting them. Fields may be quoted and padded
     with whitespace; blank lines are skipped and there are no comment lines.
     Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
     masks mark non-blank z and y fields, plus the covariate column names;
@@ -418,10 +419,14 @@ def read_csv_columns(path, mode: str = "fusion",
                               f"'{cells[bad[0], j].strip()}' (row {_file_line(path, bad[0])})")
         s = s.astype(np.int8)
     cols = {"s": s}
+    # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
+    dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
     for name in ("z", "y"):
         if name in header:
-            values, seen = _float_column(path, cells[:, header.index(name)],
+            fields = cells[:, header.index(name)]
+            values, seen = _float_column(path, np.where(dropped, "", fields),
                                          f"column '{name}'", blanks=True)
+            seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
         else:
             values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
         cols[name], cols[f"{name}_observed"] = values, seen

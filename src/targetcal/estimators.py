@@ -3,8 +3,9 @@ G-computation, TMLE, augmented (transport and fusion), full-calibration
 Hajek contrasts (transport and fusion), and the within-cohort benchmark.
 
 Every estimator is a function of (dataset, fits): ``Fits`` holds one
-dataset's nuisance fits and calibration solves, each computed on first use,
-so estimators run on the same dataset share them.
+dataset's balance matrix and target moments, and its nuisance fits and
+calibration solves, each computed on first use, so estimators run on the
+same dataset share them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import glm, solver
-from .data import BalanceMatrix, Dataset, effective_sample_size
+from .data import BalanceMatrix, Dataset, effective_sample_size, target_moments
 from .errors import DegenerateOutcomeError, EmptyArmError, ModeError
 
 
@@ -59,8 +60,9 @@ def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
 
 
 class Fits:
-    """One dataset's nuisance fits and calibration solves, each computed once,
-    on first use.
+    """One dataset's context: its balance matrix, the target moments theta0
+    (the target-sample means of the balance columns), and its nuisance fits
+    and calibration solves, each computed once, on first use.
 
     Every member except ``fusion`` reads only the balance matrix, the sample
     indicator and study-sample treatment and outcome, so a Fits built on a
@@ -69,10 +71,10 @@ class Fits:
     error. Readers share the cached arrays, so none may modify them.
     """
 
-    def __init__(self, dataset: Dataset, c: BalanceMatrix, theta0):
+    def __init__(self, dataset: Dataset, c: BalanceMatrix):
         self.dataset = dataset
         self.c = c
-        self.theta0 = theta0
+        self.theta0 = target_moments(c, dataset.s)
 
     @cached_property
     def sampling(self) -> solver.DualSolution:
@@ -211,15 +213,13 @@ def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate
     n1, n0 = dataset.n_study, dataset.n_target
 
     q = fits.sampling.weights
-    pi = fits.pi
-    pi_study = pi[study]
+    pi_study = fits.pi[study]
     _, mu0, mu1 = (fits.study_outcome if outcome_sample == 1
                    else _outcome_models(dataset, fits.c, outcome_sample))
 
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)
-    return TauEstimate(tau_hat=tau, weights_used=q,
-                       nuisance={"pi": pi, "mu0": mu0, "mu1": mu1})
+    return TauEstimate(tau_hat=tau, weights_used=q, nuisance={"mu0": mu0, "mu1": mu1})
 
 
 def tau_aug_transport(dataset: Dataset, fits: Fits) -> TauEstimate:

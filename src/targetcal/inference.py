@@ -4,7 +4,9 @@ The calibration estimators get an M-estimation sandwich built from one
 stacked system of estimating equations over the calibrated groups (the
 study sample for transport, both samples for data fusion): target moments,
 one dual pair per group, effect. The augmented and TMLE estimators get a
-plug-in influence-function variance.
+plug-in influence-function variance. Every variance function reads
+(dataset, fits, estimate, level): the data, its ``Fits`` context (balance
+matrix, target moments, nuisance fits and solves) and the point estimate.
 Duals enter the stack in the (gamma, delta) parameterization, where the unit
 weight is exp(-z c'delta - c'gamma); the solver's (lambda, gamma_joint)
 vectors convert via gamma = gamma_joint - lambda, delta = 2 lambda, which
@@ -19,14 +21,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import BalanceMatrix, Dataset, target_moments
+from .data import Dataset
 from .errors import (
     InvalidLevelError,
     MissingComponentsError,
     SingularJacobianError,
 )
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
-from .solver import DualSolution
 
 
 @dataclass(frozen=True)
@@ -141,22 +142,16 @@ def _check_solvable(A: np.ndarray) -> None:
         raise SingularJacobianError(f"Jacobian is numerically singular (cond {cond:.2e})")
 
 
-def _sandwich_variance(
-    dataset: Dataset,
-    c: BalanceMatrix,
-    duals: tuple,
-    groups: tuple,
-    tau_hat: float,
-    level: float,
-) -> VarianceReport:
+def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple,
+                       tau_hat: float, level: float) -> VarianceReport:
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
     it equals ||psi x||^2.
     """
-    theta0 = target_moments(c, dataset.s)
+    c = fits.c
     gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
-    nu = np.concatenate([theta0, *gammas, *deltas, [tau_hat]])
+    nu = np.concatenate([fits.theta0, *gammas, *deltas, [tau_hat]])
     psi, A = calibration_system(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
     _check_solvable(A)
     e_tau = np.zeros(len(nu))
@@ -167,54 +162,41 @@ def _sandwich_variance(
     return VarianceReport(se=se, ci_low=low, ci_high=high, method="sandwich", level=level)
 
 
-def sandwich_variance_transport(
-    dataset: Dataset,
-    c: BalanceMatrix,
-    dual: DualSolution,
-    tau_hat: float,
-    level: float = 0.95,
-) -> VarianceReport:
+def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate,
+                                level: float = 0.95) -> VarianceReport:
     """Robust variance for the transport calibration estimator (3m+1 stack)."""
-    return _sandwich_variance(dataset, c, (dual,), (1,), tau_hat, level)
+    return _sandwich_variance(dataset, fits, (fits.transport,), (1,), estimate.tau_hat, level)
 
 
-def sandwich_variance_fusion(
-    dataset: Dataset,
-    c: BalanceMatrix,
-    dual_target: DualSolution,
-    dual_study: DualSolution,
-    tau_hat: float,
-    level: float = 0.95,
-) -> VarianceReport:
+def sandwich_variance_fusion(dataset: Dataset, fits: Fits, estimate: TauEstimate,
+                             level: float = 0.95) -> VarianceReport:
     """Robust variance for the data-fusion calibration estimator (5m+1 stack)."""
-    return _sandwich_variance(dataset, c, (dual_target, dual_study), (0, 1), tau_hat, level)
+    return _sandwich_variance(dataset, fits, fits.fusion, (0, 1), estimate.tau_hat, level)
 
 
-def influence_variance(
-    kind: EstimatorKind,
-    dataset: Dataset,
-    q: np.ndarray | None,
-    pi: np.ndarray | None,
-    mu1: np.ndarray | None,
-    mu0: np.ndarray | None,
-    tau_hat: float,
-    level: float = 0.95,
-) -> VarianceReport:
+def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
+                       level: float = 0.95) -> VarianceReport:
     """Plug-in influence-function variance for the augmented and TMLE paths.
 
     Study units contribute the weighted residual contrast scaled by n/n1;
-    target units contribute the centered model contrast scaled by n/n0. The
+    target units contribute the centered model contrast scaled by n/n0.
+    TMLE weighs by the sampling-score odds (n1/n0)(1 - rho)/rho. The
     construction is an approximation (it takes the nuisance fits as fixed)
     and empirically errs conservative when models are misspecified.
     """
-    if kind not in (EstimatorKind.AUG_T, EstimatorKind.AUG_F, EstimatorKind.TMLE):
+    kind = estimate.kind
+    if kind is EstimatorKind.TMLE:
+        q = (dataset.n_study / dataset.n_target) * (1.0 - fits.rho) / fits.rho
+        mu1, mu0 = estimate.nuisance["eta1"], estimate.nuisance["eta0"]
+    elif kind in (EstimatorKind.AUG_T, EstimatorKind.AUG_F):
+        q = estimate.weights_used
+        mu1, mu0 = estimate.nuisance["mu1"], estimate.nuisance["mu0"]
+    else:
         raise MissingComponentsError(f"influence variance not defined for {kind}")
-    for name, comp in (("q", q), ("pi", pi), ("mu1", mu1), ("mu0", mu0)):
-        if comp is None:
-            raise MissingComponentsError(f"missing component '{name}' for {kind.value}")
-    s = dataset.s
-    study = s == 1
-    target = s == 0
+    pi = fits.pi
+    tau_hat = estimate.tau_hat
+    study = dataset.s == 1
+    target = dataset.s == 0
     n, n1, n0 = dataset.n, dataset.n_study, dataset.n_target
     z, y = dataset.observed(study)
     resid = z * (y - mu1[study]) / pi[study] - (1.0 - z) * (y - mu0[study]) / (1.0 - pi[study])
@@ -258,39 +240,26 @@ class EstimateReport:
     estimate: TauEstimate
 
 
-def estimate_with_ci(
-    dataset: Dataset,
-    c: BalanceMatrix,
-    theta0,
-    kind: EstimatorKind,
-    level: float = 0.95,
-    fits: Fits | None = None,
-) -> EstimateReport:
+def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
+                     level: float = 0.95) -> EstimateReport:
     """Compute a point estimate and the matching variance for its kind.
 
     Calibration estimators get the M-estimation sandwich; augmented and TMLE
     estimators the plug-in influence variance; the benchmark estimators a
     descriptive approximation. Pass one ``fits`` to every kind run on the
-    same data to share its nuisance fits and solves; without it each call
-    fits its own.
+    same data (or on its transport view) to share its nuisance fits and
+    solves.
     """
-    if fits is None:
-        fits = Fits(dataset, c, theta0)
     est = compute_tau(dataset, kind, fits)
     if kind is EstimatorKind.CAL_T:
-        report = sandwich_variance_transport(dataset, c, fits.transport, est.tau_hat, level)
+        variance = sandwich_variance_transport
     elif kind is EstimatorKind.CAL_F:
-        report = sandwich_variance_fusion(dataset, c, *fits.fusion, est.tau_hat, level)
-    elif kind in (EstimatorKind.AUG_T, EstimatorKind.AUG_F):
-        report = influence_variance(kind, dataset, est.weights_used, fits.pi,
-                                    est.nuisance["mu1"], est.nuisance["mu0"],
-                                    est.tau_hat, level)
-    elif kind is EstimatorKind.TMLE:
-        q_tmle = (dataset.n_study / dataset.n_target) * (1.0 - fits.rho) / fits.rho
-        report = influence_variance(kind, dataset, q_tmle, fits.pi, est.nuisance["eta1"],
-                                    est.nuisance["eta0"], est.tau_hat, level)
+        variance = sandwich_variance_fusion
+    elif kind in (EstimatorKind.TMLE, EstimatorKind.AUG_T, EstimatorKind.AUG_F):
+        variance = influence_variance
     else:
-        report = descriptive_variance(est, dataset, c, level)
+        variance = descriptive_variance
+    report = variance(dataset, fits, est, level)
     return EstimateReport(
         tau_hat=est.tau_hat,
         se=report.se,
@@ -303,8 +272,8 @@ def estimate_with_ci(
     )
 
 
-def descriptive_variance(estimate: TauEstimate, dataset: Dataset,
-                         c: BalanceMatrix, level: float = 0.95) -> VarianceReport:
+def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
+                         level: float = 0.95) -> VarianceReport:
     """Approximate SEs for the benchmark estimators.
 
     UNADJ uses the Welch two-sample variance; CBPS a weighted Welch variance
@@ -323,12 +292,12 @@ def descriptive_variance(estimate: TauEstimate, dataset: Dataset,
     elif kind is EstimatorKind.GCOMP:
         target = dataset.s == 0
         study = dataset.s == 1
-        cbar = c.c[target].mean(axis=0)
+        cbar = fits.theta0
         z, y = dataset.observed(study)
         var = 0.0
         for arm, key in ((0, "fit0"), (1, "fit1")):
             mask = z == arm
-            design = c.c[study][mask]
+            design = fits.c.c[study][mask]
             resid = y[mask] - design @ estimate.nuisance[key].coefficients
             xtx_inv = np.linalg.inv(design.T @ design)
             meat = design.T @ (design * (resid ** 2)[:, None])

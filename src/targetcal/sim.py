@@ -16,13 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, build_balance_matrix, target_moments
+from .data import Dataset, build_balance_matrix
 from .errors import ConfigError, DegenerateDrawError, NonFiniteError, TargetcalError
 from .estimators import FUSION_ONLY, EstimatorKind, Fits
 from .glm import expit
 from .inference import estimate_with_ci
 
 RNG_ALGORITHM = "numpy Philox4x64-10, SplitMix64-derived keys"
+
+# Draws per chunk of the true-effect oracle, and fresh draws a replicate may
+# take before it is recorded as degenerate.
+ORACLE_CHUNK = 1_000_000
+MAX_REDRAWS = 10
 
 _MASK64 = (1 << 64) - 1
 
@@ -208,7 +213,6 @@ def true_tau(
     scenario: ScenarioSpec,
     oracle_n: int = 10_000_000,
     seed: int = 0,
-    chunk: int = 1_000_000,
     u_standardize: str = "empirical",
 ) -> float:
     """Monte Carlo oracle for the target-population effect E[tilt | s=0].
@@ -222,7 +226,7 @@ def true_tau(
     drawn = 0
     idx = 0
     while drawn < oracle_n:
-        size = min(chunk, oracle_n - drawn)
+        size = min(ORACLE_CHUNK, oracle_n - drawn)
         rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
         x = rng.standard_normal((size, scenario.covariate_dim))
         u = transform_u(x, u_standardize)
@@ -290,7 +294,6 @@ class RunnerConfig:
     u_standardize: str = "empirical"
     oracle_n: int = 2_000_000
     tau0_overrides: dict = field(default_factory=dict)
-    max_redraws: int = 10
     keep_replicates: bool = False
 
     def validate(self) -> None:
@@ -313,12 +316,12 @@ class RunnerConfig:
 
 def _evaluate_replicate(task: tuple) -> list:
     """Generate one replicate and run every requested estimator on it."""
-    scenario_id, n, rep, master_seed, kind_values, level, u_mode, max_redraws = task
+    scenario_id, n, rep, master_seed, kind_values, level, u_mode = task
     scenario = SCENARIOS[scenario_id]
     results = []
     dataset = None
     seed = 0
-    for attempt in range(max_redraws):
+    for attempt in range(MAX_REDRAWS):
         seed = derive_seed(master_seed, scenario_id, n, rep, attempt)
         try:
             dataset = generate(scenario, n, seed, u_standardize=u_mode)
@@ -332,20 +335,18 @@ def _evaluate_replicate(task: tuple) -> list:
 
     if dataset is None:
         return failed("degenerate draw after redraws")
-    try:
-        c = build_balance_matrix(dataset)
-        theta0 = target_moments(c, dataset.s)
-    except TargetcalError as exc:
-        return failed(f"{type(exc).__name__}: {exc}")
     # One Fits serves both views (only its fusion member reads target-sample
     # data); the transport view keeps the other kinds from target outcomes.
-    fits = Fits(dataset, c, theta0)
+    try:
+        fits = Fits(dataset, build_balance_matrix(dataset))
+    except TargetcalError as exc:
+        return failed(f"{type(exc).__name__}: {exc}")
     transport_view = dataset.to_transport()
     for kv in kind_values:
         kind = EstimatorKind(kv)
         view = dataset if kind in FUSION_ONLY else transport_view
         try:
-            report = estimate_with_ci(view, c, theta0, kind, level=level, fits=fits)
+            report = estimate_with_ci(view, fits, kind=kind, level=level)
             results.append(
                 ReplicateResult(
                     scenario_id, n, kv, rep, seed,
@@ -383,8 +384,7 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
             )
 
     tasks = [
-        (sid, n, rep, config.seed, kind_values, config.level,
-         config.u_standardize, config.max_redraws)
+        (sid, n, rep, config.seed, kind_values, config.level, config.u_standardize)
         for sid in config.scenarios
         for n in config.ns
         for rep in range(config.reps)

@@ -38,6 +38,9 @@ from .errors import EmptyArmError, EmptyTargetError, NotConvergedError
 GRAD_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 500
+# iterative_calibration: largest weight change that ends it, and pass limit.
+ITERATIVE_TOL = 1e-12
+ITERATIVE_MAX_OUTER = 500
 
 # Optional per-solve trace hook, installed by the CLI verbosity flag. It is
 # called with a summary dict after every solve attempt.
@@ -113,11 +116,7 @@ def _active_weights(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
     return w
 
 
-def solve_entropy_dual(
-    problem: EntropyProblem,
-    tol: float | None = None,
-    max_iter: int = MAX_ITER,
-) -> DualSolution:
+def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> DualSolution:
     """Minimize the dual by damped Newton with Armijo backtracking.
 
     Starts from eta = 0 (unit weights). Falls back to a gradient step when
@@ -131,7 +130,6 @@ def solve_entropy_dual(
         raise EmptyArmError("entropy problem has no active rows")
     check_full_rank(a, "constraint matrix")
     k = a.shape[1]
-    grad_tol = tol if tol is not None else GRAD_TOL
     b_scale = 1.0 + np.abs(b)
 
     eta = np.zeros(k)
@@ -141,7 +139,7 @@ def solve_entropy_dual(
         w = _active_weights(problem, eta)
         grad = b - a.T @ w
         grad_norm = float(np.max(np.abs(grad)))
-        if float(np.max(np.abs(grad) / b_scale)) <= grad_tol:
+        if float(np.max(np.abs(grad) / b_scale)) <= GRAD_TOL:
             break
         hess = (a * w[:, None]).T @ a
         try:
@@ -278,14 +276,8 @@ def assemble_ate_benchmark(c: BalanceMatrix, z: np.ndarray) -> EntropyProblem:
     return _arm_balance(c, z, np.arange(c.n), c.c.mean(axis=0), "sample")
 
 
-def iterative_calibration(
-    c: BalanceMatrix,
-    s: np.ndarray,
-    z: np.ndarray,
-    theta0,
-    tol: float = 1e-12,
-    max_outer: int = 500,
-) -> DualSolution:
+def iterative_calibration(c: BalanceMatrix, s: np.ndarray, z: np.ndarray,
+                          theta0) -> DualSolution:
     """Alternating sampling-update / balance-update scheme.
 
     Each pass first re-tilts the current weights to hit the sampling
@@ -304,7 +296,7 @@ def iterative_calibration(
     lambda_total = np.zeros(m)
     p = np.ones(n1)
     outer = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, ITERATIVE_MAX_OUTER + 1):
         samp = EntropyProblem(
             a=c_act, b=joint.b[m:], active_rows=np.arange(n1), n_units=n1, base=p
         )
@@ -319,11 +311,11 @@ def iterative_calibration(
         p_new = q * np.exp(-(contrast @ bal_sol.eta))
         delta = float(np.max(np.abs(p_new - p)))
         p = p_new
-        if delta <= tol:
+        if delta <= ITERATIVE_TOL:
             break
     else:
         raise NotConvergedError(
-            f"iterative calibration did not stabilize in {max_outer} passes"
+            f"iterative calibration did not stabilize in {ITERATIVE_MAX_OUTER} passes"
         )
     eta = np.concatenate([lambda_total, gamma_total])
     resid_vec = np.abs(joint.a.T @ p - joint.b) / (1.0 + np.abs(joint.b))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from targetcal.data import Dataset, build_balance_matrix, target_moments
+from targetcal.data import Dataset, build_balance_matrix
 
 
 def sigmoid(x):
@@ -35,9 +35,7 @@ def baseline_draw():
 
 @pytest.fixture
 def baseline_balance(baseline_draw):
-    c = build_balance_matrix(baseline_draw)
-    theta0 = target_moments(c, baseline_draw.s)
-    return baseline_draw, c, theta0
+    return baseline_draw, build_balance_matrix(baseline_draw)
 
 
 def tiny_dataset():

@@ -56,12 +56,17 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
         s[i] = int(force_s) if force_s is not None else int(parse(row, "s", True))
-        zv = parse(row, "z", mode == "fusion")
-        yv = parse(row, "y", mode == "fusion")
-        if zv is not None:
-            z[i], zo[i] = zv, True
-        if yv is not None:
-            y[i], yo[i] = yv, True
+        if mode == "transport" and s[i] == 0:
+            # dropped target-sample z/y: not parsed, only noted when given
+            zo[i] = "z" in idx and row[idx["z"]].strip() != ""
+            yo[i] = "y" in idx and row[idx["y"]].strip() != ""
+        else:
+            zv = parse(row, "z", mode == "fusion")
+            yv = parse(row, "y", mode == "fusion")
+            if zv is not None:
+                z[i], zo[i] = zv, True
+            if yv is not None:
+                y[i], yo[i] = yv, True
         for j, name in enumerate(cov_names):
             cell = row[idx[name]].strip()
             try:

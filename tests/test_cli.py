@@ -121,6 +121,13 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "SchemaError" in err and "column 's'" in err and "row 6" in err
 
+    def test_config_echoes_balance_columns(self, demo_csv, tmp_path):
+        for flags, echoed in (([], None), (["--balance-columns", "x1,square:x2"], "x1,square:x2")):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["estimate", "--input", str(demo_csv), "--out", str(out),
+                         "--estimators", "CAL_T", *flags]) == 0
+            assert json.loads((out / "config.json").read_text())["balance_columns"] == echoed
+
     def test_config_file_merging(self, demo_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "fusion", "estimators": "UNADJ"}))
@@ -193,6 +200,21 @@ class TestDiagnose:
         post = [float(r["smd"]) for r in rows if r["weighting"] == "transport"]
         assert post and max(post) <= 1e-8
 
+    def test_transport_ignores_target_missing_markers(self, demo_csv, tmp_path):
+        # target rows "0,NA,NA,..." give the diagnostics of the same rows
+        # with their z/y filled in, which transport mode drops as well
+        header, *rows = demo_csv.read_text().splitlines()
+        rows = [r if r.startswith("1,") else "0,NA,NA," + r.split(",", 3)[3] for r in rows]
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\n".join([header, *rows]) + "\n")
+        ess = []
+        for path in (demo_csv, marked):
+            out = tmp_path / path.stem
+            assert main(["diagnose", "--mode", "transport", "--input", str(path),
+                         "--out", str(out)]) == 0
+            ess.append((out / "ess.csv").read_bytes())
+        assert ess[0] == ess[1]
+
 
 class TestSimulate:
     def test_smoke_and_shape(self, tmp_path):
@@ -248,6 +270,12 @@ class TestConfigValidation:
         "simulate_sizes": ("simulate", None, ["--sizes", "100,abc"], "sizes"),
         "simulate_reps_fraction": ("simulate", {"reps": 2.5}, [], "reps"),
         "simulate_workers_bool": ("simulate", {"workers": True}, [], "workers"),
+        "simulate_scenarios_list": ("simulate", {"scenarios": ["A"]}, [], "scenarios"),
+        "simulate_sizes_list": ("simulate", {"sizes": [60]}, [], "sizes"),
+        "simulate_estimators_list": ("simulate", {"estimators": ["CAL_T"]}, [], "estimators"),
+        "estimate_estimators_list": ("estimate", {"estimators": ["CAL_T"]}, [], "estimators"),
+        "estimate_balance_columns_list": ("estimate", {"balance_columns": ["x1"]}, [],
+                                          "balance_columns"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -319,6 +319,18 @@ class TestCsvIngestion:
         assert [r.message for r in caplog.records if r.name == "targetcal"] == [
             "transport mode: ignoring z/y observed for 1 target-sample units"]
 
+    def test_transport_does_not_read_target_fields(self, tmp_path, caplog):
+        # a missing-value marker in a dropped field counts as given; fusion
+        # mode reads the same field and rejects it
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n1,1,2.5,0.1\n1,0,1.5,0.3\n0,NA,NA,-0.6\n0,,,0.2\n")
+        ds, _ = load_dataset_csv(path, mode="transport")
+        assert np.isnan(ds.z[2:]).all() and np.isnan(ds.y[2:]).all()
+        assert [r.message for r in caplog.records if r.name == "targetcal"] == [
+            "transport mode: ignoring z/y observed for 1 target-sample units"]
+        with pytest.raises(SchemaError, match=re.escape("non-numeric value 'NA' in column 'z' (row 4)")):
+            load_dataset_csv(path, mode="fusion")
+
     @pytest.mark.parametrize("mode", ["fusion", "transport"])
     def test_two_files_match_one_file_and_cli(self, tmp_path, mode):
         rows = ["1,1,2.5,0.1", "1,0,1.5,0.3", "0,1,3.5,-0.6", "0,0,0.5,0.2"]
@@ -370,6 +382,7 @@ class TestCsvAgainstPerCellParser:
         "blank_lines": ("fusion", "s,z,y,x1\n\n1,1,2.5,0.1\n\n\n0,0,1.5,0.2\n\n"),
         "padded": ("fusion", " s , z ,y, x1 \n 1 , 0 ,2.5 , 0.3\n0,1 , -1.5,  4 \n"),
         "target_blanks": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,,,0.2\n0, , ,0.3\n1,0,1,0.4\n"),
+        "target_markers": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,NA,,0.2\n0, , NA ,0.3\n1,0,1,0.4\n"),
         "no_trailing_newline": ("fusion", "s,z,y,x1\n1,1,2.5,0.1\n0,0,1.5,0.2"),
         "header_only": ("fusion", "s,z,y,x1,x2\n"),
     }

@@ -6,7 +6,6 @@ from targetcal.data import (
     Dataset,
     build_balance_matrix,
     standardized_mean_differences,
-    target_moments,
 )
 from targetcal.errors import DegenerateOutcomeError, ModeError
 from targetcal.estimators import (
@@ -66,25 +65,25 @@ class TestGcomp:
         y = 2.0 + x[:, 0]
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
-        assert tau_gcomp(ds, Fits(ds, c, None)).tau_hat == pytest.approx(0.0, abs=1e-10)
+        assert tau_gcomp(ds, Fits(ds, c)).tau_hat == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_shift_equivariance(self):
         rng = np.random.default_rng(2)
         ds = draw_row_a(600, rng)
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        base = tau_gcomp(dt, Fits(dt, c, None)).tau_hat
+        base = tau_gcomp(dt, Fits(dt, c)).tau_hat
         alpha = 3.25
         y_shift = np.where(ds.z == 1, ds.y + alpha, ds.y)
         dt2 = Dataset.fusion(ds.s, ds.z, y_shift, ds.x).to_transport()
-        shifted = tau_gcomp(dt2, Fits(dt2, c, None)).tau_hat
+        shifted = tau_gcomp(dt2, Fits(dt2, c)).tau_hat
         assert shifted == pytest.approx(base + alpha, abs=1e-8)
 
     def test_consistency_at_large_n(self):
         ds = draw_row_a(100_000, np.random.default_rng(3))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        assert tau_gcomp(dt, Fits(dt, c, None)).tau_hat == pytest.approx(-4.00, abs=0.06)
+        assert tau_gcomp(dt, Fits(dt, c)).tau_hat == pytest.approx(-4.00, abs=0.06)
 
 
 class TestTmle:
@@ -103,7 +102,7 @@ class TestTmle:
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        est = tau_tmle(dt, Fits(dt, c, None))
+        est = tau_tmle(dt, Fits(dt, c))
         eps0, eps1 = est.nuisance["epsilon"]
         assert abs(eps0) < 0.08 and abs(eps1) < 0.08
         truth = np.mean((p1 - p0)[ds.s == 0])
@@ -113,7 +112,7 @@ class TestTmle:
         ds = draw_row_a(800, np.random.default_rng(4))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        est = tau_tmle(dt, Fits(dt, c, None))
+        est = tau_tmle(dt, Fits(dt, c))
         y_lo, y_hi = est.nuisance["outcome_range"]
         for key in ("eta0", "eta1"):
             assert np.all(est.nuisance[key] >= y_lo - 1e-12)
@@ -124,40 +123,37 @@ class TestTmle:
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
         with pytest.raises(DegenerateOutcomeError):
-            tau_tmle(dt, Fits(dt, c, None))
+            tau_tmle(dt, Fits(dt, c))
 
     def test_consistency_at_large_n(self):
         ds = draw_row_a(50_000, np.random.default_rng(5))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        assert tau_tmle(dt, Fits(dt, c, None)).tau_hat == pytest.approx(-4.00, abs=0.1)
+        assert tau_tmle(dt, Fits(dt, c)).tau_hat == pytest.approx(-4.00, abs=0.1)
 
 
 class TestAugmented:
     def test_correct_models_close_to_gcomp(self):
         ds = draw_row_a(50_000, np.random.default_rng(6))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        aug = tau_aug_transport(dt, Fits(dt, c, theta0))
-        gcomp = tau_gcomp(dt, Fits(dt, c, None))
+        aug = tau_aug_transport(dt, Fits(dt, c))
+        gcomp = tau_gcomp(dt, Fits(dt, c))
         assert aug.tau_hat == pytest.approx(gcomp.tau_hat, abs=0.05)
 
     def test_sampling_weights_sum_to_n1(self):
         ds = draw_row_a(2_000, np.random.default_rng(7))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        aug = tau_aug_transport(dt, Fits(dt, c, theta0))
+        aug = tau_aug_transport(dt, Fits(dt, c))
         assert aug.weights_used[ds.s == 1].sum() == pytest.approx(ds.n_study, rel=1e-8)
 
     def test_fusion_requires_fusion_mode(self):
         ds = draw_row_a(400, np.random.default_rng(8))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
         with pytest.raises(ModeError):
-            tau_aug_fusion(dt, Fits(dt, c, theta0))
+            tau_aug_fusion(dt, Fits(dt, c))
 
     def test_fusion_uses_target_outcome_models(self):
         # treatment effect 3 in the target sample, 1 in the study sample: the
@@ -170,8 +166,7 @@ class TestAugmented:
         y = np.where(s == 1, z * 1.0 + 0.5 * x[:, 0], 10.0 + 3.0 * z + 0.5 * x[:, 0])
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
-        est = tau_aug_fusion(ds, Fits(ds, c, theta0))
+        est = tau_aug_fusion(ds, Fits(ds, c))
         target = ds.s == 0
         model_term = np.mean(est.nuisance["mu1"][target] - est.nuisance["mu0"][target])
         assert model_term == pytest.approx(3.0, abs=1e-8)
@@ -181,9 +176,8 @@ class TestCalibration:
     def test_balanced_data_difference_of_means(self):
         ds = balanced_fixture()
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        est = tau_cal_transport(dt, Fits(dt, c, theta0))
+        est = tau_cal_transport(dt, Fits(dt, c))
         study = ds.s == 1
         z, y = ds.z[study], ds.y[study]
         crude = y[z == 1].mean() - y[z == 0].mean()
@@ -193,9 +187,8 @@ class TestCalibration:
     def test_weight_scale_invariance(self):
         ds = draw_row_a(900, np.random.default_rng(9))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        est = tau_cal_transport(dt, Fits(dt, c, theta0))
+        est = tau_cal_transport(dt, Fits(dt, c))
         study = ds.s == 1
         w = est.weights_used[study]
         z, y = ds.z[study], ds.y[study]
@@ -209,11 +202,10 @@ class TestCalibration:
     def test_location_equivariance(self):
         ds = draw_row_a(700, np.random.default_rng(10))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        base = tau_cal_transport(dt, Fits(dt, c, theta0)).tau_hat
+        base = tau_cal_transport(dt, Fits(dt, c)).tau_hat
         dt2 = Dataset.fusion(ds.s, ds.z, ds.y + 11.0, ds.x).to_transport()
-        shifted = tau_cal_transport(dt2, Fits(dt2, c, theta0)).tau_hat
+        shifted = tau_cal_transport(dt2, Fits(dt2, c)).tau_hat
         assert abs(shifted - base) <= 1e-10
 
     def test_smds_killed(self):
@@ -222,13 +214,12 @@ class TestCalibration:
         # the within-study treatment contrast for CBPS.
         ds = draw_row_a(1200, np.random.default_rng(11))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         study = ds.s == 1
         c_study = BalanceMatrix(c.c[study])
         dt = ds.to_transport()
-        w_t = tau_cal_transport(dt, Fits(dt, c, theta0)).weights_used
-        w_f = tau_cal_fusion(ds, Fits(ds, c, theta0)).weights_used
-        w_b = tau_cbps_benchmark(dt, Fits(dt, c, None)).weights_used
+        w_t = tau_cal_transport(dt, Fits(dt, c)).weights_used
+        w_f = tau_cal_fusion(ds, Fits(ds, c)).weights_used
+        w_b = tau_cbps_benchmark(dt, Fits(dt, c)).weights_used
         smds = {
             "CAL_T sample": standardized_mean_differences(c, ds.s, np.where(study, w_t, 1.0)),
             "CAL_T treatment": standardized_mean_differences(c_study, ds.z[study], w_t[study]),
@@ -242,10 +233,9 @@ class TestCalibration:
     def test_fusion_rejects_transport_dataset(self):
         ds = draw_row_a(400, np.random.default_rng(12))
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
         with pytest.raises(ModeError):
-            tau_cal_fusion(dt, Fits(dt, c, theta0))
+            tau_cal_fusion(dt, Fits(dt, c))
 
     def test_single_sample_rejected_at_construction(self):
         with pytest.raises(ModeError):
@@ -258,10 +248,9 @@ class TestCalibration:
         for r in range(40):
             ds = draw_row_a(800, np.random.default_rng(3000 + r))
             c = build_balance_matrix(ds)
-            theta0 = target_moments(c, ds.s)
             dt = ds.to_transport()
-            errs_t.append((tau_cal_transport(dt, Fits(dt, c, theta0)).tau_hat + 4.0) ** 2)
-            errs_f.append((tau_cal_fusion(ds, Fits(ds, c, theta0)).tau_hat + 4.0) ** 2)
+            errs_t.append((tau_cal_transport(dt, Fits(dt, c)).tau_hat + 4.0) ** 2)
+            errs_f.append((tau_cal_fusion(ds, Fits(ds, c)).tau_hat + 4.0) ** 2)
         assert np.mean(errs_f) < np.mean(errs_t)
 
 
@@ -270,7 +259,7 @@ class TestCbps:
         ds = balanced_fixture()
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
+        est = tau_cbps_benchmark(dt, Fits(dt, c))
         crude = tau_unadjusted(dt, fits=None)
         assert est.tau_hat == pytest.approx(crude.tau_hat, abs=1e-8)
 
@@ -278,7 +267,7 @@ class TestCbps:
         ds = draw_row_a(1500, np.random.default_rng(13))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
+        est = tau_cbps_benchmark(dt, Fits(dt, c))
         study = ds.s == 1
         cs = c.c[study]
         z = ds.z[study]
@@ -292,15 +281,15 @@ class TestCbps:
         ds = draw_row_a(100_000, np.random.default_rng(14))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
-        est = tau_cbps_benchmark(dt, Fits(dt, c, None))
+        est = tau_cbps_benchmark(dt, Fits(dt, c))
         assert est.tau_hat == pytest.approx(ORACLE_STUDY_ATE, abs=0.06)
 
 
 def test_dispatch_covers_every_kind(baseline_balance):
-    ds, c, theta0 = baseline_balance
+    ds, c = baseline_balance
     for kind in EstimatorKind:
         view = ds if kind in (EstimatorKind.AUG_F, EstimatorKind.CAL_F) else ds.to_transport()
-        est = compute_tau(view, kind, Fits(view, c, theta0))
+        est = compute_tau(view, kind, Fits(view, c))
         assert np.isfinite(est.tau_hat)
         assert est.kind is kind
 
@@ -308,9 +297,9 @@ def test_dispatch_covers_every_kind(baseline_balance):
 def test_benchmark_cohort_follows_mode(baseline_balance):
     # UNADJ and CBPS use the target sample when its outcomes are observed
     # (fusion data) and the study sample on the transport view
-    ds, c, theta0 = baseline_balance
+    ds, c = baseline_balance
     for view, cohort in ((ds, ds.s == 0), (ds.to_transport(), ds.s == 1)):
-        fits = Fits(view, c, theta0)
+        fits = Fits(view, c)
         z, y = ds.z[cohort], ds.y[cohort]
         crude = compute_tau(view, EstimatorKind.UNADJ, fits)
         assert crude.tau_hat == pytest.approx(y[z == 1].mean() - y[z == 0].mean(), abs=1e-12)

@@ -8,7 +8,7 @@ from targetcal.estimators import (
     FUSION_ONLY,
     EstimatorKind,
     Fits,
-    tau_aug_transport,
+    compute_tau,
     tau_cal_fusion,
     tau_cal_transport,
 )
@@ -62,10 +62,11 @@ def fitted_transport(seed=414, n=800):
     c = build_balance_matrix(ds)
     theta0 = target_moments(c, ds.s)
     dt = ds.to_transport()
-    est = tau_cal_transport(dt, Fits(dt, c, theta0))
+    fits = Fits(dt, c)
+    est = tau_cal_transport(dt, fits)
     gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
     nu = np.concatenate([theta0, gamma, delta, [est.tau_hat]])
-    return ds, dt, c, theta0, est, nu
+    return ds, dt, c, fits, est, nu
 
 
 class TestTransportSystem:
@@ -114,7 +115,7 @@ class TestTransportSystem:
             c = build_balance_matrix(ds)
             theta0 = target_moments(c, ds.s)
             dt = ds.to_transport()
-            est = tau_cal_transport(dt, Fits(dt, c, theta0))
+            est = tau_cal_transport(dt, Fits(dt, c))
             gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
             study = ds.s == 1
             w_app = np.exp(-(c.c @ gamma) - ds.z * (c.c @ delta))[study]
@@ -126,7 +127,7 @@ class TestTransportSystem:
             ds = random_feasible_transport(rng, n=160, m=3)
             c = build_balance_matrix(ds)
             theta0 = target_moments(c, ds.s)
-            est = tau_cal_fusion(ds, Fits(ds, c, theta0))
+            est = tau_cal_fusion(ds, Fits(ds, c))
             m = c.m
             g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
             g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
@@ -142,39 +143,40 @@ class TestTransportSystem:
 
 class TestSandwich:
     def test_transport_report_brackets_truth(self):
-        ds, dt, c, theta0, est, _ = fitted_transport()
-        report = sandwich_variance_transport(dt, c, est.nuisance["dual"], est.tau_hat)
+        ds, dt, c, fits, est, _ = fitted_transport()
+        report = sandwich_variance_transport(dt, fits, est)
         assert report.method == "sandwich"
         assert report.se > 0
         assert report.ci_low <= est.tau_hat <= report.ci_high
 
     def test_covariance_psd(self):
-        ds, dt, c, theta0, est, nu = fitted_transport(seed=77)
+        ds, dt, c, fits, est, nu = fitted_transport(seed=77)
         psi, A = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         bread = np.linalg.solve(A, psi.T)
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
-        report = sandwich_variance_transport(dt, c, est.nuisance["dual"], est.tau_hat)
+        report = sandwich_variance_transport(dt, fits, est)
         assert report.se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
     def test_unit_order_invariance(self):
-        ds, dt, c, theta0, est, _ = fitted_transport(seed=99, n=400)
-        base = sandwich_variance_transport(dt, c, est.nuisance["dual"], est.tau_hat).se
+        ds, dt, c, fits, est, _ = fitted_transport(seed=99, n=400)
+        base = sandwich_variance_transport(dt, fits, est).se
         perm = np.random.default_rng(1).permutation(ds.n)
         ds_p = Dataset.fusion(ds.s[perm], ds.z[perm], ds.y[perm], ds.x[perm])
         c_p = build_balance_matrix(ds_p)
-        theta_p = target_moments(c_p, ds_p.s)
         dt_p = ds_p.to_transport()
-        est_p = tau_cal_transport(dt_p, Fits(dt_p, c_p, theta_p))
-        se_p = sandwich_variance_transport(dt_p, c_p, est_p.nuisance["dual"], est_p.tau_hat).se
+        fits_p = Fits(dt_p, c_p)
+        est_p = tau_cal_transport(dt_p, fits_p)
+        se_p = sandwich_variance_transport(dt_p, fits_p, est_p).se
         assert se_p == pytest.approx(base, rel=1e-8)
 
     def test_fusion_residuals_and_jacobian(self):
         ds = draw_row_a(600, np.random.default_rng(123))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        est = tau_cal_fusion(ds, Fits(ds, c, theta0))
+        fits = Fits(ds, c)
+        est = tau_cal_fusion(ds, fits)
         m = c.m
         g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
         g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
@@ -193,8 +195,7 @@ class TestSandwich:
                 - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(0, 1))[0].sum(axis=0)
             ) / (2 * h)
         assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
-        report = sandwich_variance_fusion(
-            ds, c, est.nuisance["dual_target"], est.nuisance["dual_study"], est.tau_hat)
+        report = sandwich_variance_fusion(ds, fits, est)
         assert report.se > 0
         bread = np.linalg.solve(A, psi.T)
         cov = bread @ bread.T
@@ -215,36 +216,34 @@ class TestInfluence:
         y = 1.0 + 2.0 * x[:, 0] + 3.0 * z
         ds = Dataset.fusion(s, z, y, x)
         c = build_balance_matrix(ds)
-        theta0 = target_moments(c, ds.s)
         dt = ds.to_transport()
-        est = tau_aug_transport(dt, Fits(dt, c, theta0))
-        report = influence_variance(
-            EstimatorKind.AUG_T, ds.to_transport(), est.weights_used,
-            est.nuisance["pi"], est.nuisance["mu1"], est.nuisance["mu0"], est.tau_hat)
+        fits = Fits(dt, c)
+        est = compute_tau(dt, EstimatorKind.AUG_T, fits)
+        report = influence_variance(dt, fits, est)
         assert report.se == pytest.approx(0.0, abs=1e-10)
 
     def test_missing_components_rejected(self):
-        ds = draw_row_a(300, np.random.default_rng(9))
+        dt = draw_row_a(300, np.random.default_rng(9)).to_transport()
+        fits = Fits(dt, build_balance_matrix(dt))
+        est = compute_tau(dt, EstimatorKind.CAL_T, fits)
         with pytest.raises(MissingComponentsError):
-            influence_variance(EstimatorKind.AUG_T, ds, None, None, None, None, 0.0)
-        with pytest.raises(MissingComponentsError):
-            influence_variance(EstimatorKind.CAL_T, ds, np.ones(300), np.ones(300),
-                               np.ones(300), np.ones(300), 0.0)
+            influence_variance(dt, fits, est)
 
 
 class TestEstimateWithCi:
     def test_every_kind_produces_interval(self, baseline_balance):
-        ds, c, theta0 = baseline_balance
+        ds, c = baseline_balance
         for kind in EstimatorKind:
             view = ds if kind in (EstimatorKind.AUG_F, EstimatorKind.CAL_F) else ds.to_transport()
-            report = estimate_with_ci(view, c, theta0, kind)
+            report = estimate_with_ci(view, Fits(view, c), kind=kind)
             assert np.isfinite(report.se)
             assert report.ci_low <= report.tau_hat <= report.ci_high
 
     def test_interval_level_monotone(self, baseline_balance):
-        ds, c, theta0 = baseline_balance
-        narrow = estimate_with_ci(ds.to_transport(), c, theta0, EstimatorKind.CAL_T, level=0.8)
-        wide = estimate_with_ci(ds.to_transport(), c, theta0, EstimatorKind.CAL_T, level=0.99)
+        ds, c = baseline_balance
+        dt = ds.to_transport()
+        narrow = estimate_with_ci(dt, Fits(dt, c), kind=EstimatorKind.CAL_T, level=0.8)
+        wide = estimate_with_ci(dt, Fits(dt, c), kind=EstimatorKind.CAL_T, level=0.99)
         assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
 
 
@@ -253,21 +252,21 @@ class TestSharedFits:
     kind, whatever order the kinds run in and whichever view the Fits was
     built on."""
 
-    def _bits(self, view, c, theta0, kinds, fits=None):
+    def _bits(self, view, c, kinds, fits=None):
         out = {}
         for kind in kinds:
-            report = estimate_with_ci(view, c, theta0, kind, fits=fits)
+            report = estimate_with_ci(view, Fits(view, c) if fits is None else fits, kind=kind)
             out[kind] = (report.tau_hat.hex(), report.se.hex())
         return out
 
     def test_same_bits_as_fresh_fits(self, baseline_balance):
-        ds, c, theta0 = baseline_balance
+        ds, c = baseline_balance
         dt = ds.to_transport()
         transport_kinds = [k for k in EstimatorKind if k not in FUSION_ONLY]
         cases = [(ds, ds, list(EstimatorKind)), (dt, dt, transport_kinds),
                  (dt, ds, transport_kinds)]  # the last: a fusion Fits serving its view
         for view, built_on, kinds in cases:
-            fresh = self._bits(view, c, theta0, kinds)
+            fresh = self._bits(view, c, kinds)
             for order in (kinds, kinds[::-1]):
-                shared = Fits(built_on, c, theta0)
-                assert self._bits(view, c, theta0, order, fits=shared) == fresh
+                shared = Fits(built_on, c)
+                assert self._bits(view, c, order, fits=shared) == fresh

@@ -315,6 +315,6 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     monkeypatch.setattr(solver, "assemble_sampling",
                         counted("assemble_sampling", solver.assemble_sampling))
     kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
-    results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95, "empirical", 10))
+    results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95, "empirical"))
     assert [r.kind for r in results if not r.failed] == list(kinds)
     assert calls == {"fit_logistic": 5, "assemble_sampling": 1}

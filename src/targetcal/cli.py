@@ -38,8 +38,14 @@ from .sim import RNG_ALGORITHM, RunnerConfig, run_experiment
 DEFAULT_ESTIMATORS = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T"
 DEFAULT_ESTIMATORS_FUSION = "UNADJ,GCOMP,TMLE,AUG_T,CAL_T,AUG_F,CAL_F,CBPS"
 DEFAULT_SIM_ESTIMATORS = "TMLE,AUG_T,CAL_T,AUG_F,CAL_F"
-# Config keys holding a list, written as a comma-separated string like the flag.
-LISTED_KEYS = {"scenarios", "sizes", "estimators", "balance_columns"}
+# Config keys whose value has one JSON type, with how to write it: a list is
+# a comma-separated string like the flag, a path a string, a switch a bool.
+TYPED_KEYS = {
+    **dict.fromkeys(("scenarios", "sizes", "estimators", "balance_columns"),
+                    (str, "a comma-separated string")),
+    **dict.fromkeys(("input", "target_input", "out"), (str, "a path string")),
+    "per_replicate": (bool, "true or false"),
+}
 
 # The calibration weights each estimator leaves in smd.csv: the Fits member
 # that holds them.
@@ -81,9 +87,10 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in LISTED_KEYS & set(raw):
-        if raw[key] is not None and not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a comma-separated string, got {raw[key]!r}")
+    for key in TYPED_KEYS.keys() & raw.keys():
+        kind, written = TYPED_KEYS[key]
+        if raw[key] is not None and not isinstance(raw[key], kind):
+            raise ConfigError(f"{key}: expected {written}, got {raw[key]!r}")
     return raw
 
 

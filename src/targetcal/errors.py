@@ -46,16 +46,27 @@ class OutOfRangeError(TargetcalError):
 
 
 class NotConvergedError(TargetcalError):
-    """Solver hit its iteration limit, typically signalling an infeasible primal.
+    """A solver stopped without meeting its constraints.
+
+    The entropy dual raises it in two cases: it proved the primal infeasible
+    with a Farkas certificate (``direction`` is set), or it reached its
+    iteration limit or stalled, which usually means the same but proves
+    nothing (``direction`` is None). Either signals an overlap violation.
 
     Attributes:
         worst_constraint: index of the constraint with the largest relative
             violation at the last iterate, to aid overlap diagnosis.
+        direction: unit vector d over the constraints with a_i . d >= 0 on
+            every active row and b . d < 0 (up to tolerance), or None. Its
+            largest entries point at the constraints that cannot be met
+            together.
     """
 
-    def __init__(self, message: str, worst_constraint: int | None = None):
+    def __init__(self, message: str, worst_constraint: int | None = None,
+                 direction=None):
         super().__init__(message)
         self.worst_constraint = worst_constraint
+        self.direction = direction
 
 
 class DegenerateOutcomeError(TargetcalError):

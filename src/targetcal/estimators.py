@@ -10,6 +10,7 @@ same dataset share them.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import glm, solver
 from .data import BalanceMatrix, Dataset, effective_sample_size, target_moments
-from .errors import DegenerateOutcomeError, EmptyArmError, ModeError
+from .errors import DegenerateOutcomeError, EmptyArmError, ModeError, TargetcalError
 
 
 class EstimatorKind(enum.Enum):
@@ -59,6 +60,27 @@ def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
     return models, glm.predict(models[0], c.c), glm.predict(models[1], c.c)
 
 
+class _cached_solve(cached_property):
+    """A Fits cached_property that also caches a TargetcalError raised on
+    first use (in ``Fits._failures``) and raises it again on later reads.
+
+    The cache holds a copy without a traceback, and each read raises a fresh
+    copy: a traceback's frames hold the Fits, and the reference cycle would
+    keep every failed Fits alive until the garbage collector runs."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        failed = instance._failures.get(self.attrname)
+        if failed is not None:
+            raise copy.copy(failed)
+        try:
+            return super().__get__(instance, owner)
+        except TargetcalError as exc:
+            instance._failures[self.attrname] = copy.copy(exc)
+            raise
+
+
 class Fits:
     """One dataset's context: its balance matrix, the target moments theta0
     (the target-sample means of the balance columns), and its nuisance fits
@@ -66,29 +88,32 @@ class Fits:
 
     Every member except ``fusion`` reads only the balance matrix, the sample
     indicator and study-sample treatment and outcome, so a Fits built on a
-    fusion dataset also serves its transport view. A solve or fit that
-    raises is not cached: the next reader tries again and raises the same
-    error. Readers share the cached arrays, so none may modify them.
+    fusion dataset also serves its transport view. A calibration solve
+    (``sampling``, ``transport``, ``fusion``) that raises caches its error,
+    and every later read raises it again without solving; a fit that raises
+    is not cached, and the next reader tries again. Readers share the cached
+    arrays, so none may modify them.
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
         self.dataset = dataset
         self.c = c
         self.theta0 = target_moments(c, dataset.s)
+        self._failures = {}
 
-    @cached_property
+    @_cached_solve
     def sampling(self) -> solver.DualSolution:
         """Study-sample weights calibrated to the target moments."""
         return solver.solve_entropy_dual(
             solver.assemble_sampling(self.c, self.dataset.s, self.theta0))
 
-    @cached_property
+    @_cached_solve
     def transport(self) -> solver.DualSolution:
         """Joint arm-balance and sampling calibration of the study sample."""
         return solver.solve_entropy_dual(
             solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0))
 
-    @cached_property
+    @_cached_solve
     def fusion(self) -> tuple:
         """Per-sample arm-balance solves (target, study); reads target z."""
         if self.dataset.mode != "fusion":

@@ -23,6 +23,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +39,8 @@ from .errors import EmptyArmError, EmptyTargetError, NotConvergedError
 GRAD_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 500
+# Relative tolerance of the Farkas infeasibility test in solve_entropy_dual.
+FARKAS_TOL = 1e-9
 # iterative_calibration: largest weight change that ends it, and pass limit.
 ITERATIVE_TOL = 1e-12
 ITERATIVE_MAX_OUTER = 500
@@ -104,13 +107,14 @@ def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
 
 
 def dual_gradient(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
-    w = _active_weights(problem, eta)
+    w = _active_weights(problem, problem.a @ eta)
     return problem.b - problem.a.T @ w
 
 
-def _active_weights(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
+def _active_weights(problem: EntropyProblem, u: np.ndarray) -> np.ndarray:
+    """Weights base_i * exp(-u_i) for u = a @ eta."""
     with np.errstate(over="ignore"):
-        w = np.exp(-(problem.a @ eta))
+        w = np.exp(-u)
     if problem.base is not None:
         w = w * problem.base
     return w
@@ -120,10 +124,23 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     """Minimize the dual by damped Newton with Armijo backtracking.
 
     Starts from eta = 0 (unit weights). Falls back to a gradient step when
-    the Hessian solve fails numerically. Raises NotConvergedError when the
-    iteration limit is exceeded, carrying the index of the worst-violated
-    constraint; this typically signals an infeasible primal (severe overlap
-    violation).
+    the Hessian solve fails numerically.
+
+    Every iterate is also tested for a Farkas certificate of an infeasible
+    primal: with d = eta / ||eta||, a_i . d >= 0 on every active row and
+    b . d < 0 (each up to FARKAS_TOL, relative to max|a| and ||b||_1). Then
+    no w >= 0 satisfies a^T w = b, and the dual decreases without bound
+    along d, so the solve stops there. The test reuses the a @ eta product
+    the weights need. A feasible problem can meet it only through the
+    tolerances, when b lies within them of the boundary of the cone spanned
+    by the rows of a; elsewhere its iterates, and so its solution, are
+    exactly those of the plain Newton loop.
+
+    Raises NotConvergedError when a certificate is found (``direction``
+    holds d), or when the iteration limit is reached or the line search
+    stalls with the constraints unmet (``direction`` is None). Either way
+    ``worst_constraint`` names the constraint with the largest relative
+    violation at the last iterate.
     """
     a, b = problem.a, problem.b
     if a.ndim != 2 or a.shape[0] == 0:
@@ -132,23 +149,36 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     k = a.shape[1]
     b_scale = 1.0 + np.abs(b)
 
+    # Certificate tolerances: a_i . d may dip below zero by rounding, in
+    # proportion to the size of the entries of a; b . d must be clearly
+    # negative on the scale of b.
+    row_tol = -FARKAS_TOL * float(np.abs(a).max())
+    b_tol = -FARKAS_TOL * float(np.abs(b).sum())
+
     eta = np.zeros(k)
     f_val = dual_objective(problem, eta)
     iterations = 0
+    direction = None
     for iterations in range(1, max_iter + 1):
-        w = _active_weights(problem, eta)
+        u = a @ eta
+        w = _active_weights(problem, u)
         grad = b - a.T @ w
-        grad_norm = float(np.max(np.abs(grad)))
-        if float(np.max(np.abs(grad) / b_scale)) <= GRAD_TOL:
+        rel = float(np.max(np.abs(grad) / b_scale))
+        if rel <= GRAD_TOL:
             break
+        b_eta = float(b @ eta)
+        if b_eta < 0.0:  # the cheap half of the test first
+            eta_norm = math.sqrt(eta @ eta)
+            if b_eta < b_tol * eta_norm and u.min() >= row_tol * eta_norm:
+                direction = eta / eta_norm
+                break
         hess = (a * w[:, None]).T @ a
         try:
             step = np.linalg.solve(hess, -grad)
             if not np.isfinite(step).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            scale = max(grad_norm, 1.0)
-            step = -grad / scale
+            step = -grad / max(float(np.max(np.abs(grad))), 1.0)
         slope = float(grad @ step)
         if slope >= 0.0:
             step = -grad
@@ -158,12 +188,11 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             # Objective differences are below float resolution of f; take a
             # pure Newton step guarded by the gradient instead.
             trial = eta + step
-            rel_now = float(np.max(np.abs(grad) / b_scale))
             # Weights that overflow at the trial make its gradient NaN, which
             # the isfinite guard below rejects.
             with np.errstate(invalid="ignore"):
                 rel_trial = float(np.max(np.abs(dual_gradient(problem, trial)) / b_scale))
-            if np.isfinite(rel_trial) and rel_trial < rel_now:
+            if np.isfinite(rel_trial) and rel_trial < rel:
                 eta = trial
                 f_val = dual_objective(problem, eta)
                 accepted = True
@@ -180,12 +209,15 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
         if not accepted:
             # Step direction exhausted; report the violation as-is.
             break
-    w = _active_weights(problem, eta)
-    with np.errstate(invalid="ignore"):
-        violation = np.abs(a.T @ w - b) / b_scale
-        grad_norm = float(np.max(np.abs(b - a.T @ w)))
+    else:
+        # Every break leaves w and grad at eta; the cap leaves a new iterate.
+        w = _active_weights(problem, a @ eta)
+        with np.errstate(invalid="ignore"):
+            grad = b - a.T @ w
+    violation = np.abs(grad) / b_scale
+    grad_norm = float(np.max(np.abs(grad)))
     residual = float(np.max(violation))
-    converged = residual <= RESIDUAL_TOL
+    converged = direction is None and residual <= RESIDUAL_TOL
     if _TRACE is not None:
         _TRACE(
             {
@@ -197,6 +229,15 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
                 "converged": converged,
                 "eta": eta.copy(),
             }
+        )
+    if direction is not None:
+        j = int(np.argmax(np.abs(direction)))
+        raise NotConvergedError(
+            f"entropy dual is infeasible: Farkas certificate at iteration {iterations} "
+            f"(relative residual {residual:.3e}); constraint {j} carries the largest "
+            f"weight {direction[j]:+.3f} in the certifying direction",
+            worst_constraint=int(np.argmax(violation)),
+            direction=direction,
         )
     if not converged:
         raise NotConvergedError(

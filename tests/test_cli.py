@@ -276,13 +276,19 @@ class TestConfigValidation:
         "estimate_estimators_list": ("estimate", {"estimators": ["CAL_T"]}, [], "estimators"),
         "estimate_balance_columns_list": ("estimate", {"balance_columns": ["x1"]}, [],
                                           "balance_columns"),
+        "estimate_input_list": ("estimate", {"input": ["a.csv"]}, [], "input"),
+        "estimate_target_input_list": ("estimate", {"target_input": ["b.csv"]}, [],
+                                       "target_input"),
+        "diagnose_out_number": ("diagnose", {"out": 3}, [], "out"),
+        "simulate_per_replicate_string": ("simulate", {"per_replicate": "no"}, [],
+                                          "per_replicate"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rejected(self, demo_csv, tmp_path, capsys, case):
         command, config, flags, key = self.CASES[case]
         argv = [command, "--out", str(tmp_path / "o"), *flags]
-        if command != "simulate":
+        if command != "simulate" and "input" not in (config or {}):
             argv += ["--input", str(demo_csv)]
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -301,6 +307,15 @@ class TestConfigValidation:
                      "CAL_T", "--config", str(cfg), "--out", str(out)]) == 0
         echo = json.loads((out / "config.json").read_text())
         assert (echo["oracle_n"], echo["reps"]) == (50000, 2)
+
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_per_replicate_switch(self, tmp_path, switch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle_n": 5e4, "reps": 2, "per_replicate": switch}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenarios", "A", "--sizes", "60", "--estimators",
+                     "CAL_T", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "replicates.csv").exists() is switch
 
 
 def test_verbose_solver_dump(demo_csv, tmp_path):

@@ -1,13 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from targetcal import solver
 from targetcal.data import (
     BalanceMatrix,
     Dataset,
     build_balance_matrix,
     standardized_mean_differences,
 )
-from targetcal.errors import DegenerateOutcomeError, ModeError
+from targetcal.errors import DegenerateOutcomeError, ModeError, NotConvergedError
 from targetcal.estimators import (
     EstimatorKind,
     Fits,
@@ -21,6 +24,7 @@ from targetcal.estimators import (
     tau_tmle,
     tau_unadjusted,
 )
+from targetcal.sim import SCENARIOS, derive_seed, generate
 
 from conftest import draw_row_a
 
@@ -307,3 +311,25 @@ def test_benchmark_cohort_follows_mode(baseline_balance):
         assert len(cbps.weights_used) == cohort.sum()
         assert np.array_equal(cbps.nuisance["z"], z)
         assert np.array_equal(cbps.nuisance["y"], y)
+
+
+def test_failed_solve_is_cached(monkeypatch):
+    # A scenario-B replicate whose sampling problem is infeasible: AUG_F reads
+    # the error AUG_T's solve left in the shared Fits instead of solving again.
+    ds = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
+    fits = Fits(ds, build_balance_matrix(ds))
+    calls = Counter()
+    for name in ("assemble_sampling", "solve_entropy_dual"):
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    messages = []
+    for view, kind in ((ds.to_transport(), EstimatorKind.AUG_T), (ds, EstimatorKind.AUG_F)):
+        with pytest.raises(NotConvergedError) as err:
+            compute_tau(view, kind, fits)
+        messages.append(str(err.value))
+    assert calls == {"assemble_sampling": 1, "solve_entropy_dual": 1}
+    assert messages[0] == messages[1]
+    assert "Farkas certificate" in messages[0]

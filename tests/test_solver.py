@@ -1,12 +1,13 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from targetcal.data import build_balance_matrix, target_moments
-from targetcal.errors import NotConvergedError, RankDeficientError
-from targetcal.sim import SCENARIOS, derive_seed, generate
+from targetcal.errors import DegenerateDrawError, NotConvergedError, RankDeficientError
+from targetcal.sim import MAX_REDRAWS, SCENARIOS, derive_seed, generate
 from targetcal.solver import (
     EntropyProblem,
     assemble_ate_benchmark,
@@ -289,19 +290,84 @@ class TestIterativeCalibration:
         assert hajek(alt.weights) == pytest.approx(hajek(joint.weights), abs=1e-6)
 
 
-def test_infeasible_solve_emits_no_warning():
-    # A scenario-B replicate with no overlap: the pure-Newton branch tries a
-    # point whose weights overflow; it must be rejected without a warning.
+def _overlap_violation():
+    """A scenario-B replicate with no overlap: its transport problem and the
+    study-sample fusion problem are infeasible."""
     ds = generate(SCENARIOS["B"], 500, derive_seed(7, "B", 500, 2, 0))
     c = build_balance_matrix(ds)
     theta0 = target_moments(c, ds.s)
-    problems = [assemble_transport(c, ds.s, ds.z, theta0),
-                assemble_fusion(c, ds.s, ds.z, theta0)[1]]
-    for problem in problems:
+    return c, [assemble_transport(c, ds.s, ds.z, theta0),
+               assemble_fusion(c, ds.s, ds.z, theta0)[1]]
+
+
+def test_infeasible_solve_emits_no_warning():
+    # The pure-Newton branch tries a point whose weights overflow; it must be
+    # rejected without a warning.
+    for problem in _overlap_violation()[1]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotConvergedError):
                 solve_entropy_dual(problem)
+
+
+def test_infeasible_solve_carries_farkas_certificate():
+    c, problems = _overlap_violation()
+    for problem in problems:
+        with pytest.raises(NotConvergedError) as err:
+            solve_entropy_dual(problem, max_iter=50)
+        d = err.value.direction
+        assert d is not None, "no certificate within 50 iterations"
+        a, b = problem.a, problem.b
+        assert np.linalg.norm(d) == pytest.approx(1.0)
+        assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
+        assert b @ d < -1e-9 * np.sum(np.abs(b))
+        j = int(np.argmax(np.abs(d)))
+        assert f"constraint {j}" in str(err.value)
+        # Rows are [(2z-1) c_i, c_i], so constraint j is on column j % m. Here
+        # d = (-v, v): no control unit has c_i . v < 0, where the target mean
+        # lies, and the plane's offset (the intercept) weighs the most.
+        assert d.shape == (2 * c.m,)
+        assert np.allclose(d[:c.m], -d[c.m:], atol=1e-6)
+        assert c.names[j % c.m] == "intercept"
+        assert err.value.worst_constraint is not None
+
+
+def _campaign_b500_problems():
+    """Every sampling, transport and fusion problem of the 40 fixed
+    scenario-B draws (n=500, master seeds 0-7, replicates 0-4) that the
+    campaign_b500 benchmark replays, drawn as run_experiment draws them."""
+    for master in range(8):
+        for rep in range(5):
+            for attempt in range(MAX_REDRAWS):
+                try:
+                    ds = generate(SCENARIOS["B"], 500,
+                                  derive_seed(master, "B", 500, rep, attempt))
+                    break
+                except DegenerateDrawError:
+                    continue
+            c = build_balance_matrix(ds)
+            theta0 = target_moments(c, ds.s)
+            yield assemble_sampling(c, ds.s, theta0)
+            yield assemble_transport(c, ds.s, ds.z, theta0)
+            yield from assemble_fusion(c, ds.s, ds.z, theta0)
+
+
+def test_certificates_agree_with_lp_feasibility():
+    """A certified problem has no w >= 0 with a^T w = b, and every other
+    problem converges; an LP feasibility check decides each independently."""
+    verdicts = Counter()
+    for problem in _campaign_b500_problems():
+        lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
+                     bounds=(0, None), method="highs")
+        assert lp.status in (0, 2)  # feasible, infeasible
+        try:
+            solve_entropy_dual(problem)
+            verdict = "converged"
+        except NotConvergedError as exc:
+            verdict = "uncertified" if exc.direction is None else "certified"
+        assert verdict == ("certified" if lp.status == 2 else "converged")
+        verdicts[verdict] += 1
+    assert verdicts["certified"] > 0 and verdicts["converged"] > 0
 
 
 def test_exact_balance_over_random_instances():

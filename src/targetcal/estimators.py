@@ -88,11 +88,12 @@ class Fits:
 
     Every member except ``fusion`` reads only the balance matrix, the sample
     indicator and study-sample treatment and outcome, so a Fits built on a
-    fusion dataset also serves its transport view. A calibration solve
+    fusion dataset also serves its transport view; the study half of
+    ``fusion`` is the ``transport`` solution itself. A calibration solve
     (``sampling``, ``transport``, ``fusion``) that raises caches its error,
     and every later read raises it again without solving; a fit that raises
     is not cached, and the next reader tries again. Readers share the cached
-    arrays, so none may modify them.
+    arrays, so none may modify them (a solution's arrays are read-only).
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
@@ -115,11 +116,13 @@ class Fits:
 
     @_cached_solve
     def fusion(self) -> tuple:
-        """Per-sample arm-balance solves (target, study); reads target z."""
+        """Per-sample arm-balance solves (target, study); reads target z. The
+        study-sample problem is the transport one, so the study half is
+        ``self.transport``, solved after the target half."""
         if self.dataset.mode != "fusion":
             raise ModeError("requested z values include unobserved entries")
-        return tuple(map(solver.solve_entropy_dual, solver.assemble_fusion(
-            self.c, self.dataset.s, self.dataset.z, self.theta0)))
+        return solver.solve_entropy_dual(solver.assemble_fusion(
+            self.c, self.dataset.s, self.dataset.z, self.theta0)), self.transport
 
     @cached_property
     def rho(self) -> np.ndarray:

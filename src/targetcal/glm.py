@@ -30,13 +30,11 @@ def logit(p: np.ndarray) -> np.ndarray:
 
 
 def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function from one e = exp(-|x|), so neither branch overflows;
+    -|x| is taken as min(x, -x), which keeps the sign of a NaN."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def clip_probability(p: np.ndarray) -> np.ndarray:
@@ -56,7 +54,7 @@ class GlmFit:
 
 def _quasi_loglik(y, mu, w) -> float:
     mu = clip_probability(mu)
-    return float(np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
+    return float((w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))).sum())
 
 
 def fit_logistic(
@@ -86,15 +84,15 @@ def fit_logistic(
     # rounding of the score sum leaves reachable at large n.
     score_tol = np.maximum(1e-9, 1e-12 * (w @ np.abs(design)))
 
+    # mu is always the mean at beta: an accepted trial hands on its own mean.
     beta = np.zeros(p)
-    ll = _quasi_loglik(y, expit(o), w)
+    mu = expit(o)
+    ll = _quasi_loglik(y, mu, w)
     converged = False
     separated = False
     for _ in range(MAX_IRLS_ITER):
-        lp = design @ beta + o
-        mu = expit(lp)
         score = design.T @ (w * (y - mu))
-        if np.all(np.abs(score) <= score_tol):
+        if (np.abs(score) <= score_tol).all():
             converged = True
             break
         info = (design * (w * mu * (1.0 - mu))[:, None]).T @ design
@@ -105,14 +103,15 @@ def fit_logistic(
         t = 1.0
         for _ in range(40):
             trial = beta + t * step
-            ll_trial = _quasi_loglik(y, expit(design @ trial + o), w)
+            mu_trial = expit(design @ trial + o)
+            ll_trial = _quasi_loglik(y, mu_trial, w)
             if ll_trial >= ll - 1e-12:
-                beta, ll = trial, ll_trial
+                beta, mu, ll = trial, mu_trial, ll_trial
                 break
             t *= 0.5
         else:
             break
-        if np.max(np.abs(beta)) > SEPARATION_NORM:
+        if np.abs(beta).max() > SEPARATION_NORM:
             separated = True
             warnings.warn(
                 "logistic fit appears separated; coefficients truncated",
@@ -120,12 +119,11 @@ def fit_logistic(
                 stacklevel=2,
             )
             break
-    fitted = clip_probability(expit(design @ beta + o))
     return GlmFit(
         coefficients=beta,
         family="logistic",
         converged=converged and not separated,
-        fitted=fitted,
+        fitted=clip_probability(mu),
         separated=separated,
     )
 

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BalanceMatrix, check_full_rank
+from .data import BalanceMatrix, _freeze, check_full_rank
 from .errors import EmptyArmError, EmptyTargetError, NotConvergedError
 
 # Stopping rule defaults. The gradient of the dual equals the signed
@@ -91,6 +91,10 @@ class DualSolution:
     grad_norm: float
     constraint_residual: float
 
+    def __post_init__(self):  # shared by every reader of a Fits: read-only
+        for name in ("eta", "weights"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
 
 def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
     """Evaluate f(eta), centering the exponent so overflow surfaces as inf."""
@@ -98,11 +102,11 @@ def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
     e = -u
     if problem.base is not None:
         e = e + np.log(problem.base)
-    m = float(np.max(e))
+    m = float(e.max())
     if m > 700.0:
         return float("inf")
     with np.errstate(over="ignore"):
-        total = np.exp(m) * float(np.sum(np.exp(e - m)))
+        total = np.exp(m) * float(np.exp(e - m).sum())
     return total + float(problem.b @ eta)
 
 
@@ -163,7 +167,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
         u = a @ eta
         w = _active_weights(problem, u)
         grad = b - a.T @ w
-        rel = float(np.max(np.abs(grad) / b_scale))
+        rel = float((np.abs(grad) / b_scale).max())
         if rel <= GRAD_TOL:
             break
         b_eta = float(b @ eta)
@@ -178,7 +182,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             if not np.isfinite(step).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            step = -grad / max(float(np.max(np.abs(grad))), 1.0)
+            step = -grad / max(float(np.abs(grad).max()), 1.0)
         slope = float(grad @ step)
         if slope >= 0.0:
             step = -grad
@@ -191,7 +195,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             # Weights that overflow at the trial make its gradient NaN, which
             # the isfinite guard below rejects.
             with np.errstate(invalid="ignore"):
-                rel_trial = float(np.max(np.abs(dual_gradient(problem, trial)) / b_scale))
+                rel_trial = float((np.abs(dual_gradient(problem, trial)) / b_scale).max())
             if np.isfinite(rel_trial) and rel_trial < rel:
                 eta = trial
                 f_val = dual_objective(problem, eta)
@@ -297,18 +301,12 @@ def assemble_transport(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -
     return _arm_balance(c, z, active, theta0, "study sample")
 
 
-def assemble_fusion(
-    c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0
-) -> tuple[EntropyProblem, EntropyProblem]:
-    """One arm balance per sample, both aimed at theta0.
-
-    Returns (target-sample problem, study-sample problem); the target-sample
-    block is the weight-stabilization constraint set with totals n0 * theta0.
-    """
-    s = np.asarray(s)
-    return tuple(
-        _arm_balance(c, z, np.flatnonzero(s == g), theta0, f"sample s={g}") for g in (0, 1)
-    )
+def assemble_fusion(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -> EntropyProblem:
+    """The target-sample half of data fusion: the arm balance of the target
+    sample aimed at theta0, the weight-stabilization constraint set with
+    totals n0 * theta0. The study-sample half is the assemble_transport
+    problem."""
+    return _arm_balance(c, z, np.flatnonzero(np.asarray(s) == 0), theta0, "sample s=0")
 
 
 def assemble_ate_benchmark(c: BalanceMatrix, z: np.ndarray) -> EntropyProblem:

@@ -1,5 +1,6 @@
-"""Per-cell and per-column reference implementations of the columnar data
-path in targetcal.data, kept only for tests to compare against.
+"""Reference implementations kept only for tests to compare against: the
+per-cell and per-column forms of the columnar data path in targetcal.data,
+and the two-branch logistic function glm.expit replaced.
 
 `read_csv_columns_per_cell` parses one cell at a time with the csv module;
 `export_scores_per_row` writes one row at a time; `smd_per_column` reduces
@@ -119,4 +120,16 @@ def smd_per_column(c, group, weights=None):
             out[j] = 0.0
         else:
             out[j] = diff / pooled
+    return out
+
+
+def expit_two_branch(x):
+    """1 / (1 + exp(-x)) on x >= 0 and exp(x) / (1 + exp(x)) elsewhere, each
+    computed on its own gathered subset and scattered back."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out

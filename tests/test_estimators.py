@@ -24,6 +24,7 @@ from targetcal.estimators import (
     tau_tmle,
     tau_unadjusted,
 )
+from targetcal.inference import estimate_with_ci
 from targetcal.sim import SCENARIOS, derive_seed, generate
 
 from conftest import draw_row_a
@@ -331,5 +332,57 @@ def test_failed_solve_is_cached(monkeypatch):
             compute_tau(view, kind, fits)
         messages.append(str(err.value))
     assert calls == {"assemble_sampling": 1, "solve_entropy_dual": 1}
+    assert messages[0] == messages[1]
+    assert "Farkas certificate" in messages[0]
+
+
+def test_fusion_study_half_is_the_transport_solve(baseline_balance):
+    ds, c = baseline_balance
+    fits = Fits(ds, c)
+    assert fits.fusion[1] is fits.transport
+
+
+def test_dual_solutions_are_read_only(baseline_balance):
+    # CAL_T, CAL_F, their sandwiches and the CLI's weight sets share one
+    # solution, so an in-place edit by one reader must fail.
+    ds, c = baseline_balance
+    sol = Fits(ds, c).transport
+    for array in (sol.weights, sol.eta):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_cal_fusion_bits_do_not_depend_on_order(baseline_balance):
+    ds, c = baseline_balance
+    first = Fits(ds, c)
+    before = estimate_with_ci(ds, first, kind=EstimatorKind.CAL_F)
+    second = Fits(ds, c)
+    estimate_with_ci(ds.to_transport(), second, kind=EstimatorKind.CAL_T)
+    after = estimate_with_ci(ds, second, kind=EstimatorKind.CAL_F)
+    assert before.tau_hat.hex() == after.tau_hat.hex()
+    assert before.se.hex() == after.se.hex()
+
+
+@pytest.mark.parametrize("order", [("CAL_T", "CAL_F"), ("CAL_F", "CAL_T")])
+def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, order):
+    # A scenario-B replicate whose study-sample (transport) problem is
+    # infeasible while its target-sample fusion problem is feasible: CAL_T
+    # and CAL_F raise the same certified error from one study-sample solve.
+    ds = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
+    fits = Fits(ds, build_balance_matrix(ds))
+    calls = Counter()
+    for name in ("assemble_transport", "assemble_fusion", "solve_entropy_dual"):
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    messages = []
+    for kind in map(EstimatorKind, order):
+        view = ds if kind is EstimatorKind.CAL_F else ds.to_transport()
+        with pytest.raises(NotConvergedError) as err:
+            compute_tau(view, kind, fits)
+        messages.append(str(err.value))
+    assert calls == {"assemble_transport": 1, "assemble_fusion": 1, "solve_entropy_dual": 2}
     assert messages[0] == messages[1]
     assert "Farkas certificate" in messages[0]

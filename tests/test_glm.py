@@ -4,9 +4,10 @@ import pytest
 from targetcal import sim
 from targetcal.data import build_balance_matrix
 from targetcal.errors import DimensionMismatchError, RankDeficientError
-from targetcal.glm import expit, fit_linear, fit_logistic, logit, predict
+from targetcal.glm import clip_probability, expit, fit_linear, fit_logistic, logit, predict
 
 from conftest import sigmoid
+from oracles import expit_two_branch
 
 
 class TestLogistic:
@@ -164,3 +165,42 @@ class TestPredict:
         assert np.all(big <= 1 - 1e-6)
         small = predict(fit, -np.ones((2, 1)))
         assert np.all(small >= 1e-6)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_expit_matches_two_branch_oracle_bit_for_bit():
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+             36.0, -36.0, 709.0, -709.0, 745.0, -745.0]
+    x = np.concatenate([edges, 50.0 * np.random.default_rng(4).standard_normal(10_001)])
+    assert np.array_equal(_bits(expit(x)), _bits(expit_two_branch(x)))
+
+
+def _logistic_cases():
+    rng = np.random.default_rng(8)
+    n = 300
+    design = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    y = (rng.random(n) < sigmoid(design[:, 1])).astype(float)
+    yield "plain", design, y, None, None
+    yield "weighted", design, y, rng.random(n) + 0.5, None
+    yield "offset", design, rng.uniform(0.05, 0.95, n), None, 0.5 * rng.standard_normal(n)
+    x = np.array([-0.003, -0.002, -0.001, 0.001, 0.002, 0.003])
+    yield "separated", np.column_stack([np.ones(6), x]), (x > 0).astype(float), None, None
+
+
+@pytest.mark.parametrize("case", list(_logistic_cases()), ids=lambda case: case[0])
+def test_fitted_is_the_mean_at_the_coefficients(case):
+    # fit_logistic hands each accepted trial's mean on instead of recomputing
+    # it; the stored fitted values must be the mean at the final coefficients.
+    name, design, y, weights, offset = case
+    if name == "separated":
+        with pytest.warns(RuntimeWarning, match="separated"):
+            fit = fit_logistic(design, y, weights=weights, offset=offset)
+        assert fit.separated
+    else:
+        fit = fit_logistic(design, y, weights=weights, offset=offset)
+        assert fit.converged
+    lp = design @ fit.coefficients + (0.0 if offset is None else offset)
+    assert np.array_equal(_bits(fit.fitted), _bits(clip_probability(expit(lp))))

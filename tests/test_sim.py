@@ -302,8 +302,10 @@ class TestRunner:
 def test_replicate_shares_one_nuisance_plan(monkeypatch):
     # TMLE, AUG_T and AUG_F share the propensity fit and TMLE's sampling
     # score; AUG_T and AUG_F share one sampling solve. Only TMLE's two
-    # initial outcome fits and its fluctuation fit are its own.
-    calls = {"fit_logistic": 0, "assemble_sampling": 0}
+    # initial outcome fits and its fluctuation fit are its own. CAL_F takes
+    # its study-sample solve from CAL_T, so three solves serve the replicate:
+    # sampling, transport and the target-sample fusion half.
+    calls = {"fit_logistic": 0, "assemble_sampling": 0, "solve_entropy_dual": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,7 +316,9 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     monkeypatch.setattr(glm, "fit_logistic", counted("fit_logistic", glm.fit_logistic))
     monkeypatch.setattr(solver, "assemble_sampling",
                         counted("assemble_sampling", solver.assemble_sampling))
+    monkeypatch.setattr(solver, "solve_entropy_dual",
+                        counted("solve_entropy_dual", solver.solve_entropy_dual))
     kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
     results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95, "empirical"))
     assert [r.kind for r in results if not r.failed] == list(kinds)
-    assert calls == {"fit_logistic": 5, "assemble_sampling": 1}
+    assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3}

@@ -183,7 +183,9 @@ class TestAssemblies:
         ds = random_feasible_transport(rng, n=200, m=3)
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        for sample, prob in zip((0, 1), assemble_fusion(c, ds.s, ds.z, theta0)):
+        halves = (assemble_fusion(c, ds.s, ds.z, theta0),
+                  assemble_transport(c, ds.s, ds.z, theta0))
+        for sample, prob in zip((0, 1), halves):
             sol = solve_entropy_dual(prob)
             mask = ds.s == sample
             w = sol.weights[mask]
@@ -291,51 +293,49 @@ class TestIterativeCalibration:
 
 
 def _overlap_violation():
-    """A scenario-B replicate with no overlap: its transport problem and the
-    study-sample fusion problem are infeasible."""
+    """A scenario-B replicate with no overlap: its transport problem, which is
+    also the study-sample half of data fusion, is infeasible."""
     ds = generate(SCENARIOS["B"], 500, derive_seed(7, "B", 500, 2, 0))
     c = build_balance_matrix(ds)
     theta0 = target_moments(c, ds.s)
-    return c, [assemble_transport(c, ds.s, ds.z, theta0),
-               assemble_fusion(c, ds.s, ds.z, theta0)[1]]
+    return c, assemble_transport(c, ds.s, ds.z, theta0)
 
 
 def test_infeasible_solve_emits_no_warning():
     # The pure-Newton branch tries a point whose weights overflow; it must be
     # rejected without a warning.
-    for problem in _overlap_violation()[1]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotConvergedError):
-                solve_entropy_dual(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvergedError):
+            solve_entropy_dual(_overlap_violation()[1])
 
 
 def test_infeasible_solve_carries_farkas_certificate():
-    c, problems = _overlap_violation()
-    for problem in problems:
-        with pytest.raises(NotConvergedError) as err:
-            solve_entropy_dual(problem, max_iter=50)
-        d = err.value.direction
-        assert d is not None, "no certificate within 50 iterations"
-        a, b = problem.a, problem.b
-        assert np.linalg.norm(d) == pytest.approx(1.0)
-        assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
-        assert b @ d < -1e-9 * np.sum(np.abs(b))
-        j = int(np.argmax(np.abs(d)))
-        assert f"constraint {j}" in str(err.value)
-        # Rows are [(2z-1) c_i, c_i], so constraint j is on column j % m. Here
-        # d = (-v, v): no control unit has c_i . v < 0, where the target mean
-        # lies, and the plane's offset (the intercept) weighs the most.
-        assert d.shape == (2 * c.m,)
-        assert np.allclose(d[:c.m], -d[c.m:], atol=1e-6)
-        assert c.names[j % c.m] == "intercept"
-        assert err.value.worst_constraint is not None
+    c, problem = _overlap_violation()
+    with pytest.raises(NotConvergedError) as err:
+        solve_entropy_dual(problem, max_iter=50)
+    d = err.value.direction
+    assert d is not None, "no certificate within 50 iterations"
+    a, b = problem.a, problem.b
+    assert np.linalg.norm(d) == pytest.approx(1.0)
+    assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
+    assert b @ d < -1e-9 * np.sum(np.abs(b))
+    j = int(np.argmax(np.abs(d)))
+    assert f"constraint {j}" in str(err.value)
+    # Rows are [(2z-1) c_i, c_i], so constraint j is on column j % m. Here
+    # d = (-v, v): no control unit has c_i . v < 0, where the target mean
+    # lies, and the plane's offset (the intercept) weighs the most.
+    assert d.shape == (2 * c.m,)
+    assert np.allclose(d[:c.m], -d[c.m:], atol=1e-6)
+    assert c.names[j % c.m] == "intercept"
+    assert err.value.worst_constraint is not None
 
 
 def _campaign_b500_problems():
-    """Every sampling, transport and fusion problem of the 40 fixed
-    scenario-B draws (n=500, master seeds 0-7, replicates 0-4) that the
-    campaign_b500 benchmark replays, drawn as run_experiment draws them."""
+    """Every distinct sampling, transport and fusion (target-sample) problem
+    of the 40 fixed scenario-B draws (n=500, master seeds 0-7, replicates
+    0-4) that the campaign_b500 benchmark replays, drawn as run_experiment
+    draws them; the study-sample half of fusion is the transport problem."""
     for master in range(8):
         for rep in range(5):
             for attempt in range(MAX_REDRAWS):
@@ -349,7 +349,7 @@ def _campaign_b500_problems():
             theta0 = target_moments(c, ds.s)
             yield assemble_sampling(c, ds.s, theta0)
             yield assemble_transport(c, ds.s, ds.z, theta0)
-            yield from assemble_fusion(c, ds.s, ds.z, theta0)
+            yield assemble_fusion(c, ds.s, ds.z, theta0)
 
 
 def test_certificates_agree_with_lp_feasibility():

@@ -20,7 +20,6 @@ from .data import (
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 from .inference import (
     EstimateReport,
-    VarianceReport,
     confidence_interval,
     estimate_with_ci,
     influence_variance,
@@ -34,7 +33,6 @@ from .solver import (
     assemble_fusion,
     assemble_sampling,
     assemble_transport,
-    iterative_calibration,
     solve_entropy_dual,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "EstimatorKind",
     "Fits",
     "TauEstimate",
-    "VarianceReport",
     "assemble_ate_benchmark",
     "assemble_fusion",
     "assemble_sampling",
@@ -62,7 +59,6 @@ __all__ = [
     "estimate_with_ci",
     "export_scores",
     "influence_variance",
-    "iterative_calibration",
     "load_dataset_csv",
     "sandwich_variance_fusion",
     "sandwich_variance_transport",

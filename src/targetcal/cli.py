@@ -132,9 +132,12 @@ def _parse_estimators(text: str) -> list:
         if not token:
             continue
         try:
-            kinds.append(EstimatorKind(token))
+            kind = EstimatorKind(token)
         except ValueError:
             raise ConfigError(f"unknown estimator '{token}'") from None
+        if kind in kinds:
+            raise ConfigError(f"estimator '{token}' is requested twice")
+        kinds.append(kind)
     if not kinds:
         raise ConfigError("no estimators requested")
     return kinds

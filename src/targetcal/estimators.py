@@ -193,7 +193,9 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     propensity score from ``fits``; regress the standardized outcome on the
     two score-derived covariates with the initial fit as a fixed offset (no
     intercept); update, unstandardize, and average the updated contrast over
-    the target sample.
+    the target sample. The nuisance holds the updated arm means ``mu0``,
+    ``mu1`` and the sampling-score odds q = (n1/n0)(1 - rho)/rho, which weigh
+    the study units in the influence variance.
     """
     c = fits.c
     study = dataset.s == 1
@@ -224,12 +226,13 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     fluct = glm.fit_logistic(np.column_stack([h0, h1]), y_star, offset=offset)
     eps0, eps1 = fluct.coefficients
 
-    eta0 = y_lo + (y_hi - y_lo) * glm.expit(glm.logit(mu0_star) + eps0 * ratio0)
-    eta1 = y_lo + (y_hi - y_lo) * glm.expit(glm.logit(mu1_star) + eps1 * ratio1)
-    tau = float(np.mean(eta1[target] - eta0[target]))
+    mu0 = y_lo + (y_hi - y_lo) * glm.expit(glm.logit(mu0_star) + eps0 * ratio0)
+    mu1 = y_lo + (y_hi - y_lo) * glm.expit(glm.logit(mu1_star) + eps1 * ratio1)
+    tau = float(np.mean(mu1[target] - mu0[target]))
+    q = (dataset.n_study / dataset.n_target) * (1.0 - rho) / rho
     return TauEstimate(
         tau_hat=tau,
-        nuisance={"epsilon": (float(eps0), float(eps1)), "eta0": eta0, "eta1": eta1,
+        nuisance={"epsilon": (float(eps0), float(eps1)), "q": q, "mu0": mu0, "mu1": mu1,
                   "outcome_range": (y_lo, y_hi)},
     )
 
@@ -247,7 +250,7 @@ def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate
 
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)
-    return TauEstimate(tau_hat=tau, weights_used=q, nuisance={"mu0": mu0, "mu1": mu1})
+    return TauEstimate(tau_hat=tau, weights_used=q, nuisance={"q": q, "mu0": mu0, "mu1": mu1})
 
 
 def tau_aug_transport(dataset: Dataset, fits: Fits) -> TauEstimate:

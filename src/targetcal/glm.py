@@ -1,6 +1,6 @@
 """Minimal generalized-linear-model fitting for the nuisance models:
 logistic scores, fractional-logistic outcome fits on a standardized scale,
-and weighted least squares for outcome means.
+and least squares for outcome means.
 """
 
 from __future__ import annotations
@@ -52,18 +52,13 @@ class GlmFit:
     separated: bool = False
 
 
-def _quasi_loglik(y, mu, w) -> float:
+def _quasi_loglik(y, mu) -> float:
     mu = clip_probability(mu)
-    return float((w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))).sum())
+    return float((y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)).sum())
 
 
-def fit_logistic(
-    design: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-) -> GlmFit:
-    """Weighted Bernoulli quasi-likelihood fit by Newton scoring.
+def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None) -> GlmFit:
+    """Bernoulli quasi-likelihood fit by Newton scoring.
 
     Accepts fractional responses in [0, 1] and an optional fixed offset added
     to the linear predictor. Step-halving keeps the quasi-deviance
@@ -77,25 +72,25 @@ def fit_logistic(
         raise DimensionMismatchError("response length does not match design")
     if np.any((y < 0) | (y > 1)):
         raise ValueError("logistic responses must lie in [0, 1]")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    check_full_rank(design * np.sqrt(w)[:, None], "logistic design")
+    check_full_rank(design, "logistic design")
     # Per-coefficient score tolerance: 1e-9 absolute, raised to what float
-    # rounding of the score sum leaves reachable at large n.
-    score_tol = np.maximum(1e-9, 1e-12 * (w @ np.abs(design)))
+    # rounding of the score sum leaves reachable at large n. The column sums
+    # are a dot product with ones: np.sum rounds some of them differently.
+    score_tol = np.maximum(1e-9, 1e-12 * (np.ones(n) @ np.abs(design)))
 
     # mu is always the mean at beta: an accepted trial hands on its own mean.
     beta = np.zeros(p)
     mu = expit(o)
-    ll = _quasi_loglik(y, mu, w)
+    ll = _quasi_loglik(y, mu)
     converged = False
     separated = False
     for _ in range(MAX_IRLS_ITER):
-        score = design.T @ (w * (y - mu))
+        score = design.T @ (y - mu)
         if (np.abs(score) <= score_tol).all():
             converged = True
             break
-        info = (design * (w * mu * (1.0 - mu))[:, None]).T @ design
+        info = (design * (mu * (1.0 - mu))[:, None]).T @ design
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -104,7 +99,7 @@ def fit_logistic(
         for _ in range(40):
             trial = beta + t * step
             mu_trial = expit(design @ trial + o)
-            ll_trial = _quasi_loglik(y, mu_trial, w)
+            ll_trial = _quasi_loglik(y, mu_trial)
             if ll_trial >= ll - 1e-12:
                 beta, mu, ll = trial, mu_trial, ll_trial
                 break
@@ -128,21 +123,14 @@ def fit_logistic(
     )
 
 
-def fit_linear(
-    design: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> GlmFit:
-    """Weighted least squares via the scaled normal equations (lstsq)."""
+def fit_linear(design: np.ndarray, y: np.ndarray) -> GlmFit:
+    """Ordinary least squares (lstsq)."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, _ = design.shape
-    if y.shape != (n,):
+    if y.shape != (design.shape[0],):
         raise DimensionMismatchError("response length does not match design")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    sw = np.sqrt(w)
-    check_full_rank(design * sw[:, None], "linear design")
-    beta, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+    check_full_rank(design, "linear design")
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ beta
     return GlmFit(coefficients=beta, family="linear", converged=True, fitted=fitted)
 

@@ -4,9 +4,10 @@ The calibration estimators get an M-estimation sandwich built from one
 stacked system of estimating equations over the calibrated groups (the
 study sample for transport, both samples for data fusion): target moments,
 one dual pair per group, effect. The augmented and TMLE estimators get a
-plug-in influence-function variance. Every variance function reads
-(dataset, fits, estimate, level): the data, its ``Fits`` context (balance
-matrix, target moments, nuisance fits and solves) and the point estimate.
+plug-in influence-function variance. Every variance function maps
+(dataset, fits, estimate) to a standard error: the data, its ``Fits``
+context (balance matrix, target moments, nuisance fits and solves) and the
+point estimate. ``estimate_with_ci`` builds the one normal interval.
 Duals enter the stack in the (gamma, delta) parameterization, where the unit
 weight is exp(-z c'delta - c'gamma); the solver's (lambda, gamma_joint)
 vectors convert via gamma = gamma_joint - lambda, delta = 2 lambda, which
@@ -28,15 +29,6 @@ from .errors import (
     SingularJacobianError,
 )
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    se: float
-    ci_low: float
-    ci_high: float
-    method: str
-    level: float
 
 
 def normal_quantile(p: float) -> float:
@@ -143,7 +135,7 @@ def _check_solvable(A: np.ndarray) -> None:
 
 
 def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple,
-                       tau_hat: float, level: float) -> VarianceReport:
+                       tau_hat: float) -> float:
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
@@ -157,42 +149,34 @@ def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple
     e_tau = np.zeros(len(nu))
     e_tau[-1] = 1.0
     x = np.linalg.solve(A.T, e_tau)
-    se = math.sqrt(float(np.sum((psi @ x) ** 2)))
-    low, high = confidence_interval(tau_hat, se, level)
-    return VarianceReport(se=se, ci_low=low, ci_high=high, method="sandwich", level=level)
+    return math.sqrt(float(np.sum((psi @ x) ** 2)))
 
 
-def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate,
-                                level: float = 0.95) -> VarianceReport:
-    """Robust variance for the transport calibration estimator (3m+1 stack)."""
-    return _sandwich_variance(dataset, fits, (fits.transport,), (1,), estimate.tau_hat, level)
+def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
+    """Robust SE for the transport calibration estimator (3m+1 stack)."""
+    return _sandwich_variance(dataset, fits, (fits.transport,), (1,), estimate.tau_hat)
 
 
-def sandwich_variance_fusion(dataset: Dataset, fits: Fits, estimate: TauEstimate,
-                             level: float = 0.95) -> VarianceReport:
-    """Robust variance for the data-fusion calibration estimator (5m+1 stack)."""
-    return _sandwich_variance(dataset, fits, fits.fusion, (0, 1), estimate.tau_hat, level)
+def sandwich_variance_fusion(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
+    """Robust SE for the data-fusion calibration estimator (5m+1 stack)."""
+    return _sandwich_variance(dataset, fits, fits.fusion, (0, 1), estimate.tau_hat)
 
 
-def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
-                       level: float = 0.95) -> VarianceReport:
-    """Plug-in influence-function variance for the augmented and TMLE paths.
+def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
+    """Plug-in influence-function SE for the augmented and TMLE paths.
 
-    Study units contribute the weighted residual contrast scaled by n/n1;
-    target units contribute the centered model contrast scaled by n/n0.
-    TMLE weighs by the sampling-score odds (n1/n0)(1 - rho)/rho. The
-    construction is an approximation (it takes the nuisance fits as fixed)
-    and empirically errs conservative when models are misspecified.
+    Reads the estimate's sampling weights ``q`` and arm means ``mu0``,
+    ``mu1`` (on every unit) from its nuisance. Study units contribute the
+    q-weighted residual contrast scaled by n/n1; target units contribute the
+    centered model contrast scaled by n/n0. The construction is an
+    approximation (it takes the nuisance fits as fixed) and empirically errs
+    conservative when models are misspecified.
     """
-    kind = estimate.kind
-    if kind is EstimatorKind.TMLE:
-        q = (dataset.n_study / dataset.n_target) * (1.0 - fits.rho) / fits.rho
-        mu1, mu0 = estimate.nuisance["eta1"], estimate.nuisance["eta0"]
-    elif kind in (EstimatorKind.AUG_T, EstimatorKind.AUG_F):
-        q = estimate.weights_used
-        mu1, mu0 = estimate.nuisance["mu1"], estimate.nuisance["mu0"]
-    else:
-        raise MissingComponentsError(f"influence variance not defined for {kind}")
+    try:
+        q, mu0, mu1 = (estimate.nuisance[key] for key in ("q", "mu0", "mu1"))
+    except KeyError:
+        raise MissingComponentsError(
+            f"influence variance not defined for {estimate.kind}") from None
     pi = fits.pi
     tau_hat = estimate.tau_hat
     study = dataset.s == 1
@@ -203,9 +187,7 @@ def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
     d = np.zeros(n)
     d[study] = (n / n1) * q[study] * resid
     d[target] = (n / n0) * (mu1[target] - mu0[target] - tau_hat)
-    se = math.sqrt(float(np.mean(d ** 2)) / n)
-    low, high = confidence_interval(tau_hat, se, level)
-    return VarianceReport(se=se, ci_low=low, ci_high=high, method="influence", level=level)
+    return math.sqrt(float(np.mean(d ** 2)) / n)
 
 
 def _welch_variance(y1: np.ndarray, y0: np.ndarray) -> float:
@@ -252,34 +234,27 @@ def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
     """
     est = compute_tau(dataset, kind, fits)
     if kind is EstimatorKind.CAL_T:
-        variance = sandwich_variance_transport
+        variance, method = sandwich_variance_transport, "sandwich"
     elif kind is EstimatorKind.CAL_F:
-        variance = sandwich_variance_fusion
+        variance, method = sandwich_variance_fusion, "sandwich"
     elif kind in (EstimatorKind.TMLE, EstimatorKind.AUG_T, EstimatorKind.AUG_F):
-        variance = influence_variance
+        variance, method = influence_variance, "influence"
     else:
-        variance = descriptive_variance
-    report = variance(dataset, fits, est, level)
-    return EstimateReport(
-        tau_hat=est.tau_hat,
-        se=report.se,
-        ci_low=report.ci_low,
-        ci_high=report.ci_high,
-        kind=kind,
-        method=report.method,
-        level=level,
-        estimate=est,
-    )
+        variance, method = descriptive_variance, "influence"
+    se = variance(dataset, fits, est)
+    low, high = confidence_interval(est.tau_hat, se, level)
+    return EstimateReport(tau_hat=est.tau_hat, se=se, ci_low=low, ci_high=high, kind=kind,
+                          method=method, level=level, estimate=est)
 
 
-def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
-                         level: float = 0.95) -> VarianceReport:
+def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
     """Approximate SEs for the benchmark estimators.
 
     UNADJ uses the Welch two-sample variance; CBPS a weighted Welch variance
     on effective sample sizes; GCOMP the outcome-regression delta method with
-    HC0 coefficient covariances. All labeled method="influence" since they
-    are plug-in influence approximations outside the sandwich stack.
+    HC0 coefficient covariances. ``estimate_with_ci`` labels all three
+    method="influence": they are plug-in influence approximations outside the
+    sandwich stack.
     """
     kind = estimate.kind
     if kind is EstimatorKind.UNADJ:
@@ -307,6 +282,4 @@ def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate,
         var += float(np.sum((contrast - estimate.tau_hat) ** 2)) / dataset.n_target ** 2
     else:
         raise MissingComponentsError(f"no descriptive variance for {kind}")
-    se = math.sqrt(max(var, 0.0))
-    low, high = confidence_interval(estimate.tau_hat, se, level)
-    return VarianceReport(se=se, ci_low=low, ci_high=high, method="influence", level=level)
+    return math.sqrt(max(var, 0.0))

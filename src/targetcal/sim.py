@@ -312,6 +312,16 @@ class RunnerConfig:
             raise ConfigError("confidence level must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.oracle_n < 1:
+            raise ConfigError("oracle_n must be >= 1")
+        # A repeated value would run its cells twice and pool both runs.
+        for label, values in (("scenario", self.scenarios), ("sample size", self.ns),
+                              ("estimator", [getattr(k, "value", k) for k in self.kinds])):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise ConfigError(f"{label} '{value}' is requested twice")
+                seen.add(value)
 
 
 def _evaluate_replicate(task: tuple) -> list:

@@ -3,14 +3,14 @@ assemblies behind every calibration problem in the package.
 
 All calibration weights here solve a primal program of the form
 
-    minimize   sum_i base_i * (w_i log w_i - w_i)      over active units
-    subject to sum_i a_i w_i * base_i = b,
+    minimize   sum_i (w_i log w_i - w_i)      over active units
+    subject to sum_i a_i w_i = b,
 
 whose Lagrangian dual reduces to the smooth convex minimization
 
-    f(eta) = sum_i base_i * exp(-a_i . eta) + b . eta,
+    f(eta) = sum_i exp(-a_i . eta) + b . eta,
 
-with implied weights w_i = base_i * exp(-a_i . eta). Stationarity of f is
+with implied weights w_i = exp(-a_i . eta). Stationarity of f is
 exactly the primal constraint set, so a converged dual solution delivers
 exact balance up to the residual tolerance.
 
@@ -41,9 +41,6 @@ RESIDUAL_TOL = 1e-8
 MAX_ITER = 500
 # Relative tolerance of the Farkas infeasibility test in solve_entropy_dual.
 FARKAS_TOL = 1e-9
-# iterative_calibration: largest weight change that ends it, and pass limit.
-ITERATIVE_TOL = 1e-12
-ITERATIVE_MAX_OUTER = 500
 
 # Optional per-solve trace hook, installed by the CLI verbosity flag. It is
 # called with a summary dict after every solve attempt.
@@ -61,23 +58,19 @@ class EntropyProblem:
 
     ``a`` has one row per active unit; ``b`` holds the constraint targets;
     ``active_rows`` maps rows of ``a`` back to unit indices out of ``n_units``
-    so the returned weight vector can be full length. ``base`` is an optional
-    base measure (used by the iterative calibration cross-check).
+    so the returned weight vector can be full length.
     """
 
     a: np.ndarray
     b: np.ndarray
     active_rows: np.ndarray
     n_units: int
-    base: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "active_rows", np.asarray(self.active_rows, dtype=np.intp))
-        if self.base is not None:
-            object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -86,9 +79,7 @@ class DualSolution:
 
     eta: np.ndarray
     weights: np.ndarray
-    converged: bool
     iterations: int
-    grad_norm: float
     constraint_residual: float
 
     def __post_init__(self):  # shared by every reader of a Fits: read-only
@@ -98,10 +89,7 @@ class DualSolution:
 
 def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
     """Evaluate f(eta), centering the exponent so overflow surfaces as inf."""
-    u = problem.a @ eta
-    e = -u
-    if problem.base is not None:
-        e = e + np.log(problem.base)
+    e = -(problem.a @ eta)
     m = float(e.max())
     if m > 700.0:
         return float("inf")
@@ -111,17 +99,14 @@ def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
 
 
 def dual_gradient(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
-    w = _active_weights(problem, problem.a @ eta)
+    w = _active_weights(problem.a @ eta)
     return problem.b - problem.a.T @ w
 
 
-def _active_weights(problem: EntropyProblem, u: np.ndarray) -> np.ndarray:
-    """Weights base_i * exp(-u_i) for u = a @ eta."""
+def _active_weights(u: np.ndarray) -> np.ndarray:
+    """Weights exp(-u_i) for u = a @ eta."""
     with np.errstate(over="ignore"):
-        w = np.exp(-u)
-    if problem.base is not None:
-        w = w * problem.base
-    return w
+        return np.exp(-u)
 
 
 def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> DualSolution:
@@ -165,7 +150,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     direction = None
     for iterations in range(1, max_iter + 1):
         u = a @ eta
-        w = _active_weights(problem, u)
+        w = _active_weights(u)
         grad = b - a.T @ w
         rel = float((np.abs(grad) / b_scale).max())
         if rel <= GRAD_TOL:
@@ -215,11 +200,10 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             break
     else:
         # Every break leaves w and grad at eta; the cap leaves a new iterate.
-        w = _active_weights(problem, a @ eta)
+        w = _active_weights(a @ eta)
         with np.errstate(invalid="ignore"):
             grad = b - a.T @ w
     violation = np.abs(grad) / b_scale
-    grad_norm = float(np.max(np.abs(grad)))
     residual = float(np.max(violation))
     converged = direction is None and residual <= RESIDUAL_TOL
     if _TRACE is not None:
@@ -228,7 +212,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
                 "k": k,
                 "n_active": a.shape[0],
                 "iterations": iterations,
-                "grad_norm": grad_norm,
+                "grad_norm": float(np.max(np.abs(grad))),
                 "constraint_residual": residual,
                 "converged": converged,
                 "eta": eta.copy(),
@@ -251,14 +235,8 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
         )
     weights = np.zeros(problem.n_units)
     weights[problem.active_rows] = w
-    return DualSolution(
-        eta=eta,
-        weights=weights,
-        converged=True,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        constraint_residual=residual,
-    )
+    return DualSolution(eta=eta, weights=weights, iterations=iterations,
+                        constraint_residual=residual)
 
 
 def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.ndarray,
@@ -314,57 +292,3 @@ def assemble_ate_benchmark(c: BalanceMatrix, z: np.ndarray) -> EntropyProblem:
     full-sample balance means (totals n * theta_full)."""
     return _arm_balance(c, z, np.arange(c.n), c.c.mean(axis=0), "sample")
 
-
-def iterative_calibration(c: BalanceMatrix, s: np.ndarray, z: np.ndarray,
-                          theta0) -> DualSolution:
-    """Alternating sampling-update / balance-update scheme.
-
-    Each pass first re-tilts the current weights to hit the sampling
-    constraints (with the running weights as base measure), then re-tilts to
-    zero out the treatment contrast. The fixed point satisfies both
-    constraint families and therefore coincides with the joint
-    assemble_transport solution. Kept as an independent cross-check of the
-    joint solver.
-    """
-    joint = assemble_transport(c, s, z, theta0)
-    m = c.m
-    # Contiguous copies: on strided views BLAS may sum in another order.
-    contrast, c_act = (np.ascontiguousarray(block) for block in np.hsplit(joint.a, 2))
-    n1 = c_act.shape[0]
-    gamma_total = np.zeros(m)
-    lambda_total = np.zeros(m)
-    p = np.ones(n1)
-    outer = 0
-    for outer in range(1, ITERATIVE_MAX_OUTER + 1):
-        samp = EntropyProblem(
-            a=c_act, b=joint.b[m:], active_rows=np.arange(n1), n_units=n1, base=p
-        )
-        samp_sol = solve_entropy_dual(samp)
-        gamma_total += samp_sol.eta
-        q = p * np.exp(-(c_act @ samp_sol.eta))
-        bal = EntropyProblem(
-            a=contrast, b=joint.b[:m], active_rows=np.arange(n1), n_units=n1, base=q
-        )
-        bal_sol = solve_entropy_dual(bal)
-        lambda_total += bal_sol.eta
-        p_new = q * np.exp(-(contrast @ bal_sol.eta))
-        delta = float(np.max(np.abs(p_new - p)))
-        p = p_new
-        if delta <= ITERATIVE_TOL:
-            break
-    else:
-        raise NotConvergedError(
-            f"iterative calibration did not stabilize in {ITERATIVE_MAX_OUTER} passes"
-        )
-    eta = np.concatenate([lambda_total, gamma_total])
-    resid_vec = np.abs(joint.a.T @ p - joint.b) / (1.0 + np.abs(joint.b))
-    weights = np.zeros(joint.n_units)
-    weights[joint.active_rows] = p
-    return DualSolution(
-        eta=eta,
-        weights=weights,
-        converged=True,
-        iterations=outer,
-        grad_norm=float(np.max(np.abs(joint.b - joint.a.T @ p))),
-        constraint_residual=float(np.max(resid_vec)),
-    )

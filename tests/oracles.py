@@ -1,6 +1,7 @@
 """Reference implementations kept only for tests to compare against: the
 per-cell and per-column forms of the columnar data path in targetcal.data,
-and the two-branch logistic function glm.expit replaced.
+the two-branch logistic function glm.expit replaced, and the alternating
+sampling/balance calibration that cross-checks the joint transport solve.
 
 `read_csv_columns_per_cell` parses one cell at a time with the csv module;
 `export_scores_per_row` writes one row at a time; `smd_per_column` reduces
@@ -13,7 +14,12 @@ import csv
 
 import numpy as np
 
-from targetcal.errors import EmptyArmError, SchemaError, ZeroVarianceError
+from targetcal.errors import EmptyArmError, NotConvergedError, SchemaError, ZeroVarianceError
+from targetcal.solver import assemble_transport
+
+# iterative_calibration: largest weight change that ends it, and pass limit.
+ITERATIVE_TOL = 1e-12
+ITERATIVE_MAX_OUTER = 500
 
 
 def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
@@ -133,3 +139,57 @@ def expit_two_branch(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _tilt(a, b, base):
+    """Re-tilt the base measure to meet a^T w = b: w = base * exp(-a @ eta),
+    eta a root of the gradient b - a^T w, found by Newton steps each halved
+    until the gradient norm drops (its own solver, not the one it checks)."""
+    scale = 1.0 + np.abs(b)
+    eta = np.zeros(a.shape[1])
+    w = base
+    grad = b - a.T @ w
+    for _ in range(100):
+        if np.max(np.abs(grad) / scale) <= 1e-12:
+            break
+        step = np.linalg.solve((a * w[:, None]).T @ a, -grad)
+        norm = np.linalg.norm(grad)
+        for t in 0.5 ** np.arange(60):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_t = base * np.exp(-(a @ (eta + t * step)))
+                g_t = b - a.T @ w_t
+            if np.linalg.norm(g_t) <= (1.0 - 1e-4 * t) * norm:
+                break
+        else:
+            break  # the gradient no longer resolves a decrease
+        eta, w, grad = eta + t * step, w_t, g_t
+    if np.max(np.abs(grad) / scale) > 1e-8:
+        raise NotConvergedError("base-measure tilt did not converge")
+    return w
+
+
+def iterative_calibration(c, s, z, theta0):
+    """Alternating sampling-update / balance-update scheme.
+
+    Each pass first re-tilts the current weights to hit the sampling
+    constraints, then re-tilts them to zero out the treatment contrast. The
+    fixed point satisfies both constraint families, so it coincides with the
+    joint assemble_transport solution. Returns the full-length weights and
+    the number of passes.
+    """
+    joint = assemble_transport(c, s, z, theta0)
+    m = c.m
+    contrast, c_act = np.hsplit(joint.a, 2)
+    p = np.ones(c_act.shape[0])
+    for passes in range(1, ITERATIVE_MAX_OUTER + 1):
+        p_new = _tilt(contrast, joint.b[:m], _tilt(c_act, joint.b[m:], p))
+        delta = float(np.max(np.abs(p_new - p)))
+        p = p_new
+        if delta <= ITERATIVE_TOL:
+            break
+    else:
+        raise NotConvergedError(
+            f"iterative calibration did not stabilize in {ITERATIVE_MAX_OUTER} passes")
+    weights = np.zeros(joint.n_units)
+    weights[joint.active_rows] = p
+    return weights, passes

@@ -282,6 +282,15 @@ class TestConfigValidation:
         "diagnose_out_number": ("diagnose", {"out": 3}, [], "out"),
         "simulate_per_replicate_string": ("simulate", {"per_replicate": "no"}, [],
                                           "per_replicate"),
+        "simulate_oracle_n_zero": ("simulate", None, ["--oracle-n", "0"], "oracle_n"),
+        "simulate_repeated_scenario": ("simulate", None, ["--scenarios", "A,A"],
+                                       "scenario 'A'"),
+        "simulate_repeated_size": ("simulate", None, ["--sizes", "60,60"],
+                                   "sample size '60'"),
+        "simulate_repeated_estimator": ("simulate", None, ["--estimators", "CAL_T,CAL_T"],
+                                        "estimator 'CAL_T'"),
+        "estimate_repeated_estimator": ("estimate", None, ["--estimators", "CAL_T,cal_t"],
+                                        "estimator 'CAL_T'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

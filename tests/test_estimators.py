@@ -119,7 +119,7 @@ class TestTmle:
         dt = ds.to_transport()
         est = tau_tmle(dt, Fits(dt, c))
         y_lo, y_hi = est.nuisance["outcome_range"]
-        for key in ("eta0", "eta1"):
+        for key in ("mu0", "mu1"):
             assert np.all(est.nuisance[key] >= y_lo - 1e-12)
             assert np.all(est.nuisance[key] <= y_hi + 1e-12)
 

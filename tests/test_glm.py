@@ -42,10 +42,9 @@ class TestLogistic:
         x = rng.standard_normal((n, 2))
         design = np.column_stack([np.ones(n), x])
         y = (rng.random(n) < sigmoid(x[:, 0])).astype(float)
-        w = rng.random(n) + 0.5
-        fit = fit_logistic(design, y, weights=w)
+        fit = fit_logistic(design, y)
         mu = expit(design @ fit.coefficients)
-        score = design.T @ (w * (y - mu))
+        score = design.T @ (y - mu)
         assert np.max(np.abs(score)) <= 1e-8
 
     def test_large_n_sampling_score_converges(self):
@@ -74,15 +73,6 @@ class TestLogistic:
         assert fit.separated
         assert not fit.converged
 
-    def test_equal_weights_match_unweighted(self):
-        rng = np.random.default_rng(5)
-        n = 300
-        design = np.column_stack([np.ones(n), rng.standard_normal(n)])
-        y = (rng.random(n) < 0.4).astype(float)
-        fit1 = fit_logistic(design, y)
-        fit2 = fit_logistic(design, y, weights=np.full(n, 2.5))
-        assert np.allclose(fit1.coefficients, fit2.coefficients, atol=1e-8)
-
 
 class TestLinear:
     def test_exact_fit_zero_residuals(self):
@@ -102,9 +92,8 @@ class TestLinear:
         rng = np.random.default_rng(4)
         design = np.column_stack([np.ones(80), rng.standard_normal((80, 3))])
         y = rng.standard_normal(80)
-        w = rng.random(80) + 0.2
-        fit = fit_linear(design, y, weights=w)
-        normal = np.linalg.solve(design.T @ (design * w[:, None]), design.T @ (w * y))
+        fit = fit_linear(design, y)
+        normal = np.linalg.solve(design.T @ design, design.T @ y)
         assert np.max(np.abs(fit.coefficients - normal) / (1 + np.abs(normal))) < 1e-10
 
     def test_residuals_orthogonal(self):
@@ -183,24 +172,23 @@ def _logistic_cases():
     n = 300
     design = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
     y = (rng.random(n) < sigmoid(design[:, 1])).astype(float)
-    yield "plain", design, y, None, None
-    yield "weighted", design, y, rng.random(n) + 0.5, None
-    yield "offset", design, rng.uniform(0.05, 0.95, n), None, 0.5 * rng.standard_normal(n)
+    yield "plain", design, y, None
+    yield "offset", design, rng.uniform(0.05, 0.95, n), 0.5 * rng.standard_normal(n)
     x = np.array([-0.003, -0.002, -0.001, 0.001, 0.002, 0.003])
-    yield "separated", np.column_stack([np.ones(6), x]), (x > 0).astype(float), None, None
+    yield "separated", np.column_stack([np.ones(6), x]), (x > 0).astype(float), None
 
 
 @pytest.mark.parametrize("case", list(_logistic_cases()), ids=lambda case: case[0])
 def test_fitted_is_the_mean_at_the_coefficients(case):
     # fit_logistic hands each accepted trial's mean on instead of recomputing
     # it; the stored fitted values must be the mean at the final coefficients.
-    name, design, y, weights, offset = case
+    name, design, y, offset = case
     if name == "separated":
         with pytest.warns(RuntimeWarning, match="separated"):
-            fit = fit_logistic(design, y, weights=weights, offset=offset)
+            fit = fit_logistic(design, y, offset=offset)
         assert fit.separated
     else:
-        fit = fit_logistic(design, y, weights=weights, offset=offset)
+        fit = fit_logistic(design, y, offset=offset)
         assert fit.converged
     lp = design @ fit.coefficients + (0.0 if offset is None else offset)
     assert np.array_equal(_bits(fit.fitted), _bits(clip_probability(expit(lp))))

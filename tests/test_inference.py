@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -144,9 +146,9 @@ class TestTransportSystem:
 class TestSandwich:
     def test_transport_report_brackets_truth(self):
         ds, dt, c, fits, est, _ = fitted_transport()
-        report = sandwich_variance_transport(dt, fits, est)
+        report = estimate_with_ci(dt, fits, kind=EstimatorKind.CAL_T)
         assert report.method == "sandwich"
-        assert report.se > 0
+        assert report.se == sandwich_variance_transport(dt, fits, est) > 0
         assert report.ci_low <= est.tau_hat <= report.ci_high
 
     def test_covariance_psd(self):
@@ -156,19 +158,19 @@ class TestSandwich:
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
-        report = sandwich_variance_transport(dt, fits, est)
-        assert report.se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
+        se = sandwich_variance_transport(dt, fits, est)
+        assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
     def test_unit_order_invariance(self):
         ds, dt, c, fits, est, _ = fitted_transport(seed=99, n=400)
-        base = sandwich_variance_transport(dt, fits, est).se
+        base = sandwich_variance_transport(dt, fits, est)
         perm = np.random.default_rng(1).permutation(ds.n)
         ds_p = Dataset.fusion(ds.s[perm], ds.z[perm], ds.y[perm], ds.x[perm])
         c_p = build_balance_matrix(ds_p)
         dt_p = ds_p.to_transport()
         fits_p = Fits(dt_p, c_p)
         est_p = tau_cal_transport(dt_p, fits_p)
-        se_p = sandwich_variance_transport(dt_p, fits_p, est_p).se
+        se_p = sandwich_variance_transport(dt_p, fits_p, est_p)
         assert se_p == pytest.approx(base, rel=1e-8)
 
     def test_fusion_residuals_and_jacobian(self):
@@ -195,13 +197,13 @@ class TestSandwich:
                 - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(0, 1))[0].sum(axis=0)
             ) / (2 * h)
         assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
-        report = sandwich_variance_fusion(ds, fits, est)
-        assert report.se > 0
+        se = sandwich_variance_fusion(ds, fits, est)
+        assert se > 0
         bread = np.linalg.solve(A, psi.T)
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
-        assert report.se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
+        assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
 
 class TestInfluence:
@@ -219,8 +221,7 @@ class TestInfluence:
         dt = ds.to_transport()
         fits = Fits(dt, c)
         est = compute_tau(dt, EstimatorKind.AUG_T, fits)
-        report = influence_variance(dt, fits, est)
-        assert report.se == pytest.approx(0.0, abs=1e-10)
+        assert influence_variance(dt, fits, est) == pytest.approx(0.0, abs=1e-10)
 
     def test_missing_components_rejected(self):
         dt = draw_row_a(300, np.random.default_rng(9)).to_transport()
@@ -231,13 +232,21 @@ class TestInfluence:
 
 
 class TestEstimateWithCi:
-    def test_every_kind_produces_interval(self, baseline_balance):
+    @pytest.mark.parametrize("level", [0.90, 0.95])
+    def test_every_kind_produces_interval(self, baseline_balance, level):
+        # One interval path for every kind: the SE is the one at the default
+        # level, and the half-width is the normal quantile times the SE.
         ds, c = baseline_balance
+        zq = NormalDist().inv_cdf(0.5 + level / 2)
         for kind in EstimatorKind:
-            view = ds if kind in (EstimatorKind.AUG_F, EstimatorKind.CAL_F) else ds.to_transport()
-            report = estimate_with_ci(view, Fits(view, c), kind=kind)
+            view = ds if kind in FUSION_ONLY else ds.to_transport()
+            report = estimate_with_ci(view, Fits(view, c), kind=kind, level=level)
+            default = estimate_with_ci(view, Fits(view, c), kind=kind)
             assert np.isfinite(report.se)
+            assert report.se == default.se
             assert report.ci_low <= report.tau_hat <= report.ci_high
+            assert report.ci_low == report.tau_hat - zq * report.se
+            assert report.ci_high == report.tau_hat + zq * report.se
 
     def test_interval_level_monotone(self, baseline_balance):
         ds, c = baseline_balance

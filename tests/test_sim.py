@@ -288,6 +288,22 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_experiment(RunnerConfig(reps=0))
 
+    @pytest.mark.parametrize("field, values, named", [
+        ("scenarios", ("A", "B", "A"), "scenario 'A'"),
+        ("ns", (60, 60), "sample size '60'"),
+        ("kinds", (EstimatorKind.CAL_T, "CAL_T"), "estimator 'CAL_T'"),
+    ])
+    def test_repeated_value_rejected(self, field, values, named):
+        # A repeat would run its cells twice and pool both runs into one row.
+        cfg = RunnerConfig(reps=1, tau0_overrides={"A": -4.0, "B": -3.5}, **{field: values})
+        with pytest.raises(ConfigError, match=named):
+            cfg.validate()
+
+    @pytest.mark.parametrize("oracle_n", [0, -5])
+    def test_oracle_n_must_be_positive(self, oracle_n):
+        with pytest.raises(ConfigError, match="oracle_n must be >= 1"):
+            RunnerConfig(oracle_n=oracle_n).validate()
+
     def test_smoke_two_reps_all_scenarios(self):
         cfg = RunnerConfig(scenarios=tuple("ABCDEFGH"), ns=(120,), reps=2,
                            kinds=(EstimatorKind.CAL_T,), seed=9, oracle_n=50_000)

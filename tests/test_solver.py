@@ -16,11 +16,11 @@ from targetcal.solver import (
     assemble_transport,
     dual_gradient,
     dual_objective,
-    iterative_calibration,
     solve_entropy_dual,
 )
 
 from conftest import draw_row_a, random_feasible_transport
+from oracles import iterative_calibration
 
 
 def nelder_mead_eta(problem, k, maxiter=200_000):
@@ -261,17 +261,17 @@ class TestIterativeCalibration:
         ds = Dataset.fusion(s, z, np.ones(8), x)
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
-        sol = iterative_calibration(c, ds.s, ds.z, theta0)
-        assert sol.iterations == 1
-        assert np.allclose(sol.weights[ds.s == 1], 1.0, atol=1e-9)
+        weights, passes = iterative_calibration(c, ds.s, ds.z, theta0)
+        assert passes == 1
+        assert np.allclose(weights[ds.s == 1], 1.0, atol=1e-9)
 
     def test_matches_joint_solution(self):
         ds = draw_row_a(500, np.random.default_rng(55))
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
         joint = solve_entropy_dual(assemble_transport(c, ds.s, ds.z, theta0))
-        alt = iterative_calibration(c, ds.s, ds.z, theta0)
-        assert np.max(np.abs(alt.weights - joint.weights)) < 1e-6
+        alt, _ = iterative_calibration(c, ds.s, ds.z, theta0)
+        assert np.max(np.abs(alt - joint.weights)) < 1e-6
 
     def test_hajek_estimates_agree(self):
         rng = np.random.default_rng(77)
@@ -279,7 +279,7 @@ class TestIterativeCalibration:
         c = build_balance_matrix(ds)
         theta0 = target_moments(c, ds.s)
         joint = solve_entropy_dual(assemble_transport(c, ds.s, ds.z, theta0))
-        alt = iterative_calibration(c, ds.s, ds.z, theta0)
+        alt, _ = iterative_calibration(c, ds.s, ds.z, theta0)
         study = ds.s == 1
 
         def hajek(w):
@@ -289,7 +289,7 @@ class TestIterativeCalibration:
             return (np.average(y[z == 1], weights=ws[z == 1])
                     - np.average(y[z == 0], weights=ws[z == 0]))
 
-        assert hajek(alt.weights) == pytest.approx(hajek(joint.weights), abs=1e-6)
+        assert hajek(alt) == pytest.approx(hajek(joint.weights), abs=1e-6)
 
 
 def _overlap_violation():

@@ -251,7 +251,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         spec = BalanceSpec.identity(dataset.x.shape[1], names=cov_names)
     c = build_balance_matrix(dataset, spec)
     default = DEFAULT_ESTIMATORS_FUSION if mode == "fusion" else DEFAULT_ESTIMATORS
-    kinds = _parse_estimators(cfg["estimators"] or default)
+    kinds = _parse_estimators(default if cfg["estimators"] is None else cfg["estimators"])
     fits = Fits(dataset, c)
 
     results, failures = [], []
@@ -300,7 +300,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, keys)
     scenarios = tuple((cfg["scenarios"] or "A,B,C,D,E,F,G,H").replace(" ", "").split(","))
     sizes = tuple(_number("sizes", v, int) for v in (cfg["sizes"] or "500,2000").split(","))
-    kinds = _parse_estimators(cfg["estimators"] or DEFAULT_SIM_ESTIMATORS)
+    kinds = _parse_estimators(DEFAULT_SIM_ESTIMATORS if cfg["estimators"] is None
+                              else cfg["estimators"])
     runner = RunnerConfig(
         scenarios=scenarios,
         ns=sizes,

@@ -306,6 +306,11 @@ class RunnerConfig:
                 raise ConfigError(f"unknown scenario '{sid}'")
         if not self.kinds:
             raise ConfigError("no estimators requested")
+        for kind in self.kinds:
+            try:
+                EstimatorKind(kind)
+            except ValueError:
+                raise ConfigError(f"unknown estimator '{kind}'") from None
         if any(n < 2 for n in self.ns):
             raise ConfigError("sample sizes must be >= 2")
         if not 0.0 < self.level < 1.0:

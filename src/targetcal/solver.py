@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BalanceMatrix, _freeze, check_full_rank
+from .data import RANK_TOL, BalanceMatrix, _freeze, check_full_rank
 from .errors import EmptyArmError, EmptyTargetError, NotConvergedError
 
 # Stopping rule defaults. The gradient of the dual equals the signed
@@ -41,6 +41,10 @@ RESIDUAL_TOL = 1e-8
 MAX_ITER = 500
 # Relative tolerance of the Farkas infeasibility test in solve_entropy_dual.
 FARKAS_TOL = 1e-9
+# A row whose weight is below eps times the largest (a gap in a_i . eta of
+# -log(eps), about 36) adds nothing to the float sums of the gradient and the
+# Hessian; only the rows within the gap still carry weight.
+UNDERFLOW_GAP = -math.log(np.finfo(float).eps)
 
 # Optional per-solve trace hook, installed by the CLI verbosity flag. It is
 # called with a summary dict after every solve attempt.
@@ -116,14 +120,20 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     the Hessian solve fails numerically.
 
     Every iterate is also tested for a Farkas certificate of an infeasible
-    primal: with d = eta / ||eta||, a_i . d >= 0 on every active row and
+    primal: a unit vector d with a_i . d >= 0 on every active row and
     b . d < 0 (each up to FARKAS_TOL, relative to max|a| and ||b||_1). Then
     no w >= 0 satisfies a^T w = b, and the dual decreases without bound
-    along d, so the solve stops there. The test reuses the a @ eta product
-    the weights need. A feasible problem can meet it only through the
-    tolerances, when b lies within them of the boundary of the cone spanned
-    by the rows of a; elsewhere its iterates, and so its solution, are
-    exactly those of the plain Newton loop.
+    along d, so the solve stops there. The first candidate is
+    d = eta / ||eta||, tested on the a @ eta product the weights need. When
+    b . eta < 0 but that test fails while some rows' weights have
+    underflowed (below eps times the largest), the second candidate is eta
+    projected onto the orthogonal complement of the rows that still carry
+    weight (_projected_certificate): it drops the bounded part of eta that
+    keeps a @ eta / ||eta|| just below zero for many iterations. Neither
+    candidate moves an iterate. A feasible problem can meet the test only
+    through the tolerances, when b lies within them of the boundary of the
+    cone spanned by the rows of a; elsewhere its iterates, and so its
+    solution, are exactly those of the plain Newton loop.
 
     Raises NotConvergedError when a certificate is found (``direction``
     holds d), or when the iteration limit is reached or the line search
@@ -160,6 +170,9 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             eta_norm = math.sqrt(eta @ eta)
             if b_eta < b_tol * eta_norm and u.min() >= row_tol * eta_norm:
                 direction = eta / eta_norm
+                break
+            direction = _projected_certificate(a, b, u, eta, row_tol, b_tol)
+            if direction is not None:
                 break
         hess = (a * w[:, None]).T @ a
         try:
@@ -237,6 +250,37 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     weights[problem.active_rows] = w
     return DualSolution(eta=eta, weights=weights, iterations=iterations,
                         constraint_residual=residual)
+
+
+def _projected_certificate(a, b, u, eta, row_tol, b_tol):
+    """The Farkas test on eta with its part in the row space of the rows that
+    still carry weight removed, or None.
+
+    Along an infeasible problem's diverging dual, eta = t d + r with r
+    bounded, so a @ eta / ||eta|| approaches a @ d only like 1/t, and rows
+    with a_i . d = 0 can sit just below zero for many iterations. Those are
+    the rows within UNDERFLOW_GAP of the smallest a_i . eta, the ones whose
+    weights have not underflowed. Projecting eta onto the orthogonal
+    complement of their span keeps d and puts those rows at zero at once.
+    The projected direction must pass the same test as eta / ||eta||, over
+    every active row.
+    """
+    heavy = u - u.min() <= UNDERFLOW_GAP
+    if heavy.all():
+        return None
+    # The heavy rows' span, cut off like the rank check of the full matrix.
+    _, sv, vt = np.linalg.svd(a[heavy], full_matrices=False)
+    basis = vt[sv > RANK_TOL * sv[0]]
+    if basis.shape[0] == a.shape[1]:
+        return None
+    d = eta - basis.T @ (basis @ eta)
+    d_norm = math.sqrt(d @ d)
+    if d_norm == 0.0:
+        return None
+    d /= d_norm
+    if float(b @ d) < b_tol and float((a @ d).min()) >= row_tol:
+        return d
+    return None
 
 
 def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.ndarray,

@@ -291,6 +291,10 @@ class TestConfigValidation:
                                         "estimator 'CAL_T'"),
         "estimate_repeated_estimator": ("estimate", None, ["--estimators", "CAL_T,cal_t"],
                                         "estimator 'CAL_T'"),
+        "estimate_empty_estimators": ("estimate", None, ["--estimators", ""],
+                                      "no estimators requested"),
+        "simulate_empty_estimators": ("simulate", None, ["--estimators", ""],
+                                      "no estimators requested"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -288,6 +288,12 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_experiment(RunnerConfig(reps=0))
 
+    def test_unknown_estimator_rejected(self):
+        # Rejected before any replicate is drawn, as the CLI rejects it.
+        cfg = RunnerConfig(kinds=("NOPE",), reps=1, tau0_overrides={"A": -4.0})
+        with pytest.raises(ConfigError, match="unknown estimator 'NOPE'"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("field, values, named", [
         ("scenarios", ("A", "B", "A"), "scenario 'A'"),
         ("ns", (60, 60), "sample size '60'"),

@@ -16,6 +16,7 @@ from targetcal.solver import (
     assemble_transport,
     dual_gradient,
     dual_objective,
+    set_trace_hook,
     solve_entropy_dual,
 )
 
@@ -331,17 +332,18 @@ def test_infeasible_solve_carries_farkas_certificate():
     assert err.value.worst_constraint is not None
 
 
-def _campaign_b500_problems():
+def _campaign_problems(scenario):
     """Every distinct sampling, transport and fusion (target-sample) problem
-    of the 40 fixed scenario-B draws (n=500, master seeds 0-7, replicates
-    0-4) that the campaign_b500 benchmark replays, drawn as run_experiment
-    draws them; the study-sample half of fusion is the transport problem."""
+    of 40 fixed draws of ``scenario`` (n=500, master seeds 0-7, replicates
+    0-4), drawn as run_experiment draws them; the study-sample half of fusion
+    is the transport problem. Scenario B's are the draws the campaign_b500
+    benchmark replays."""
     for master in range(8):
         for rep in range(5):
             for attempt in range(MAX_REDRAWS):
                 try:
-                    ds = generate(SCENARIOS["B"], 500,
-                                  derive_seed(master, "B", 500, rep, attempt))
+                    ds = generate(SCENARIOS[scenario], 500,
+                                  derive_seed(master, scenario, 500, rep, attempt))
                     break
                 except DegenerateDrawError:
                     continue
@@ -352,22 +354,39 @@ def _campaign_b500_problems():
             yield assemble_fusion(c, ds.s, ds.z, theta0)
 
 
-def test_certificates_agree_with_lp_feasibility():
+# Scenario B has poor overlap, so sampling and transport problems fail;
+# scenario C's steep propensity leaves a study or target arm unable to reach
+# theta0. The last entry is the total Newton iterations of the problems that
+# converge, which the certificate test must leave as they are.
+@pytest.mark.parametrize("scenario, converged_iterations", [("B", 589), ("C", 708)],
+                         ids=["B", "C"])
+def test_certificates_agree_with_lp_feasibility(scenario, converged_iterations):
     """A certified problem has no w >= 0 with a^T w = b, and every other
-    problem converges; an LP feasibility check decides each independently."""
+    problem converges; an LP feasibility check decides each independently.
+    Certificates come within a dozen Newton iterations."""
     verdicts = Counter()
-    for problem in _campaign_b500_problems():
-        lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
-                     bounds=(0, None), method="highs")
-        assert lp.status in (0, 2)  # feasible, infeasible
-        try:
-            solve_entropy_dual(problem)
-            verdict = "converged"
-        except NotConvergedError as exc:
-            verdict = "uncertified" if exc.direction is None else "certified"
-        assert verdict == ("certified" if lp.status == 2 else "converged")
-        verdicts[verdict] += 1
+    iterations = Counter()
+    traced = {}
+    set_trace_hook(traced.update)
+    try:
+        for problem in _campaign_problems(scenario):
+            lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
+                         bounds=(0, None), method="highs")
+            assert lp.status in (0, 2)  # feasible, infeasible
+            try:
+                solve_entropy_dual(problem)
+                verdict = "converged"
+            except NotConvergedError as exc:
+                verdict = "uncertified" if exc.direction is None else "certified"
+            assert verdict == ("certified" if lp.status == 2 else "converged")
+            if verdict == "certified":
+                assert traced["iterations"] <= 12
+            verdicts[verdict] += 1
+            iterations[verdict] += traced["iterations"]
+    finally:
+        set_trace_hook(None)
     assert verdicts["certified"] > 0 and verdicts["converged"] > 0
+    assert iterations["converged"] == converged_iterations
 
 
 def test_exact_balance_over_random_instances():

@@ -10,6 +10,7 @@ execution order.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -125,20 +126,9 @@ def _scenario_table() -> dict[str, ScenarioSpec]:
 
 SCENARIOS = _scenario_table()
 
-# Population moments of the raw misspecification transforms, used by the
-# optional population-constant standardization. U1 is lognormal(0, 1/2); U2's
-# variance is E[(1+e^X)^-2] by Gauss quadrature; U3 = log|X X'| has mean
-# -(euler_gamma + log 2) and variance pi^2/4; U4 is 2 * chi-square(1).
-U_POPULATION_MEAN = (1.2840254166877414, 0.0, -1.2703628454614782, 2.0)
-U_POPULATION_VAR = (1.0695605577589171, 0.29337903585809294, 2.4674011002723395, 8.0)
-
-
-def transform_u(x: np.ndarray, standardize: str = "empirical") -> np.ndarray:
-    """Misspecification transforms of the covariates, standardized columns.
-
-    ``standardize`` is "empirical" (each column centered and scaled by the
-    generated dataset's own moments) or "population" (fixed constants).
-    """
+def transform_u(x: np.ndarray) -> np.ndarray:
+    """Misspecification transforms of the covariates, each column centered
+    and scaled by its own moments in ``x``."""
     x = np.asarray(x, dtype=float)
     prod = np.abs(x[:, 1] * x[:, 2])
     if np.any(prod == 0.0):
@@ -153,25 +143,14 @@ def transform_u(x: np.ndarray, standardize: str = "empirical") -> np.ndarray:
     )
     if not np.isfinite(u).all():
         raise NonFiniteError("misspecification transform produced non-finite values")
-    if standardize == "empirical":
-        mean = u.mean(axis=0)
-        sd = u.std(axis=0)
-        if np.any(sd == 0.0):
-            raise NonFiniteError("degenerate transform column (zero variance)")
-    elif standardize == "population":
-        mean = np.asarray(U_POPULATION_MEAN)
-        sd = np.sqrt(np.asarray(U_POPULATION_VAR))
-    else:
-        raise ConfigError(f"unknown standardization '{standardize}'")
+    mean = u.mean(axis=0)
+    sd = u.std(axis=0)
+    if np.any(sd == 0.0):
+        raise NonFiniteError("degenerate transform column (zero variance)")
     return (u - mean) / sd
 
 
-def generate(
-    scenario: ScenarioSpec,
-    n: int,
-    seed: int,
-    u_standardize: str = "empirical",
-) -> Dataset:
+def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
     """Draw a fusion-mode dataset from the scenario's generative models.
 
     Draw order is fixed: covariates, sample uniforms, treatment uniforms,
@@ -182,7 +161,7 @@ def generate(
         raise ConfigError("need n >= 2")
     rng = _rng(seed)
     x = rng.standard_normal((n, scenario.covariate_dim))
-    u = transform_u(x, u_standardize)
+    u = transform_u(x)
     s = (rng.random(n) < expit(scenario.rho.evaluate(x, u))).astype(np.int8)
     pi_lin = np.where(
         s == 1,
@@ -209,12 +188,7 @@ def generate(
     return Dataset.fusion(s, z, y, x)
 
 
-def true_tau(
-    scenario: ScenarioSpec,
-    oracle_n: int = 10_000_000,
-    seed: int = 0,
-    u_standardize: str = "empirical",
-) -> float:
+def true_tau(scenario: ScenarioSpec, oracle_n: int = 10_000_000, seed: int = 0) -> float:
     """Monte Carlo oracle for the target-population effect E[tilt | s=0].
 
     Simulates directly from the generative models in chunks (each chunk
@@ -229,7 +203,7 @@ def true_tau(
         size = min(ORACLE_CHUNK, oracle_n - drawn)
         rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
         x = rng.standard_normal((size, scenario.covariate_dim))
-        u = transform_u(x, u_standardize)
+        u = transform_u(x)
         s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
         tilt = scenario.tilt.evaluate(x, u)
         total += float(tilt[~s].sum())
@@ -291,7 +265,6 @@ class RunnerConfig:
     seed: int = 0
     workers: int = 1
     level: float = 0.95
-    u_standardize: str = "empirical"
     oracle_n: int = 2_000_000
     tau0_overrides: dict = field(default_factory=dict)
     keep_replicates: bool = False
@@ -331,7 +304,7 @@ class RunnerConfig:
 
 def _evaluate_replicate(task: tuple) -> list:
     """Generate one replicate and run every requested estimator on it."""
-    scenario_id, n, rep, master_seed, kind_values, level, u_mode = task
+    scenario_id, n, rep, master_seed, kind_values, level = task
     scenario = SCENARIOS[scenario_id]
     results = []
     dataset = None
@@ -339,7 +312,7 @@ def _evaluate_replicate(task: tuple) -> list:
     for attempt in range(MAX_REDRAWS):
         seed = derive_seed(master_seed, scenario_id, n, rep, attempt)
         try:
-            dataset = generate(scenario, n, seed, u_standardize=u_mode)
+            dataset = generate(scenario, n, seed)
             break
         except DegenerateDrawError:
             continue
@@ -393,20 +366,20 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
         if sid in config.tau0_overrides:
             tau0s[sid] = float(config.tau0_overrides[sid])
         else:
-            tau0s[sid] = true_tau(
-                SCENARIOS[sid], oracle_n=config.oracle_n,
-                seed=config.seed, u_standardize=config.u_standardize,
-            )
+            tau0s[sid] = true_tau(SCENARIOS[sid], oracle_n=config.oracle_n, seed=config.seed)
 
     tasks = [
-        (sid, n, rep, config.seed, kind_values, config.level, config.u_standardize)
+        (sid, n, rep, config.seed, kind_values, config.level)
         for sid in config.scenarios
         for n in config.ns
         for rep in range(config.reps)
     ]
-    if config.workers > 1 and len(tasks) > 1:
-        chunksize = max(1, len(tasks) // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # The pool starts all its processes at once, so never more than there
+    # are tasks or CPUs to run them.
+    processes = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        chunksize = max(1, len(tasks) // (processes * 8))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             batches = list(pool.map(_evaluate_replicate, tasks, chunksize=chunksize))
     else:
         batches = [_evaluate_replicate(t) for t in tasks]
@@ -449,7 +422,6 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
         "seed": config.seed,
         "workers": config.workers,
         "level": config.level,
-        "u_standardize": config.u_standardize,
         "oracle_n": config.oracle_n,
         "rng": RNG_ALGORITHM,
         "tau0": {k: tau0s[k] for k in config.scenarios},

@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from targetcal.cli import main
-from targetcal.sim import SCENARIOS, generate
+from targetcal.cli import OPTIONS, main
+from targetcal.sim import SCENARIOS, derive_seed, generate
 
 
 def write_dataset_csv(path, ds, include_target_zy=True, only=None, force_cols=None):
@@ -216,6 +217,28 @@ class TestDiagnose:
         assert ess[0] == ess[1]
 
 
+    @pytest.mark.parametrize("mode", ["transport", "fusion"])
+    def test_failed_weighting_writes_the_rest(self, tmp_path, capsys, mode):
+        # Poor overlap: the sampling solve succeeds, while the transport
+        # solve (and so the fusion one, whose study half it is) is
+        # certified infeasible.
+        path = tmp_path / "b.csv"
+        write_dataset_csv(path, generate(SCENARIOS["B"], 500, derive_seed(7, "B", 500, 2, 0)))
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--mode", mode, "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        failed = ["transport"] + (["fusion"] if mode == "fusion" else [])
+        for label in failed:
+            assert f"weighting {label} failed: NotConvergedError: " in err
+        assert "weighting sampling failed" not in err and "Traceback" not in err
+        smd = list(csv.DictReader(open(out / "smd.csv")))
+        assert {r["weighting"] for r in smd} == {"unweighted", "sampling"}
+        ess = list(csv.DictReader(open(out / "ess.csv")))
+        assert [r["weighting"] for r in ess] == ["sampling"]
+        assert len(list(csv.DictReader(open(out / "scores.csv")))) == 500
+        assert json.loads((out / "config.json").read_text())["mode"] == mode
+
+
 class TestSimulate:
     def test_smoke_and_shape(self, tmp_path):
         out = tmp_path / "sim"
@@ -265,10 +288,20 @@ class TestConfigValidation:
 
     CASES = {
         "diagnose_mode": ("diagnose", {"mode": "bogus"}, [], "mode"),
+        "diagnose_mode_flag": ("diagnose", None, ["--mode", "bogus"], "mode"),
+        "estimate_mode_flag": ("estimate", None, ["--mode", "bogus"], "mode"),
         "estimate_level": ("estimate", {"level": "abc"}, [], "level"),
+        "estimate_level_flag": ("estimate", None, ["--level", "abc"], "level"),
+        "estimate_level_range_flag": ("estimate", None, ["--level", "1.5"], "level"),
+        "simulate_level_flag": ("simulate", None, ["--level", "abc"], "level"),
         "simulate_reps": ("simulate", {"reps": "x"}, [], "reps"),
+        "simulate_reps_flag": ("simulate", None, ["--reps", "x"], "reps"),
         "simulate_sizes": ("simulate", None, ["--sizes", "100,abc"], "sizes"),
+        "simulate_sizes_config": ("simulate", {"sizes": "100,abc"}, [], "sizes"),
         "simulate_reps_fraction": ("simulate", {"reps": 2.5}, [], "reps"),
+        "simulate_reps_fraction_flag": ("simulate", None, ["--reps", "2.5"], "reps"),
+        "simulate_seed_flag": ("simulate", None, ["--seed", "s"], "seed"),
+        "simulate_workers_flag": ("simulate", None, ["--workers", "two"], "workers"),
         "simulate_workers_bool": ("simulate", {"workers": True}, [], "workers"),
         "simulate_scenarios_list": ("simulate", {"scenarios": ["A"]}, [], "scenarios"),
         "simulate_sizes_list": ("simulate", {"sizes": [60]}, [], "sizes"),
@@ -283,18 +316,27 @@ class TestConfigValidation:
         "simulate_per_replicate_string": ("simulate", {"per_replicate": "no"}, [],
                                           "per_replicate"),
         "simulate_oracle_n_zero": ("simulate", None, ["--oracle-n", "0"], "oracle_n"),
+        "simulate_oracle_n_flag": ("simulate", None, ["--oracle-n", "1e6"], "oracle_n"),
+        "simulate_oracle_n_zero_config": ("simulate", {"oracle_n": 0}, [], "oracle_n"),
         "simulate_repeated_scenario": ("simulate", None, ["--scenarios", "A,A"],
                                        "scenario 'A'"),
         "simulate_repeated_size": ("simulate", None, ["--sizes", "60,60"],
                                    "sample size '60'"),
         "simulate_repeated_estimator": ("simulate", None, ["--estimators", "CAL_T,CAL_T"],
                                         "estimator 'CAL_T'"),
+        "simulate_repeated_estimator_config": ("simulate", {"estimators": "CAL_T,CAL_T"}, [],
+                                               "estimator 'CAL_T'"),
+        "estimate_unknown_estimator_config": ("estimate", {"estimators": "NOPE"}, [],
+                                              "unknown estimator 'NOPE'"),
         "estimate_repeated_estimator": ("estimate", None, ["--estimators", "CAL_T,cal_t"],
                                         "estimator 'CAL_T'"),
         "estimate_empty_estimators": ("estimate", None, ["--estimators", ""],
                                       "no estimators requested"),
         "simulate_empty_estimators": ("simulate", None, ["--estimators", ""],
                                       "no estimators requested"),
+        "simulate_u_standardize_config": ("simulate", {"u_standardize": "population"}, [],
+                                          "u_standardize"),
+        "diagnose_seed_config": ("diagnose", {"seed": 1}, [], "seed"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -311,6 +353,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
         assert "Traceback" not in err
+
+    def test_removed_flag_unrecognized(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--u-standardize", "population", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u-standardize" in capsys.readouterr().err
 
     def test_integral_float_reads(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -329,6 +377,20 @@ class TestConfigValidation:
         assert main(["simulate", "--scenarios", "A", "--sizes", "60", "--estimators",
                      "CAL_T", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "replicates.csv").exists() is switch
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose"])
+def test_help_lists_the_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert command in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    table = {"--" + opt.name.replace("_", "-") for opt in OPTIONS if command in opt.commands}
+    assert listed == table | {"--help", "--config"}
 
 
 def test_verbose_solver_dump(demo_csv, tmp_path):

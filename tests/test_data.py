@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from targetcal.cli import _load_input
+from targetcal.cli import _load
 from targetcal.data import (
     BalanceMatrix,
     BalanceSpec,
@@ -341,9 +341,11 @@ class TestCsvIngestion:
             "z,y,x1\n" + "\n".join(r[2:] for r in rows[2:]) + "\n")
         got = load_dataset_csv(tmp_path / "study.csv", mode=mode,
                                target_path=tmp_path / "target.csv")
+        fits = _load({"mode": mode, "input": str(tmp_path / "study.csv"),
+                      "target_input": str(tmp_path / "target.csv"), "out": tmp_path / "o"},
+                     verbose=False)
         for want in (load_dataset_csv(tmp_path / "both.csv", mode=mode),
-                     _load_input(mode, str(tmp_path / "study.csv"),
-                                 str(tmp_path / "target.csv"))):
+                     (fits.dataset, list(fits.c.names[1:]))):
             assert got[1] == want[1] and got[0].mode == want[0].mode == mode
             for key in ("s", "z", "y", "x"):
                 assert np.array_equal(getattr(got[0], key), getattr(want[0], key),

@@ -131,14 +131,6 @@ class TestTransformU:
         euler_gamma = 0.5772156649015329
         assert raw.mean() == pytest.approx(-(euler_gamma + math.log(2.0)), rel=0.01)
 
-    def test_population_constants_close_to_empirical(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((400_000, 4))
-        emp = transform_u(x, "empirical")
-        pop = transform_u(x, "population")
-        assert np.max(np.abs(emp.mean(axis=0) - pop.mean(axis=0))) < 0.02
-        assert np.max(np.abs(emp - pop)) < 0.25
-
     def test_zero_product_guard(self):
         x = np.zeros((4, 4))
         with pytest.raises(NonFiniteError):
@@ -288,6 +280,35 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_experiment(RunnerConfig(reps=0))
 
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 6), (None, None)])
+    def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, cpus, expected):
+        # The pool forks all its processes at the first submit, so a huge
+        # workers value must not reach it. The fake pool runs the tasks here.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                assert chunksize == max(1, 6 // (expected * 8))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        kw = dict(scenarios=("A",), ns=(60,), reps=6, kinds=(EstimatorKind.CAL_T,),
+                  seed=4, tau0_overrides={"A": -4.0}, keep_replicates=True)
+        pooled = run_experiment(RunnerConfig(workers=10**6, **kw))
+        serial = run_experiment(RunnerConfig(**kw))
+        assert started == ([] if expected is None else [expected])
+        assert pooled.replicates == serial.replicates
+
     def test_unknown_estimator_rejected(self):
         # Rejected before any replicate is drawn, as the CLI rejects it.
         cfg = RunnerConfig(kinds=("NOPE",), reps=1, tau0_overrides={"A": -4.0})
@@ -341,6 +362,6 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     monkeypatch.setattr(solver, "solve_entropy_dual",
                         counted("solve_entropy_dual", solver.solve_entropy_dual))
     kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
-    results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95, "empirical"))
+    results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95))
     assert [r.kind for r in results if not r.failed] == list(kinds)
     assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3}

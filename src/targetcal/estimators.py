@@ -118,11 +118,16 @@ class Fits:
     def fusion(self) -> tuple:
         """Per-sample arm-balance solves (target, study); reads target z. The
         study-sample problem is the transport one, so the study half is
-        ``self.transport``, solved after the target half."""
+        ``self.transport``, read last; its error is raised prefixed with the half."""
         if self.dataset.mode != "fusion":
             raise ModeError("requested z values include unobserved entries")
-        return solver.solve_entropy_dual(solver.assemble_fusion(
-            self.c, self.dataset.s, self.dataset.z, self.theta0)), self.transport
+        target = solver.solve_entropy_dual(solver.assemble_fusion(
+            self.c, self.dataset.s, self.dataset.z, self.theta0))
+        try:
+            return target, self.transport
+        except TargetcalError as exc:  # the cache keeps its own copy
+            exc.args = (f"study-sample half (the transport problem): {exc}",)
+            raise
 
     @cached_property
     def rho(self) -> np.ndarray:

@@ -88,6 +88,12 @@ class ScenarioSpec:
     outcome_sd: float = 1.0
     covariate_dim: int = 4
 
+    @property
+    def reads_u(self) -> bool:
+        """Whether a model is on u: only then do draws compute transform_u."""
+        return "u" in {m.basis for m in (self.rho, self.pi_study, self.pi_target,
+                                         self.mu0_study, self.mu0_target, self.tilt)}
+
 
 def _scenario_table() -> dict[str, ScenarioSpec]:
     rho_mild_x = LinearModel((0.5, -0.5, 0.5, -0.5, 0.5), "x")
@@ -128,26 +134,25 @@ SCENARIOS = _scenario_table()
 
 def transform_u(x: np.ndarray) -> np.ndarray:
     """Misspecification transforms of the covariates, each column centered
-    and scaled by its own moments in ``x``."""
+    and scaled by its own moments in ``x``; centered in place by the same
+    reductions as ``(u - u.mean(0)) / u.std(0)``, so bit for bit equal."""
     x = np.asarray(x, dtype=float)
     prod = np.abs(x[:, 1] * x[:, 2])
     if np.any(prod == 0.0):
         raise NonFiniteError("log|x2*x3| undefined for a zero product")
-    u = np.column_stack(
-        [
-            np.exp((x[:, 0] + x[:, 3]) / 2.0),
-            x[:, 1] / (1.0 + np.exp(x[:, 0])),
-            np.log(prod),
-            (x[:, 2] + x[:, 3]) ** 2,
-        ]
-    )
+    u = np.empty((len(x), 4))
+    # exp and log fill contiguous buffers: a strided output may take another SIMD path.
+    u[:, 0] = np.exp((x[:, 0] + x[:, 3]) / 2.0)
+    np.divide(x[:, 1], 1.0 + np.exp(x[:, 0]), out=u[:, 1])
+    u[:, 2] = np.log(prod)
+    np.square(x[:, 2] + x[:, 3], out=u[:, 3])
     if not np.isfinite(u).all():
         raise NonFiniteError("misspecification transform produced non-finite values")
-    mean = u.mean(axis=0)
-    sd = u.std(axis=0)
+    u -= u.mean(axis=0)
+    sd = np.sqrt(np.square(u).sum(axis=0) / len(u))
     if np.any(sd == 0.0):
         raise NonFiniteError("degenerate transform column (zero variance)")
-    return (u - mean) / sd
+    return np.divide(u, sd, out=u)
 
 
 def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
@@ -161,7 +166,7 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
         raise ConfigError("need n >= 2")
     rng = _rng(seed)
     x = rng.standard_normal((n, scenario.covariate_dim))
-    u = transform_u(x)
+    u = transform_u(x) if scenario.reads_u else None
     s = (rng.random(n) < expit(scenario.rho.evaluate(x, u))).astype(np.int8)
     pi_lin = np.where(
         s == 1,
@@ -188,7 +193,7 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
     return Dataset.fusion(s, z, y, x)
 
 
-def true_tau(scenario: ScenarioSpec, oracle_n: int = 10_000_000, seed: int = 0) -> float:
+def true_tau(scenario: ScenarioSpec, oracle_n: int, seed: int = 0) -> float:
     """Monte Carlo oracle for the target-population effect E[tilt | s=0].
 
     Simulates directly from the generative models in chunks (each chunk
@@ -203,7 +208,7 @@ def true_tau(scenario: ScenarioSpec, oracle_n: int = 10_000_000, seed: int = 0) 
         size = min(ORACLE_CHUNK, oracle_n - drawn)
         rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
         x = rng.standard_normal((size, scenario.covariate_dim))
-        u = transform_u(x)
+        u = transform_u(x) if scenario.reads_u else None
         s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
         tilt = scenario.tilt.evaluate(x, u)
         total += float(tilt[~s].sum())

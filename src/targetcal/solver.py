@@ -232,7 +232,7 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
             }
         )
     if direction is not None:
-        j = int(np.argmax(np.abs(direction)))
+        j = _leading_constraint(direction)
         raise NotConvergedError(
             f"entropy dual is infeasible: Farkas certificate at iteration {iterations} "
             f"(relative residual {residual:.3e}); constraint {j} carries the largest "
@@ -250,6 +250,13 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     weights[problem.active_rows] = w
     return DualSolution(eta=eta, weights=weights, iterations=iterations,
                         constraint_residual=residual)
+
+
+def _leading_constraint(direction: np.ndarray) -> int:
+    """The lowest index whose |d_j| is within a relative 1e-9 of the largest,
+    so rounding never picks j or j + m of an arm-balance d = (+-v, v)."""
+    size = np.abs(direction)
+    return int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
 
 
 def _projected_certificate(a, b, u, eta, row_tol, b_tol):

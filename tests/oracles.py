@@ -1,7 +1,9 @@
 """Reference implementations kept only for tests to compare against: the
 per-cell and per-column forms of the columnar data path in targetcal.data,
-the two-branch logistic function glm.expit replaced, and the alternating
-sampling/balance calibration that cross-checks the joint transport solve.
+the two-branch logistic function glm.expit replaced, the alternating
+sampling/balance calibration that cross-checks the joint transport solve,
+and the scenario draws that always compute the u transforms
+(`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
 
 `read_csv_columns_per_cell` parses one cell at a time with the csv module;
 `export_scores_per_row` writes one row at a time; `smd_per_column` reduces
@@ -14,7 +16,17 @@ import csv
 
 import numpy as np
 
-from targetcal.errors import EmptyArmError, NotConvergedError, SchemaError, ZeroVarianceError
+from targetcal.data import Dataset
+from targetcal.errors import (
+    DegenerateDrawError,
+    EmptyArmError,
+    NonFiniteError,
+    NotConvergedError,
+    SchemaError,
+    ZeroVarianceError,
+)
+from targetcal.glm import expit
+from targetcal.sim import _rng, derive_seed
 from targetcal.solver import assemble_transport
 
 # iterative_calibration: largest weight change that ends it, and pass limit.
@@ -193,3 +205,72 @@ def iterative_calibration(c, s, z, theta0):
     weights = np.zeros(joint.n_units)
     weights[joint.active_rows] = p
     return weights, passes
+
+
+def transform_u_two_pass(x):
+    """The u transforms stacked from separate columns and standardized by
+    ``mean``/``std`` in a second pass."""
+    x = np.asarray(x, dtype=float)
+    prod = np.abs(x[:, 1] * x[:, 2])
+    if np.any(prod == 0.0):
+        raise NonFiniteError("log|x2*x3| undefined for a zero product")
+    u = np.column_stack(
+        [
+            np.exp((x[:, 0] + x[:, 3]) / 2.0),
+            x[:, 1] / (1.0 + np.exp(x[:, 0])),
+            np.log(prod),
+            (x[:, 2] + x[:, 3]) ** 2,
+        ]
+    )
+    if not np.isfinite(u).all():
+        raise NonFiniteError("misspecification transform produced non-finite values")
+    mean = u.mean(axis=0)
+    sd = u.std(axis=0)
+    if np.any(sd == 0.0):
+        raise NonFiniteError("degenerate transform column (zero variance)")
+    return (u - mean) / sd
+
+
+def generate_always_u(scenario, n, seed):
+    """sim.generate with u computed whatever basis the models are on."""
+    rng = _rng(seed)
+    x = rng.standard_normal((n, scenario.covariate_dim))
+    u = transform_u_two_pass(x)
+    s = (rng.random(n) < expit(scenario.rho.evaluate(x, u))).astype(np.int8)
+    pi_lin = np.where(s == 1, scenario.pi_study.evaluate(x, u),
+                      scenario.pi_target.evaluate(x, u))
+    z = (rng.random(n) < expit(pi_lin)).astype(float)
+    mu0 = np.where(s == 1, scenario.mu0_study.evaluate(x, u),
+                   scenario.mu0_target.evaluate(x, u))
+    tilt = scenario.tilt.evaluate(x, u)
+    y0 = mu0 + scenario.outcome_sd * rng.standard_normal(n)
+    y1 = mu0 + tilt + scenario.outcome_sd * rng.standard_normal(n)
+    y = z * y1 + (1.0 - z) * y0
+    for sample in (0, 1):
+        mask = s == sample
+        if not mask.any():
+            raise DegenerateDrawError(f"sample s={sample} came up empty")
+        for arm in (0.0, 1.0):
+            if not np.any(z[mask] == arm):
+                raise DegenerateDrawError(f"sample s={sample} has an empty arm z={int(arm)}")
+    return Dataset.fusion(s, z, y, x)
+
+
+def true_tau_always_u(scenario, oracle_n, seed, chunk):
+    """sim.true_tau's chunked oracle loop with u computed in every chunk."""
+    total = 0.0
+    count = 0
+    drawn = 0
+    idx = 0
+    while drawn < oracle_n:
+        size = min(chunk, oracle_n - drawn)
+        rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
+        x = rng.standard_normal((size, scenario.covariate_dim))
+        u = transform_u_two_pass(x)
+        s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
+        tilt = scenario.tilt.evaluate(x, u)
+        total += float(tilt[~s].sum())
+        count += int((~s).sum())
+        drawn += size
+        idx += 1
+    return total / count

@@ -367,7 +367,8 @@ def test_cal_fusion_bits_do_not_depend_on_order(baseline_balance):
 def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, order):
     # A scenario-B replicate whose study-sample (transport) problem is
     # infeasible while its target-sample fusion problem is feasible: CAL_T
-    # and CAL_F raise the same certified error from one study-sample solve.
+    # and CAL_F raise the same certified error from one study-sample solve,
+    # CAL_F's prefixed with the half that failed.
     ds = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
     fits = Fits(ds, build_balance_matrix(ds))
     calls = Counter()
@@ -377,12 +378,16 @@ def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, orde
             return _original(*args)
 
         monkeypatch.setattr(solver, name, counted)
-    messages = []
-    for kind in map(EstimatorKind, order):
-        view = ds if kind is EstimatorKind.CAL_F else ds.to_transport()
+    errors = {}
+    for kind in order:
+        view = ds if kind == "CAL_F" else ds.to_transport()
         with pytest.raises(NotConvergedError) as err:
-            compute_tau(view, kind, fits)
-        messages.append(str(err.value))
+            compute_tau(view, EstimatorKind(kind), fits)
+        errors[kind] = err.value
     assert calls == {"assemble_transport": 1, "assemble_fusion": 1, "solve_entropy_dual": 2}
-    assert messages[0] == messages[1]
-    assert "Farkas certificate" in messages[0]
+    assert str(errors["CAL_F"]) == ("study-sample half (the transport problem): "
+                                    + str(errors["CAL_T"]))
+    assert "Farkas certificate" in str(errors["CAL_T"])
+    assert errors["CAL_F"].direction is not None
+    assert np.array_equal(errors["CAL_F"].direction, errors["CAL_T"].direction)
+    assert errors["CAL_F"].worst_constraint == errors["CAL_T"].worst_constraint

@@ -20,6 +20,8 @@ from targetcal.sim import (
     true_tau,
 )
 
+from oracles import generate_always_u, transform_u_two_pass, true_tau_always_u
+
 # Independent transcription of the generative-model coefficient table,
 # re-typed by hand: (basis, intercept, four slopes) per model.
 TRANSCRIPTION = {
@@ -135,6 +137,75 @@ class TestTransformU:
         x = np.zeros((4, 4))
         with pytest.raises(NonFiniteError):
             transform_u(x)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 4), (17, 4), (1000, 4), (65_537, 4),
+                                       (301, 6)])
+    def test_same_bits_as_two_pass(self, shape):
+        x = np.random.default_rng(shape[0]).standard_normal(shape) * 1.7
+        for layout in (x, np.asfortranarray(x), x[::-1]):
+            assert transform_u(layout).tobytes() == transform_u_two_pass(layout).tobytes()
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((4, 4)),                         # zero product
+        np.tile([0.3, -1.2, 0.8, 2.0], (5, 1)),   # zero variance
+        np.array([[800.0, 1.0, 1.0, 800.0], [0.1, 1.0, 1.0, 0.2]]),  # overflow
+    ], ids=["zero_product", "zero_variance", "non_finite"])
+    def test_errors_as_two_pass(self, x):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError) as expected:
+                transform_u_two_pass(x)
+            with pytest.raises(NonFiniteError) as got:
+                transform_u(x)
+        assert str(got.value) == str(expected.value)
+
+
+def _draw_bytes(dataset):
+    return [np.ascontiguousarray(a).tobytes()
+            for a in (dataset.s, dataset.z, dataset.y, dataset.x)]
+
+
+class TestDrawsAgainstAlwaysU:
+    """Draws skip transform_u where no model reads u, and must still be the
+    bits of draws that always compute it."""
+
+    @pytest.mark.parametrize("sid", sorted(SCENARIOS))
+    def test_true_tau_bits(self, monkeypatch, sid):
+        # Three chunks, the last one short.
+        monkeypatch.setattr(sim, "ORACLE_CHUNK", 7_000)
+        got = true_tau(SCENARIOS[sid], oracle_n=20_000, seed=3)
+        expected = true_tau_always_u(SCENARIOS[sid], 20_000, 3, chunk=7_000)
+        assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("sid", sorted(SCENARIOS))
+    def test_generate_bits(self, sid):
+        for n in (2, 40, 500, 20_000):
+            seed = derive_seed(11, sid, n, 0, 0)
+            try:
+                expected = _draw_bytes(generate_always_u(SCENARIOS[sid], n, seed))
+            except DegenerateDrawError as exc:
+                with pytest.raises(DegenerateDrawError, match=str(exc)):
+                    generate(SCENARIOS[sid], n, seed)
+            else:
+                assert _draw_bytes(generate(SCENARIOS[sid], n, seed)) == expected, n
+
+    def test_transform_runs_only_where_u_is_read(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return transform_u(x)
+
+        monkeypatch.setattr(sim, "transform_u", counted)
+        for sid, spec in sorted(SCENARIOS.items()):
+            calls.clear()
+            generate(spec, 500, derive_seed(2, sid, 500, 0, 0))
+            true_tau(spec, oracle_n=1_000, seed=1)
+            assert calls == ([] if sid in "AF" else [500, 1_000]), sid
+            assert spec.reads_u == (sid not in "AF")
+
+    def test_oracle_size_is_required(self):
+        with pytest.raises(TypeError):
+            true_tau(SCENARIOS["A"])
 
 
 class TestGenerate:

@@ -10,6 +10,7 @@ from targetcal.errors import DegenerateDrawError, NotConvergedError, RankDeficie
 from targetcal.sim import MAX_REDRAWS, SCENARIOS, derive_seed, generate
 from targetcal.solver import (
     EntropyProblem,
+    _leading_constraint,
     assemble_ate_benchmark,
     assemble_fusion,
     assemble_sampling,
@@ -321,15 +322,33 @@ def test_infeasible_solve_carries_farkas_certificate():
     assert np.linalg.norm(d) == pytest.approx(1.0)
     assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
     assert b @ d < -1e-9 * np.sum(np.abs(b))
-    j = int(np.argmax(np.abs(d)))
-    assert f"constraint {j}" in str(err.value)
+    # The lowest index whose |d_j| is within a relative 1e-9 of the largest.
+    j = int(np.flatnonzero(np.abs(d) >= (1 - 1e-9) * np.abs(d).max())[0])
+    assert f"constraint {j} " in str(err.value)
     # Rows are [(2z-1) c_i, c_i], so constraint j is on column j % m. Here
     # d = (-v, v): no control unit has c_i . v < 0, where the target mean
-    # lies, and the plane's offset (the intercept) weighs the most.
+    # lies, and the plane's offset (the intercept) weighs the most. The tie
+    # of j with j + m goes to the arm contrast.
     assert d.shape == (2 * c.m,)
     assert np.allclose(d[:c.m], -d[c.m:], atol=1e-6)
-    assert c.names[j % c.m] == "intercept"
+    assert j < c.m and c.names[j] == "intercept"
     assert err.value.worst_constraint is not None
+
+
+def test_certificate_constraint_survives_last_bit():
+    # In d = (-v, v) the entries j and j + m differ only by rounding; one ulp
+    # more or less on either must not move the constraint the message names.
+    c, problem = _overlap_violation()
+    with pytest.raises(NotConvergedError) as err:
+        solve_entropy_dual(problem)
+    d = err.value.direction
+    j = _leading_constraint(d)
+    assert f"constraint {j} " in str(err.value)
+    for k in (j, j + c.m):
+        for toward in (0.0, 2.0 * d[k]):
+            bumped = d.copy()
+            bumped[k] = np.nextafter(d[k], toward)
+            assert _leading_constraint(bumped) == j, (k, toward)
 
 
 def _campaign_problems(scenario):

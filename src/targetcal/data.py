@@ -8,6 +8,7 @@ read-only), so they can be shared freely across concurrent replicate workers.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import re
 import warnings
@@ -33,6 +34,13 @@ log = logging.getLogger("targetcal")
 # Relative singular-value cutoff below which balance columns are declared
 # collinear.
 RANK_TOL = 1e-10
+
+# Rows handled at a time by CSV ingest, score export and the sandwich
+# variance, so that no per-field Python object and no n x k matrix is held
+# for the whole sample. A multiple of 64, so each sandwich block starts where
+# a BLAS kernel's row group starts in the whole matrix and psi @ x keeps its
+# bits.
+BLOCK_ROWS = 8192
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -305,19 +313,23 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
         if not ((v > 0.0) & (v < 1.0)).all():
             raise OutOfRangeError(f"{name} scores must lie strictly in (0, 1)")
     fusion = dataset.mode == "fusion"
-    rows = zip(range(dataset.n), dataset.s.tolist(), dataset.z.tolist(),
-               rho_hat.tolist(), pi_hat.tolist())
     # No field (an int, a float repr or "") ever needs quoting, so the lines
     # are the bytes csv.writer would write, at a fraction of its cost.
     with open(path, "w", newline="") as fh:
         fh.write("unit_id,s,z,sampling_score,propensity_score\r\n")
-        fh.writelines(f"{i},{s},{repr(z) if fusion or s else ''},{rho!r},{pi!r}\r\n"
-                      for i, s, z, rho, pi in rows)
+        for start in range(0, dataset.n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            rows = zip(itertools.count(start), dataset.s[block].tolist(),
+                       dataset.z[block].tolist(), rho_hat[block].tolist(),
+                       pi_hat[block].tolist())
+            fh.writelines(f"{i},{s},{repr(z) if fusion or s else ''},{rho!r},{pi!r}\r\n"
+                          for i, s, z, rho, pi in rows)
 
 
-def _float_column(path, cells: np.ndarray, label: str,
+def _float_column(path, cells: np.ndarray, label: str, first: int,
                   blanks: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Cast one column of CSV fields to float.
+    """Cast one column of a block of CSV fields to float; ``first`` is the
+    data row the block starts at.
 
     Returns the values and the mask of non-blank fields. With ``blanks`` a
     blank field reads as NaN; any other field that is not a number raises
@@ -338,7 +350,8 @@ def _float_column(path, cells: np.ndarray, label: str,
             values[i] = float(field)
         except ValueError:
             what = f"non-numeric value '{field.strip()}'" if seen[i] else "empty value"
-            raise SchemaError(f"{path}: {what} in {label} (row {_file_line(path, i)})") from None
+            raise SchemaError(f"{path}: {what} in {label} "
+                              f"(row {_file_line(path, first + i)})") from None
     return values, seen
 
 
@@ -346,7 +359,7 @@ def _file_line(path, row: int) -> int:
     """The line on which data row ``row`` of ``path`` starts; data rows count
     from 0 after the header and skip blank lines, as np.loadtxt counts them."""
     starts, start = [], 1
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for record in reader:
             if record:
@@ -355,26 +368,120 @@ def _file_line(path, row: int) -> int:
     return starts[row + 1]
 
 
+# A quoted field: a quote that starts a field, then anything but a lone
+# quote ("" is a literal one), then the closing quote or the end of the text
+# (group 1 empty: the field is still open). np.loadtxt and the csv module
+# read quotes so; a quote later in a field is a literal character.
+_QUOTED_FIELD = re.compile(r'(?:\A|(?<=[,\n\r]))"[^"]*(?:""[^"]*)*("|\Z)')
+
+
+def _open_quote(text: str) -> int:
+    """Where the quoted field left open at the end of ``text`` starts, or -1
+    if none is; ``text`` starts at the start of a field."""
+    last = None
+    if '"' in text:
+        for last in _QUOTED_FIELD.finditer(text):
+            pass
+    return last.start() if last is not None and not last.group(1) else -1
+
+
+def _line_blocks(fh):
+    """Yield the remaining lines of ``fh`` in lists of BLOCK_ROWS lines; a
+    block that would end inside a quoted field takes lines until it closes."""
+    while block := list(itertools.islice(fh, BLOCK_ROWS)):
+        text = "".join(block)
+        open_at = _open_quote(text)
+        while open_at >= 0 and (line := next(fh, "")):
+            block.append(line)
+            text = text[open_at:] + line
+            open_at = _open_quote(text)
+        yield block
+
+
+def _parse_block(path, lines: list, width: int, first: int) -> np.ndarray:
+    """Split a block of lines into a (rows, width) array of str fields;
+    ``first`` is the data row the block starts at."""
+    try:
+        cells = np.loadtxt(lines, delimiter=",", dtype=object, comments=None,
+                           quotechar='"', ndmin=2)
+    except ValueError as exc:
+        # numpy counts data rows from 1 and compares with the first row.
+        ragged = re.search(r"from (\d+) to (\d+) at row (\d+)", str(exc))
+        if ragged is None:
+            raise SchemaError(f"{path}: {exc}") from None
+        first_width, got, row = map(int, ragged.groups())
+        if first_width != width:
+            got, row = first_width, 1
+        raise SchemaError(f"{path}: row {_file_line(path, first + row - 1)} has {got} "
+                          f"fields, expected {width}") from None
+    if len(cells) and cells.shape[1] != width:
+        raise SchemaError(f"{path}: row {_file_line(path, first)} has {cells.shape[1]} "
+                          f"fields, expected {width}")
+    return cells
+
+
+def _block_columns(path, cells: np.ndarray, header: list, cov_cols: list, mode: str,
+                   force_s: int | None, first: int) -> dict:
+    """The dataset columns of one block of fields (see read_csv_columns)."""
+    n = len(cells)
+    if force_s is not None:
+        s = np.full(n, force_s, dtype=np.int8)
+    else:
+        j = header.index("s")
+        s, _ = _float_column(path, cells[:, j], "column 's'", first)
+        bad = np.flatnonzero((s != 0.0) & (s != 1.0))
+        if bad.size:
+            raise SchemaError(f"{path}: column 's' must be 0 or 1, got "
+                              f"'{cells[bad[0], j].strip()}' "
+                              f"(row {_file_line(path, first + bad[0])})")
+        s = s.astype(np.int8)
+    cols = {"s": s}
+    # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
+    dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
+    for name in ("z", "y"):
+        if name in header:
+            fields = cells[:, header.index(name)]
+            values, seen = _float_column(path, np.where(dropped, "", fields),
+                                         f"column '{name}'", first, blanks=True)
+            seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
+        else:
+            values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        cols[name], cols[f"{name}_observed"] = values, seen
+    cols["x"] = np.empty((n, len(cov_cols)))
+    for k, j in enumerate(cov_cols):
+        cols["x"][:, k] = _float_column(path, cells[:, j], f"covariate '{header[j]}'",
+                                        first)[0]
+    return cols
+
+
 def read_csv_columns(path, mode: str = "fusion",
                      force_s: int | None = None) -> tuple[dict, list[str]]:
     """Read raw dataset columns from CSV.
 
     The header must contain ``s`` (unless ``force_s`` fixes the indicator for
     the whole file) and, depending on mode, ``z`` and ``y``; every remaining
-    column is treated as a covariate. ``s`` must be 0 or 1 in every row.
-    Empty z/y fields mark absent values; transport mode reads target-sample
-    z/y as NaN without casting them. Fields may be quoted and padded
-    with whitespace; blank lines are skipped and there are no comment lines.
+    column is treated as a covariate, and no name may appear twice. ``s``
+    must be 0 or 1 in every row. Empty z/y fields mark absent values;
+    transport mode reads target-sample z/y as NaN without casting them.
+    Fields may be quoted and padded with whitespace; blank lines are skipped,
+    there are no comment lines, and a leading byte-order mark is ignored.
     Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
     masks mark non-blank z and y fields, plus the covariate column names;
     load_dataset_csv turns them into a Dataset.
+
+    The body is parsed in blocks of BLOCK_ROWS lines, each cast to float
+    before the next is read, so the str fields of one block at a time are
+    held. A file with more than one fault reports the first block's.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        twice = [h for j, h in enumerate(header) if h in header[:j]]
+        if twice:
+            raise SchemaError(f"{path}: duplicate column '{twice[0]}'")
         if force_s is None and "s" not in header:
             raise SchemaError(f"{path}: missing required column 's'")
         if mode == "fusion":
@@ -384,55 +491,19 @@ def read_csv_columns(path, mode: str = "fusion",
         cov_cols = [j for j, h in enumerate(header) if h not in ("s", "z", "y")]
         if not cov_cols:
             raise SchemaError(f"{path}: no covariate columns found")
-        # One C-level pass over the body. Fields stay str objects, so each
-        # column is cast on its own and blank fields stay distinguishable.
+        blocks, rows = [], 0
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                cells = np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
-                                   quotechar='"', ndmin=2)
-            except ValueError as exc:
-                # numpy counts data rows from 1 and compares with the first row.
-                ragged = re.search(r"from (\d+) to (\d+) at row (\d+)", str(exc))
-                if ragged is None:
-                    raise SchemaError(f"{path}: {exc}") from None
-                first, got, row = map(int, ragged.groups())
-                if first != len(header):
-                    got, row = first, 1
-                raise SchemaError(f"{path}: row {_file_line(path, row - 1)} has {got} "
-                                  f"fields, expected {len(header)}") from None
-    n = cells.shape[0]
-    if n == 0:
-        cells = np.empty((0, len(header)), dtype=object)
-    elif cells.shape[1] != len(header):
-        raise SchemaError(f"{path}: row {_file_line(path, 0)} has {cells.shape[1]} fields, "
-                          f"expected {len(header)}")
-
-    if force_s is not None:
-        s = np.full(n, force_s, dtype=np.int8)
-    else:
-        j = header.index("s")
-        s, _ = _float_column(path, cells[:, j], "column 's'")
-        bad = np.flatnonzero((s != 0.0) & (s != 1.0))
-        if bad.size:
-            raise SchemaError(f"{path}: column 's' must be 0 or 1, got "
-                              f"'{cells[bad[0], j].strip()}' (row {_file_line(path, bad[0])})")
-        s = s.astype(np.int8)
-    cols = {"s": s}
-    # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
-    dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
-    for name in ("z", "y"):
-        if name in header:
-            fields = cells[:, header.index(name)]
-            values, seen = _float_column(path, np.where(dropped, "", fields),
-                                         f"column '{name}'", blanks=True)
-            seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
-        else:
-            values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
-        cols[name], cols[f"{name}_observed"] = values, seen
-    cols["x"] = np.empty((n, len(cov_cols)))
-    for k, j in enumerate(cov_cols):
-        cols["x"][:, k] = _float_column(path, cells[:, j], f"covariate '{header[j]}'")[0]
+            for lines in _line_blocks(fh):
+                cells = _parse_block(path, lines, len(header), rows)
+                if len(cells):
+                    blocks.append(_block_columns(path, cells, header, cov_cols, mode,
+                                                 force_s, rows))
+                    rows += len(cells)
+    if not blocks:
+        blocks.append(_block_columns(path, np.empty((0, len(header)), dtype=object),
+                                     header, cov_cols, mode, force_s, 0))
+    cols = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
     return cols, [header[j] for j in cov_cols]
 
 

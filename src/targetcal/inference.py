@@ -22,6 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import data
 from .data import Dataset
 from .errors import (
     InvalidLevelError,
@@ -59,71 +60,79 @@ def _app_weights(cmat: np.ndarray, z: np.ndarray, gamma: np.ndarray,
     return np.exp(-(cmat @ gamma) - z * (cmat @ delta))
 
 
-def calibration_system(
-    cmat: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    nu: np.ndarray,
-    groups: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked per-unit residuals and summed analytic Jacobian.
+class CalibrationSystem:
+    """Stacked estimating equations of a calibration estimator at nu.
 
     ``groups`` holds the calibrated sample labels: (1,) for transport,
     (0, 1) for data fusion. Parameter vector nu = (theta0, gamma_g for g in
     groups, delta_g for g in groups, tau), length (2G + 1)m + 1 for G groups.
-    Rows of the residual matrix: target-moment block, one
+    Columns of the residual matrix: target-moment block, one
     sampling-constraint block and one arm-constraint block per group, effect
     equation. Treatment and outcome are zeroed outside the calibrated groups,
     so unobserved target-sample values never enter. All blocks vanish
     exactly at the fitted parameters because they restate the solver's
     converged constraints.
+
+    The per-unit terms are computed once; ``psi`` builds the residual rows
+    of any slice of units from them and ``jacobian`` sums them over all.
     """
-    n, m = cmat.shape
-    n_groups = len(groups)
-    theta0 = nu[:m]
-    tau = nu[-1]
-    s = np.asarray(s, dtype=float)
-    calibrated = np.isin(s, groups)
-    z = np.where(calibrated, z, 0.0)
-    y = np.where(calibrated, y, 0.0)
 
-    # Per group: unit indicator, then the gamma and delta slices of nu.
-    blocks = [((s == g).astype(float), slice((1 + j) * m, (2 + j) * m),
-               slice((1 + n_groups + j) * m, (2 + n_groups + j) * m))
-              for j, g in enumerate(groups)]
-    p = np.zeros(n)
-    for ind, g_rows, d_rows in blocks:
-        p += ind * _app_weights(cmat, z, nu[g_rows], nu[d_rows])
-    zp = z * p
-    contrast = (2.0 * z - 1.0) * y - z * tau
-    target = (s == 0).astype(float)
+    def __init__(self, cmat: np.ndarray, s: np.ndarray, z: np.ndarray, y: np.ndarray,
+                 nu: np.ndarray, groups: tuple):
+        m = cmat.shape[1]
+        n_groups = len(groups)
+        self.cmat, self.nu, self.m = cmat, nu, m
+        self.theta0, self.tau = nu[:m], nu[-1]
+        s = np.asarray(s, dtype=float)
+        calibrated = np.isin(s, groups)
+        z = np.where(calibrated, z, 0.0)
+        self.y = np.where(calibrated, y, 0.0)
+        # Per group: unit indicator, then the gamma and delta slices of nu.
+        self.blocks = [((s == g).astype(float), slice((1 + j) * m, (2 + j) * m),
+                        slice((1 + n_groups + j) * m, (2 + n_groups + j) * m))
+                       for j, g in enumerate(groups)]
+        p = np.zeros(len(s))
+        for ind, g_rows, d_rows in self.blocks:
+            p += ind * _app_weights(cmat, z, nu[g_rows], nu[d_rows])
+        self.p, self.zp = p, z * p
+        self.contrast = (2.0 * z - 1.0) * self.y - z * self.tau
+        self.target = (s == 0).astype(float)
 
-    k = len(nu)
-    psi = np.zeros((n, k))
-    psi[:, :m] = target[:, None] * (cmat - theta0)
-    psi[:, -1] = p * contrast
-    eye = np.eye(m)
-    A = np.zeros((k, k))
-    A[:m, :m] = -target.sum() * eye
-    for ind, g_rows, d_rows in blocks:
-        pg = ind * p
-        zpg = ind * zp
-        count = ind.sum()
-        psi[:, g_rows] = pg[:, None] * cmat - np.outer(ind, theta0)
-        psi[:, d_rows] = zpg[:, None] * cmat - np.outer(ind, theta0 / 2.0)
-        Mg = cmat.T @ (cmat * pg[:, None])
-        Tg = cmat.T @ (cmat * zpg[:, None])
-        A[g_rows, :m] = -count * eye
-        A[g_rows, g_rows] = -Mg
-        A[g_rows, d_rows] = -Tg
-        A[d_rows, :m] = -(count / 2.0) * eye
-        A[d_rows, g_rows] = -Tg
-        A[d_rows, d_rows] = -Tg
-        A[-1, g_rows] = -(pg * contrast) @ cmat
-        A[-1, d_rows] = -(zpg * (y - tau)) @ cmat
-    A[-1, -1] = -zp.sum()
-    return psi, A
+    def psi(self, rows: slice = slice(None)) -> np.ndarray:
+        """Per-unit residuals of the units in ``rows``, one row each."""
+        m, theta0 = self.m, self.theta0
+        cmat, p, zp = self.cmat[rows], self.p[rows], self.zp[rows]
+        psi = np.zeros((len(cmat), len(self.nu)))
+        psi[:, :m] = self.target[rows, None] * (cmat - theta0)
+        psi[:, -1] = p * self.contrast[rows]
+        for ind, g_rows, d_rows in self.blocks:
+            ind = ind[rows]
+            psi[:, g_rows] = (ind * p)[:, None] * cmat - np.outer(ind, theta0)
+            psi[:, d_rows] = (ind * zp)[:, None] * cmat - np.outer(ind, theta0 / 2.0)
+        return psi
+
+    def jacobian(self) -> np.ndarray:
+        """The residuals' analytic Jacobian, summed over all units."""
+        m, cmat, k = self.m, self.cmat, len(self.nu)
+        eye = np.eye(m)
+        A = np.zeros((k, k))
+        A[:m, :m] = -self.target.sum() * eye
+        for ind, g_rows, d_rows in self.blocks:
+            pg = ind * self.p
+            zpg = ind * self.zp
+            count = ind.sum()
+            Mg = cmat.T @ (cmat * pg[:, None])
+            Tg = cmat.T @ (cmat * zpg[:, None])
+            A[g_rows, :m] = -count * eye
+            A[g_rows, g_rows] = -Mg
+            A[g_rows, d_rows] = -Tg
+            A[d_rows, :m] = -(count / 2.0) * eye
+            A[d_rows, g_rows] = -Tg
+            A[d_rows, d_rows] = -Tg
+            A[-1, g_rows] = -(pg * self.contrast) @ cmat
+            A[-1, d_rows] = -(zpg * (self.y - self.tau)) @ cmat
+        A[-1, -1] = -self.zp.sum()
+        return A
 
 
 def _check_solvable(A: np.ndarray) -> None:
@@ -139,17 +148,24 @@ def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
-    it equals ||psi x||^2.
+    it equals ||psi x||^2. psi x is formed BLOCK_ROWS units at a time and
+    its squares summed in one pass, so the SE has the bits the product of
+    the whole psi gives.
     """
     c = fits.c
     gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
     nu = np.concatenate([fits.theta0, *gammas, *deltas, [tau_hat]])
-    psi, A = calibration_system(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
+    system = CalibrationSystem(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
+    A = system.jacobian()
     _check_solvable(A)
     e_tau = np.zeros(len(nu))
     e_tau[-1] = 1.0
     x = np.linalg.solve(A.T, e_tau)
-    return math.sqrt(float(np.sum((psi @ x) ** 2)))
+    psi_x = np.empty(dataset.n)
+    for start in range(0, dataset.n, data.BLOCK_ROWS):
+        rows = slice(start, start + data.BLOCK_ROWS)
+        psi_x[rows] = system.psi(rows) @ x
+    return math.sqrt(float(np.sum(psi_x ** 2)))
 
 
 def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:

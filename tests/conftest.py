@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from targetcal.data import Dataset, build_balance_matrix
+from targetcal.inference import CalibrationSystem
 
 
 def sigmoid(x):
@@ -69,3 +70,9 @@ def random_feasible_transport(rng, n=None, m=None):
     s[2] = 0
     z[0], z[1] = 1.0, 0.0
     return Dataset.fusion(s, z, y, x)
+
+
+def stacked_system(cmat, s, z, y, nu, groups):
+    """The whole residual matrix and the Jacobian of the calibration system."""
+    system = CalibrationSystem(cmat, s, z, y, nu, groups)
+    return system.psi(), system.jacobian()

@@ -1,6 +1,8 @@
 """Reference implementations kept only for tests to compare against: the
 per-cell and per-column forms of the columnar data path in targetcal.data,
-the two-branch logistic function glm.expit replaced, the alternating
+the sandwich variance that builds the whole residual matrix
+(`sandwich_se_full_psi`), the two-branch logistic function glm.expit
+replaced, the alternating
 sampling/balance calibration that cross-checks the joint transport solve,
 and the scenario draws that always compute the u transforms
 (`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
@@ -13,6 +15,7 @@ fractional `s` is truncated), so comparisons use inputs without them.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from targetcal.errors import (
     ZeroVarianceError,
 )
 from targetcal.glm import expit
+from targetcal.inference import convert_dual
 from targetcal.sim import _rng, derive_seed
 from targetcal.solver import assemble_transport
 
@@ -43,6 +47,9 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         rows = [row for row in reader if row]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise SchemaError(f"{path}: duplicate column '{name}'")
     known = {"s", "z", "y"}
     if force_s is None and "s" not in header:
         raise SchemaError(f"{path}: missing required column 's'")
@@ -139,6 +146,87 @@ def smd_per_column(c, group, weights=None):
         else:
             out[j] = diff / pooled
     return out
+
+
+def calibration_system_full_psi(
+    cmat: np.ndarray,
+    s: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    nu: np.ndarray,
+    groups: tuple,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked per-unit residuals, as one n x k matrix, and summed analytic
+    Jacobian, each built in one pass over all units.
+
+    ``groups`` holds the calibrated sample labels: (1,) for transport,
+    (0, 1) for data fusion. Parameter vector nu = (theta0, gamma_g for g in
+    groups, delta_g for g in groups, tau), length (2G + 1)m + 1 for G groups.
+    Rows of the residual matrix: target-moment block, one
+    sampling-constraint block and one arm-constraint block per group, effect
+    equation. Treatment and outcome are zeroed outside the calibrated groups,
+    so unobserved target-sample values never enter. All blocks vanish
+    exactly at the fitted parameters because they restate the solver's
+    converged constraints.
+    """
+    n, m = cmat.shape
+    n_groups = len(groups)
+    theta0 = nu[:m]
+    tau = nu[-1]
+    s = np.asarray(s, dtype=float)
+    calibrated = np.isin(s, groups)
+    z = np.where(calibrated, z, 0.0)
+    y = np.where(calibrated, y, 0.0)
+
+    # Per group: unit indicator, then the gamma and delta slices of nu.
+    blocks = [((s == g).astype(float), slice((1 + j) * m, (2 + j) * m),
+               slice((1 + n_groups + j) * m, (2 + n_groups + j) * m))
+              for j, g in enumerate(groups)]
+    p = np.zeros(n)
+    for ind, g_rows, d_rows in blocks:
+        p += ind * np.exp(-(cmat @ nu[g_rows]) - z * (cmat @ nu[d_rows]))
+    zp = z * p
+    contrast = (2.0 * z - 1.0) * y - z * tau
+    target = (s == 0).astype(float)
+
+    k = len(nu)
+    psi = np.zeros((n, k))
+    psi[:, :m] = target[:, None] * (cmat - theta0)
+    psi[:, -1] = p * contrast
+    eye = np.eye(m)
+    A = np.zeros((k, k))
+    A[:m, :m] = -target.sum() * eye
+    for ind, g_rows, d_rows in blocks:
+        pg = ind * p
+        zpg = ind * zp
+        count = ind.sum()
+        psi[:, g_rows] = pg[:, None] * cmat - np.outer(ind, theta0)
+        psi[:, d_rows] = zpg[:, None] * cmat - np.outer(ind, theta0 / 2.0)
+        Mg = cmat.T @ (cmat * pg[:, None])
+        Tg = cmat.T @ (cmat * zpg[:, None])
+        A[g_rows, :m] = -count * eye
+        A[g_rows, g_rows] = -Mg
+        A[g_rows, d_rows] = -Tg
+        A[d_rows, :m] = -(count / 2.0) * eye
+        A[d_rows, g_rows] = -Tg
+        A[d_rows, d_rows] = -Tg
+        A[-1, g_rows] = -(pg * contrast) @ cmat
+        A[-1, d_rows] = -(zpg * (y - tau)) @ cmat
+    A[-1, -1] = -zp.sum()
+    return psi, A
+
+
+def sandwich_se_full_psi(dataset, fits, duals, groups, tau_hat):
+    """The sandwich SE of tau_hat from the whole n x k residual matrix:
+    ||psi x|| with A' x = e_tau, psi @ x formed in one product."""
+    c = fits.c
+    gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
+    nu = np.concatenate([fits.theta0, *gammas, *deltas, [tau_hat]])
+    psi, A = calibration_system_full_psi(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
+    e_tau = np.zeros(len(nu))
+    e_tau[-1] = 1.0
+    x = np.linalg.solve(A.T, e_tau)
+    return math.sqrt(float(np.sum((psi @ x) ** 2)))
 
 
 def expit_two_branch(x):

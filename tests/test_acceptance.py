@@ -15,7 +15,6 @@ from scipy.optimize import minimize
 from targetcal.data import build_balance_matrix, standardized_mean_differences, target_moments
 from targetcal.errors import NotConvergedError
 from targetcal.estimators import EstimatorKind
-from targetcal.inference import calibration_system
 from targetcal.sim import SCENARIOS, RunnerConfig, run_experiment, true_tau
 from targetcal.solver import (
     EntropyProblem,
@@ -26,7 +25,7 @@ from targetcal.solver import (
     solve_entropy_dual,
 )
 
-from conftest import random_feasible_transport
+from conftest import random_feasible_transport, stacked_system
 from oracles import iterative_calibration
 
 REPS = 1000
@@ -278,12 +277,12 @@ class TestCriterion8DerivativeChecks:
                 nu = np.concatenate([
                     theta0 + 0.05 * rng.standard_normal(m),
                     0.2 * rng.standard_normal(2 * m), [rng.standard_normal()]])
-                system = lambda v: calibration_system(c.c, ds.s, ds.z, ds.y, v, groups=(1,))
+                system = lambda v: stacked_system(c.c, ds.s, ds.z, ds.y, v, groups=(1,))
             else:
                 nu = np.concatenate([
                     theta0 + 0.05 * rng.standard_normal(m),
                     0.2 * rng.standard_normal(4 * m), [rng.standard_normal()]])
-                system = lambda v: calibration_system(c.c, ds.s, ds.z, ds.y, v, groups=(0, 1))
+                system = lambda v: stacked_system(c.c, ds.s, ds.z, ds.y, v, groups=(0, 1))
             _, A = system(nu)
             k = len(nu)
             fd = np.zeros((k, k))

@@ -1,9 +1,11 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from targetcal import data
 from targetcal.cli import _load
 from targetcal.data import (
     BalanceMatrix,
@@ -277,6 +279,19 @@ class TestExportScores:
         export_scores_per_row(rho, pi, ds, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_bytes_match_per_row_writer_in_blocks(self, tmp_path, monkeypatch, block):
+        ds = generate(SCENARIOS["A"], 300, seed=5)
+        rng = np.random.default_rng(4)
+        rho = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
+        pi = rng.uniform(1e-9, 1.0 - 1e-9, ds.n)
+        for dataset in (ds, ds.to_transport()):
+            export_scores_per_row(rho, pi, dataset, tmp_path / "want.csv")
+            monkeypatch.setattr(data, "BLOCK_ROWS", block)
+            export_scores(rho, pi, dataset, tmp_path / "got.csv")
+            monkeypatch.undo()
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 class TestCsvIngestion:
     def test_single_file_round_trip(self, tmp_path):
@@ -386,6 +401,8 @@ class TestCsvAgainstPerCellParser:
         "target_blanks": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,,,0.2\n0, , ,0.3\n1,0,1,0.4\n"),
         "target_markers": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,NA,,0.2\n0, , NA ,0.3\n1,0,1,0.4\n"),
         "no_trailing_newline": ("fusion", "s,z,y,x1\n1,1,2.5,0.1\n0,0,1.5,0.2"),
+        "quoted_newlines": ("fusion", 's,z,y,x1\n1,1,"2.5\n",0.1\n0,"0",1.5,"0.2\r\n"\n'
+                                      '"1","0\n\n",1,2\n0,1,-1,3\n'),
         "header_only": ("fusion", "s,z,y,x1,x2\n"),
     }
 
@@ -430,6 +447,8 @@ class TestCsvAgainstPerCellParser:
         "missing_y": "s,z,x1\n1,1,0.1\n0,0,0.2\n",
         "no_covariates": "s,z,y\n1,1,2.5\n",
         "empty_file": "",
+        "duplicate_column": "s,z,y,x1,z\n1,1,2.5,0.1,0\n",
+        "duplicate_covariate": "s,z,y,x1,x1\n1,1,2.5,0.1,0.2\n",
     }
 
     @pytest.mark.parametrize("case", sorted(INVALID))
@@ -464,6 +483,111 @@ class TestCsvAgainstPerCellParser:
         path.write_text(text)
         with pytest.raises(SchemaError, match=re.escape(message)):
             read_csv_columns(path, mode="fusion")
+
+
+class TestCsvInBlocks(TestCsvAgainstPerCellParser):
+    """Every case above, with the body parsed one, two and three lines at a
+    time."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", request.param)
+
+
+class TestCsvBlocks:
+    """A fault in the first or the last line of a two-line block is reported
+    with the message a whole-file parse gives, and a parse holds about one
+    block of str fields at a time."""
+
+    CASES = {
+        "ragged_first_in_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n1,0,1\n0,1,2,3\n",
+                                  "row 4 has 3 fields, expected 4"),
+        "ragged_last_in_block": ("1,1,2.5,0.1\n0,0,1.5\n1,0,1,2\n",
+                                 "row 3 has 3 fields, expected 4"),
+        "ragged_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n1,0,1\n0,1,2\n",
+                         "row 4 has 3 fields, expected 4"),
+        "blank_last_in_block": ("1,1,2.5,0.1\n\n0,0,abc,0.2\n",
+                                "non-numeric value 'abc' in column 'y' (row 4)"),
+        "blank_first_in_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n\n1,0,1,2\n0.5,0,1,2\n",
+                                 "column 's' must be 0 or 1, got '0.5' (row 6)"),
+        "blank_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n\n\n1,0,1\n",
+                        "row 6 has 3 fields, expected 4"),
+        "non_numeric_first_in_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n1,0,1,x\n",
+                                       "non-numeric value 'x' in covariate 'x1' (row 4)"),
+        "non_numeric_last_in_block": ("1,1,2.5,0.1\n0,zz,1.5,0.2\n",
+                                      "non-numeric value 'zz' in column 'z' (row 3)"),
+        "bad_s_first_in_block": ("1,1,2.5,0.1\n0,0,1.5,0.2\n2,0,1,1\n",
+                                 "column 's' must be 0 or 1, got '2' (row 4)"),
+        "bad_s_last_in_block": ("1,1,2.5,0.1\n-1,0,1.5,0.2\n",
+                                "column 's' must be 0 or 1, got '-1' (row 3)"),
+        "quoted_newline_then_non_numeric": ('1,1,2.5,0.1\n0,0,"1.5\n",0.2\n1,0,1,abc\n',
+                                            "non-numeric value 'abc' in covariate 'x1' (row 5)"),
+        "quoted_newline_non_numeric": ('1,1,2.5,0.1\n0,0,"abc\n",0.2\n',
+                                       "non-numeric value 'abc' in column 'y' (row 3)"),
+        "quoted_newline_then_ragged": ('1,1,2.5,0.1\n0,0,"1.5\n",0.2\n1,0,1\n',
+                                       "row 5 has 3 fields, expected 4"),
+        # the first quote is inside a field, so only the second opens one
+        "quoted_after_inner_quote": ('1,1,2.5,0.1\n0,0,a"b,"1.5\n",0.2\n',
+                                     "row 3 has 5 fields, expected 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message_as_whole_file(self, tmp_path, monkeypatch, case):
+        body, message = self.CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n" + body)
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert str(got.value) == f"{path}: {message}"
+
+    def test_peak_memory_is_bounded(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 50_000
+        body = np.column_stack([rng.integers(0, 2, (n, 2)), rng.standard_normal((n, 5))])
+        path = tmp_path / "d.csv"
+        np.savetxt(path, body, fmt=["%d", "%d"] + ["%.17g"] * 5, delimiter=",",
+                   header="s,z,y,x1,x2,x3,x4", comments="")
+        monkeypatch.setattr(data, "BLOCK_ROWS", 1024)
+        tracemalloc.start()
+        try:
+            cols, _ = read_csv_columns(path, mode="fusion")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols["x"].shape == (n, 4)
+        assert peak < 3 * sum(a.nbytes for a in cols.values())
+
+
+class TestCsvHeader:
+    @pytest.mark.parametrize("header, name", [("s,z,y,x1,z", "z"), ("s,z,y,x1,x1", "x1"),
+                                              ("s, x1 ,z,y,x1", "x1")])
+    def test_duplicate_name_rejected(self, tmp_path, header, name):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * 5) + "\n")
+        for parse in (read_csv_columns, read_csv_columns_per_cell):
+            with pytest.raises(SchemaError, match=re.escape(f"duplicate column '{name}'")):
+                parse(path, mode="fusion")
+
+    @pytest.mark.parametrize("header", ["s,z,y,x1", "x1,s,z,y"])
+    def test_byte_order_mark_ignored(self, tmp_path, header):
+        rows = [dict(s="1", z="1", y="2.5", x1="0.1"), dict(s="0", z="0", y="1.5", x1="0.2")]
+        text = header + "\n" + "".join(",".join(r[h] for h in header.split(",")) + "\n"
+                                       for r in rows)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        got = read_csv_columns(marked, mode="fusion")
+        assert got[1] == ["x1"]
+        assert_same_columns(got, read_csv_columns(plain, mode="fusion"))
+
+    def test_byte_order_mark_error_names_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n\n1,1,2.5,0.1\n0,0,abc,0.2\n", encoding="utf-8-sig")
+        with pytest.raises(SchemaError, match=re.escape("column 'y' (row 4)")):
+            read_csv_columns(path, mode="fusion")
+
 
 def test_study_share_matches_oracle():
     ds = generate(SCENARIOS["A"], 1_000_000, seed=31)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from targetcal import data
 from targetcal.data import Dataset, build_balance_matrix, target_moments
 from targetcal.errors import InvalidLevelError, MissingComponentsError
 from targetcal.estimators import (
@@ -15,7 +16,6 @@ from targetcal.estimators import (
     tau_cal_transport,
 )
 from targetcal.inference import (
-    calibration_system,
     confidence_interval,
     convert_dual,
     estimate_with_ci,
@@ -25,7 +25,8 @@ from targetcal.inference import (
     sandwich_variance_transport,
 )
 
-from conftest import draw_row_a, random_feasible_transport
+from conftest import draw_row_a, random_feasible_transport, stacked_system
+from oracles import sandwich_se_full_psi
 
 
 class TestNormalQuantile:
@@ -74,7 +75,7 @@ def fitted_transport(seed=414, n=800):
 class TestTransportSystem:
     def test_residuals_vanish_at_fit(self):
         _, dt, c, _, _, nu = fitted_transport()
-        psi, _ = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
+        psi, _ = stacked_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
 
     def test_jacobian_matches_finite_differences(self):
@@ -90,7 +91,7 @@ class TestTransportSystem:
                 0.2 * rng.standard_normal(2 * m),
                 [rng.standard_normal()],
             ])
-            psi, A = calibration_system(c.c, ds.s, ds.z, ds.y, nu, groups=(1,))
+            psi, A = stacked_system(c.c, ds.s, ds.z, ds.y, nu, groups=(1,))
             k = len(nu)
             fd = np.zeros((k, k))
             h = 1e-6
@@ -99,14 +100,14 @@ class TestTransportSystem:
                 up[j] += h
                 dn[j] -= h
                 fd[:, j] = (
-                    calibration_system(c.c, ds.s, ds.z, ds.y, up, groups=(1,))[0].sum(axis=0)
-                    - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(1,))[0].sum(axis=0)
+                    stacked_system(c.c, ds.s, ds.z, ds.y, up, groups=(1,))[0].sum(axis=0)
+                    - stacked_system(c.c, ds.s, ds.z, ds.y, dn, groups=(1,))[0].sum(axis=0)
                 ) / (2 * h)
             assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
 
     def test_theta_block_is_minus_n0_identity(self):
         ds, dt, c, _, _, nu = fitted_transport()
-        _, A = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
+        _, A = stacked_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         m = c.m
         assert np.allclose(A[:m, :m], -ds.n_target * np.eye(m))
 
@@ -153,7 +154,7 @@ class TestSandwich:
 
     def test_covariance_psd(self):
         ds, dt, c, fits, est, nu = fitted_transport(seed=77)
-        psi, A = calibration_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
+        psi, A = stacked_system(c.c, dt.s, dt.z, dt.y, nu, groups=(1,))
         bread = np.linalg.solve(A, psi.T)
         cov = bread @ bread.T
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
@@ -183,7 +184,7 @@ class TestSandwich:
         g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
         g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
         nu = np.concatenate([theta0, g0, g1, d0, d1, [est.tau_hat]])
-        psi, A = calibration_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
+        psi, A = stacked_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
         k = len(nu)
         fd = np.zeros((k, k))
@@ -193,8 +194,8 @@ class TestSandwich:
             up[j] += h
             dn[j] -= h
             fd[:, j] = (
-                calibration_system(c.c, ds.s, ds.z, ds.y, up, groups=(0, 1))[0].sum(axis=0)
-                - calibration_system(c.c, ds.s, ds.z, ds.y, dn, groups=(0, 1))[0].sum(axis=0)
+                stacked_system(c.c, ds.s, ds.z, ds.y, up, groups=(0, 1))[0].sum(axis=0)
+                - stacked_system(c.c, ds.s, ds.z, ds.y, dn, groups=(0, 1))[0].sum(axis=0)
             ) / (2 * h)
         assert np.max(np.abs(A - fd) / (1 + np.abs(fd))) < 1e-5
         se = sandwich_variance_fusion(ds, fits, est)
@@ -204,6 +205,26 @@ class TestSandwich:
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
         assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
+
+    # Every draw spans at least three blocks, the last one short. On all but
+    # the first, summing each block's squares apart changes the last bit of
+    # the transport or the fusion SE.
+    @pytest.mark.parametrize("seed, n, block", [(414, 1500, 512), (1, 1500, 256),
+                                                (3, 3000, 256), (5, 1500, 512),
+                                                (5, 3000, 512)])
+    def test_blocks_match_whole_residual_matrix(self, monkeypatch, seed, n, block):
+        ds = draw_row_a(n, np.random.default_rng(seed))
+        c = build_balance_matrix(ds)
+        dt = ds.to_transport()
+        fits_t, fits_f = Fits(dt, c), Fits(ds, c)
+        cal_t = tau_cal_transport(dt, fits_t)
+        cal_f = tau_cal_fusion(ds, fits_f)
+        want = (sandwich_se_full_psi(dt, fits_t, (fits_t.transport,), (1,), cal_t.tau_hat),
+                sandwich_se_full_psi(ds, fits_f, fits_f.fusion, (0, 1), cal_f.tau_hat))
+        monkeypatch.setattr(data, "BLOCK_ROWS", block)
+        got = (sandwich_variance_transport(dt, fits_t, cal_t),
+               sandwich_variance_fusion(ds, fits_f, cal_f))
+        assert [se.hex() for se in got] == [se.hex() for se in want]
 
 
 class TestInfluence:

@@ -3,15 +3,14 @@
 The calibration estimators get an M-estimation sandwich built from one
 stacked system of estimating equations over the calibrated groups (the
 study sample for transport, both samples for data fusion): target moments,
-one dual pair per group, effect. The augmented and TMLE estimators get a
+one dual block per group, effect. The augmented and TMLE estimators get a
 plug-in influence-function variance. Every variance function maps
 (dataset, fits, estimate) to a standard error: the data, its ``Fits``
 context (balance matrix, target moments, nuisance fits and solves) and the
 point estimate. ``estimate_with_ci`` builds the one normal interval.
-Duals enter the stack in the (gamma, delta) parameterization, where the unit
-weight is exp(-z c'delta - c'gamma); the solver's (lambda, gamma_joint)
-vectors convert via gamma = gamma_joint - lambda, delta = 2 lambda, which
-leaves the weights unchanged.
+Each group's duals enter the stack as the solver returns them
+(``DualSolution.eta``), so the dual block of the stack is the solver's own
+gradient and its Jacobian block the solver's Hessian.
 """
 
 from __future__ import annotations
@@ -49,29 +48,22 @@ def confidence_interval(tau_hat: float, se: float, level: float) -> tuple[float,
     return tau_hat - zq * se, tau_hat + zq * se
 
 
-def convert_dual(eta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map a joint dual [lambda, gamma_joint] to (gamma, delta)."""
-    lam, gamma_joint = eta[:m], eta[m:]
-    return gamma_joint - lam, 2.0 * lam
-
-
-def _app_weights(cmat: np.ndarray, z: np.ndarray, gamma: np.ndarray,
-                 delta: np.ndarray) -> np.ndarray:
-    return np.exp(-(cmat @ gamma) - z * (cmat @ delta))
-
-
 class CalibrationSystem:
     """Stacked estimating equations of a calibration estimator at nu.
 
     ``groups`` holds the calibrated sample labels: (1,) for transport,
-    (0, 1) for data fusion. Parameter vector nu = (theta0, gamma_g for g in
-    groups, delta_g for g in groups, tau), length (2G + 1)m + 1 for G groups.
-    Columns of the residual matrix: target-moment block, one
-    sampling-constraint block and one arm-constraint block per group, effect
-    equation. Treatment and outcome are zeroed outside the calibrated groups,
-    so unobserved target-sample values never enter. All blocks vanish
-    exactly at the fitted parameters because they restate the solver's
-    converged constraints.
+    (0, 1) for data fusion. Parameter vector nu = (theta0, eta_g for g in
+    groups, tau), length (2G + 1)m + 1 for G groups, where eta_g is the
+    group's ``DualSolution.eta``: unit i of group g has the solver's row
+    a_i = [(2z_i - 1) c_i, c_i] and weight w_i = exp(-a_i . eta_g).
+    Columns of the residual matrix: target-moment block, one dual block per
+    group, effect equation. A unit's dual block is its term of the solver's
+    gradient, w_i a_i - [0, theta0], so the block sums to minus that
+    gradient and its Jacobian is minus the solver's Hessian sum_i w_i a_i
+    a_i'. Treatment and outcome are zeroed outside the calibrated groups, so
+    unobserved target-sample values never enter. All blocks vanish at the
+    fitted parameters because they restate the solver's converged
+    constraints.
 
     The per-unit terms are computed once; ``psi`` builds the residual rows
     of any slice of units from them and ``jacobian`` sums them over all.
@@ -80,35 +72,36 @@ class CalibrationSystem:
     def __init__(self, cmat: np.ndarray, s: np.ndarray, z: np.ndarray, y: np.ndarray,
                  nu: np.ndarray, groups: tuple):
         m = cmat.shape[1]
-        n_groups = len(groups)
         self.cmat, self.nu, self.m = cmat, nu, m
         self.theta0, self.tau = nu[:m], nu[-1]
         s = np.asarray(s, dtype=float)
         calibrated = np.isin(s, groups)
-        z = np.where(calibrated, z, 0.0)
-        self.y = np.where(calibrated, y, 0.0)
-        # Per group: unit indicator, then the gamma and delta slices of nu.
-        self.blocks = [((s == g).astype(float), slice((1 + j) * m, (2 + j) * m),
-                        slice((1 + n_groups + j) * m, (2 + n_groups + j) * m))
+        self.z = np.where(calibrated, z, 0.0)
+        self.sign = 2.0 * self.z - 1.0
+        # Per group: unit indicator, then the arm-contrast and calibration
+        # halves of its eta in nu.
+        self.blocks = [((s == g).astype(float), slice((1 + 2 * j) * m, (2 + 2 * j) * m),
+                        slice((2 + 2 * j) * m, (3 + 2 * j) * m))
                        for j, g in enumerate(groups)]
-        p = np.zeros(len(s))
-        for ind, g_rows, d_rows in self.blocks:
-            p += ind * _app_weights(cmat, z, nu[g_rows], nu[d_rows])
-        self.p, self.zp = p, z * p
-        self.contrast = (2.0 * z - 1.0) * self.y - z * self.tau
+        w = np.zeros(len(s))
+        for ind, arm, cal in self.blocks:
+            w += ind * np.exp(-(self.sign * (cmat @ nu[arm]) + cmat @ nu[cal]))
+        self.weights = w
+        self.contrast = self.sign * np.where(calibrated, y, 0.0) - self.z * self.tau
         self.target = (s == 0).astype(float)
 
     def psi(self, rows: slice = slice(None)) -> np.ndarray:
         """Per-unit residuals of the units in ``rows``, one row each."""
         m, theta0 = self.m, self.theta0
-        cmat, p, zp = self.cmat[rows], self.p[rows], self.zp[rows]
+        cmat, w = self.cmat[rows], self.weights[rows]
         psi = np.zeros((len(cmat), len(self.nu)))
         psi[:, :m] = self.target[rows, None] * (cmat - theta0)
-        psi[:, -1] = p * self.contrast[rows]
-        for ind, g_rows, d_rows in self.blocks:
+        psi[:, -1] = w * self.contrast[rows]
+        for ind, arm, cal in self.blocks:
             ind = ind[rows]
-            psi[:, g_rows] = (ind * p)[:, None] * cmat - np.outer(ind, theta0)
-            psi[:, d_rows] = (ind * zp)[:, None] * cmat - np.outer(ind, theta0 / 2.0)
+            wc = (ind * w)[:, None] * cmat
+            psi[:, arm] = self.sign[rows, None] * wc
+            psi[:, cal] = wc - np.outer(ind, theta0)
         return psi
 
     def jacobian(self) -> np.ndarray:
@@ -117,21 +110,18 @@ class CalibrationSystem:
         eye = np.eye(m)
         A = np.zeros((k, k))
         A[:m, :m] = -self.target.sum() * eye
-        for ind, g_rows, d_rows in self.blocks:
-            pg = ind * self.p
-            zpg = ind * self.zp
-            count = ind.sum()
-            Mg = cmat.T @ (cmat * pg[:, None])
-            Tg = cmat.T @ (cmat * zpg[:, None])
-            A[g_rows, :m] = -count * eye
-            A[g_rows, g_rows] = -Mg
-            A[g_rows, d_rows] = -Tg
-            A[d_rows, :m] = -(count / 2.0) * eye
-            A[d_rows, g_rows] = -Tg
-            A[d_rows, d_rows] = -Tg
-            A[-1, g_rows] = -(pg * self.contrast) @ cmat
-            A[-1, d_rows] = -(zpg * (self.y - self.tau)) @ cmat
-        A[-1, -1] = -self.zp.sum()
+        for ind, arm, cal in self.blocks:
+            wg = ind * self.weights
+            swg = self.sign * wg
+            # The Hessian's blocks: sum w c c' on the diagonal, sum w (2z-1) c c' off it.
+            same = -(cmat.T @ (cmat * wg[:, None]))
+            cross = -(cmat.T @ (cmat * swg[:, None]))
+            A[cal, :m] = -ind.sum() * eye
+            A[arm, arm] = A[cal, cal] = same
+            A[arm, cal] = A[cal, arm] = cross
+            A[-1, arm] = -(swg * self.contrast) @ cmat
+            A[-1, cal] = -(wg * self.contrast) @ cmat
+        A[-1, -1] = -(self.z * self.weights).sum()
         return A
 
 
@@ -152,10 +142,8 @@ def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple
     its squares summed in one pass, so the SE has the bits the product of
     the whole psi gives.
     """
-    c = fits.c
-    gammas, deltas = zip(*(convert_dual(dual.eta, c.m) for dual in duals))
-    nu = np.concatenate([fits.theta0, *gammas, *deltas, [tau_hat]])
-    system = CalibrationSystem(c.c, dataset.s, dataset.z, dataset.y, nu, groups)
+    nu = np.concatenate([fits.theta0, *(dual.eta for dual in duals), [tau_hat]])
+    system = CalibrationSystem(fits.c.c, dataset.s, dataset.z, dataset.y, nu, groups)
     A = system.jacobian()
     _check_solvable(A)
     e_tau = np.zeros(len(nu))
@@ -204,12 +192,6 @@ def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> f
     d[study] = (n / n1) * q[study] * resid
     d[target] = (n / n0) * (mu1[target] - mu0[target] - tau_hat)
     return math.sqrt(float(np.mean(d ** 2)) / n)
-
-
-def _welch_variance(y1: np.ndarray, y0: np.ndarray) -> float:
-    v1 = y1.var(ddof=1) / len(y1) if len(y1) > 1 else 0.0
-    v0 = y0.var(ddof=1) / len(y0) if len(y0) > 1 else 0.0
-    return v1 + v0
 
 
 def _weighted_welch_variance(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> float:
@@ -266,19 +248,16 @@ def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
 def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
     """Approximate SEs for the benchmark estimators.
 
-    UNADJ uses the Welch two-sample variance; CBPS a weighted Welch variance
-    on effective sample sizes; GCOMP the outcome-regression delta method with
-    HC0 coefficient covariances. ``estimate_with_ci`` labels all three
-    method="influence": they are plug-in influence approximations outside the
-    sandwich stack.
+    UNADJ and CBPS use a weighted Welch variance on effective sample sizes
+    (with UNADJ's unit weights, the plain Welch variance); GCOMP the
+    outcome-regression delta method with HC0 coefficient covariances.
+    ``estimate_with_ci`` labels all three method="influence": they are
+    plug-in influence approximations outside the sandwich stack.
     """
     kind = estimate.kind
-    if kind is EstimatorKind.UNADJ:
+    if kind in (EstimatorKind.UNADJ, EstimatorKind.CBPS):
         z, y = estimate.nuisance["z"], estimate.nuisance["y"]
-        var = _welch_variance(y[z == 1], y[z == 0])
-    elif kind is EstimatorKind.CBPS:
-        z, y = estimate.nuisance["z"], estimate.nuisance["y"]
-        w = estimate.weights_used
+        w = np.ones(len(y)) if estimate.weights_used is None else estimate.weights_used
         var = _weighted_welch_variance(y, z, w)
     elif kind is EstimatorKind.GCOMP:
         target = dataset.s == 0

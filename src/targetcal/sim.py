@@ -289,6 +289,8 @@ class RunnerConfig:
                 EstimatorKind(kind)
             except ValueError:
                 raise ConfigError(f"unknown estimator '{kind}'") from None
+        if not self.ns:
+            raise ConfigError("no sample sizes requested")
         if any(n < 2 for n in self.ns):
             raise ConfigError("sample sizes must be >= 2")
         if not 0.0 < self.level < 1.0:

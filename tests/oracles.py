@@ -1,8 +1,9 @@
 """Reference implementations kept only for tests to compare against: the
 per-cell and per-column forms of the columnar data path in targetcal.data,
-the sandwich variance that builds the whole residual matrix
-(`sandwich_se_full_psi`), the two-branch logistic function glm.expit
-replaced, the alternating
+the sandwich variance that builds the whole residual matrix in the
+(gamma, delta) parameterization of the duals (`convert_dual`,
+`calibration_system_full_psi`, `sandwich_se_full_psi`), the two-branch
+logistic function glm.expit replaced, the alternating
 sampling/balance calibration that cross-checks the joint transport solve,
 and the scenario draws that always compute the u transforms
 (`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
@@ -29,7 +30,6 @@ from targetcal.errors import (
     ZeroVarianceError,
 )
 from targetcal.glm import expit
-from targetcal.inference import convert_dual
 from targetcal.sim import _rng, derive_seed
 from targetcal.solver import assemble_transport
 
@@ -146,6 +146,14 @@ def smd_per_column(c, group, weights=None):
         else:
             out[j] = diff / pooled
     return out
+
+
+def convert_dual(eta, m):
+    """Map a solver dual [lambda, gamma_joint] to (gamma, delta), where the
+    unit weight is exp(-z c'delta - c'gamma): gamma = gamma_joint - lambda,
+    delta = 2 lambda, which leaves the weights unchanged."""
+    lam, gamma_joint = eta[:m], eta[m:]
+    return gamma_joint - lam, 2.0 * lam
 
 
 def calibration_system_full_psi(

@@ -1,3 +1,4 @@
+import math
 from statistics import NormalDist
 
 import numpy as np
@@ -16,14 +17,16 @@ from targetcal.estimators import (
     tau_cal_transport,
 )
 from targetcal.inference import (
+    CalibrationSystem,
     confidence_interval,
-    convert_dual,
+    descriptive_variance,
     estimate_with_ci,
     influence_variance,
     normal_quantile,
     sandwich_variance_fusion,
     sandwich_variance_transport,
 )
+from targetcal.solver import assemble_fusion, assemble_transport
 
 from conftest import draw_row_a, random_feasible_transport, stacked_system
 from oracles import sandwich_se_full_psi
@@ -67,8 +70,7 @@ def fitted_transport(seed=414, n=800):
     dt = ds.to_transport()
     fits = Fits(dt, c)
     est = tau_cal_transport(dt, fits)
-    gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
-    nu = np.concatenate([theta0, gamma, delta, [est.tau_hat]])
+    nu = np.concatenate([theta0, est.nuisance["dual"].eta, [est.tau_hat]])
     return ds, dt, c, fits, est, nu
 
 
@@ -111,37 +113,55 @@ class TestTransportSystem:
         m = c.m
         assert np.allclose(A[:m, :m], -ds.n_target * np.eye(m))
 
-    def test_parameterization_conversion_identity(self):
+
+class TestSolverDuals:
+    """The system is the solver's own assembly at the fitted duals: the same
+    weights, and as dual Jacobian blocks minus the solver's Hessians."""
+
+    @staticmethod
+    def _check(system, duals, problems):
+        A = system.jacobian()
+        psi_sum = system.psi().sum(axis=0)
+        m = system.m
+        calibrated = np.zeros(len(system.weights), dtype=bool)
+        for j, (dual, problem) in enumerate(zip(duals, problems)):
+            rows = problem.active_rows
+            calibrated[rows] = True
+            assert np.max(np.abs(system.weights[rows] - dual.weights[rows])) < 1e-10
+            block = slice((1 + 2 * j) * m, (3 + 2 * j) * m)
+            # The block sums to minus the solver's gradient b - a'w ...
+            gradient = problem.b - problem.a.T @ dual.weights[rows]
+            assert np.max(np.abs(psi_sum[block] + gradient)) < 1e-9 * np.max(np.abs(problem.b))
+            # ... and its Jacobian is minus the solver's Hessian (a w)'a.
+            hessian = (problem.a * dual.weights[rows, None]).T @ problem.a
+            assert np.max(np.abs(A[block, block] + hessian)) <= 1e-12 * np.max(np.abs(hessian))
+        assert not system.weights[~calibrated].any()
+
+    def test_transport(self):
         rng = np.random.default_rng(55)
         for _ in range(5):
             ds = random_feasible_transport(rng, n=100, m=3)
             c = build_balance_matrix(ds)
-            theta0 = target_moments(c, ds.s)
             dt = ds.to_transport()
-            est = tau_cal_transport(dt, Fits(dt, c))
-            gamma, delta = convert_dual(est.nuisance["dual"].eta, c.m)
-            study = ds.s == 1
-            w_app = np.exp(-(c.c @ gamma) - ds.z * (c.c @ delta))[study]
-            assert np.max(np.abs(w_app - est.weights_used[study])) < 1e-10
+            fits = Fits(dt, c)
+            est = tau_cal_transport(dt, fits)
+            nu = np.concatenate([fits.theta0, fits.transport.eta, [est.tau_hat]])
+            system = CalibrationSystem(c.c, dt.s, dt.z, dt.y, nu, (1,))
+            self._check(system, (fits.transport,),
+                        (assemble_transport(c, dt.s, dt.z, fits.theta0),))
 
-    def test_fusion_conversion_identity(self):
+    def test_fusion(self):
         rng = np.random.default_rng(56)
         for _ in range(5):
             ds = random_feasible_transport(rng, n=160, m=3)
             c = build_balance_matrix(ds)
-            theta0 = target_moments(c, ds.s)
-            est = tau_cal_fusion(ds, Fits(ds, c))
-            m = c.m
-            g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
-            g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
-            w_joint = (est.nuisance["dual_target"].weights
-                       + est.nuisance["dual_study"].weights)
-            w_app = np.where(
-                ds.s == 1,
-                np.exp(-(c.c @ g1) - ds.z * (c.c @ d1)),
-                np.exp(-(c.c @ g0) - ds.z * (c.c @ d0)),
-            )
-            assert np.max(np.abs(w_app - w_joint)) < 1e-10
+            fits = Fits(ds, c)
+            est = tau_cal_fusion(ds, fits)
+            nu = np.concatenate([fits.theta0, *(d.eta for d in fits.fusion), [est.tau_hat]])
+            system = CalibrationSystem(c.c, ds.s, ds.z, ds.y, nu, (0, 1))
+            self._check(system, fits.fusion,
+                        (assemble_fusion(c, ds.s, ds.z, fits.theta0),
+                         assemble_transport(c, ds.s, ds.z, fits.theta0)))
 
 
 class TestSandwich:
@@ -180,10 +200,8 @@ class TestSandwich:
         theta0 = target_moments(c, ds.s)
         fits = Fits(ds, c)
         est = tau_cal_fusion(ds, fits)
-        m = c.m
-        g0, d0 = convert_dual(est.nuisance["dual_target"].eta, m)
-        g1, d1 = convert_dual(est.nuisance["dual_study"].eta, m)
-        nu = np.concatenate([theta0, g0, g1, d0, d1, [est.tau_hat]])
+        nu = np.concatenate([theta0, est.nuisance["dual_target"].eta,
+                             est.nuisance["dual_study"].eta, [est.tau_hat]])
         psi, A = stacked_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
         k = len(nu)
@@ -206,9 +224,12 @@ class TestSandwich:
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
         assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
-    # Every draw spans at least three blocks, the last one short. On all but
-    # the first, summing each block's squares apart changes the last bit of
-    # the transport or the fusion SE.
+    # Every draw spans at least three blocks, the last one short. The SE
+    # bits must not depend on the block size: the blocked SE equals the one
+    # from a single block holding the whole residual matrix. On the two
+    # n=1500 draws of seeds 1 and 5, summing each block's squares apart
+    # changes the last bit of the fusion or the transport SE. The (gamma,
+    # delta) reference system differs from it only in the last bits.
     @pytest.mark.parametrize("seed, n, block", [(414, 1500, 512), (1, 1500, 256),
                                                 (3, 3000, 256), (5, 1500, 512),
                                                 (5, 3000, 512)])
@@ -219,12 +240,17 @@ class TestSandwich:
         fits_t, fits_f = Fits(dt, c), Fits(ds, c)
         cal_t = tau_cal_transport(dt, fits_t)
         cal_f = tau_cal_fusion(ds, fits_f)
-        want = (sandwich_se_full_psi(dt, fits_t, (fits_t.transport,), (1,), cal_t.tau_hat),
-                sandwich_se_full_psi(ds, fits_f, fits_f.fusion, (0, 1), cal_f.tau_hat))
-        monkeypatch.setattr(data, "BLOCK_ROWS", block)
-        got = (sandwich_variance_transport(dt, fits_t, cal_t),
-               sandwich_variance_fusion(ds, fits_f, cal_f))
-        assert [se.hex() for se in got] == [se.hex() for se in want]
+
+        def ses(block_rows):
+            monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+            return (sandwich_variance_transport(dt, fits_t, cal_t),
+                    sandwich_variance_fusion(ds, fits_f, cal_f))
+
+        whole, got = ses(n), ses(block)
+        assert [se.hex() for se in got] == [se.hex() for se in whole]
+        reference = (sandwich_se_full_psi(dt, fits_t, (fits_t.transport,), (1,), cal_t.tau_hat),
+                     sandwich_se_full_psi(ds, fits_f, fits_f.fusion, (0, 1), cal_f.tau_hat))
+        assert got == pytest.approx(reference, rel=1e-12)
 
 
 class TestInfluence:
@@ -250,6 +276,21 @@ class TestInfluence:
         est = compute_tau(dt, EstimatorKind.CAL_T, fits)
         with pytest.raises(MissingComponentsError):
             influence_variance(dt, fits, est)
+
+
+class TestDescriptive:
+    def test_unadjusted_is_the_welch_variance(self, baseline_balance):
+        # UNADJ goes through the weighted Welch formula with unit weights,
+        # and keeps no weights of its own (results.csv reads NaN ess for it).
+        ds, c = baseline_balance
+        dt = ds.to_transport()
+        fits = Fits(dt, c)
+        est = compute_tau(dt, EstimatorKind.UNADJ, fits)
+        assert est.weights_used is None
+        z, y = est.nuisance["z"], est.nuisance["y"]
+        y1, y0 = y[z == 1], y[z == 0]
+        welch = math.sqrt(y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0))
+        assert descriptive_variance(dt, fits, est) == pytest.approx(welch, rel=1e-15)
 
 
 class TestEstimateWithCi:

@@ -350,6 +350,8 @@ class TestRunner:
             run_experiment(RunnerConfig(scenarios=("Z",), reps=1))
         with pytest.raises(ConfigError):
             run_experiment(RunnerConfig(reps=0))
+        with pytest.raises(ConfigError, match="no sample sizes requested"):
+            run_experiment(RunnerConfig(ns=()))
 
     @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 6), (None, None)])
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, cpus, expected):

@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import check_full_rank
 from .errors import DimensionMismatchError
+from .solver import damped_newton
 
 # Fitted and predicted probabilities are clipped to this open interval
 # everywhere, which keeps clever-covariate ratios finite.
@@ -52,18 +53,14 @@ class GlmFit:
     separated: bool = False
 
 
-def _quasi_loglik(y, mu) -> float:
-    mu = clip_probability(mu)
-    return float((y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)).sum())
-
-
 def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None) -> GlmFit:
-    """Bernoulli quasi-likelihood fit by Newton scoring.
+    """Bernoulli quasi-likelihood fit: solver.damped_newton on the negative
+    quasi-log-likelihood, with the entropy dual's step rules.
 
     Accepts fractional responses in [0, 1] and an optional fixed offset added
-    to the linear predictor. Step-halving keeps the quasi-deviance
-    non-increasing. A diverging fit (coefficient max-norm above 1e3) is
-    reported as separated and truncated.
+    to the linear predictor. The fit has converged when every score entry is
+    within its tolerance. A diverging fit (coefficient max-norm above
+    SEPARATION_NORM) is reported as separated and truncated.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -79,45 +76,34 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
     # are a dot product with ones: np.sum rounds some of them differently.
     score_tol = np.maximum(1e-9, 1e-12 * (np.ones(n) @ np.abs(design)))
 
-    # mu is always the mean at beta: an accepted trial hands on its own mean.
-    beta = np.zeros(p)
-    mu = expit(o)
-    ll = _quasi_loglik(y, mu)
-    converged = False
-    separated = False
-    for _ in range(MAX_IRLS_ITER):
-        score = design.T @ (y - mu)
-        if (np.abs(score) <= score_tol).all():
-            converged = True
-            break
-        info = (design * (mu * (1.0 - mu))[:, None]).T @ design
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = score
-        t = 1.0
-        for _ in range(40):
-            trial = beta + t * step
-            mu_trial = expit(design @ trial + o)
-            ll_trial = _quasi_loglik(y, mu_trial)
-            if ll_trial >= ll - 1e-12:
-                beta, mu, ll = trial, mu_trial, ll_trial
-                break
-            t *= 0.5
-        else:
-            break
-        if np.abs(beta).max() > SEPARATION_NORM:
-            separated = True
-            warnings.warn(
-                "logistic fit appears separated; coefficients truncated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
+    # The negative quasi-log-likelihood, softplus(lp) - y lp, from expit's one
+    # exp; the mean is the point's state, which an accepted trial hands on.
+    def objective(beta):
+        lp = design @ beta + o
+        e = np.exp(np.minimum(lp, -lp))
+        mu = np.where(lp >= 0, 1.0, e) / (1.0 + e)
+        return float((np.maximum(lp, 0.0) + np.log1p(e) - y * lp).sum()), mu
+
+    def derivatives(beta, mu):
+        return (-(design.T @ (y - mu)),
+                lambda: (design * (mu * (1.0 - mu))[:, None]).T @ design, mu)
+
+    def stop(beta, mu, grad):
+        return np.abs(beta).max() > SEPARATION_NORM or (np.abs(grad) <= score_tol).all()
+
+    beta, mu, _, _, stopped = damped_newton(np.zeros(p), objective, derivatives, stop,
+                                            score_tol, MAX_IRLS_ITER)
+    separated = bool(np.abs(beta).max() > SEPARATION_NORM)
+    if separated:
+        warnings.warn(
+            "logistic fit appears separated; coefficients truncated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return GlmFit(
         coefficients=beta,
         family="logistic",
-        converged=converged and not separated,
+        converged=stopped and not separated,
         fitted=clip_probability(mu),
         separated=separated,
     )

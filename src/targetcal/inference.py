@@ -80,13 +80,13 @@ class CalibrationSystem:
         self.sign = 2.0 * self.z - 1.0
         # Per group: unit indicator, then the arm-contrast and calibration
         # halves of its eta in nu.
-        self.blocks = [((s == g).astype(float), slice((1 + 2 * j) * m, (2 + 2 * j) * m),
+        self.blocks = [(s == g, slice((1 + 2 * j) * m, (2 + 2 * j) * m),
                         slice((2 + 2 * j) * m, (3 + 2 * j) * m))
                        for j, g in enumerate(groups)]
-        w = np.zeros(len(s))
+        self.weights = np.zeros(len(s))
         for ind, arm, cal in self.blocks:
-            w += ind * np.exp(-(self.sign * (cmat @ nu[arm]) + cmat @ nu[cal]))
-        self.weights = w
+            c_own = cmat[ind]
+            self.weights[ind] = np.exp(-(self.sign[ind] * (c_own @ nu[arm]) + c_own @ nu[cal]))
         self.contrast = self.sign * np.where(calibrated, y, 0.0) - self.z * self.tau
         self.target = (s == 0).astype(float)
 

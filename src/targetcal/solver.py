@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -71,8 +72,7 @@ class EntropyProblem:
     n_units: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "active_rows", np.asarray(self.active_rows, dtype=np.intp))
 
@@ -92,52 +92,108 @@ class DualSolution:
 
 
 def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
-    """Evaluate f(eta), centering the exponent so overflow surfaces as inf."""
-    e = -(problem.a @ eta)
-    m = float(e.max())
-    if m > 700.0:
-        return float("inf")
-    with np.errstate(over="ignore"):
-        total = np.exp(m) * float(np.exp(e - m).sum())
-    return total + float(problem.b @ eta)
+    return _dual_point(problem, eta)[0]
 
 
 def dual_gradient(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
-    w = _active_weights(problem.a @ eta)
-    return problem.b - problem.a.T @ w
+    return _dual_derivatives(problem, eta, problem.a @ eta)[0]
 
 
-def _active_weights(u: np.ndarray) -> np.ndarray:
-    """Weights exp(-u_i) for u = a @ eta."""
+def _dual_point(problem: EntropyProblem, eta: np.ndarray) -> tuple:
+    """f(eta), centering the exponent so overflow surfaces as inf, and the
+    product u = a @ eta the derivatives reuse."""
+    u = problem.a @ eta
+    e = -u
+    m = float(e.max())
+    if m > 700.0:
+        return float("inf"), u
     with np.errstate(over="ignore"):
-        return np.exp(-u)
+        total = np.exp(m) * float(np.exp(e - m).sum())
+    return total + float(problem.b @ eta), u
 
 
-def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> DualSolution:
-    """Minimize the dual by damped Newton with Armijo backtracking.
+def _dual_derivatives(problem: EntropyProblem, eta: np.ndarray, u: np.ndarray) -> tuple:
+    """At u = a @ eta: the gradient b - a^T w, a function forming the Hessian
+    a^T diag(w) a, and (u, w), for the weights w = exp(-u). Weights that
+    overflow, as at a guarded trial, make the gradient NaN without a warning."""
+    a = problem.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-u)
+        grad = problem.b - a.T @ w
+    return grad, lambda: (a * w[:, None]).T @ a, (u, w)
 
-    Starts from eta = 0 (unit weights). Falls back to a gradient step when
-    the Hessian solve fails numerically.
+
+def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray,
+                  max_iter: int) -> tuple:
+    """Minimize a smooth convex f from x by damped Newton steps: the one loop
+    of solve_entropy_dual and glm.fit_logistic.
+
+    ``objective(x)`` returns f(x) (inf on overflow) and a point that
+    ``derivatives(x, point)`` reuses; that returns the gradient, a function
+    forming the Hessian and the state read by ``stop(x, state, grad)``, which
+    is true at an answer. ``scale`` is the size of each gradient coordinate.
+    The step is Newton's, the gradient scaled to unit max-norm if the solve
+    fails, or steepest descent if it does not descend; it is halved up to 80
+    times until Armijo's 1e-4 holds. Below f's float resolution the full step
+    must shrink the largest scaled gradient coordinate instead. The run ends
+    when no step is taken, or at the cap. Accepted trials hand on their
+    point, so none is evaluated twice. Returns (x, state, grad, iterations,
+    stopped).
+    """
+    f, point = objective(x)
+    ahead = None  # the derivatives at x when a guarded step formed them
+    for iterations in range(1, max_iter + 1):
+        grad, hessian, state = ahead or derivatives(x, point)
+        ahead = None
+        if stop(x, state, grad):
+            return x, state, grad, iterations, True
+        try:
+            step = np.linalg.solve(hessian(), -grad)
+            if not np.isfinite(step).all():
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            step = -grad / max(float(np.abs(grad).max()), 1.0)
+        slope = float(grad @ step)
+        if slope >= 0.0:
+            step = -grad
+            slope = -float(grad @ grad)
+        if -slope <= 1e-11 * (1.0 + abs(f)):
+            trial = x + step
+            f_trial, point_trial = objective(trial)
+            ahead = derivatives(trial, point_trial)
+            # A NaN gradient, where the trial's weights overflow, compares false.
+            if not (np.abs(ahead[0]) / scale).max() < (np.abs(grad) / scale).max():
+                return x, state, grad, iterations, False
+            x, f = trial, f_trial
+        else:
+            for t in 0.5 ** np.arange(80.0):
+                trial = x + t * step
+                f_trial, point_trial = objective(trial)
+                if np.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
+                    x, f, point = trial, f_trial, point_trial
+                    break
+            else:
+                return x, state, grad, iterations, False
+    grad, _, state = ahead or derivatives(x, point)
+    return x, state, grad, max_iter, False
+
+
+def solve_entropy_dual(problem: EntropyProblem) -> DualSolution:
+    """Minimize the dual by damped_newton from eta = 0 (unit weights).
 
     Every iterate is also tested for a Farkas certificate of an infeasible
-    primal: a unit vector d with a_i . d >= 0 on every active row and
-    b . d < 0 (each up to FARKAS_TOL, relative to max|a| and ||b||_1). Then
-    no w >= 0 satisfies a^T w = b, and the dual decreases without bound
-    along d, so the solve stops there. The first candidate is
-    d = eta / ||eta||, tested on the a @ eta product the weights need. When
-    b . eta < 0 but that test fails while some rows' weights have
-    underflowed (below eps times the largest), the second candidate is eta
-    projected onto the orthogonal complement of the rows that still carry
-    weight (_projected_certificate): it drops the bounded part of eta that
-    keeps a @ eta / ||eta|| just below zero for many iterations. Neither
-    candidate moves an iterate. A feasible problem can meet the test only
-    through the tolerances, when b lies within them of the boundary of the
-    cone spanned by the rows of a; elsewhere its iterates, and so its
-    solution, are exactly those of the plain Newton loop.
+    primal (_certificate): a unit vector d with a_i . d >= 0 on every active
+    row and b . d < 0 (each up to FARKAS_TOL, relative to max|a| and
+    ||b||_1). Then no w >= 0 satisfies a^T w = b, and the dual decreases
+    without bound along d, so the solve stops there. The test moves no
+    iterate. A feasible problem can meet it only through the tolerances,
+    when b lies within them of the boundary of the cone spanned by the rows
+    of a; elsewhere its iterates, and so its solution, are exactly those of
+    the plain Newton loop.
 
     Raises NotConvergedError when a certificate is found (``direction``
-    holds d), or when the iteration limit is reached or the line search
-    stalls with the constraints unmet (``direction`` is None). Either way
+    holds d), or when MAX_ITER iterations pass or a step cannot be taken
+    with the constraints unmet (``direction`` is None). Either way
     ``worst_constraint`` names the constraint with the largest relative
     violation at the last iterate.
     """
@@ -153,69 +209,18 @@ def solve_entropy_dual(problem: EntropyProblem, max_iter: int = MAX_ITER) -> Dua
     # negative on the scale of b.
     row_tol = -FARKAS_TOL * float(np.abs(a).max())
     b_tol = -FARKAS_TOL * float(np.abs(b).sum())
-
-    eta = np.zeros(k)
-    f_val = dual_objective(problem, eta)
-    iterations = 0
     direction = None
-    for iterations in range(1, max_iter + 1):
-        u = a @ eta
-        w = _active_weights(u)
-        grad = b - a.T @ w
-        rel = float((np.abs(grad) / b_scale).max())
-        if rel <= GRAD_TOL:
-            break
-        b_eta = float(b @ eta)
-        if b_eta < 0.0:  # the cheap half of the test first
-            eta_norm = math.sqrt(eta @ eta)
-            if b_eta < b_tol * eta_norm and u.min() >= row_tol * eta_norm:
-                direction = eta / eta_norm
-                break
-            direction = _projected_certificate(a, b, u, eta, row_tol, b_tol)
-            if direction is not None:
-                break
-        hess = (a * w[:, None]).T @ a
-        try:
-            step = np.linalg.solve(hess, -grad)
-            if not np.isfinite(step).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = -grad / max(float(np.abs(grad).max()), 1.0)
-        slope = float(grad @ step)
-        if slope >= 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
-        accepted = False
-        if -slope <= 1e-11 * (1.0 + abs(f_val)):
-            # Objective differences are below float resolution of f; take a
-            # pure Newton step guarded by the gradient instead.
-            trial = eta + step
-            # Weights that overflow at the trial make its gradient NaN, which
-            # the isfinite guard below rejects.
-            with np.errstate(invalid="ignore"):
-                rel_trial = float((np.abs(dual_gradient(problem, trial)) / b_scale).max())
-            if np.isfinite(rel_trial) and rel_trial < rel:
-                eta = trial
-                f_val = dual_objective(problem, eta)
-                accepted = True
-        else:
-            t = 1.0
-            for _ in range(80):
-                trial = eta + t * step
-                f_trial = dual_objective(problem, trial)
-                if np.isfinite(f_trial) and f_trial <= f_val + 1e-4 * t * slope:
-                    eta, f_val = trial, f_trial
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            # Step direction exhausted; report the violation as-is.
-            break
-    else:
-        # Every break leaves w and grad at eta; the cap leaves a new iterate.
-        w = _active_weights(a @ eta)
-        with np.errstate(invalid="ignore"):
-            grad = b - a.T @ w
+
+    def stop(eta, state, grad):
+        nonlocal direction
+        if float((np.abs(grad) / b_scale).max()) <= GRAD_TOL:
+            return True
+        direction = _certificate(a, b, state[0], eta, row_tol, b_tol)
+        return direction is not None
+
+    eta, (_, w), grad, iterations, _ = damped_newton(
+        np.zeros(k), partial(_dual_point, problem), partial(_dual_derivatives, problem), stop,
+        b_scale, MAX_ITER)
     violation = np.abs(grad) / b_scale
     residual = float(np.max(violation))
     converged = direction is None and residual <= RESIDUAL_TOL
@@ -259,19 +264,26 @@ def _leading_constraint(direction: np.ndarray) -> int:
     return int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
 
 
-def _projected_certificate(a, b, u, eta, row_tol, b_tol):
-    """The Farkas test on eta with its part in the row space of the rows that
-    still carry weight removed, or None.
+def _certificate(a, b, u, eta, row_tol, b_tol):
+    """A Farkas certificate at the iterate eta, or None.
 
-    Along an infeasible problem's diverging dual, eta = t d + r with r
-    bounded, so a @ eta / ||eta|| approaches a @ d only like 1/t, and rows
-    with a_i . d = 0 can sit just below zero for many iterations. Those are
-    the rows within UNDERFLOW_GAP of the smallest a_i . eta, the ones whose
-    weights have not underflowed. Projecting eta onto the orthogonal
-    complement of their span keeps d and puts those rows at zero at once.
-    The projected direction must pass the same test as eta / ||eta||, over
-    every active row.
+    The first candidate is d = eta / ||eta||, tested on u = a @ eta, the
+    product the weights need. When b . eta < 0 but that test fails while some
+    rows' weights have underflowed, the second is eta projected onto the
+    orthogonal complement of the rows that still carry weight. Along an
+    infeasible problem's diverging dual, eta = t d + r with r bounded, so
+    a @ eta / ||eta|| approaches a @ d only like 1/t, and rows with
+    a_i . d = 0 can sit just below zero for many iterations. Those are the
+    rows within UNDERFLOW_GAP of the smallest a_i . eta. The projection keeps
+    d and puts those rows at zero at once; it must pass the same test as
+    eta / ||eta||, over every active row.
     """
+    b_eta = float(b @ eta)
+    if b_eta >= 0.0:  # the cheap half of the test first
+        return None
+    eta_norm = math.sqrt(eta @ eta)
+    if b_eta < b_tol * eta_norm and u.min() >= row_tol * eta_norm:
+        return eta / eta_norm
     heavy = u - u.min() <= UNDERFLOW_GAP
     if heavy.all():
         return None

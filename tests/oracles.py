@@ -3,7 +3,9 @@ per-cell and per-column forms of the columnar data path in targetcal.data,
 the sandwich variance that builds the whole residual matrix in the
 (gamma, delta) parameterization of the duals (`convert_dual`,
 `calibration_system_full_psi`, `sandwich_se_full_psi`), the two-branch
-logistic function glm.expit replaced, the alternating
+logistic function glm.expit replaced, the logistic fit's own Newton loop
+with its step-halving rules that glm.fit_logistic gave up for the solver's
+shared damped-Newton driver (`fit_logistic_irls`), the alternating
 sampling/balance calibration that cross-checks the joint transport solve,
 and the scenario draws that always compute the u transforms
 (`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
@@ -17,19 +19,21 @@ fractional `s` is truncated), so comparisons use inputs without them.
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
-from targetcal.data import Dataset
+from targetcal.data import Dataset, check_full_rank
 from targetcal.errors import (
     DegenerateDrawError,
+    DimensionMismatchError,
     EmptyArmError,
     NonFiniteError,
     NotConvergedError,
     SchemaError,
     ZeroVarianceError,
 )
-from targetcal.glm import expit
+from targetcal.glm import MAX_IRLS_ITER, SEPARATION_NORM, GlmFit, clip_probability, expit
 from targetcal.sim import _rng, derive_seed
 from targetcal.solver import assemble_transport
 
@@ -247,6 +251,74 @@ def expit_two_branch(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _quasi_loglik(y, mu) -> float:
+    mu = clip_probability(mu)
+    return float((y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)).sum())
+
+
+def fit_logistic_irls(design, y, offset=None):
+    """Bernoulli quasi-likelihood fit by Newton scoring, as glm.fit_logistic
+    ran it before the shared driver: a step is accepted when the
+    quasi-log-likelihood drops by no more than 1e-12, halved at most 40
+    times, and the raw score is the fallback step."""
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = design.shape
+    if y.shape != (n,):
+        raise DimensionMismatchError("response length does not match design")
+    if np.any((y < 0) | (y > 1)):
+        raise ValueError("logistic responses must lie in [0, 1]")
+    o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    check_full_rank(design, "logistic design")
+    # Per-coefficient score tolerance: 1e-9 absolute, raised to what float
+    # rounding of the score sum leaves reachable at large n. The column sums
+    # are a dot product with ones: np.sum rounds some of them differently.
+    score_tol = np.maximum(1e-9, 1e-12 * (np.ones(n) @ np.abs(design)))
+
+    # mu is always the mean at beta: an accepted trial hands on its own mean.
+    beta = np.zeros(p)
+    mu = expit(o)
+    ll = _quasi_loglik(y, mu)
+    converged = False
+    separated = False
+    for _ in range(MAX_IRLS_ITER):
+        score = design.T @ (y - mu)
+        if (np.abs(score) <= score_tol).all():
+            converged = True
+            break
+        info = (design * (mu * (1.0 - mu))[:, None]).T @ design
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = score
+        t = 1.0
+        for _ in range(40):
+            trial = beta + t * step
+            mu_trial = expit(design @ trial + o)
+            ll_trial = _quasi_loglik(y, mu_trial)
+            if ll_trial >= ll - 1e-12:
+                beta, mu, ll = trial, mu_trial, ll_trial
+                break
+            t *= 0.5
+        else:
+            break
+        if np.abs(beta).max() > SEPARATION_NORM:
+            separated = True
+            warnings.warn(
+                "logistic fit appears separated; coefficients truncated",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
+    return GlmFit(
+        coefficients=beta,
+        family="logistic",
+        converged=converged and not separated,
+        fitted=clip_probability(mu),
+        separated=separated,
+    )
 
 
 def _tilt(a, b, base):

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from targetcal import sim
+from targetcal import glm, sim
 from targetcal.data import build_balance_matrix
 from targetcal.errors import DimensionMismatchError, RankDeficientError
+from targetcal.estimators import EstimatorKind, Fits, compute_tau
 from targetcal.glm import clip_probability, expit, fit_linear, fit_logistic, logit, predict
 
 from conftest import sigmoid
-from oracles import expit_two_branch
+from oracles import expit_two_branch, fit_logistic_irls
 
 
 class TestLogistic:
@@ -192,3 +195,89 @@ def test_fitted_is_the_mean_at_the_coefficients(case):
         assert fit.converged
     lp = design @ fit.coefficients + (0.0 if offset is None else offset)
     assert np.array_equal(_bits(fit.fitted), _bits(clip_probability(expit(lp))))
+
+
+def _near_separated(seed):
+    """n=200, one covariate, slope 80: a likelihood flat enough that fitted
+    means of many units sit beyond the 1e-6 clip."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(200)
+    y = (rng.random(200) < expit(80.0 * x)).astype(float)
+    return np.column_stack([np.ones(200), x]), y, None
+
+
+def _tmle_fits(monkeypatch):
+    """Every logistic fit TMLE makes (sampling and propensity scores, the two
+    fractional initial fits and the offset fluctuation) on one n=300 draw of
+    each scenario."""
+    seen = []
+    fit = glm.fit_logistic
+
+    def record(design, y, offset=None):
+        seen.append((design, y, offset))
+        return fit(design, y, offset)
+
+    monkeypatch.setattr(glm, "fit_logistic", record)
+    for sid in sorted(sim.SCENARIOS):
+        ds = sim.generate(sim.SCENARIOS[sid], 300, sim.derive_seed(5, sid, 300, 0, 0))
+        compute_tau(ds.to_transport(), EstimatorKind.TMLE, Fits(ds, build_balance_matrix(ds)))
+    monkeypatch.undo()
+    return seen
+
+
+def _test_logistic_inputs():
+    """The inputs of TestLogistic, in its order."""
+    yield np.ones((4, 1)), np.array([1.0, 0.0, 0.0, 0.0]), None
+    rng = np.random.default_rng(1)
+    y = rng.uniform(0.05, 0.95, 50)
+    h = np.column_stack([rng.random(50) + 0.5, rng.random(50) + 0.5])
+    h[:25, 1] = 0.0
+    h[25:, 0] = 0.0
+    yield h, y, logit(y)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((100_000, 4))
+    design = np.column_stack([np.ones(100_000), x])
+    y = (rng.random(100_000) < sigmoid(design @ np.array([0.0, 0.5, -0.5, 0.5, -0.5])))
+    yield design, y.astype(float), None
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((400, 2))
+    yield (np.column_stack([np.ones(400), x]),
+           (rng.random(400) < sigmoid(x[:, 0])).astype(float), None)
+    ds = sim.generate(sim.SCENARIOS["D"], 200_000, sim.derive_seed(0, "cli", 200_000, 2))
+    yield build_balance_matrix(ds).c, ds.s.astype(float), None
+    rng = np.random.default_rng(11)
+    design = np.column_stack([np.ones(200), rng.standard_normal(200)])
+    yield design, expit(design @ np.array([0.3, 0.8])), None
+    x = np.array([-0.003, -0.002, -0.001, 0.001, 0.002, 0.003])
+    yield np.column_stack([np.ones(6), x]), np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), None
+
+
+def test_driver_matches_the_parent_loop(monkeypatch, record_property):
+    # The shared damped-Newton driver against the logistic fit's own former
+    # loop (oracles.fit_logistic_irls): same flags, coefficients to 1e-12.
+    panel = [*_test_logistic_inputs(), *_tmle_fits(monkeypatch), _near_separated(7)]
+    identical = 0
+    for i, (design, y, offset) in enumerate(panel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the separated case
+            new = fit_logistic(design, y, offset)
+            old = fit_logistic_irls(design, y, offset)
+        assert (new.converged, new.separated) == (old.converged, old.separated), i
+        np.testing.assert_allclose(new.coefficients, old.coefficients, rtol=1e-12, atol=0,
+                                   err_msg=str(i))
+        identical += np.array_equal(_bits(new.coefficients), _bits(old.coefficients))
+    record_property("bit_identical", identical)
+    print(f"logistic panel: {identical} of {len(panel)} fits bit-identical")
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_near_separated_fit_converges(seed):
+    # Most fitted means here sit beyond the 1e-6 clip. The objective is the
+    # unclipped quasi-likelihood, whose gradient is the score, so Armijo's
+    # rule keeps finding descent: on the clipped one, flat past the clip,
+    # seed 0 stalls. The former loop stalls at seed 6.
+    design, y, _ = _near_separated(seed)
+    fit = fit_logistic(design, y)
+    assert fit.converged and not fit.separated
+    assert np.all(np.abs(design.T @ (y - expit(design @ fit.coefficients))) <= 1e-9)
+    assert fit_logistic_irls(design, y).converged == (seed == 0)

@@ -7,7 +7,7 @@ from scipy import stats
 
 from targetcal import data
 from targetcal.data import Dataset, build_balance_matrix, target_moments
-from targetcal.errors import InvalidLevelError, MissingComponentsError
+from targetcal.errors import InvalidLevelError, MissingComponentsError, SingularJacobianError
 from targetcal.estimators import (
     FUSION_ONLY,
     EstimatorKind,
@@ -18,6 +18,7 @@ from targetcal.estimators import (
 )
 from targetcal.inference import (
     CalibrationSystem,
+    _check_solvable,
     confidence_interval,
     descriptive_variance,
     estimate_with_ci,
@@ -26,6 +27,7 @@ from targetcal.inference import (
     sandwich_variance_fusion,
     sandwich_variance_transport,
 )
+from targetcal.sim import SCENARIOS, derive_seed, generate
 from targetcal.solver import assemble_fusion, assemble_transport
 
 from conftest import draw_row_a, random_feasible_transport, stacked_system
@@ -252,6 +254,37 @@ class TestSandwich:
                      sandwich_se_full_psi(ds, fits_f, fits_f.fusion, (0, 1), cal_f.tau_hat))
         assert got == pytest.approx(reference, rel=1e-12)
 
+
+    def test_out_of_group_exponent_past_overflow(self):
+        # One study unit far out on x1: under the target half's dual its
+        # exponent is far past exp's overflow at 709. Each group's weights
+        # are computed on its own rows only, so that exponent never forms
+        # and the CAL_F sandwich stays finite.
+        ds = generate(SCENARIOS["A"], 300, derive_seed(3, "A", 300, 0, 0))
+        unit = int(np.flatnonzero(ds.s == 1)[0])
+        x = ds.x.copy()
+        x[unit, 0] = 2500.0
+        ds = Dataset.fusion(ds.s, ds.z, ds.y, x)
+        fits = Fits(ds, build_balance_matrix(ds))
+        report = estimate_with_ci(ds, fits, kind=EstimatorKind.CAL_F)
+        target, _ = fits.fusion
+        a = assemble_fusion(fits.c, np.zeros(ds.n), ds.z, fits.theta0).a
+        assert -(a[unit] @ target.eta) > 709.0
+        assert math.isfinite(report.tau_hat) and math.isfinite(report.se) and report.se > 0
+
+
+class TestCheckSolvable:
+    def test_singular(self):
+        with pytest.raises(SingularJacobianError, match="numerically singular"):
+            _check_solvable(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(SingularJacobianError, match="non-finite entries"):
+            _check_solvable(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_well_conditioned_passes(self):
+        _check_solvable(np.array([[2.0, 1.0], [1.0, 3.0]]))
 
 class TestInfluence:
     def test_zero_residual_zero_heterogeneity_gives_zero_se(self):

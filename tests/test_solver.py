@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
+from targetcal import solver
 from targetcal.data import build_balance_matrix, target_moments
 from targetcal.errors import DegenerateDrawError, NotConvergedError, RankDeficientError
 from targetcal.sim import MAX_REDRAWS, SCENARIOS, derive_seed, generate
@@ -60,13 +61,14 @@ class TestSolveBasics:
         with pytest.raises(RankDeficientError):
             solve_entropy_dual(prob)
 
-    def test_infeasible_raises_with_worst_constraint(self):
+    def test_infeasible_raises_with_worst_constraint(self, monkeypatch):
         # Demand a weighted mean far outside the covariate hull.
         a = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
         prob = EntropyProblem(a=a, b=np.array([20.0, 100.0]),
                               active_rows=np.arange(20), n_units=20)
+        monkeypatch.setattr(solver, "MAX_ITER", 60)
         with pytest.raises(NotConvergedError) as err:
-            solve_entropy_dual(prob, max_iter=60)
+            solve_entropy_dual(prob)
         assert err.value.worst_constraint is not None
 
     def test_gradient_matches_finite_differences(self):
@@ -312,10 +314,11 @@ def test_infeasible_solve_emits_no_warning():
             solve_entropy_dual(_overlap_violation()[1])
 
 
-def test_infeasible_solve_carries_farkas_certificate():
+def test_infeasible_solve_carries_farkas_certificate(monkeypatch):
     c, problem = _overlap_violation()
+    monkeypatch.setattr(solver, "MAX_ITER", 50)
     with pytest.raises(NotConvergedError) as err:
-        solve_entropy_dual(problem, max_iter=50)
+        solve_entropy_dual(problem)
     d = err.value.direction
     assert d is not None, "no certificate within 50 iterations"
     a, b = problem.a, problem.b

@@ -55,7 +55,7 @@ class GlmFit:
 
 def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None) -> GlmFit:
     """Bernoulli quasi-likelihood fit: solver.damped_newton on the negative
-    quasi-log-likelihood, with the entropy dual's step rules.
+    quasi-log-likelihood, unclipped so that its gradient is the score.
 
     Accepts fractional responses in [0, 1] and an optional fixed offset added
     to the linear predictor. The fit has converged when every score entry is
@@ -76,8 +76,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
     # are a dot product with ones: np.sum rounds some of them differently.
     score_tol = np.maximum(1e-9, 1e-12 * (np.ones(n) @ np.abs(design)))
 
-    # The negative quasi-log-likelihood, softplus(lp) - y lp, from expit's one
-    # exp; the mean is the point's state, which an accepted trial hands on.
+    # softplus(lp) - y lp from expit's one exp; the mean is the point's state.
     def objective(beta):
         lp = design @ beta + o
         e = np.exp(np.minimum(lp, -lp))
@@ -85,7 +84,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
         return float((np.maximum(lp, 0.0) + np.log1p(e) - y * lp).sum()), mu
 
     def derivatives(beta, mu):
-        return (-(design.T @ (y - mu)),
+        return (design.T @ (mu - y),
                 lambda: (design * (mu * (1.0 - mu))[:, None]).T @ design, mu)
 
     def stop(beta, mu, grad):

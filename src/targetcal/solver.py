@@ -116,11 +116,10 @@ def _dual_derivatives(problem: EntropyProblem, eta: np.ndarray, u: np.ndarray) -
     """At u = a @ eta: the gradient b - a^T w, a function forming the Hessian
     a^T diag(w) a, and (u, w), for the weights w = exp(-u). Weights that
     overflow, as at a guarded trial, make the gradient NaN without a warning."""
-    a = problem.a
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(-u)
-        grad = problem.b - a.T @ w
-    return grad, lambda: (a * w[:, None]).T @ a, (u, w)
+        grad = problem.b - problem.a.T @ w
+    return grad, lambda: (problem.a * w[:, None]).T @ problem.a, (u, w)
 
 
 def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray,
@@ -166,12 +165,14 @@ def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray
                 return x, state, grad, iterations, False
             x, f = trial, f_trial
         else:
-            for t in 0.5 ** np.arange(80.0):
+            t = 1.0
+            for _ in range(80):
                 trial = x + t * step
                 f_trial, point_trial = objective(trial)
-                if np.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
+                if math.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
                     x, f, point = trial, f_trial, point_trial
                     break
+                t *= 0.5
             else:
                 return x, state, grad, iterations, False
     grad, _, state = ahead or derivatives(x, point)

@@ -9,6 +9,7 @@ from targetcal.errors import DimensionMismatchError, RankDeficientError
 from targetcal.estimators import EstimatorKind, Fits, compute_tau
 from targetcal.glm import clip_probability, expit, fit_linear, fit_logistic, logit, predict
 
+import oracles
 from conftest import sigmoid
 from oracles import expit_two_branch, fit_logistic_irls
 
@@ -281,3 +282,19 @@ def test_near_separated_fit_converges(seed):
     assert fit.converged and not fit.separated
     assert np.all(np.abs(design.T @ (y - expit(design @ fit.coefficients))) <= 1e-9)
     assert fit_logistic_irls(design, y).converged == (seed == 0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_separation_on_the_last_allowed_iteration(monkeypatch, cap):
+    # The second step crosses SEPARATION_NORM here. With the cap at 2 it is
+    # the last step allowed, and the fit is still flagged separated, as the
+    # former loop flags it.
+    x = np.array([-0.003, -0.002, -0.001, 0.001, 0.002, 0.003])
+    design, y = np.column_stack([np.ones(6), x]), (x > 0).astype(float)
+    monkeypatch.setattr(glm, "MAX_IRLS_ITER", cap)
+    monkeypatch.setattr(oracles, "MAX_IRLS_ITER", cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        new, old = fit_logistic(design, y), fit_logistic_irls(design, y)
+    assert (new.converged, new.separated) == (old.converged, old.separated) == (False, cap >= 2)
+    assert np.array_equal(_bits(new.coefficients), _bits(old.coefficients))

@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import Counter
 
@@ -337,6 +338,24 @@ def test_infeasible_solve_carries_farkas_certificate(monkeypatch):
     assert j < c.m and c.names[j] == "intercept"
     assert err.value.worst_constraint is not None
 
+
+def test_cap_tests_no_iterate_after_the_last_step(monkeypatch):
+    # The certificate comes at the top of iteration k, on the iterate the
+    # first k - 1 steps reach. A cap below k leaves that iterate untested:
+    # the solve ends uncertified, after exactly the cap.
+    _, problem = _overlap_violation()
+    with pytest.raises(NotConvergedError) as err:
+        solve_entropy_dual(problem)
+    k = int(re.search(r"certificate at iteration (\d+)", str(err.value)).group(1))
+    for cap in range(1, k + 2):
+        monkeypatch.setattr(solver, "MAX_ITER", cap)
+        with pytest.raises(NotConvergedError) as err:
+            solve_entropy_dual(problem)
+        if cap < k:
+            assert err.value.direction is None
+            assert f"did not converge after {cap} iterations" in str(err.value)
+        else:
+            assert f"certificate at iteration {k} " in str(err.value)
 
 def test_certificate_constraint_survives_last_bit():
     # In d = (-v, v) the entries j and j + m differ only by rounding; one ulp

@@ -163,7 +163,7 @@ def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray
             # A NaN gradient, where the trial's weights overflow, compares false.
             if not (np.abs(ahead[0]) / scale).max() < (np.abs(grad) / scale).max():
                 return x, state, grad, iterations, False
-            x, f = trial, f_trial
+            x, f, point = trial, f_trial, point_trial
         else:
             t = 1.0
             for _ in range(80):

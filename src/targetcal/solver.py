@@ -72,7 +72,8 @@ class EntropyProblem:
     n_units: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        a = np.asarray(self.a, dtype=float)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "active_rows", np.asarray(self.active_rows, dtype=np.intp))
 

@@ -68,7 +68,7 @@ class Dataset:
     mode: str = "fusion"
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int8)
+        s = np.asarray(self.s)
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2:
             raise ModeError("covariate matrix must be two-dimensional")
@@ -82,8 +82,10 @@ class Dataset:
                 raise ModeError(f"{name} must have length {n}")
         if self.mode not in MODES:
             raise ModeError(f"unknown mode '{self.mode}'")
+        # Tested before the cast, which would truncate 0.9 to 0 and 257 to 1.
         if not np.isin(s, (0, 1)).all():
             raise ModeError("s must be binary")
+        s = s.astype(np.int8, copy=False)
         if s.min() == s.max():
             raise ModeError("both a study sample (s=1) and a target sample (s=0) are required")
         if not np.isfinite(x).all():
@@ -368,42 +370,14 @@ def _file_line(path, row: int) -> int:
     return starts[row + 1]
 
 
-# A quoted field: a quote that starts a field, then anything but a lone
-# quote ("" is a literal one), then the closing quote or the end of the text
-# (group 1 empty: the field is still open). np.loadtxt and the csv module
-# read quotes so; a quote later in a field is a literal character.
-_QUOTED_FIELD = re.compile(r'(?:\A|(?<=[,\n\r]))"[^"]*(?:""[^"]*)*("|\Z)')
-
-
-def _open_quote(text: str) -> int:
-    """Where the quoted field left open at the end of ``text`` starts, or -1
-    if none is; ``text`` starts at the start of a field."""
-    last = None
-    if '"' in text:
-        for last in _QUOTED_FIELD.finditer(text):
-            pass
-    return last.start() if last is not None and not last.group(1) else -1
-
-
-def _line_blocks(fh):
-    """Yield the remaining lines of ``fh`` in lists of BLOCK_ROWS lines; a
-    block that would end inside a quoted field takes lines until it closes."""
-    while block := list(itertools.islice(fh, BLOCK_ROWS)):
-        text = "".join(block)
-        open_at = _open_quote(text)
-        while open_at >= 0 and (line := next(fh, "")):
-            block.append(line)
-            text = text[open_at:] + line
-            open_at = _open_quote(text)
-        yield block
-
-
-def _parse_block(path, lines: list, width: int, first: int) -> np.ndarray:
-    """Split a block of lines into a (rows, width) array of str fields;
-    ``first`` is the data row the block starts at."""
+def _parse_block(path, fh, width: int, first: int) -> np.ndarray:
+    """Read the next BLOCK_ROWS data rows of the open file ``fh`` as a
+    (rows, width) array of str fields, empty at the end of the file; ``first``
+    is the data row the block starts at. np.loadtxt skips blank lines and
+    reads a quoted field across lines, so a block holds whole rows."""
     try:
-        cells = np.loadtxt(lines, delimiter=",", dtype=object, comments=None,
-                           quotechar='"', ndmin=2)
+        cells = np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
+                           quotechar='"', ndmin=2, max_rows=BLOCK_ROWS)
     except ValueError as exc:
         # numpy counts data rows from 1 and compares with the first row.
         ragged = re.search(r"from (\d+) to (\d+) at row (\d+)", str(exc))
@@ -459,19 +433,21 @@ def read_csv_columns(path, mode: str = "fusion",
     """Read raw dataset columns from CSV.
 
     The header must contain ``s`` (unless ``force_s`` fixes the indicator for
-    the whole file) and, depending on mode, ``z`` and ``y``; every remaining
-    column is treated as a covariate, and no name may appear twice. ``s``
-    must be 0 or 1 in every row. Empty z/y fields mark absent values;
-    transport mode reads target-sample z/y as NaN without casting them.
+    the whole file, when it must not) and, depending on mode, ``z`` and ``y``;
+    every remaining column is treated as a covariate, and no name may appear
+    twice. ``s`` must be 0 or 1 in every row. Empty z/y fields mark absent
+    values; transport mode reads target-sample z/y as NaN without casting them.
     Fields may be quoted and padded with whitespace; blank lines are skipped,
     there are no comment lines, and a leading byte-order mark is ignored.
     Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
     masks mark non-blank z and y fields, plus the covariate column names;
     load_dataset_csv turns them into a Dataset.
 
-    The body is parsed in blocks of BLOCK_ROWS lines, each cast to float
-    before the next is read, so the str fields of one block at a time are
-    held. A file with more than one fault reports the first block's.
+    np.loadtxt reads the body from the open file in blocks of BLOCK_ROWS data
+    rows (blank lines and the extra lines of a quoted field do not count),
+    each cast to float before the next is read, so the str fields of one
+    block at a time are held. A file with more than one fault reports the
+    first block's.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -484,6 +460,9 @@ def read_csv_columns(path, mode: str = "fusion",
             raise SchemaError(f"{path}: duplicate column '{twice[0]}'")
         if force_s is None and "s" not in header:
             raise SchemaError(f"{path}: missing required column 's'")
+        if force_s is not None and "s" in header:
+            raise SchemaError(f"{path}: column 's' is not allowed when the study and "
+                              "target samples are separate files")
         if mode == "fusion":
             for name in ("z", "y"):
                 if name not in header:
@@ -494,12 +473,11 @@ def read_csv_columns(path, mode: str = "fusion",
         blocks, rows = [], 0
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            for lines in _line_blocks(fh):
-                cells = _parse_block(path, lines, len(header), rows)
-                if len(cells):
-                    blocks.append(_block_columns(path, cells, header, cov_cols, mode,
-                                                 force_s, rows))
-                    rows += len(cells)
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+            while len(cells := _parse_block(path, fh, len(header), rows)):
+                blocks.append(_block_columns(path, cells, header, cov_cols, mode,
+                                             force_s, rows))
+                rows += len(cells)
     if not blocks:
         blocks.append(_block_columns(path, np.empty((0, len(header)), dtype=object),
                                      header, cov_cols, mode, force_s, 0))

@@ -92,14 +92,6 @@ class DualSolution:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def dual_objective(problem: EntropyProblem, eta: np.ndarray) -> float:
-    return _dual_point(problem, eta)[0]
-
-
-def dual_gradient(problem: EntropyProblem, eta: np.ndarray) -> np.ndarray:
-    return _dual_derivatives(problem, eta, problem.a @ eta)[0]
-
-
 def _dual_point(problem: EntropyProblem, eta: np.ndarray) -> tuple:
     """f(eta), centering the exponent so overflow surfaces as inf, and the
     product u = a @ eta the derivatives reuse."""

@@ -9,12 +9,16 @@ shared damped-Newton driver (`fit_logistic_irls`), the alternating
 sampling/balance calibration that cross-checks the joint transport solve,
 and the scenario draws that always compute the u transforms
 (`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
+`dual_objective` and `dual_gradient` evaluate the entropy dual and its
+gradient through the solver's own `_dual_point` and `_dual_derivatives`, so
+the finite-difference and derivative-free checks test the code it runs.
 
 `read_csv_columns_per_cell` parses one cell at a time with the csv module;
 `export_scores_per_row` writes one row at a time; `smd_per_column` reduces
-one balance column at a time with np.average / var. The parser keeps two
-faults of the code it reproduces (an empty `s` cell raises TypeError and a
-fractional `s` is truncated), so comparisons use inputs without them.
+one balance column at a time with np.average / var. The parser keeps three
+faults of the code it reproduces (an empty `s` cell raises TypeError, a
+fractional `s` is truncated, and with `force_s` an `s` column is ignored),
+so comparisons use inputs without them.
 """
 
 import csv
@@ -35,7 +39,7 @@ from targetcal.errors import (
 )
 from targetcal.glm import MAX_IRLS_ITER, SEPARATION_NORM, GlmFit, clip_probability, expit
 from targetcal.sim import _rng, derive_seed
-from targetcal.solver import assemble_transport
+from targetcal.solver import _dual_derivatives, _dual_point, assemble_transport
 
 # iterative_calibration: largest weight change that ends it, and pass limit.
 ITERATIVE_TOL = 1e-12
@@ -107,6 +111,14 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
                 ) from None
     cols = {"s": s, "z": z, "y": y, "x": x, "z_observed": zo, "y_observed": yo}
     return cols, cov_names
+
+
+def dual_objective(problem, eta):
+    return _dual_point(problem, eta)[0]
+
+
+def dual_gradient(problem, eta):
+    return _dual_derivatives(problem, eta, problem.a @ eta)[0]
 
 
 def export_scores_per_row(rho_hat, pi_hat, dataset, path):

@@ -20,13 +20,11 @@ from targetcal.solver import (
     EntropyProblem,
     assemble_sampling,
     assemble_transport,
-    dual_gradient,
-    dual_objective,
     solve_entropy_dual,
 )
 
 from conftest import random_feasible_transport, stacked_system
-from oracles import iterative_calibration
+from oracles import dual_gradient, dual_objective, iterative_calibration
 
 REPS = 1000
 WORKERS = min(4, os.cpu_count() or 1)

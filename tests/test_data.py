@@ -1,9 +1,12 @@
 import csv
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetcal import data
 from targetcal.cli import _load
@@ -82,6 +85,13 @@ class TestDataset:
         ds = tiny_dataset()
         with pytest.raises(ValueError):
             ds.y[0] = 99.0
+
+    @pytest.mark.parametrize("cell", [0.9, 257.0, -0.5, np.nan])
+    def test_sample_indicator_must_be_binary(self, cell):
+        # an int8 cast would read 0.9 and -0.5 as 0 and 257.0 as 1
+        with pytest.raises(ModeError, match="s must be binary"):
+            Dataset.fusion([1, 1, 0, cell], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0],
+                           np.zeros((4, 1)))
 
 
 class TestBalanceMatrix:
@@ -366,6 +376,18 @@ class TestCsvIngestion:
                 assert np.array_equal(getattr(got[0], key), getattr(want[0], key),
                                       equal_nan=True), key
 
+    @pytest.mark.parametrize("marked", ["study", "target"])
+    def test_two_files_reject_s_column(self, tmp_path, marked):
+        # each file sets s, so a study file's s=0 rows must not load as study units
+        texts = {"study": "z,y,x1\n1,2.5,0.1\n0,1.5,0.3\n", "target": "x1\n-0.6\n0.2\n"}
+        texts[marked] = {"study": "s,z,y,x1\n1,1,2.5,0.1\n1,0,1.5,0.3\n0,1,3.5,-0.6\n0,0,0.5,0.2\n",
+                         "target": "s,x1\n0,-0.6\n0,0.2\n"}[marked]
+        for name, text in texts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / marked}.csv: column 's'")):
+            load_dataset_csv(tmp_path / "study.csv", mode="transport",
+                             target_path=tmp_path / "target.csv")
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("z,y,x1\n1,2.0,0.1\n")
@@ -486,7 +508,7 @@ class TestCsvAgainstPerCellParser:
 
 
 class TestCsvInBlocks(TestCsvAgainstPerCellParser):
-    """Every case above, with the body parsed one, two and three lines at a
+    """Every case above, with the body parsed one, two and three rows at a
     time."""
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
@@ -495,7 +517,7 @@ class TestCsvInBlocks(TestCsvAgainstPerCellParser):
 
 
 class TestCsvBlocks:
-    """A fault in the first or the last line of a two-line block is reported
+    """A fault in the first or the last row of a two-row block is reported
     with the message a whole-file parse gives, and a parse holds about one
     block of str fields at a time."""
 
@@ -529,6 +551,11 @@ class TestCsvBlocks:
         # the first quote is inside a field, so only the second opens one
         "quoted_after_inner_quote": ('1,1,2.5,0.1\n0,0,a"b,"1.5\n",0.2\n',
                                      "row 3 has 5 fields, expected 4"),
+        # a block counts rows, not lines: the quoted newline and the blank
+        # line leave the ragged row in the first block with the 'NA', and the
+        # parse fault is found before the cast one
+        "blank_and_quoted_newline_then_ragged": ('1,NA,"2.5\n",0.1\n\n0,0,1.5\n',
+                                                 "row 5 has 3 fields, expected 4"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -557,6 +584,72 @@ class TestCsvBlocks:
             tracemalloc.stop()
         assert cols["x"].shape == (n, 4)
         assert peak < 3 * sum(a.nbytes for a in cols.values())
+
+
+# Numbers in spellings float() reads; a dropped target z/y field may hold any
+# text.
+NUMBERS = st.one_of(st.integers(-5, 5).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.sampled_from(["nan", "-inf", "1E5", ".5", "-0"]))
+DROPPED = st.text(alphabet=' ,"\n\rNA1', max_size=5)
+
+
+@st.composite
+def csv_files(draw):
+    """A valid CSV text, with the mode and force_s to read it by: blank lines
+    anywhere, quoted and padded fields, line breaks inside quotes and one of
+    the three line endings."""
+    mode = draw(st.sampled_from(data.MODES))
+    force_s = draw(st.sampled_from([None, 0, 1]))
+    names = ["z", "y"] + [f"x{j + 1}" for j in range(draw(st.integers(1, 3)))]
+    names = draw(st.permutations(names + ["s"] * (force_s is None)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    def field(text):
+        quote = draw(st.booleans()) or any(c in text for c in ',"\r\n')
+        text = (draw(st.sampled_from(["", " "])) + text
+                + draw(st.sampled_from(["", " "] + ["\n", "\r\n", "\r"] * quote)))
+        return '"' + text.replace('"', '""') + '"' if quote else text
+
+    def blanks():
+        return [""] * draw(st.integers(0, 3))
+
+    lines = [",".join(field(name) for name in names)] + blanks()
+    for _ in range(draw(st.integers(0, 8))):
+        s = force_s if force_s is not None else draw(st.sampled_from([0, 1]))
+        cells = {name: draw(NUMBERS) for name in names}
+        cells["s"] = str(s)
+        if mode == "transport" and s == 0:
+            cells["z"], cells["y"] = draw(DROPPED), draw(DROPPED)
+        else:
+            cells["z"] = draw(st.sampled_from(["0", "1", ""]))
+            cells["y"] = draw(st.one_of(NUMBERS, st.just("")))
+        lines += [",".join(field(cells[name]) for name in names)] + blanks()
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, mode, force_s
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=csv_files(), bom=st.booleans())
+def test_ingest_matches_per_cell_parser(csv_dir, case, bom):
+    """read_csv_columns returns what the per-cell parser returns on any valid
+    file, whole or in blocks of one, two or three rows, with no warning."""
+    text, mode, force_s = case
+    path = csv_dir / "d.csv"
+    path.write_bytes(text.encode())
+    want = read_csv_columns_per_cell(path, mode=mode, force_s=force_s)
+    if bom:  # the per-cell parser does not skip one
+        path.write_bytes(("\ufeff" + text).encode())
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        for block in (1, 2, 3, 8192):
+            patch.setattr(data, "BLOCK_ROWS", block)
+            assert_same_columns(read_csv_columns(path, mode=mode, force_s=force_s), want)
 
 
 class TestCsvHeader:

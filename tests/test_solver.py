@@ -17,14 +17,12 @@ from targetcal.solver import (
     assemble_fusion,
     assemble_sampling,
     assemble_transport,
-    dual_gradient,
-    dual_objective,
     set_trace_hook,
     solve_entropy_dual,
 )
 
 from conftest import draw_row_a, random_feasible_transport
-from oracles import iterative_calibration
+from oracles import dual_gradient, dual_objective, iterative_calibration
 
 
 def nelder_mead_eta(problem, k, maxiter=200_000):

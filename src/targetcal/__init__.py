@@ -19,7 +19,6 @@ from .data import (
 )
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 from .inference import (
-    EstimateReport,
     confidence_interval,
     estimate_with_ci,
     influence_variance,
@@ -44,7 +43,6 @@ __all__ = [
     "Dataset",
     "DualSolution",
     "EntropyProblem",
-    "EstimateReport",
     "EstimatorKind",
     "Fits",
     "TauEstimate",

@@ -221,6 +221,14 @@ def _weight_set(fits: Fits, label: str) -> np.ndarray:
     return np.where(fits.dataset.s == 1, getattr(fits, label).weights, 1.0)
 
 
+def _weight_summary(w: np.ndarray | None) -> list:
+    """Effective sample size of the positive weights in ``w`` and the largest
+    weight; NaN for both without weights."""
+    if w is None:
+        return [float("nan"), float("nan")]
+    return [effective_sample_size(w[w > 0]), float(w.max())]
+
+
 def _install_trace(out: Path) -> None:
     path = out / "solves.csv"
     _write_csv(path, ["k", "n_active", "iterations", "grad_norm", "constraint_residual",
@@ -278,14 +286,13 @@ def cmd_estimate(args: argparse.Namespace) -> list:
     results, failures, labels = [], [], []
     for kind in settings["estimators"]:
         try:
-            report = estimate_with_ci(fits.dataset, fits, kind=kind, level=settings["level"])
+            est = estimate_with_ci(fits.dataset, fits, kind=kind, level=settings["level"])
+            summary = _weight_summary(est.weights_used)
         except TargetcalError as exc:
             failures.append(f"estimator {kind.value} failed: {type(exc).__name__}: {exc}")
             continue
-        diag = report.estimate.diagnostics
-        results.append([kind.value, report.tau_hat, report.se, report.ci_low, report.ci_high,
-                        diag.get("ess", float("nan")), diag.get("max_weight", float("nan")),
-                        report.method])
+        results.append([kind.value, est.tau_hat, est.se, est.ci_low, est.ci_high, *summary,
+                        est.method])
         if kind in WEIGHT_SETS:
             labels.append(WEIGHT_SETS[kind])
 
@@ -341,7 +348,7 @@ def cmd_diagnose(args: argparse.Namespace) -> list:
     ess_rows = []
     for label, w in _write_balance(DIAGNOSE, settings, fits, labels, failures).items():
         active = w > 0 if label == "fusion" else fits.dataset.s == 1
-        ess_rows.append([label, effective_sample_size(w[active]), float(w[active].max())])
+        ess_rows.append([label, *_weight_summary(w[active])])
     _write_csv(settings["out"] / "ess.csv", ["weighting", "ess", "max_weight"], ess_rows)
     return failures
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import glm, solver
-from .data import BalanceMatrix, Dataset, effective_sample_size, target_moments
+from .data import BalanceMatrix, Dataset, target_moments
 from .errors import DegenerateOutcomeError, EmptyArmError, ModeError, TargetcalError
 
 
@@ -38,11 +38,17 @@ FUSION_ONLY = {EstimatorKind.AUG_F, EstimatorKind.CAL_F}
 
 @dataclass
 class TauEstimate:
+    """A point estimate. ``estimate_with_ci`` fills in its standard error,
+    interval and variance method; NaN and None mean not estimated."""
+
     tau_hat: float
     kind: EstimatorKind | None = None
     weights_used: np.ndarray | None = None
     nuisance: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    se: float = float("nan")
+    ci_low: float = float("nan")
+    ci_high: float = float("nan")
+    method: str | None = None
 
 
 def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
@@ -311,14 +317,9 @@ TAU = {
 
 
 def compute_tau(dataset: Dataset, kind: EstimatorKind, fits: Fits) -> TauEstimate:
-    """Point estimate of one kind; a weighting estimator also reports the
-    effective sample size and largest weight of its nonzero weights."""
+    """Point estimate of one kind."""
     if kind in FUSION_ONLY and dataset.mode != "fusion":
         raise ModeError(f"{kind.value} requires fusion mode")
     est = TAU[kind](dataset, fits)
     est.kind = kind
-    w = est.weights_used
-    if w is not None:
-        est.diagnostics = {"ess": effective_sample_size(w[w > 0]),
-                           "max_weight": float(w.max())}
     return est

@@ -16,7 +16,6 @@ gradient and its Jacobian block the solver's Hessian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -31,20 +30,13 @@ from .errors import (
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError("quantile argument must lie in (0, 1)")
-    return NormalDist().inv_cdf(p)
-
-
 def confidence_interval(tau_hat: float, se: float, level: float) -> tuple[float, float]:
     """Symmetric normal-quantile interval tau_hat +/- z * se."""
     if not 0.0 < level < 1.0:
         raise InvalidLevelError("confidence level must lie in (0, 1)")
     if se < 0:
         raise InvalidLevelError("standard error must be nonnegative")
-    zq = normal_quantile(0.5 + level / 2.0)
+    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
     return tau_hat - zq * se, tau_hat + zq * se
 
 
@@ -206,23 +198,9 @@ def _weighted_welch_variance(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> flo
     return out
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with its interval and the underlying components."""
-
-    tau_hat: float
-    se: float
-    ci_low: float
-    ci_high: float
-    kind: EstimatorKind
-    method: str
-    level: float
-    estimate: TauEstimate
-
-
 def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
-                     level: float = 0.95) -> EstimateReport:
-    """Compute a point estimate and the matching variance for its kind.
+                     level: float = 0.95) -> TauEstimate:
+    """Compute a point estimate and fill in the matching variance for its kind.
 
     Calibration estimators get the M-estimation sandwich; augmented and TMLE
     estimators the plug-in influence variance; the benchmark estimators a
@@ -239,10 +217,10 @@ def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
         variance, method = influence_variance, "influence"
     else:
         variance, method = descriptive_variance, "influence"
-    se = variance(dataset, fits, est)
-    low, high = confidence_interval(est.tau_hat, se, level)
-    return EstimateReport(tau_hat=est.tau_hat, se=se, ci_low=low, ci_high=high, kind=kind,
-                          method=method, level=level, estimate=est)
+    est.se = variance(dataset, fits, est)
+    est.ci_low, est.ci_high = confidence_interval(est.tau_hat, est.se, level)
+    est.method = method
+    return est
 
 
 def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:

@@ -341,12 +341,12 @@ def _evaluate_replicate(task: tuple) -> list:
         kind = EstimatorKind(kv)
         view = dataset if kind in FUSION_ONLY else transport_view
         try:
-            report = estimate_with_ci(view, fits, kind=kind, level=level)
+            est = estimate_with_ci(view, fits, kind=kind, level=level)
             results.append(
                 ReplicateResult(
                     scenario_id, n, kv, rep, seed,
-                    tau_hat=report.tau_hat, se=report.se,
-                    ci_low=report.ci_low, ci_high=report.ci_high,
+                    tau_hat=est.tau_hat, se=est.se,
+                    ci_low=est.ci_low, ci_high=est.ci_high,
                 )
             )
         except TargetcalError as exc:

@@ -23,7 +23,6 @@ from targetcal.inference import (
     descriptive_variance,
     estimate_with_ci,
     influence_variance,
-    normal_quantile,
     sandwich_variance_fusion,
     sandwich_variance_transport,
 )
@@ -34,22 +33,14 @@ from conftest import draw_row_a, random_feasible_transport, stacked_system
 from oracles import sandwich_se_full_psi
 
 
-class TestNormalQuantile:
-    def test_against_scipy_grid(self):
-        for p in np.concatenate([
-            np.linspace(1e-9, 1e-3, 11),
-            np.linspace(0.001, 0.999, 101),
-            1.0 - np.linspace(1e-9, 1e-3, 11),
-        ]):
-            assert normal_quantile(float(p)) == pytest.approx(
-                stats.norm.ppf(p), abs=1e-9)
-
-    def test_invalid_argument(self):
-        with pytest.raises(InvalidLevelError):
-            normal_quantile(0.0)
-
-
 class TestConfidenceInterval:
+    def test_half_width_against_scipy_grid(self):
+        for p in np.concatenate([np.linspace(1e-9, 1e-3, 11), np.linspace(0.001, 0.499, 51)]):
+            level = 1.0 - 2.0 * float(p)
+            low, high = confidence_interval(0.0, 1.0, level)
+            assert high == pytest.approx(stats.norm.ppf(0.5 + level / 2.0), abs=1e-9)
+            assert low == -high
+
     def test_degenerate_interval(self):
         assert confidence_interval(2.5, 0.0, 0.95) == (2.5, 2.5)
 

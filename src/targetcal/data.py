@@ -328,18 +328,15 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
                           for i, s, z, rho, pi in rows)
 
 
-def _float_column(path, cells: np.ndarray, label: str, first: int,
-                  blanks: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Cast one column of a block of CSV fields to float; ``first`` is the
-    data row the block starts at.
+def _float_column(cells: np.ndarray, blanks: bool = False) -> tuple:
+    """Cast one column of a block of CSV fields to float.
 
-    Returns the values and the mask of non-blank fields. With ``blanks`` a
-    blank field reads as NaN; any other field that is not a number raises
-    SchemaError naming the field, its column and its row (the line of the
-    file it is on).
+    Returns the values, the mask of non-blank fields and the index of the
+    first field that is not a number (None when there is none). With
+    ``blanks`` a blank field reads as NaN; otherwise it is not a number.
     """
     try:
-        return cells.astype(float), np.ones(len(cells), dtype=bool)
+        return cells.astype(float), np.ones(len(cells), dtype=bool), None
     except ValueError:
         pass
     fields = cells.tolist()
@@ -351,10 +348,8 @@ def _float_column(path, cells: np.ndarray, label: str, first: int,
         try:
             values[i] = float(field)
         except ValueError:
-            what = f"non-numeric value '{field.strip()}'" if seen[i] else "empty value"
-            raise SchemaError(f"{path}: {what} in {label} "
-                              f"(row {_file_line(path, first + i)})") from None
-    return values, seen
+            return values, seen, i
+    return values, seen, None
 
 
 def _file_line(path, row: int) -> int:
@@ -396,36 +391,52 @@ def _parse_block(path, fh, width: int, first: int) -> np.ndarray:
 
 def _block_columns(path, cells: np.ndarray, header: list, cov_cols: list, mode: str,
                    force_s: int | None, first: int) -> dict:
-    """The dataset columns of one block of fields (see read_csv_columns)."""
+    """The dataset columns of one block of fields (see read_csv_columns);
+    ``first`` is the data row the block starts at.
+
+    A faulty block raises SchemaError naming its earliest faulty row's first
+    faulty field, in the order s, z, y, covariates, and the line of the file
+    the row is on. Each column is cast whole, and searched field by field
+    only when that cast fails.
+    """
     n = len(cells)
+    faults = []  # (row in the block, message), in field order
+
+    def cast(fields: np.ndarray, label: str, blanks: bool = False) -> tuple:
+        values, seen, bad = _float_column(fields, blanks)
+        if bad is not None:
+            field = fields[bad].strip()
+            what = f"non-numeric value '{field}'" if field else "empty value"
+            faults.append((bad, f"{what} in {label}"))
+        return values, seen
+
     if force_s is not None:
         s = np.full(n, force_s, dtype=np.int8)
     else:
         j = header.index("s")
-        s, _ = _float_column(path, cells[:, j], "column 's'", first)
+        s, _ = cast(cells[:, j], "column 's'")
         bad = np.flatnonzero((s != 0.0) & (s != 1.0))
         if bad.size:
-            raise SchemaError(f"{path}: column 's' must be 0 or 1, got "
-                              f"'{cells[bad[0], j].strip()}' "
-                              f"(row {_file_line(path, first + bad[0])})")
-        s = s.astype(np.int8)
-    cols = {"s": s}
+            faults.append((bad[0], f"column 's' must be 0 or 1, got "
+                                   f"'{cells[bad[0], j].strip()}'"))
+    cols = {}
     # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
     dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
     for name in ("z", "y"):
         if name in header:
             fields = cells[:, header.index(name)]
-            values, seen = _float_column(path, np.where(dropped, "", fields),
-                                         f"column '{name}'", first, blanks=True)
+            values, seen = cast(np.where(dropped, "", fields), f"column '{name}'", blanks=True)
             seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
         else:
             values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
         cols[name], cols[f"{name}_observed"] = values, seen
     cols["x"] = np.empty((n, len(cov_cols)))
     for k, j in enumerate(cov_cols):
-        cols["x"][:, k] = _float_column(path, cells[:, j], f"covariate '{header[j]}'",
-                                        first)[0]
-    return cols
+        cols["x"][:, k] = cast(cells[:, j], f"covariate '{header[j]}'")[0]
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise SchemaError(f"{path}: {message} (row {_file_line(path, first + row)})")
+    return {"s": s.astype(np.int8, copy=False), **cols}
 
 
 def read_csv_columns(path, mode: str = "fusion",

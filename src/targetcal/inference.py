@@ -25,6 +25,7 @@ from .data import Dataset
 from .errors import (
     InvalidLevelError,
     MissingComponentsError,
+    NonFiniteError,
     SingularJacobianError,
 )
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
@@ -217,7 +218,11 @@ def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
         variance, method = influence_variance, "influence"
     else:
         variance, method = descriptive_variance, "influence"
-    est.se = variance(dataset, fits, est)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est.se = variance(dataset, fits, est)
+    if not (math.isfinite(est.tau_hat) and math.isfinite(est.se)):
+        raise NonFiniteError(f"{kind.value} estimate is not finite: tau_hat {est.tau_hat!r}, "
+                             f"se {est.se!r}")
     est.ci_low, est.ci_high = confidence_interval(est.tau_hat, est.se, level)
     est.method = method
     return est
@@ -240,17 +245,16 @@ def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) ->
     elif kind is EstimatorKind.GCOMP:
         target = dataset.s == 0
         study = dataset.s == 1
-        cbar = fits.theta0
         z, y = dataset.observed(study)
         var = 0.0
         for arm, key in ((0, "fit0"), (1, "fit1")):
             mask = z == arm
             design = fits.c.c[study][mask]
             resid = y[mask] - design @ estimate.nuisance[key].coefficients
-            xtx_inv = np.linalg.inv(design.T @ design)
-            meat = design.T @ (design * (resid ** 2)[:, None])
-            cov_beta = xtx_inv @ meat @ xtx_inv
-            var += float(cbar @ cov_beta @ cbar)
+            # theta0' (X'X)^-1 X' diag(r^2) X (X'X)^-1 theta0 = sum (h r)^2, where
+            # h = X (X'X)^-1 theta0 is the minimum-norm solution of X' h = theta0.
+            h = np.linalg.lstsq(design.T, fits.theta0, rcond=None)[0]
+            var += float(np.sum((h * resid) ** 2))
         contrast = estimate.nuisance["mu1"][target] - estimate.nuisance["mu0"][target]
         var += float(np.sum((contrast - estimate.tau_hat) ** 2)) / dataset.n_target ** 2
     else:

@@ -314,22 +314,20 @@ def _evaluate_replicate(task: tuple) -> list:
     scenario_id, n, rep, master_seed, kind_values, level = task
     scenario = SCENARIOS[scenario_id]
     results = []
-    dataset = None
-    seed = 0
-    for attempt in range(MAX_REDRAWS):
-        seed = derive_seed(master_seed, scenario_id, n, rep, attempt)
-        try:
-            dataset = generate(scenario, n, seed)
-            break
-        except DegenerateDrawError:
-            continue
 
     def failed(error: str) -> list:
         return [ReplicateResult(scenario_id, n, kv, rep, seed, failed=True, error=error)
                 for kv in kind_values]
 
-    if dataset is None:
-        return failed("degenerate draw after redraws")
+    for attempt in range(MAX_REDRAWS):
+        seed = derive_seed(master_seed, scenario_id, n, rep, attempt)
+        try:
+            dataset = generate(scenario, n, seed)
+            break
+        except DegenerateDrawError as exc:
+            error = f"{type(exc).__name__}: {exc} (after {MAX_REDRAWS} draws)"
+    else:
+        return failed(error)
     # One Fits serves both views (only its fusion member reads target-sample
     # data); the transport view keeps the other kinds from target outcomes.
     try:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from targetcal.cli import OPTIONS, main
+from targetcal.data import Dataset
 from targetcal.sim import SCENARIOS, derive_seed, generate
 
 
@@ -65,6 +66,20 @@ class TestEstimate:
         assert code == 1
         err = capsys.readouterr().err
         assert "CAL_F" in err
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        assert [r["estimator"] for r in rows] == ["CAL_T"]
+
+    def test_non_finite_estimate_fails_by_name(self, tmp_path, capsys):
+        ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+        y = ds.y.copy()
+        y[np.flatnonzero(ds.s == 0)[0]] = 1e300
+        path = tmp_path / "hostile.csv"
+        write_dataset_csv(path, Dataset.fusion(ds.s, ds.z, y, ds.x))
+        out = tmp_path / "out"
+        code = main(["estimate", "--mode", "fusion", "--input", str(path),
+                     "--out", str(out), "--estimators", "AUG_F,CAL_T"])
+        assert code == 1
+        assert "estimator AUG_F failed: NonFiniteError: " in capsys.readouterr().err
         rows = list(csv.DictReader(open(out / "results.csv")))
         assert [r["estimator"] for r in rows] == ["CAL_T"]
 

@@ -483,6 +483,18 @@ class TestCsvAgainstPerCellParser:
             read_csv_columns(path, mode="fusion")
         assert str(got.value).startswith(str(want.value))
 
+    @pytest.mark.parametrize("later", ["0,NA,1,0.4", "2,0,1,0.4"], ids=["z", "s"])
+    def test_earliest_faulty_row_wins(self, tmp_path, later):
+        # Row 1's covariate comes before a later row's fault in a column
+        # that is cast before the covariates.
+        path = tmp_path / "d.csv"
+        path.write_text(f"s,z,y,x1\n1,1,2.5,abc\n{later}\n1,0,1,0.3\n")
+        with pytest.raises(SchemaError) as want:
+            read_csv_columns_per_cell(path, mode="fusion")
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert str(got.value) == f"{want.value} (row 2)"
+
     @pytest.mark.parametrize("cell", ["", " ", "0.7", "2", "-1", "nan", "yes"])
     def test_sample_indicator_must_be_binary(self, tmp_path, cell):
         path = tmp_path / "d.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -7,7 +8,12 @@ from scipy import stats
 
 from targetcal import data
 from targetcal.data import Dataset, build_balance_matrix, target_moments
-from targetcal.errors import InvalidLevelError, MissingComponentsError, SingularJacobianError
+from targetcal.errors import (
+    InvalidLevelError,
+    MissingComponentsError,
+    NonFiniteError,
+    SingularJacobianError,
+)
 from targetcal.estimators import (
     FUSION_ONLY,
     EstimatorKind,
@@ -316,6 +322,21 @@ class TestDescriptive:
         welch = math.sqrt(y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0))
         assert descriptive_variance(dt, fits, est) == pytest.approx(welch, rel=1e-15)
 
+    def test_gcomp_se_ignores_a_shifted_covariate(self):
+        # The HC0 delta method is the same number in any units of x1; formed
+        # through inv(X'X) it moved from 0.370 to 0.672 at a shift of 1e6.
+        ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+
+        def gcomp_se(shift):
+            x = ds.x.copy()
+            x[:, 0] += shift
+            dt = Dataset.fusion(ds.s, ds.z, ds.y, x).to_transport()
+            return estimate_with_ci(dt, Fits(dt, build_balance_matrix(dt)),
+                                    kind=EstimatorKind.GCOMP).se
+
+        base = gcomp_se(0.0)
+        assert [gcomp_se(1e3), gcomp_se(1e6)] == pytest.approx([base, base], rel=1e-4)
+
 
 class TestEstimateWithCi:
     @pytest.mark.parametrize("level", [0.90, 0.95])
@@ -340,6 +361,41 @@ class TestEstimateWithCi:
         narrow = estimate_with_ci(dt, Fits(dt, c), kind=EstimatorKind.CAL_T, level=0.8)
         wide = estimate_with_ci(dt, Fits(dt, c), kind=EstimatorKind.CAL_T, level=0.99)
         assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
+
+
+class TestNonFinite:
+    """One target-sample outcome of 1e300 overflows the Welch and influence
+    squares. The kinds that read it raise NonFiniteError without a warning;
+    the kinds that read only the study sample keep their bits."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+        y = ds.y.copy()
+        y[np.flatnonzero(ds.s == 0)[0]] = 1e300
+        return ds, Dataset.fusion(ds.s, ds.z, y, ds.x)
+
+    @pytest.mark.parametrize("kind", ["AUG_F", "UNADJ", "CBPS"])
+    def test_typed_error(self, draws, kind):
+        _, hostile = draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{kind} estimate is not finite"):
+                estimate_with_ci(hostile, Fits(hostile, build_balance_matrix(hostile)),
+                                 kind=EstimatorKind[kind])
+
+    def test_other_kinds_unchanged(self, draws):
+        ds, hostile = draws
+        fits = Fits(hostile, build_balance_matrix(hostile))
+        clean = Fits(ds, build_balance_matrix(ds))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobianError):
+                estimate_with_ci(hostile, fits, kind=EstimatorKind.CAL_F)
+            for kind in ("GCOMP", "TMLE", "AUG_T", "CAL_T"):
+                got = estimate_with_ci(hostile, fits, kind=EstimatorKind[kind])
+                want = estimate_with_ci(ds, clean, kind=EstimatorKind[kind])
+                assert (got.tau_hat.hex(), got.se.hex()) == (want.tau_hat.hex(), want.se.hex())
 
 
 class TestSharedFits:

@@ -9,6 +9,7 @@ from targetcal import glm, sim, solver
 from targetcal.errors import ConfigError, DegenerateDrawError, NonFiniteError
 from targetcal.estimators import EstimatorKind
 from targetcal.sim import (
+    MAX_REDRAWS,
     SCENARIOS,
     LinearModel,
     RunnerConfig,
@@ -344,6 +345,17 @@ class TestRunner:
         small = table.row("A", 4, "CAL_T")
         assert small.n_ok == 0 and small.n_failed == 3
         assert all(r.failed and r.error for r in table.replicates if r.n == 4)
+
+    def test_degenerate_draw_names_its_class(self):
+        # At n=3 every draw of scenario B leaves a sample or an arm empty.
+        cfg = RunnerConfig(scenarios=("B",), ns=(3,), reps=20,
+                           kinds=(EstimatorKind.CAL_T,), seed=5,
+                           tau0_overrides={"B": 0.0}, keep_replicates=True)
+        failed = [r for r in run_experiment(cfg).replicates if r.failed]
+        assert failed
+        for r in failed:
+            assert r.error.startswith("DegenerateDrawError: ")
+            assert r.error.endswith(f" (after {MAX_REDRAWS} draws)")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import solver
 from .data import (MODES, BalanceMatrix, BalanceSpec, Dataset, build_balance_matrix,
                    effective_sample_size, export_scores, load_dataset_csv,
                    standardized_mean_differences)
@@ -135,8 +134,11 @@ def _settings(args: argparse.Namespace) -> dict:
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     given = {}
     if args.config is not None:
-        with open(args.config) as fh:
-            given = json.load(fh)
+        try:
+            given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x})") from None
         if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = given.keys() - {opt.name for opt in options}
@@ -153,16 +155,13 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _fmt(x) -> str:
-    """Full-precision, locale-free float formatting for CSV output."""
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
+    """CSV output with floats at full precision and locale-free."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                          for v in row] for row in rows)
 
 
 def _echo_config(out: Path, command: str, effective: dict) -> None:
@@ -229,29 +228,12 @@ def _weight_summary(w: np.ndarray | None) -> list:
     return [effective_sample_size(w[w > 0]), float(w.max())]
 
 
-def _install_trace(out: Path) -> None:
-    path = out / "solves.csv"
-    _write_csv(path, ["k", "n_active", "iterations", "grad_norm", "constraint_residual",
-                      "converged", "eta"], [])
-
-    def hook(record: dict) -> None:
-        with open(path, "a", newline="") as fh:
-            csv.writer(fh).writerow(
-                [record["k"], record["n_active"], record["iterations"],
-                 _fmt(float(record["grad_norm"])), _fmt(float(record["constraint_residual"])),
-                 int(record["converged"]), ";".join(_fmt(float(v)) for v in record["eta"])])
-
-    solver.set_trace_hook(hook)
-
-
-def _load(settings: dict, verbose: bool) -> Fits:
+def _load(settings: dict) -> Fits:
     """Make the output directory, read the input CSV, and build the balance
     matrix and the Fits that estimate and diagnose share."""
     if settings["input"] is None:
         raise ConfigError("input: required, as a flag or in the config file")
     settings["out"].mkdir(parents=True, exist_ok=True)
-    if verbose:
-        _install_trace(settings["out"])
     dataset, cov_names = load_dataset_csv(settings["input"], mode=settings["mode"],
                                           target_path=settings["target_input"])
     spec = _parse_balance_spec(settings.get("balance_columns"), cov_names)
@@ -282,7 +264,7 @@ def cmd_estimate(args: argparse.Namespace) -> list:
     settings = _settings(args)
     if settings["estimators"] is None:
         settings["estimators"] = _estimators(DEFAULT_ESTIMATORS[settings["mode"]])
-    fits = _load(settings, args.verbose)
+    fits = _load(settings)
     results, failures, labels = [], [], []
     for kind in settings["estimators"]:
         try:
@@ -342,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> list:
 def cmd_diagnose(args: argparse.Namespace) -> list:
     """balance and overlap diagnostics"""
     settings = _settings(args)
-    fits = _load(settings, args.verbose)
+    fits = _load(settings)
     failures = []
     labels = ("sampling", "transport") + (("fusion",) if settings["mode"] == "fusion" else ())
     ess_rows = []
@@ -358,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="targetcal", description="Target-population treatment effect estimation via "
         "calibration weighting, with a simulation harness and balance diagnostics.")
     parser.add_argument("--verbose", action="store_true",
-                        help="verbose logging plus per-solve diagnostic dump")
+                        help="debug logging, with one record per calibration solve")
     sub = parser.add_subparsers(dest="command", required=True)
     for func in (cmd_estimate, cmd_simulate, cmd_diagnose):
         command = func.__name__.removeprefix("cmd_")
@@ -378,14 +360,15 @@ def main(argv: list | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    if args.verbose:
-        logging.getLogger().setLevel(logging.DEBUG)
+    root = logging.getLogger()
+    level = root.level
+    root.setLevel(logging.DEBUG if args.verbose else level)
     try:
         failures = args.func(args)
     except (TargetcalError, OSError, json.JSONDecodeError) as exc:
         failures = [f"error: {type(exc).__name__}: {exc}"]
     finally:
-        solver.set_trace_hook(None)
+        root.setLevel(level)
     for message in failures:
         print(message, file=sys.stderr)
     return 1 if failures else 0

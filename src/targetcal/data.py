@@ -356,7 +356,8 @@ def _file_line(path, row: int) -> int:
     """The line on which data row ``row`` of ``path`` starts; data rows count
     from 0 after the header and skip blank lines, as np.loadtxt counts them."""
     starts, start = [], 1
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    # Only line breaks count, so a byte that is not UTF-8 may read as U+FFFD.
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.reader(fh)
         for record in reader:
             if record:
@@ -373,6 +374,9 @@ def _parse_block(path, fh, width: int, first: int) -> np.ndarray:
     try:
         cells = np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
                            quotechar='"', ndmin=2, max_rows=BLOCK_ROWS)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text "
+                          f"(byte 0x{exc.object[exc.start]:02x})") from None
     except ValueError as exc:
         # numpy counts data rows from 1 and compares with the first row.
         ragged = re.search(r"from (\d+) to (\d+) at row (\d+)", str(exc))
@@ -449,7 +453,8 @@ def read_csv_columns(path, mode: str = "fusion",
     twice. ``s`` must be 0 or 1 in every row. Empty z/y fields mark absent
     values; transport mode reads target-sample z/y as NaN without casting them.
     Fields may be quoted and padded with whitespace; blank lines are skipped,
-    there are no comment lines, and a leading byte-order mark is ignored.
+    there are no comment lines, and a leading byte-order mark is ignored; a
+    file that is not UTF-8 text is a SchemaError.
     Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
     masks mark non-blank z and y fields, plus the covariate column names;
     load_dataset_csv turns them into a Dataset.
@@ -465,6 +470,9 @@ def read_csv_columns(path, mode: str = "fusion",
             header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x})") from None
         header = [h.strip() for h in header]
         twice = [h for j, h in enumerate(header) if h in header[:j]]
         if twice:

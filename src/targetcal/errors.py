@@ -60,13 +60,15 @@ class NotConvergedError(TargetcalError):
             every active row and b . d < 0 (up to tolerance), or None. Its
             largest entries point at the constraints that cannot be met
             together.
+        iterations: Newton iterations run, as ``DualSolution.iterations`` counts them.
     """
 
     def __init__(self, message: str, worst_constraint: int | None = None,
-                 direction=None):
+                 direction=None, iterations: int | None = None):
         super().__init__(message)
         self.worst_constraint = worst_constraint
         self.direction = direction
+        self.iterations = iterations
 
 
 class DegenerateOutcomeError(TargetcalError):

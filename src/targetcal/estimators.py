@@ -66,7 +66,7 @@ def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
     return models, glm.predict(models[0], c.c), glm.predict(models[1], c.c)
 
 
-class _cached_solve(cached_property):
+class _cached(cached_property):
     """A Fits cached_property that also caches a TargetcalError raised on
     first use (in ``Fits._failures``) and raises it again on later reads.
 
@@ -95,11 +95,10 @@ class Fits:
     Every member except ``fusion`` reads only the balance matrix, the sample
     indicator and study-sample treatment and outcome, so a Fits built on a
     fusion dataset also serves its transport view; the study half of
-    ``fusion`` is the ``transport`` solution itself. A calibration solve
-    (``sampling``, ``transport``, ``fusion``) that raises caches its error,
-    and every later read raises it again without solving; a fit that raises
-    is not cached, and the next reader tries again. Readers share the cached
-    arrays, so none may modify them (a solution's arrays are read-only).
+    ``fusion`` is the ``transport`` solution itself. A member that raises
+    caches its error, and every later read raises it again without fitting
+    or solving. Readers share the cached arrays, so none may modify them (a
+    solution's arrays are read-only).
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
@@ -108,19 +107,19 @@ class Fits:
         self.theta0 = target_moments(c, dataset.s)
         self._failures = {}
 
-    @_cached_solve
+    @_cached
     def sampling(self) -> solver.DualSolution:
         """Study-sample weights calibrated to the target moments."""
         return solver.solve_entropy_dual(
             solver.assemble_sampling(self.c, self.dataset.s, self.theta0))
 
-    @_cached_solve
+    @_cached
     def transport(self) -> solver.DualSolution:
         """Joint arm-balance and sampling calibration of the study sample."""
         return solver.solve_entropy_dual(
             solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0))
 
-    @_cached_solve
+    @_cached
     def fusion(self) -> tuple:
         """Per-sample arm-balance solves (target, study); reads target z. The
         study-sample problem is the transport one, so the study half is
@@ -135,20 +134,20 @@ class Fits:
             exc.args = (f"study-sample half (the transport problem): {exc}",)
             raise
 
-    @cached_property
+    @_cached
     def rho(self) -> np.ndarray:
         """Logistic sampling score P(s=1 | c) on every unit."""
         fit = glm.fit_logistic(self.c.c, self.dataset.s.astype(float))
         return glm.predict(fit, self.c.c)
 
-    @cached_property
+    @_cached
     def pi(self) -> np.ndarray:
         """Logistic propensity score, fit on the study sample, on every unit."""
         study = self.dataset.s == 1
         fit = glm.fit_logistic(self.c.c[study], self.dataset.z[study])
         return glm.predict(fit, self.c.c)
 
-    @cached_property
+    @_cached
     def study_outcome(self) -> tuple:
         """Per-arm study-sample outcome models: (models, mu0, mu1)."""
         return _outcome_models(self.dataset, self.c, 1)
@@ -280,7 +279,7 @@ def tau_cal_transport(dataset: Dataset, fits: Fits) -> TauEstimate:
     study = dataset.s == 1
     sol = fits.transport
     tau = _hajek_contrast(sol.weights[study], *dataset.observed(study))
-    return TauEstimate(tau_hat=tau, weights_used=sol.weights, nuisance={"dual": sol})
+    return TauEstimate(tau_hat=tau, weights_used=sol.weights)
 
 
 def tau_cal_fusion(dataset: Dataset, fits: Fits) -> TauEstimate:
@@ -288,8 +287,7 @@ def tau_cal_fusion(dataset: Dataset, fits: Fits) -> TauEstimate:
     sol_target, sol_study = fits.fusion
     w = sol_target.weights + sol_study.weights
     tau = _hajek_contrast(w, dataset.z, dataset.y)
-    return TauEstimate(tau_hat=tau, weights_used=w,
-                       nuisance={"dual_target": sol_target, "dual_study": sol_study})
+    return TauEstimate(tau_hat=tau, weights_used=w)
 
 
 def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
@@ -300,8 +298,7 @@ def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
     c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
     sol = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z))
     tau = _hajek_contrast(sol.weights, z, y)
-    return TauEstimate(tau_hat=tau, weights_used=sol.weights,
-                       nuisance={"dual": sol, "z": z, "y": y})
+    return TauEstimate(tau_hat=tau, weights_used=sol.weights, nuisance={"z": z, "y": y})
 
 
 TAU = {

@@ -315,9 +315,9 @@ def _evaluate_replicate(task: tuple) -> list:
     scenario = SCENARIOS[scenario_id]
     results = []
 
-    def failed(error: str) -> list:
+    def failed(error: str, kinds: tuple = kind_values) -> list:
         return [ReplicateResult(scenario_id, n, kv, rep, seed, failed=True, error=error)
-                for kv in kind_values]
+                for kv in kinds]
 
     for attempt in range(MAX_REDRAWS):
         seed = derive_seed(master_seed, scenario_id, n, rep, attempt)
@@ -340,18 +340,11 @@ def _evaluate_replicate(task: tuple) -> list:
         view = dataset if kind in FUSION_ONLY else transport_view
         try:
             est = estimate_with_ci(view, fits, kind=kind, level=level)
-            results.append(
-                ReplicateResult(
-                    scenario_id, n, kv, rep, seed,
-                    tau_hat=est.tau_hat, se=est.se,
-                    ci_low=est.ci_low, ci_high=est.ci_high,
-                )
-            )
         except TargetcalError as exc:
-            results.append(
-                ReplicateResult(scenario_id, n, kv, rep, seed, failed=True,
-                                error=f"{type(exc).__name__}: {exc}")
-            )
+            results += failed(f"{type(exc).__name__}: {exc}", (kv,))
+            continue
+        results.append(ReplicateResult(scenario_id, n, kv, rep, seed, tau_hat=est.tau_hat,
+                                       se=est.se, ci_low=est.ci_low, ci_high=est.ci_high))
     return results
 
 
@@ -398,18 +391,13 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
         for n in config.ns:
             for kv in kind_values:
                 cell = cells[(sid, n, kv)]
-                ok = [r for r in cell if not r.failed and math.isfinite(r.tau_hat)]
+                ok = [r for r in cell if not r.failed]
                 tau0 = tau0s[sid]
                 if ok:
                     taus = np.array([r.tau_hat for r in ok])
                     bias = float(taus.mean() - tau0)
                     rmse = float(np.sqrt(np.mean((taus - tau0) ** 2)))
-                    covered = [
-                        (r.ci_low <= tau0 <= r.ci_high)
-                        for r in ok
-                        if math.isfinite(r.se)
-                    ]
-                    coverage = float(np.mean(covered)) if covered else math.nan
+                    coverage = float(np.mean([r.ci_low <= tau0 <= r.ci_high for r in ok]))
                 else:
                     bias = rmse = coverage = math.nan
                 rows.append(

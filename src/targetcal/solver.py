@@ -23,10 +23,10 @@ alone.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -47,14 +47,7 @@ FARKAS_TOL = 1e-9
 # Hessian; only the rows within the gap still carry weight.
 UNDERFLOW_GAP = -math.log(np.finfo(float).eps)
 
-# Optional per-solve trace hook, installed by the CLI verbosity flag. It is
-# called with a summary dict after every solve attempt.
-_TRACE: Callable[[dict], None] | None = None
-
-
-def set_trace_hook(hook: Callable[[dict], None] | None) -> None:
-    global _TRACE
-    _TRACE = hook
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,8 @@ def solve_entropy_dual(problem: EntropyProblem) -> DualSolution:
     holds d), or when MAX_ITER iterations pass or a step cannot be taken
     with the constraints unmet (``direction`` is None). Either way
     ``worst_constraint`` names the constraint with the largest relative
-    violation at the last iterate.
+    violation at the last iterate, and ``iterations`` counts the iterations.
+    Each solve logs one DEBUG record on ``log``, its args a dict of the solve.
     """
     a, b = problem.a, problem.b
     if a.ndim != 2 or a.shape[0] == 0:
@@ -218,18 +212,11 @@ def solve_entropy_dual(problem: EntropyProblem) -> DualSolution:
     violation = np.abs(grad) / b_scale
     residual = float(np.max(violation))
     converged = direction is None and residual <= RESIDUAL_TOL
-    if _TRACE is not None:
-        _TRACE(
-            {
-                "k": k,
-                "n_active": a.shape[0],
-                "iterations": iterations,
-                "grad_norm": float(np.max(np.abs(grad))),
-                "constraint_residual": residual,
-                "converged": converged,
-                "eta": eta.copy(),
-            }
-        )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("solve %s", {"k": k, "n_active": a.shape[0], "iterations": iterations,
+                               "grad_norm": float(np.max(np.abs(grad))),
+                               "constraint_residual": residual, "converged": converged,
+                               "eta": eta.tolist()})
     if direction is not None:
         j = _leading_constraint(direction)
         raise NotConvergedError(
@@ -238,12 +225,14 @@ def solve_entropy_dual(problem: EntropyProblem) -> DualSolution:
             f"weight {direction[j]:+.3f} in the certifying direction",
             worst_constraint=int(np.argmax(violation)),
             direction=direction,
+            iterations=iterations,
         )
     if not converged:
         raise NotConvergedError(
             f"entropy dual did not converge after {iterations} iterations "
             f"(relative residual {residual:.3e}); the primal is likely infeasible",
             worst_constraint=int(np.argmax(violation)),
+            iterations=iterations,
         )
     weights = np.zeros(problem.n_units)
     weights[problem.active_rows] = w

@@ -1,10 +1,17 @@
 import csv
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import targetcal
+from targetcal import solver
 from targetcal.cli import OPTIONS, main
 from targetcal.data import Dataset
 from targetcal.sim import SCENARIOS, derive_seed, generate
@@ -136,6 +143,27 @@ class TestEstimate:
         assert code == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and "column 's'" in err and "row 6" in err
+
+    @pytest.mark.parametrize("where", ["header", "row", "config"])
+    def test_non_utf8_input_is_a_typed_error(self, demo_csv, tmp_path, capsys, where):
+        # A Latin-1 "\xe9" (byte 0xE9) is not UTF-8.
+        lines = demo_csv.read_bytes().splitlines(keepends=True)
+        config = b'{"estimators": "UNADJ"}'
+        if where == "header":
+            lines[0] = lines[0].replace(b"x4", b"x\xe94")
+        elif where == "row":
+            lines[6] = lines[6].replace(b",", b"\xe9,", 1)
+        else:
+            config = b'{"estimators": "UNADJ", "mode": "fusion\xe9"}'
+        bad, cfg = tmp_path / "bad.csv", tmp_path / "cfg.json"
+        bad.write_bytes(b"".join(lines))
+        cfg.write_bytes(config)
+        code = main(["estimate", "--input", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        error, path = ("ConfigError", cfg) if where == "config" else ("SchemaError", bad)
+        want = f"error: {error}: {path}: not UTF-8 text (byte 0xe9)\n"
+        assert capsys.readouterr().err == want
 
     def test_config_echoes_balance_columns(self, demo_csv, tmp_path):
         for flags, echoed in (([], None), (["--balance-columns", "x1,square:x2"], "x1,square:x2")):
@@ -408,11 +436,60 @@ def test_help_lists_the_table(capsys, command):
     assert listed == table | {"--help", "--config"}
 
 
-def test_verbose_solver_dump(demo_csv, tmp_path):
+def _solve_records(caplog) -> list:
+    records = [r for r in caplog.records if r.name == "targetcal.solver"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    return [r.args for r in records]
+
+
+def test_verbose_solver_dump(demo_csv, tmp_path, caplog):
+    # CAL_T and its smd.csv weight set share the one transport solve.
     out = tmp_path / "v"
     code = main(["--verbose", "estimate", "--mode", "fusion", "--input", str(demo_csv),
                  "--out", str(out), "--estimators", "CAL_T"])
     assert code == 0
-    rows = list(csv.DictReader(open(out / "solves.csv")))
-    assert rows
-    assert all(int(r["converged"]) == 1 for r in rows)
+    [solve] = _solve_records(caplog)
+    assert solve.keys() == {"k", "n_active", "iterations", "grad_norm", "constraint_residual",
+                            "converged", "eta"}
+    assert solve["k"] == len(solve["eta"]) == 10 and solve["converged"]
+    assert solve["n_active"] == sum(line.startswith("1,") for line in open(demo_csv))
+    assert not (out / "solves.csv").exists()
+
+
+def test_verbose_diagnose_logs_each_distinct_solve(demo_csv, tmp_path, caplog):
+    # sampling, transport and the fusion target half; the study half is the
+    # transport solve.
+    assert main(["--verbose", "diagnose", "--mode", "fusion", "--input", str(demo_csv),
+                 "--out", str(tmp_path / "d")]) == 0
+    n_study = sum(line.startswith("1,") for line in open(demo_csv))
+    assert [(r["k"], r["n_active"]) for r in _solve_records(caplog)] == [
+        (5, n_study), (10, n_study), (10, 900 - n_study)]
+
+
+def test_verbose_level_is_restored(demo_csv, tmp_path):
+    assert main(["--verbose", "estimate", "--input", str(demo_csv), "--out", str(tmp_path / "v"),
+                 "--estimators", "UNADJ"]) == 0
+    assert not logging.getLogger("targetcal.solver").isEnabledFor(logging.DEBUG)
+
+
+def test_quiet_run_formats_no_solve_record(demo_csv, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver.log, "debug", lambda *args: calls.append(args))
+    assert main(["diagnose", "--mode", "fusion", "--input", str(demo_csv),
+                 "--out", str(tmp_path / "d")]) == 0
+    assert calls == []
+
+
+def test_verbose_simulate_logs_worker_solves(tmp_path):
+    # With two workers every solve runs in a worker process, which inherits
+    # the debug level and the stderr handler.
+    env = {**os.environ, "PYTHONPATH": str(Path(targetcal.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "targetcal.cli", "--verbose", "simulate", "--scenarios", "A",
+         "--sizes", "120", "--reps", "4", "--estimators", "CAL_T", "--seed", "13",
+         "--oracle-n", "50000", "--workers", "2", "--out", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    solves = [line for line in proc.stderr.splitlines()
+              if line.startswith("DEBUG targetcal.solver: solve {'k': 10, ")]
+    assert len(solves) == 4

@@ -367,8 +367,7 @@ class TestCsvIngestion:
         got = load_dataset_csv(tmp_path / "study.csv", mode=mode,
                                target_path=tmp_path / "target.csv")
         fits = _load({"mode": mode, "input": str(tmp_path / "study.csv"),
-                      "target_input": str(tmp_path / "target.csv"), "out": tmp_path / "o"},
-                     verbose=False)
+                      "target_input": str(tmp_path / "target.csv"), "out": tmp_path / "o"})
         for want in (load_dataset_csv(tmp_path / "both.csv", mode=mode),
                      (fits.dataset, list(fits.c.names[1:]))):
             assert got[1] == want[1] and got[0].mode == want[0].mode == mode
@@ -399,6 +398,16 @@ class TestCsvIngestion:
         path.write_text("s,z,y,x1\n1,1,hello,0.1\n0,0,1.0,0.2\n")
         with pytest.raises(SchemaError):
             load_dataset_csv(path)
+
+    def test_row_fault_before_a_non_utf8_byte(self, tmp_path):
+        # The fault's block is cast before the Latin-1 byte (0xE9) three
+        # blocks on is read, and finding its line reads past that byte.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"s,z,y,x1\n1,1,abc,0.1\n" + b"0,0,1.0,0.2\n" * 3 * data.BLOCK_ROWS
+                         + b"0,0,1.0,0.2\xe9\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: non-numeric value 'abc' in column 'y' (row 2)")):
+            read_csv_columns(path)
 
 
 def assert_same_columns(got, want):

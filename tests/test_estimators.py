@@ -3,14 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from targetcal import solver
+from targetcal import glm, solver
 from targetcal.data import (
     BalanceMatrix,
     Dataset,
     build_balance_matrix,
     standardized_mean_differences,
 )
-from targetcal.errors import DegenerateOutcomeError, ModeError, NotConvergedError
+from targetcal.errors import (DegenerateOutcomeError, ModeError, NotConvergedError,
+                              RankDeficientError)
 from targetcal.estimators import (
     EstimatorKind,
     Fits,
@@ -334,6 +335,31 @@ def test_failed_solve_is_cached(monkeypatch):
     assert calls == {"assemble_sampling": 1, "solve_entropy_dual": 1}
     assert messages[0] == messages[1]
     assert "Farkas certificate" in messages[0]
+
+
+def test_failed_fit_is_cached(monkeypatch):
+    # x2 is constant on the study sample, so the propensity design there is
+    # rank deficient though the balance matrix is not.
+    rng = np.random.default_rng(8)
+    s = np.repeat([1, 0], 60)
+    x = rng.normal(size=(120, 2))
+    x[s == 1, 1] = 0.0
+    ds = Dataset.fusion(s, rng.integers(0, 2, 120), rng.normal(size=120), x)
+    fits = Fits(ds, build_balance_matrix(ds))
+    calls = Counter()
+
+    def counted(*args, _original=glm.fit_logistic):
+        calls["fit_logistic"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(glm, "fit_logistic", counted)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(RankDeficientError) as err:
+            fits.pi
+        messages.append(str(err.value))
+    assert calls == {"fit_logistic": 1}
+    assert messages[0] == messages[1]
 
 
 def test_fusion_study_half_is_the_transport_solve(baseline_balance):

@@ -69,7 +69,7 @@ def fitted_transport(seed=414, n=800):
     dt = ds.to_transport()
     fits = Fits(dt, c)
     est = tau_cal_transport(dt, fits)
-    nu = np.concatenate([theta0, est.nuisance["dual"].eta, [est.tau_hat]])
+    nu = np.concatenate([theta0, fits.transport.eta, [est.tau_hat]])
     return ds, dt, c, fits, est, nu
 
 
@@ -199,8 +199,8 @@ class TestSandwich:
         theta0 = target_moments(c, ds.s)
         fits = Fits(ds, c)
         est = tau_cal_fusion(ds, fits)
-        nu = np.concatenate([theta0, est.nuisance["dual_target"].eta,
-                             est.nuisance["dual_study"].eta, [est.tau_hat]])
+        sol_target, sol_study = fits.fusion
+        nu = np.concatenate([theta0, sol_target.eta, sol_study.eta, [est.tau_hat]])
         psi, A = stacked_system(c.c, ds.s, ds.z, ds.y, nu, groups=(0, 1))
         assert np.max(np.abs(psi.sum(axis=0))) < 1e-6
         k = len(nu)

@@ -17,7 +17,6 @@ from targetcal.solver import (
     assemble_fusion,
     assemble_sampling,
     assemble_transport,
-    set_trace_hook,
     solve_entropy_dual,
 )
 
@@ -345,10 +344,12 @@ def test_cap_tests_no_iterate_after_the_last_step(monkeypatch):
     with pytest.raises(NotConvergedError) as err:
         solve_entropy_dual(problem)
     k = int(re.search(r"certificate at iteration (\d+)", str(err.value)).group(1))
+    assert err.value.iterations == k
     for cap in range(1, k + 2):
         monkeypatch.setattr(solver, "MAX_ITER", cap)
         with pytest.raises(NotConvergedError) as err:
             solve_entropy_dual(problem)
+        assert err.value.iterations == min(cap, k)
         if cap < k:
             assert err.value.direction is None
             assert f"did not converge after {cap} iterations" in str(err.value)
@@ -405,25 +406,21 @@ def test_certificates_agree_with_lp_feasibility(scenario, converged_iterations):
     Certificates come within a dozen Newton iterations."""
     verdicts = Counter()
     iterations = Counter()
-    traced = {}
-    set_trace_hook(traced.update)
-    try:
-        for problem in _campaign_problems(scenario):
-            lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
-                         bounds=(0, None), method="highs")
-            assert lp.status in (0, 2)  # feasible, infeasible
-            try:
-                solve_entropy_dual(problem)
-                verdict = "converged"
-            except NotConvergedError as exc:
-                verdict = "uncertified" if exc.direction is None else "certified"
-            assert verdict == ("certified" if lp.status == 2 else "converged")
-            if verdict == "certified":
-                assert traced["iterations"] <= 12
-            verdicts[verdict] += 1
-            iterations[verdict] += traced["iterations"]
-    finally:
-        set_trace_hook(None)
+    for problem in _campaign_problems(scenario):
+        lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
+                     bounds=(0, None), method="highs")
+        assert lp.status in (0, 2)  # feasible, infeasible
+        try:
+            count = solve_entropy_dual(problem).iterations
+            verdict = "converged"
+        except NotConvergedError as exc:
+            count = exc.iterations
+            verdict = "uncertified" if exc.direction is None else "certified"
+        assert verdict == ("certified" if lp.status == 2 else "converged")
+        if verdict == "certified":
+            assert count <= 12
+        verdicts[verdict] += 1
+        iterations[verdict] += count
     assert verdicts["certified"] > 0 and verdicts["converged"] > 0
     assert iterations["converged"] == converged_iterations
 

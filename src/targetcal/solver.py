@@ -183,7 +183,9 @@ def solve_entropy_dual(problem: EntropyProblem) -> DualSolution:
     with the constraints unmet (``direction`` is None). Either way
     ``worst_constraint`` names the constraint with the largest relative
     violation at the last iterate, and ``iterations`` counts the iterations.
-    Each solve logs one DEBUG record on ``log``, its args a dict of the solve.
+    A solve that runs the loop logs one DEBUG record on ``log``, its args a
+    dict of k, n_active, iterations, grad_norm, constraint_residual,
+    converged and eta.
     """
     a, b = problem.a, problem.b
     if a.ndim != 2 or a.shape[0] == 0:

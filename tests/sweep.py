@@ -8,10 +8,13 @@ Each record holds the scenario, kind and replicate, tau and se as
 
     PYTHONPATH=src python tests/sweep.py
 
-and declares the largest relative move per kind.
+which first prints what moved against the committed file: the largest
+relative tau and se move per kind, the count of records that moved, and
+every failure class or message that changed. The change declares that.
 """
 
 import json
+import math
 from pathlib import Path
 
 from targetcal.estimators import EstimatorKind
@@ -41,5 +44,36 @@ def dumps(records: list) -> str:
     return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n"
 
 
+def report(reference: list, records: list) -> list:
+    """Lines saying what moved from ``reference`` to ``records``."""
+    key = lambda r: (r["scenario"], r["kind"], r["rep"])  # noqa: E731
+    before = {key(r): r for r in reference}
+    largest = {kind.value: {"tau": 0.0, "se": 0.0} for kind in KINDS}
+    moved, failures = 0, []
+    for new in records:
+        old = before.get(key(new))
+        if old == new:
+            continue
+        moved += 1
+        if old is None or (old["error"], old["message"]) != (new["error"], new["message"]):
+            was = "absent" if old is None else f"{old['error']}: {old['message']}"
+            failures.append(f"  {key(new)}: {was} -> {new['error']}: {new['message']}")
+            continue
+        if new["error"]:
+            continue
+        for field, size in largest[new["kind"]].items():
+            got, want = float.fromhex(new[field]), float.fromhex(old[field])
+            if got != want:
+                move = abs(got - want) / abs(want) if want else math.inf
+                largest[new["kind"]][field] = max(size, move)
+    lines = [f"records moved: {moved} of {len(records)}"]
+    lines += [f"{kind}: largest relative move tau {size['tau']:.2g}, se {size['se']:.2g}"
+              for kind, size in largest.items()]
+    return lines + [f"failures changed: {len(failures)}"] + failures
+
+
 if __name__ == "__main__":
-    REFERENCE.write_text(dumps(sweep_records()))
+    records = sweep_records()
+    if REFERENCE.exists():
+        print("\n".join(report(json.loads(REFERENCE.read_text()), records)))
+    REFERENCE.write_text(dumps(records))

@@ -20,7 +20,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import data
 from .data import Dataset
 from .errors import (
     InvalidLevelError,
@@ -49,73 +48,57 @@ class CalibrationSystem:
     groups, tau), length (2G + 1)m + 1 for G groups, where eta_g is the
     group's ``DualSolution.eta``: unit i of group g has the solver's row
     a_i = [(2z_i - 1) c_i, c_i] and weight w_i = exp(-a_i . eta_g).
-    Columns of the residual matrix: target-moment block, one dual block per
-    group, effect equation. A unit's dual block is its term of the solver's
-    gradient, w_i a_i - [0, theta0], so the block sums to minus that
+    A unit's residual has a target-moment block (c_i - theta0 on the target
+    sample), one dual block per group and the effect equation
+    w_i ((2z_i - 1) y_i - z_i tau). A unit's dual block is its term of the
+    solver's gradient, w_i a_i - [0, theta0], so the block sums to minus that
     gradient and its Jacobian is minus the solver's Hessian sum_i w_i a_i
-    a_i'. Treatment and outcome are zeroed outside the calibrated groups, so
-    unobserved target-sample values never enter. All blocks vanish at the
-    fitted parameters because they restate the solver's converged
-    constraints.
+    a_i'. Each group's terms are formed on its own rows only, so unobserved
+    target-sample values never enter. All blocks vanish at the fitted
+    parameters because they restate the solver's converged constraints.
 
-    The per-unit terms are computed once; ``psi`` builds the residual rows
-    of any slice of units from them and ``jacobian`` sums them over all.
+    ``jacobian`` is the residuals' analytic Jacobian, summed over all units;
+    ``psi_dot(x)`` is the residual matrix times x, formed without the matrix.
     """
 
     def __init__(self, cmat: np.ndarray, s: np.ndarray, z: np.ndarray, y: np.ndarray,
                  nu: np.ndarray, groups: tuple):
-        m = cmat.shape[1]
-        self.cmat, self.nu, self.m = cmat, nu, m
-        self.theta0, self.tau = nu[:m], nu[-1]
-        s = np.asarray(s, dtype=float)
-        calibrated = np.isin(s, groups)
-        self.z = np.where(calibrated, z, 0.0)
-        self.sign = 2.0 * self.z - 1.0
-        # Per group: unit indicator, then the arm-contrast and calibration
-        # halves of its eta in nu.
-        self.blocks = [(s == g, slice((1 + 2 * j) * m, (2 + 2 * j) * m),
-                        slice((2 + 2 * j) * m, (3 + 2 * j) * m))
-                       for j, g in enumerate(groups)]
-        self.weights = np.zeros(len(s))
-        for ind, arm, cal in self.blocks:
-            c_own = cmat[ind]
-            self.weights[ind] = np.exp(-(self.sign[ind] * (c_own @ nu[arm]) + c_own @ nu[cal]))
-        self.contrast = self.sign * np.where(calibrated, y, 0.0) - self.z * self.tau
-        self.target = (s == 0).astype(float)
-
-    def psi(self, rows: slice = slice(None)) -> np.ndarray:
-        """Per-unit residuals of the units in ``rows``, one row each."""
-        m, theta0 = self.m, self.theta0
-        cmat, w = self.cmat[rows], self.weights[rows]
-        psi = np.zeros((len(cmat), len(self.nu)))
-        psi[:, :m] = self.target[rows, None] * (cmat - theta0)
-        psi[:, -1] = w * self.contrast[rows]
-        for ind, arm, cal in self.blocks:
-            ind = ind[rows]
-            wc = (ind * w)[:, None] * cmat
-            psi[:, arm] = self.sign[rows, None] * wc
-            psi[:, cal] = wc - np.outer(ind, theta0)
-        return psi
-
-    def jacobian(self) -> np.ndarray:
-        """The residuals' analytic Jacobian, summed over all units."""
-        m, cmat, k = self.m, self.cmat, len(self.nu)
+        m, k = cmat.shape[1], len(nu)
+        self.cmat, self.theta0 = cmat, nu[:m]
+        self.target = s == 0
         eye = np.eye(m)
         A = np.zeros((k, k))
-        A[:m, :m] = -self.target.sum() * eye
-        for ind, arm, cal in self.blocks:
-            wg = ind * self.weights
-            swg = self.sign * wg
+        A[:m, :m] = -np.count_nonzero(self.target) * eye
+        # Per group: its units (a mask), the arm-contrast and calibration halves
+        # of its eta in nu, and on its own rows the signed weights (2z - 1) w,
+        # the weights w and the effect residuals.
+        self.groups = []
+        for j, g in enumerate(groups):
+            rows = s == g
+            arm, cal = (slice((1 + 2 * j + h) * m, (2 + 2 * j + h) * m) for h in (0, 1))
+            c_own, z_own = cmat[rows], z[rows]
+            sign = 2.0 * z_own - 1.0
+            w = np.exp(-(sign * (c_own @ nu[arm]) + c_own @ nu[cal]))
+            signed, effect = sign * w, w * (sign * y[rows] - z_own * nu[-1])
             # The Hessian's blocks: sum w c c' on the diagonal, sum w (2z-1) c c' off it.
-            same = -(cmat.T @ (cmat * wg[:, None]))
-            cross = -(cmat.T @ (cmat * swg[:, None]))
-            A[cal, :m] = -ind.sum() * eye
-            A[arm, arm] = A[cal, cal] = same
-            A[arm, cal] = A[cal, arm] = cross
-            A[-1, arm] = -(swg * self.contrast) @ cmat
-            A[-1, cal] = -(wg * self.contrast) @ cmat
-        A[-1, -1] = -(self.z * self.weights).sum()
-        return A
+            A[arm, arm] = A[cal, cal] = -(c_own.T @ (c_own * w[:, None]))
+            A[arm, cal] = A[cal, arm] = -(c_own.T @ (c_own * signed[:, None]))
+            A[cal, :m] = -len(w) * eye
+            A[-1, arm] = -(sign * effect) @ c_own
+            A[-1, cal] = -effect @ c_own
+            A[-1, -1] -= (z_own * w).sum()
+            self.groups.append((rows, arm, cal, signed, w, effect))
+        self.jacobian = A
+
+    def psi_dot(self, x: np.ndarray) -> np.ndarray:
+        """psi @ x for the residual matrix psi: one entry per unit."""
+        cmat, theta0, m = self.cmat, self.theta0, len(self.theta0)
+        out = np.zeros(len(cmat))
+        out[self.target] = (cmat @ x[:m])[self.target] - theta0 @ x[:m]
+        for rows, arm, cal, signed, w, effect in self.groups:
+            out[rows] += (signed * (cmat @ x[arm])[rows] + w * (cmat @ x[cal])[rows]
+                          - theta0 @ x[cal] + effect * x[-1])
+        return out
 
 
 def _check_solvable(A: np.ndarray) -> None:
@@ -131,22 +114,15 @@ def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
-    it equals ||psi x||^2. psi x is formed BLOCK_ROWS units at a time and
-    its squares summed in one pass, so the SE has the bits the product of
-    the whole psi gives.
+    it equals ||psi x||^2.
     """
     nu = np.concatenate([fits.theta0, *(dual.eta for dual in duals), [tau_hat]])
     system = CalibrationSystem(fits.c.c, dataset.s, dataset.z, dataset.y, nu, groups)
-    A = system.jacobian()
-    _check_solvable(A)
+    _check_solvable(system.jacobian)
     e_tau = np.zeros(len(nu))
     e_tau[-1] = 1.0
-    x = np.linalg.solve(A.T, e_tau)
-    psi_x = np.empty(dataset.n)
-    for start in range(0, dataset.n, data.BLOCK_ROWS):
-        rows = slice(start, start + data.BLOCK_ROWS)
-        psi_x[rows] = system.psi(rows) @ x
-    return math.sqrt(float(np.sum(psi_x ** 2)))
+    x = np.linalg.solve(system.jacobian.T, e_tau)
+    return float(np.linalg.norm(system.psi_dot(x)))
 
 
 def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:

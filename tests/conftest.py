@@ -72,7 +72,12 @@ def random_feasible_transport(rng, n=None, m=None):
     return Dataset.fusion(s, z, y, x)
 
 
+def residual_matrix(system):
+    """The whole residual matrix of a CalibrationSystem, column j psi @ e_j."""
+    return np.column_stack([system.psi_dot(e) for e in np.eye(len(system.jacobian))])
+
+
 def stacked_system(cmat, s, z, y, nu, groups):
     """The whole residual matrix and the Jacobian of the calibration system."""
     system = CalibrationSystem(cmat, s, z, y, nu, groups)
-    return system.psi(), system.jacobian()
+    return residual_matrix(system), system.jacobian

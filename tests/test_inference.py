@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from targetcal import data
 from targetcal.data import Dataset, build_balance_matrix, target_moments
 from targetcal.errors import (
     InvalidLevelError,
@@ -35,7 +34,7 @@ from targetcal.inference import (
 from targetcal.sim import SCENARIOS, derive_seed, generate
 from targetcal.solver import assemble_fusion, assemble_transport
 
-from conftest import draw_row_a, random_feasible_transport, stacked_system
+from conftest import draw_row_a, random_feasible_transport, residual_matrix, stacked_system
 from oracles import sandwich_se_full_psi
 
 
@@ -119,14 +118,15 @@ class TestSolverDuals:
 
     @staticmethod
     def _check(system, duals, problems):
-        A = system.jacobian()
-        psi_sum = system.psi().sum(axis=0)
-        m = system.m
-        calibrated = np.zeros(len(system.weights), dtype=bool)
+        A = system.jacobian
+        psi_sum = residual_matrix(system).sum(axis=0)
+        m = len(system.theta0)
         for j, (dual, problem) in enumerate(zip(duals, problems)):
             rows = problem.active_rows
-            calibrated[rows] = True
-            assert np.max(np.abs(system.weights[rows] - dual.weights[rows])) < 1e-10
+            own_rows, _, _, _, weights, _ = system.groups[j]
+            # The group's weights exist on the solver's active rows alone.
+            assert np.array_equal(np.flatnonzero(own_rows), rows)
+            assert np.max(np.abs(weights - dual.weights[rows])) < 1e-10
             block = slice((1 + 2 * j) * m, (3 + 2 * j) * m)
             # The block sums to minus the solver's gradient b - a'w ...
             gradient = problem.b - problem.a.T @ dual.weights[rows]
@@ -134,7 +134,6 @@ class TestSolverDuals:
             # ... and its Jacobian is minus the solver's Hessian (a w)'a.
             hessian = (problem.a * dual.weights[rows, None]).T @ problem.a
             assert np.max(np.abs(A[block, block] + hessian)) <= 1e-12 * np.max(np.abs(hessian))
-        assert not system.weights[~calibrated].any()
 
     def test_transport(self):
         rng = np.random.default_rng(55)
@@ -223,34 +222,25 @@ class TestSandwich:
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
         assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
-    # Every draw spans at least three blocks, the last one short. The SE
-    # bits must not depend on the block size: the blocked SE equals the one
-    # from a single block holding the whole residual matrix. On the two
-    # n=1500 draws of seeds 1 and 5, summing each block's squares apart
-    # changes the last bit of the fusion or the transport SE. The (gamma,
-    # delta) reference system differs from it only in the last bits.
+    # The SE from the residual products psi_dot(x) against the one from the
+    # whole (gamma, delta) residual matrix in one product, which differs from
+    # it only in the last bits. ``block`` is the row-block size these draws
+    # once had the SE summed in; no block size enters the SE any more.
     @pytest.mark.parametrize("seed, n, block", [(414, 1500, 512), (1, 1500, 256),
                                                 (3, 3000, 256), (5, 1500, 512),
                                                 (5, 3000, 512)])
-    def test_blocks_match_whole_residual_matrix(self, monkeypatch, seed, n, block):
+    def test_blocks_match_whole_residual_matrix(self, seed, n, block):
         ds = draw_row_a(n, np.random.default_rng(seed))
         c = build_balance_matrix(ds)
         dt = ds.to_transport()
         fits_t, fits_f = Fits(dt, c), Fits(ds, c)
         cal_t = tau_cal_transport(dt, fits_t)
         cal_f = tau_cal_fusion(ds, fits_f)
-
-        def ses(block_rows):
-            monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
-            return (sandwich_variance_transport(dt, fits_t, cal_t),
-                    sandwich_variance_fusion(ds, fits_f, cal_f))
-
-        whole, got = ses(n), ses(block)
-        assert [se.hex() for se in got] == [se.hex() for se in whole]
+        got = (sandwich_variance_transport(dt, fits_t, cal_t),
+               sandwich_variance_fusion(ds, fits_f, cal_f))
         reference = (sandwich_se_full_psi(dt, fits_t, (fits_t.transport,), (1,), cal_t.tau_hat),
                      sandwich_se_full_psi(ds, fits_f, fits_f.fusion, (0, 1), cal_f.tau_hat))
         assert got == pytest.approx(reference, rel=1e-12)
-
 
     def test_out_of_group_exponent_past_overflow(self):
         # One study unit far out on x1: under the target half's dual its

@@ -92,13 +92,13 @@ class Fits:
     (the target-sample means of the balance columns), and its nuisance fits
     and calibration solves, each computed once, on first use.
 
-    Every member except ``fusion`` reads only the balance matrix, the sample
-    indicator and study-sample treatment and outcome, so a Fits built on a
-    fusion dataset also serves its transport view; the study half of
-    ``fusion`` is the ``transport`` solution itself. A member that raises
-    caches its error, and every later read raises it again without fitting
-    or solving. Readers share the cached arrays, so none may modify them (a
-    solution's arrays are read-only).
+    Every member except ``target_balance`` and ``fusion`` reads only the
+    balance matrix, the sample indicator and study-sample treatment and
+    outcome, so a Fits built on a fusion dataset also serves its transport
+    view; ``fusion`` is the pair (``target_balance``, ``transport``). A member
+    that raises caches its error, and every later read raises it again
+    without fitting or solving. Readers share the cached arrays, so none may
+    modify them (a solution's arrays are read-only).
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
@@ -120,17 +120,23 @@ class Fits:
             solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0))
 
     @_cached
-    def fusion(self) -> tuple:
-        """Per-sample arm-balance solves (target, study); reads target z. The
-        study-sample problem is the transport one, so the study half is
-        ``self.transport``, read last; its error is raised prefixed with the half."""
+    def target_balance(self) -> solver.DualSolution:
+        """Arm balance of the target sample aimed at theta0; reads target z.
+        The target half of ``fusion``, and the CBPS weights in fusion mode."""
         if self.dataset.mode != "fusion":
             raise ModeError("requested z values include unobserved entries")
-        target = solver.solve_entropy_dual(solver.assemble_fusion(
+        return solver.solve_entropy_dual(solver.assemble_fusion(
             self.c, self.dataset.s, self.dataset.z, self.theta0))
+
+    @property
+    def fusion(self) -> tuple:
+        """Per-sample arm-balance solves (target, study). The study-sample
+        problem is the transport one, so the study half is ``self.transport``,
+        read last; its error is raised prefixed with the half."""
+        target = self.target_balance
         try:
             return target, self.transport
-        except TargetcalError as exc:  # the cache keeps its own copy
+        except TargetcalError as exc:  # a copy: the cache keeps its own
             exc.args = (f"study-sample half (the transport problem): {exc}",)
             raise
 
@@ -220,8 +226,6 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     initial = {}
     for arm in (0, 1):
         mask = z == arm
-        if not mask.any():
-            raise EmptyArmError(f"no study units with z={arm}")
         initial[arm] = glm.fit_logistic(c_study[mask], y_star[mask])
     mu0_star = glm.predict(initial[0], c.c)
     mu1_star = glm.predict(initial[1], c.c)
@@ -292,13 +296,18 @@ def tau_cal_fusion(dataset: Dataset, fits: Fits) -> TauEstimate:
 
 def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Within-cohort benchmark: arm-balancing weights aimed at the benchmark
-    cohort's own balance means, then a Hajek contrast."""
+    cohort's own balance means, then a Hajek contrast. In fusion mode the
+    cohort is the target sample and its means are theta0, so the weights are
+    ``fits.target_balance``'s."""
     mask = _cohort(dataset)
     z, y = dataset.observed(mask)
-    c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
-    sol = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z))
-    tau = _hajek_contrast(sol.weights, z, y)
-    return TauEstimate(tau_hat=tau, weights_used=sol.weights, nuisance={"z": z, "y": y})
+    if dataset.mode == "fusion":
+        w = fits.target_balance.weights[mask]
+    else:
+        c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
+        w = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z)).weights
+    tau = _hajek_contrast(w, z, y)
+    return TauEstimate(tau_hat=tau, weights_used=w, nuisance={"z": z, "y": y})
 
 
 TAU = {

@@ -76,6 +76,23 @@ class TestEstimate:
         rows = list(csv.DictReader(open(out / "results.csv")))
         assert [r["estimator"] for r in rows] == ["CAL_T"]
 
+    def test_target_sample_without_an_arm(self, tmp_path, capsys):
+        # No treated unit in the target sample: the four kinds that read
+        # target treatment fail by name, and the others are written.
+        ds = generate(SCENARIOS["A"], 900, seed=4242)
+        path = tmp_path / "one_arm.csv"
+        write_dataset_csv(path, Dataset.fusion(ds.s, np.where(ds.s == 0, 0.0, ds.z), ds.y, ds.x))
+        out = tmp_path / "out"
+        code = main(["estimate", "--mode", "fusion", "--input", str(path), "--out", str(out),
+                     "--estimators", "UNADJ,GCOMP,TMLE,AUG_T,AUG_F,CAL_T,CAL_F,CBPS"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.findall(r"^estimator (\w+) failed: EmptyArmError: ", err, re.M) == [
+            "UNADJ", "AUG_F", "CAL_F", "CBPS"]
+        assert "Traceback" not in err
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        assert [r["estimator"] for r in rows] == ["GCOMP", "TMLE", "AUG_T", "CAL_T"]
+
     def test_non_finite_estimate_fails_by_name(self, tmp_path, capsys):
         ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
         y = ds.y.copy()

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,8 @@ from targetcal.data import (
     build_balance_matrix,
     standardized_mean_differences,
 )
-from targetcal.errors import (DegenerateOutcomeError, ModeError, NotConvergedError,
-                              RankDeficientError)
+from targetcal.errors import (DegenerateOutcomeError, EmptyArmError, ModeError,
+                              NotConvergedError, RankDeficientError)
 from targetcal.estimators import (
     EstimatorKind,
     Fits,
@@ -313,6 +314,39 @@ def test_benchmark_cohort_follows_mode(baseline_balance):
         assert len(cbps.weights_used) == cohort.sum()
         assert np.array_equal(cbps.nuisance["z"], z)
         assert np.array_equal(cbps.nuisance["y"], y)
+
+
+def test_fusion_cbps_reads_the_target_balance(baseline_balance, caplog):
+    # On fusion data CBPS's cohort problem is the target half of CAL_F's, so
+    # one k=10 solve of the target sample serves both.
+    ds, c = baseline_balance
+    fits = Fits(ds, c)
+    with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
+        compute_tau(ds, EstimatorKind.CAL_F, fits)
+        cbps = compute_tau(ds, EstimatorKind.CBPS, fits)
+    solves = [r.args for r in caplog.records if r.name == "targetcal.solver"]
+    assert [(r["k"], r["n_active"]) for r in solves] == [(10, ds.n_target), (10, ds.n_study)]
+    assert np.array_equal(cbps.weights_used, fits.target_balance.weights[ds.s == 0])
+
+
+def test_target_sample_without_an_arm(baseline_balance):
+    # Fusion data whose target sample has no treated unit: the four kinds
+    # that read target treatment fail by name, the four others succeed.
+    ds, _ = baseline_balance
+    ds = Dataset.fusion(ds.s, np.where(ds.s == 0, 0.0, ds.z), ds.y, ds.x)
+    fits = Fits(ds, build_balance_matrix(ds))
+    failing = {EstimatorKind.UNADJ: "both treatment arms are required",
+               EstimatorKind.AUG_F: "no units with z=1 to fit the outcome model",
+               EstimatorKind.CAL_F: "sample s=0 has no units with z=1",
+               EstimatorKind.CBPS: "sample s=0 has no units with z=1"}
+    for kind in EstimatorKind:
+        if kind in failing:
+            with pytest.raises(EmptyArmError) as err:
+                estimate_with_ci(ds, fits, kind=kind)
+            assert str(err.value) == failing[kind]
+        else:
+            est = estimate_with_ci(ds, fits, kind=kind)
+            assert np.isfinite(est.tau_hat) and est.se > 0
 
 
 def test_failed_solve_is_cached(monkeypatch):

@@ -35,11 +35,8 @@ log = logging.getLogger("targetcal")
 # collinear.
 RANK_TOL = 1e-10
 
-# Rows handled at a time by CSV ingest, score export and the sandwich
-# variance, so that no per-field Python object and no n x k matrix is held
-# for the whole sample. A multiple of 64, so each sandwich block starts where
-# a BLAS kernel's row group starts in the whole matrix and psi @ x keeps its
-# bits.
+# Rows handled at a time by CSV ingest and score export, so that no
+# per-field Python object is held for the whole sample.
 BLOCK_ROWS = 8192
 
 

@@ -136,7 +136,7 @@ class Fits:
         target = self.target_balance
         try:
             return target, self.transport
-        except TargetcalError as exc:  # a copy: the cache keeps its own
+        except TargetcalError as exc:  # the cache keeps its own copy
             exc.args = (f"study-sample half (the transport problem): {exc}",)
             raise
 

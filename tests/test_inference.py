@@ -224,8 +224,7 @@ class TestSandwich:
 
     # The SE from the residual products psi_dot(x) against the one from the
     # whole (gamma, delta) residual matrix in one product, which differs from
-    # it only in the last bits. ``block`` is the row-block size these draws
-    # once had the SE summed in; no block size enters the SE any more.
+    # it only in the last bits. ``block`` enters no SE; it only names a draw.
     @pytest.mark.parametrize("seed, n, block", [(414, 1500, 512), (1, 1500, 256),
                                                 (3, 3000, 256), (5, 1500, 512),
                                                 (5, 3000, 512)])

@@ -164,6 +164,19 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
                           for v in row] for row in rows)
 
 
+def _write_text(path: Path, header: list, widths: list, rows: list) -> None:
+    """A fixed-width text table, floats to 6 significant digits. Field j is
+    ``widths[j]`` wide, one space included: the first field is left-aligned
+    and ends in it, the others are right-aligned after it. A value that fills
+    its field keeps the space and pushes the rest of its line right."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            for j, (value, width) in enumerate(zip(row, widths)):
+                spec = f"{width - 1}{'.6g' if isinstance(value, float) else ''}"
+                fh.write(f"{value:<{spec}} " if j == 0 else f" {value:>{spec}}")
+            fh.write("\n")
+
+
 def _echo_config(out: Path, command: str, effective: dict) -> None:
     with open(out / "config.json", "w") as fh:
         json.dump({"command": command, "rng": RNG_ALGORITHM, **effective}, fh, indent=2,
@@ -202,12 +215,14 @@ def _smd_rows(dataset: Dataset, c: BalanceMatrix, weight_sets: dict) -> list:
                     dataset.z[study].astype(int), study)]
     if dataset.mode == "fusion":
         comparisons.append(("treatment(pooled)", c, dataset.z.astype(int), everyone))
+    labels = ["unweighted", *weight_sets]
     rows = []
     for comparison, cmat, groups, units in comparisons:
-        for label, weights in {"unweighted": None, **weight_sets}.items():
-            smd = standardized_mean_differences(
-                cmat, groups, None if weights is None else weights[units])
-            rows += [[comparison, c.names[j], label, smd[j]] for j in range(1, c.m)]
+        # All weightings in one call, so the comparison's pooled SD is computed once.
+        smd = standardized_mean_differences(
+            cmat, groups, [np.ones(cmat.n), *(w[units] for w in weight_sets.values())])
+        for label, values in zip(labels, smd):
+            rows += [[comparison, c.names[j], label, values[j]] for j in range(1, c.m)]
     return rows
 
 
@@ -281,10 +296,8 @@ def cmd_estimate(args: argparse.Namespace) -> list:
     out = settings["out"]
     _write_csv(out / "results.csv", ["estimator", "tau_hat", "se", "ci_low", "ci_high", "ess",
                                      "max_weight", "method"], results)
-    with open(out / "results.txt", "w") as fh:
-        fh.write(f"{'estimator':<10}{'tau_hat':>12}{'se':>12}{'ci_low':>12}{'ci_high':>12}\n")
-        for row in results:
-            fh.write(f"{row[0]:<10}" + "".join(f"{v:>12.6g}" for v in row[1:5]) + "\n")
+    _write_text(out / "results.txt", ["estimator", "tau_hat", "se", "ci_low", "ci_high"],
+                [10, 12, 12, 12, 12], [row[:5] for row in results])
     _write_balance(ESTIMATE, settings, fits, labels, failures,
                    benchmark_sample="target" if settings["mode"] == "fusion" else "study")
     return failures
@@ -305,12 +318,10 @@ def cmd_simulate(args: argparse.Namespace) -> list:
                                      "coverage", "n_ok", "n_failed"],
                [[r.scenario, r.n, r.kind, r.tau0, r.bias, r.rmse, r.coverage, r.n_ok,
                  r.n_failed] for r in table.rows])
-    with open(out / "metrics.txt", "w") as fh:
-        fh.write(f"{'scenario':<9}{'n':>6}{'estimator':>10}{'tau0':>10}{'bias':>10}"
-                 f"{'rmse':>10}{'coverage':>10}{'failed':>8}\n")
-        for r in table.rows:
-            fh.write(f"{r.scenario:<9}{r.n:>6}{r.kind:>10}{r.tau0:>10.6g}{r.bias:>10.6g}"
-                     f"{r.rmse:>10.6g}{r.coverage:>10.6g}{r.n_failed:>8}\n")
+    _write_text(out / "metrics.txt", ["scenario", "n", "estimator", "tau0", "bias", "rmse",
+                                      "coverage", "failed"], [9, 6, 10, 10, 10, 10, 10, 8],
+                [[r.scenario, r.n, r.kind, r.tau0, r.bias, r.rmse, r.coverage, r.n_failed]
+                 for r in table.rows])
     if runner.keep_replicates:
         _write_csv(out / "replicates.csv", ["scenario", "n", "estimator", "rep", "seed",
                                             "tau_hat", "se", "ci_low", "ci_high", "failed",

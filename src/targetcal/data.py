@@ -80,7 +80,7 @@ class Dataset:
         if self.mode not in MODES:
             raise ModeError(f"unknown mode '{self.mode}'")
         # Tested before the cast, which would truncate 0.9 to 0 and 257 to 1.
-        if not np.isin(s, (0, 1)).all():
+        if not ((s == 0) | (s == 1)).all():
             raise ModeError("s must be binary")
         s = s.astype(np.int8, copy=False)
         if s.min() == s.max():
@@ -94,7 +94,8 @@ class Dataset:
             z = np.where(study, z, np.nan)
             y = np.where(study, y, np.nan)
         seen = study if self.mode == "transport" else slice(None)
-        if not np.isin(z[seen], (0.0, 1.0)).all():
+        z_seen = z[seen]
+        if not ((z_seen == 0.0) | (z_seen == 1.0)).all():
             raise ModeError("observed z must be binary")
         if not np.isfinite(y[seen]).all():
             raise NonFiniteError("observed y contains NaN or infinity")
@@ -251,12 +252,12 @@ def standardized_mean_differences(
     The numerator uses weighted group means; the denominator is the pooled
     unweighted standard deviation, sqrt((var1 + var0) / 2) with ddof=1, so
     pre- and post-weighting tables share one scale. The intercept column is
-    reported as 0.
+    reported as 0. ``weights`` is one weight per unit, or a (W, n) array of
+    W weightings: then the scale is computed once, the result has one row per
+    weighting, and the first weighting that fails raises.
     """
     group = np.asarray(group).astype(int)
-    if weights is None:
-        weights = np.ones(c.n)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ones(c.n) if weights is None else np.asarray(weights, dtype=float)
     g1 = group == 1
     g0 = group == 0
     if not (g1.any() and g0.any()):
@@ -264,26 +265,30 @@ def standardized_mean_differences(
     # One row per balance column, kept C-contiguous (compress, unlike a
     # boolean index, returns it so), so each row reduces by the same pairwise
     # summation as a per-column np.average / var and the results match bits.
+    # Per group: its columns and its weights under every weighting.
     cols = np.ascontiguousarray(c.c[:, 1:].T)
-    means, variances = [], []
-    for g in (g1, g0):
-        x, w = cols.compress(g, axis=1), weights[g]
-        total = w.sum()
-        if total == 0.0:
-            raise AllZeroError("weights sum to zero in a comparison group")
-        means.append((x * w).sum(axis=1) / total)
-        variances.append(x.var(axis=1, ddof=1) if g.sum() > 1 else np.zeros(len(x)))
+    weightings = np.atleast_2d(weights)
+    groups = [(cols.compress(g, axis=1), weightings.compress(g, axis=1)) for g in (g1, g0)]
+    variances = [x.var(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(len(x))
+                 for x, _ in groups]
     pooled = np.sqrt((variances[0] + variances[1]) / 2.0)
-    diff = np.abs(means[0] - means[1])
     flat = pooled == 0.0
-    clash = np.flatnonzero(flat & (diff > 1e-12))
-    if clash.size:
-        raise ZeroVarianceError(
-            f"column {clash[0] + 1} has zero pooled SD but differing group means"
-        )
-    out = np.zeros(c.m)
-    np.divide(diff, pooled, out=out[1:], where=~flat)
-    return out
+    out = np.zeros((len(weightings), c.m))
+    for j, row in enumerate(out):
+        means = []
+        for x, w in groups:
+            total = w[j].sum()
+            if total == 0.0:
+                raise AllZeroError("weights sum to zero in a comparison group")
+            means.append((x * w[j]).sum(axis=1) / total)
+        diff = np.abs(means[0] - means[1])
+        clash = np.flatnonzero(flat & (diff > 1e-12))
+        if clash.size:
+            raise ZeroVarianceError(
+                f"column {clash[0] + 1} has zero pooled SD but differing group means"
+            )
+        np.divide(diff, pooled, out=row[1:], where=~flat)
+    return out if weights.ndim == 2 else out[0]
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import glm, solver
-from .data import BalanceMatrix, Dataset, target_moments
-from .errors import DegenerateOutcomeError, EmptyArmError, ModeError, TargetcalError
+from .data import BalanceMatrix, Dataset, check_full_rank, target_moments
+from .errors import (DegenerateOutcomeError, EmptyArmError, ModeError, RankDeficientError,
+                     TargetcalError)
 
 
 class EstimatorKind(enum.Enum):
@@ -51,9 +52,10 @@ class TauEstimate:
     method: str | None = None
 
 
-def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
+def _outcome_models(dataset: Dataset, fits: Fits, sample: int) -> tuple:
     """Main-terms linear fits of y on the balance columns, one per arm of the
     sample s == ``sample``: (models, mu0, mu1), mu predicted on every unit."""
+    c = fits.c
     rows = dataset.s == sample
     c_rows = c.c[rows]
     z, y = dataset.observed(rows)
@@ -62,7 +64,8 @@ def _outcome_models(dataset: Dataset, c: BalanceMatrix, sample: int) -> tuple:
         mask = z == arm
         if not mask.any():
             raise EmptyArmError(f"no units with z={arm} to fit the outcome model")
-        models.append(glm.fit_linear(c_rows[mask], y[mask]))
+        models.append(glm.fit_linear(c_rows[mask], y[mask],
+                                     rank_check=partial(fits.full_rank, sample, arm)))
     return models, glm.predict(models[0], c.c), glm.predict(models[1], c.c)
 
 
@@ -99,6 +102,10 @@ class Fits:
     that raises caches its error, and every later read raises it again
     without fitting or solving. Readers share the cached arrays, so none may
     modify them (a solution's arrays are read-only).
+
+    It also holds one rank verdict per row set of the balance matrix (see
+    ``full_rank``), which its fits and solves, TMLE's initial fits and AUG_F's
+    outcome models take in place of their own rank checks.
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
@@ -106,18 +113,55 @@ class Fits:
         self.c = c
         self.theta0 = target_moments(c, dataset.s)
         self._failures = {}
+        self._verdicts = {}
+
+    def full_rank(self, sample: int | None = None, arm: int | None = None) -> None:
+        """Raise the RankDeficientError of the balance matrix on one row set,
+        if it has one: every unit (no ``sample``), the sample s == ``sample``,
+        or its units with z == ``arm``. Each row set is checked once, and a
+        failed verdict is raised again, as a fresh copy, on every later call.
+
+        An arm-balance matrix [(2z - 1) c, c] over a sample has full column
+        rank exactly when c has on both of the sample's arms, so its verdict
+        is the pair of arm verdicts (``arms_full_rank``).
+        """
+        key = (sample, arm)
+        if key not in self._verdicts:
+            rows, where = slice(None), "balance matrix"
+            if sample is not None:
+                rows = self.dataset.s == sample
+                where += " on the study sample" if sample == 1 else " on the target sample"
+            if arm is not None:
+                rows = rows & (self.dataset.z == arm)
+                where += f" arm z={arm}"
+            try:
+                check_full_rank(self.c.c[rows], where)
+            except RankDeficientError as exc:
+                self._verdicts[key] = copy.copy(exc)
+                raise
+            self._verdicts[key] = None
+        failed = self._verdicts[key]
+        if failed is not None:
+            raise copy.copy(failed)
+
+    def arms_full_rank(self, sample: int) -> None:
+        """The rank verdict of the arm-balance matrix over a sample."""
+        for arm in (0, 1):
+            self.full_rank(sample, arm)
 
     @_cached
     def sampling(self) -> solver.DualSolution:
         """Study-sample weights calibrated to the target moments."""
         return solver.solve_entropy_dual(
-            solver.assemble_sampling(self.c, self.dataset.s, self.theta0))
+            solver.assemble_sampling(self.c, self.dataset.s, self.theta0),
+            rank_check=partial(self.full_rank, 1))
 
     @_cached
     def transport(self) -> solver.DualSolution:
         """Joint arm-balance and sampling calibration of the study sample."""
         return solver.solve_entropy_dual(
-            solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0))
+            solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
+            rank_check=partial(self.arms_full_rank, 1))
 
     @_cached
     def target_balance(self) -> solver.DualSolution:
@@ -125,8 +169,9 @@ class Fits:
         The target half of ``fusion``, and the CBPS weights in fusion mode."""
         if self.dataset.mode != "fusion":
             raise ModeError("requested z values include unobserved entries")
-        return solver.solve_entropy_dual(solver.assemble_fusion(
-            self.c, self.dataset.s, self.dataset.z, self.theta0))
+        return solver.solve_entropy_dual(
+            solver.assemble_fusion(self.c, self.dataset.s, self.dataset.z, self.theta0),
+            rank_check=partial(self.arms_full_rank, 0))
 
     @property
     def fusion(self) -> tuple:
@@ -143,20 +188,22 @@ class Fits:
     @_cached
     def rho(self) -> np.ndarray:
         """Logistic sampling score P(s=1 | c) on every unit."""
-        fit = glm.fit_logistic(self.c.c, self.dataset.s.astype(float))
+        fit = glm.fit_logistic(self.c.c, self.dataset.s.astype(float),
+                               rank_check=self.full_rank)
         return glm.predict(fit, self.c.c)
 
     @_cached
     def pi(self) -> np.ndarray:
         """Logistic propensity score, fit on the study sample, on every unit."""
         study = self.dataset.s == 1
-        fit = glm.fit_logistic(self.c.c[study], self.dataset.z[study])
+        fit = glm.fit_logistic(self.c.c[study], self.dataset.z[study],
+                               rank_check=partial(self.full_rank, 1))
         return glm.predict(fit, self.c.c)
 
     @_cached
     def study_outcome(self) -> tuple:
         """Per-arm study-sample outcome models: (models, mu0, mu1)."""
-        return _outcome_models(self.dataset, self.c, 1)
+        return _outcome_models(self.dataset, self, 1)
 
 
 def _hajek_contrast(weights: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
@@ -226,7 +273,8 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     initial = {}
     for arm in (0, 1):
         mask = z == arm
-        initial[arm] = glm.fit_logistic(c_study[mask], y_star[mask])
+        initial[arm] = glm.fit_logistic(c_study[mask], y_star[mask],
+                                        rank_check=partial(fits.full_rank, 1, arm))
     mu0_star = glm.predict(initial[0], c.c)
     mu1_star = glm.predict(initial[1], c.c)
 
@@ -260,7 +308,7 @@ def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate
     q = fits.sampling.weights
     pi_study = fits.pi[study]
     _, mu0, mu1 = (fits.study_outcome if outcome_sample == 1
-                   else _outcome_models(dataset, fits.c, outcome_sample))
+                   else _outcome_models(dataset, fits, outcome_sample))
 
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)

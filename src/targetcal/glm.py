@@ -5,13 +5,14 @@ and least squares for outcome means.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import check_full_rank
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError, OutOfRangeError
 from .solver import damped_newton
 
 # Fitted and predicted probabilities are clipped to this open interval
@@ -53,46 +54,66 @@ class GlmFit:
     separated: bool = False
 
 
-def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None) -> GlmFit:
+def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None, *,
+                 rank_check=None) -> GlmFit:
     """Bernoulli quasi-likelihood fit: solver.damped_newton on the negative
     quasi-log-likelihood, unclipped so that its gradient is the score.
 
-    Accepts fractional responses in [0, 1] and an optional fixed offset added
-    to the linear predictor. The fit has converged when every score entry is
-    within its tolerance. A diverging fit (coefficient max-norm above
-    SEPARATION_NORM) is reported as separated and truncated.
+    Accepts fractional responses in [0, 1] (NaN is a NonFiniteError, a value
+    outside an OutOfRangeError) and an optional fixed offset added to the
+    linear predictor. The fit has converged when every score entry is within
+    its tolerance. A diverging fit (coefficient max-norm above
+    SEPARATION_NORM) is reported as separated and truncated. ``rank_check``,
+    when given, stands in for check_full_rank of the design (see
+    solver.solve_entropy_dual).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = design.shape
     if y.shape != (n,):
         raise DimensionMismatchError("response length does not match design")
-    if np.any((y < 0) | (y > 1)):
-        raise ValueError("logistic responses must lie in [0, 1]")
-    o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    check_full_rank(design, "logistic design")
+    if not ((y >= 0.0) & (y <= 1.0)).all():  # false for NaN too
+        if np.isnan(y).any():
+            raise NonFiniteError("logistic responses contain NaN")
+        raise OutOfRangeError("logistic responses must lie in [0, 1]")
+    if offset is not None:
+        offset = np.asarray(offset, dtype=float)
+    if rank_check is None:
+        check_full_rank(design, "logistic design")
+    else:
+        rank_check()
     # Per-coefficient score tolerance: 1e-9 absolute, raised to what float
     # rounding of the score sum leaves reachable at large n. The column sums
     # are a dot product with ones: np.sum rounds some of them differently.
     score_tol = np.maximum(1e-9, 1e-12 * (np.ones(n) @ np.abs(design)))
+    tolerances = score_tol.tolist()
 
     # softplus(lp) - y lp from expit's one exp; the mean is the point's state.
     def objective(beta):
-        lp = design @ beta + o
-        e = np.exp(np.minimum(lp, -lp))
-        mu = np.where(lp >= 0, 1.0, e) / (1.0 + e)
-        return float((np.maximum(lp, 0.0) + np.log1p(e) - y * lp).sum()), mu
+        lp = design @ beta
+        if offset is not None:
+            lp += offset
+        e = np.negative(lp)
+        np.exp(np.minimum(lp, e, out=e), out=e)
+        mu = np.where(lp >= 0, 1.0, e)
+        mu /= e + 1.0
+        total = np.maximum(lp, 0.0)
+        total += np.log1p(e, out=e)
+        total -= np.multiply(y, lp, out=lp)
+        return float(total.sum()), mu
 
     def derivatives(beta, mu):
         return (design.T @ (mu - y),
                 lambda: (design * (mu * (1.0 - mu))[:, None]).T @ design, mu)
 
     def stop(beta, mu, grad):
-        return np.abs(beta).max() > SEPARATION_NORM or (np.abs(grad) <= score_tol).all()
+        # A NaN coefficient or score entry fails both tests, as under numpy's max and all.
+        return (_separated(beta) or
+                all(abs(g) <= tol for g, tol in zip(grad.tolist(), tolerances)))
 
     beta, mu, _, _, stopped = damped_newton(np.zeros(p), objective, derivatives, stop,
                                             score_tol, MAX_IRLS_ITER)
-    separated = bool(np.abs(beta).max() > SEPARATION_NORM)
+    separated = _separated(beta)
     if separated:
         warnings.warn(
             "logistic fit appears separated; coefficients truncated",
@@ -108,14 +129,29 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
     )
 
 
-def fit_linear(design: np.ndarray, y: np.ndarray) -> GlmFit:
-    """Ordinary least squares (lstsq)."""
+def _separated(beta: np.ndarray) -> bool:
+    """Coefficient max-norm above SEPARATION_NORM; false when any entry is
+    NaN, as np.abs(beta).max() compares then."""
+    sizes = [abs(b) for b in beta.tolist()]
+    return max(sizes) > SEPARATION_NORM and not any(map(math.isnan, sizes))
+
+
+def fit_linear(design: np.ndarray, y: np.ndarray, *, rank_check=None) -> GlmFit:
+    """Ordinary least squares (lstsq). Coefficients that are not finite, as
+    from a response with NaN or infinity, are a NonFiniteError;
+    ``rank_check`` is as in fit_logistic."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (design.shape[0],):
         raise DimensionMismatchError("response length does not match design")
-    check_full_rank(design, "linear design")
+    if rank_check is None:
+        check_full_rank(design, "linear design")
+    else:
+        rank_check()
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    if not all(map(math.isfinite, beta.tolist())):
+        cause = "" if np.isfinite(y).all() else ": the response holds NaN or infinity"
+        raise NonFiniteError(f"linear fit coefficients are not finite{cause}")
     fitted = design @ beta
     return GlmFit(coefficients=beta, family="linear", converged=True, fitted=fitted)
 

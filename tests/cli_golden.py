@@ -13,11 +13,14 @@ change meant to move an output regenerates them:
 
     PYTHONPATH=src python tests/cli_golden.py
 
-and declares which fields moved.
+which first prints what moved against the committed files: each file that
+changed, came or went, and its changed lines. The change declares which
+fields moved.
 """
 
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import logging
@@ -127,6 +130,31 @@ def write_golden(outputs: dict) -> None:
             (GOLDEN / name / filename).write_bytes(body)
 
 
+def report(golden: dict, outputs: dict) -> list:
+    """Lines saying what moved from ``golden`` to ``outputs``: every file
+    that changed, came or went, then its changed lines as a unified diff
+    without context."""
+    lines = []
+    for run in sorted(golden.keys() | outputs.keys()):
+        before, after = golden.get(run, {}), outputs.get(run, {})
+        for name in sorted(before.keys() | after.keys()):
+            old, new = before.get(name), after.get(name)
+            if old == new:
+                continue
+            path = f"{run}/{name}"
+            if old is None or new is None:
+                lines.append(f"{path}: {'new' if old is None else 'gone'}")
+                continue
+            lines.append(f"{path}: changed")
+            diff = difflib.unified_diff(old.decode().splitlines(), new.decode().splitlines(),
+                                        lineterm="", n=0)
+            lines += [f"  {line}" for line in diff if not line.startswith(("---", "+++"))]
+    return [f"files moved: {sum(not line.startswith('  ') for line in lines)}", *lines]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        write_golden(run_all(Path(tmp)))
+        outputs = run_all(Path(tmp))
+    if GOLDEN.exists():
+        print("\n".join(report(read_golden(), outputs)))
+    write_golden(outputs)

@@ -107,6 +107,28 @@ class TestEstimate:
         rows = list(csv.DictReader(open(out / "results.csv")))
         assert [r["estimator"] for r in rows] == ["CAL_T"]
 
+    def test_text_table_keeps_full_fields_apart(self, tmp_path):
+        # At y * 1e6 every tau and interval end takes all 12 characters of
+        # its results.txt field, as -4.03359e+06 does; each keeps a space.
+        ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+        path = tmp_path / "scaled.csv"
+        write_dataset_csv(path, Dataset.fusion(ds.s, ds.z, ds.y * 1e6, ds.x))
+        out = tmp_path / "out"
+        assert main(["estimate", "--mode", "fusion", "--input", str(path),
+                     "--out", str(out), "--estimators", "UNADJ,GCOMP"]) == 0
+        lines = (out / "results.txt").read_text().splitlines()
+        assert lines[0].split() == ["estimator", "tau_hat", "se", "ci_low", "ci_high"]
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        assert len(lines) == len(rows) + 1
+        full = 0
+        for line, row in zip(lines[1:], rows):
+            fields = line.split()
+            assert fields[0] == row["estimator"]
+            want = [float(row[key]) for key in ("tau_hat", "se", "ci_low", "ci_high")]
+            assert [float(f) for f in fields[1:]] == [float(f"{v:.6g}") for v in want]
+            full += sum(len(f"{v:.6g}") == 12 for v in want)
+        assert full >= 4
+
     def test_post_calibration_smds_vanish(self, demo_csv, tmp_path):
         out = tmp_path / "out"
         main(["estimate", "--mode", "fusion", "--input", str(demo_csv),

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from targetcal import glm, solver
+from targetcal import data, estimators, glm, solver
 from targetcal.data import (
     BalanceMatrix,
     Dataset,
@@ -356,9 +356,9 @@ def test_failed_solve_is_cached(monkeypatch):
     fits = Fits(ds, build_balance_matrix(ds))
     calls = Counter()
     for name in ("assemble_sampling", "solve_entropy_dual"):
-        def counted(*args, _name=name, _original=getattr(solver, name)):
+        def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
     messages = []
@@ -382,9 +382,9 @@ def test_failed_fit_is_cached(monkeypatch):
     fits = Fits(ds, build_balance_matrix(ds))
     calls = Counter()
 
-    def counted(*args, _original=glm.fit_logistic):
+    def counted(*args, _original=glm.fit_logistic, **kwargs):
         calls["fit_logistic"] += 1
-        return _original(*args)
+        return _original(*args, **kwargs)
 
     monkeypatch.setattr(glm, "fit_logistic", counted)
     messages = []
@@ -433,9 +433,9 @@ def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, orde
     fits = Fits(ds, build_balance_matrix(ds))
     calls = Counter()
     for name in ("assemble_transport", "assemble_fusion", "solve_entropy_dual"):
-        def counted(*args, _name=name, _original=getattr(solver, name)):
+        def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
     errors = {}
@@ -451,3 +451,36 @@ def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, orde
     assert errors["CAL_F"].direction is not None
     assert np.array_equal(errors["CAL_F"].direction, errors["CAL_T"].direction)
     assert errors["CAL_F"].worst_constraint == errors["CAL_T"].worst_constraint
+
+
+def test_covariate_constant_on_one_study_arm(monkeypatch):
+    # x2 is constant on the study sample's z=0 arm, so that arm's balance
+    # matrix is rank deficient though the study sample's is not. Every kind
+    # that fits or balances the study arms fails with the one verdict Fits
+    # holds for that arm, checked once; the others succeed.
+    ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+    x = ds.x.copy()
+    x[(ds.s == 1) & (ds.z == 0), 1] = 0.5
+    ds = Dataset.fusion(ds.s, ds.z, ds.y, x)
+    fits = Fits(ds, build_balance_matrix(ds))
+    checked = []
+
+    def counted(mat, what="matrix", _original=data.check_full_rank):
+        checked.append(what)
+        return _original(mat, what)
+
+    for module in (estimators, glm, solver):
+        monkeypatch.setattr(module, "check_full_rank", counted)
+    failed = {}
+    for kind in EstimatorKind:
+        try:
+            estimate_with_ci(ds, fits, kind=kind)
+        except RankDeficientError as exc:
+            failed[kind.value] = str(exc)
+    assert sorted(failed) == ["AUG_T", "CAL_F", "CAL_T", "GCOMP", "TMLE"]
+    verdict = "balance matrix on the study sample arm z=0 is rank deficient"
+    for kind, message in failed.items():
+        prefix = "study-sample half (the transport problem): " if kind == "CAL_F" else ""
+        assert message.startswith(prefix + verdict), kind
+    assert checked.count("balance matrix on the study sample arm z=0") == 1
+    assert len(checked) == len(set(checked))

@@ -5,7 +5,8 @@ import pytest
 
 from targetcal import glm, sim
 from targetcal.data import build_balance_matrix
-from targetcal.errors import DimensionMismatchError, RankDeficientError
+from targetcal.errors import (DimensionMismatchError, NonFiniteError, OutOfRangeError,
+                              RankDeficientError)
 from targetcal.estimators import EstimatorKind, Fits, compute_tau
 from targetcal.glm import clip_probability, expit, fit_linear, fit_logistic, logit, predict
 
@@ -77,6 +78,24 @@ class TestLogistic:
         assert fit.separated
         assert not fit.converged
 
+    def test_rank_deficient_rejected(self):
+        design = np.column_stack([np.ones(10), np.full(10, 2.0)])
+        with pytest.raises(RankDeficientError):
+            fit_logistic(design, np.full(10, 0.5))
+
+    def test_nan_response_is_a_typed_error(self):
+        y = np.full(6, 0.5)
+        y[2] = np.nan
+        with pytest.raises(NonFiniteError):
+            fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), y)
+
+    @pytest.mark.parametrize("cell", [-0.1, 1.5, np.inf, -np.inf])
+    def test_response_outside_the_unit_interval_is_a_typed_error(self, cell):
+        y = np.full(6, 0.5)
+        y[2] = cell
+        with pytest.raises(OutOfRangeError):
+            fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), y)
+
 
 class TestLinear:
     def test_exact_fit_zero_residuals(self):
@@ -124,6 +143,13 @@ class TestLinear:
         design = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(RankDeficientError):
             fit_linear(design, np.zeros(10))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_response_is_a_typed_error(self, cell):
+        y = np.arange(6.0)
+        y[2] = cell
+        with pytest.raises(NonFiniteError):
+            fit_linear(np.column_stack([np.ones(6), np.arange(6.0)]), y)
 
 
 class TestPredict:
@@ -214,9 +240,9 @@ def _tmle_fits(monkeypatch):
     seen = []
     fit = glm.fit_logistic
 
-    def record(design, y, offset=None):
+    def record(design, y, offset=None, **kwargs):
         seen.append((design, y, offset))
-        return fit(design, y, offset)
+        return fit(design, y, offset, **kwargs)
 
     monkeypatch.setattr(glm, "fit_logistic", record)
     for sid in sorted(sim.SCENARIOS):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from targetcal import glm, sim, solver
+from targetcal import data, estimators, glm, sim, solver
 from targetcal.errors import ConfigError, DegenerateDrawError, NonFiniteError
 from targetcal.estimators import EstimatorKind
 from targetcal.sim import (
@@ -432,8 +432,14 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     # score; AUG_T and AUG_F share one sampling solve. Only TMLE's two
     # initial outcome fits and its fluctuation fit are its own. CAL_F takes
     # its study-sample solve from CAL_T, so three solves serve the replicate:
-    # sampling, transport and the target-sample fusion half.
-    calls = {"fit_logistic": 0, "assemble_sampling": 0, "solve_entropy_dual": 0}
+    # sampling, transport and the target-sample fusion half. The rank is
+    # checked once per row set: the balance matrix when it is built and again
+    # for the sampling score (Fits takes any BalanceMatrix), the study sample
+    # (propensity score and sampling solve), each study arm (outcome models,
+    # TMLE's initial fits and the transport solve), each target arm (AUG_F's
+    # outcome models and the fusion solve), and TMLE's fluctuation design.
+    calls = {"fit_logistic": 0, "assemble_sampling": 0, "solve_entropy_dual": 0,
+             "check_full_rank": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -446,7 +452,11 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
                         counted("assemble_sampling", solver.assemble_sampling))
     monkeypatch.setattr(solver, "solve_entropy_dual",
                         counted("solve_entropy_dual", solver.solve_entropy_dual))
+    rank = counted("check_full_rank", data.check_full_rank)
+    for module in (data, estimators, glm, solver):
+        monkeypatch.setattr(module, "check_full_rank", rank)
     kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
     results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95))
     assert [r.kind for r in results if not r.failed] == list(kinds)
-    assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3}
+    assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3,
+                     "check_full_rank": 8}

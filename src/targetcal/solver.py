@@ -87,27 +87,28 @@ class DualSolution:
 
 def _dual_point(problem: EntropyProblem, eta: np.ndarray) -> tuple:
     """f(eta), centering the exponent so overflow surfaces as inf, and the
-    product u = a @ eta the derivatives reuse. The largest exponent is
-    -min(u), and min(u) - u is the centred exponent to the bit (negation is
-    exact)."""
+    point (u, min(u), b . eta) for u = a @ eta, which the derivatives and the
+    certificate reuse. The largest exponent is -min(u), and min(u) - u is the
+    centred exponent to the bit (negation is exact)."""
     u = problem.a @ eta
     u_min = float(u.min())
+    b_eta = float(problem.b @ eta)
     if -u_min > 700.0:
-        return float("inf"), u
+        return float("inf"), (u, u_min, b_eta)
     centred = np.subtract(u_min, u)
     total = float(np.exp(-u_min)) * float(np.exp(centred, out=centred).sum())
-    return total + float(problem.b @ eta), u
+    return total + b_eta, (u, u_min, b_eta)
 
 
-def _dual_derivatives(problem: EntropyProblem, eta: np.ndarray, u: np.ndarray) -> tuple:
-    """At u = a @ eta: the gradient b - a^T w, a function forming the Hessian
-    a^T diag(w) a, and (u, w), for the weights w = exp(-u). Weights that
-    overflow, as at a guarded trial, make the gradient NaN (solve_entropy_dual
-    runs under one np.errstate that keeps this silent)."""
-    w = np.negative(u)
+def _dual_derivatives(problem: EntropyProblem, eta: np.ndarray, point: tuple) -> tuple:
+    """At a point of _dual_point: the gradient b - a^T w, a function forming
+    the Hessian a^T diag(w) a, and (point, w), for the weights w = exp(-u).
+    Weights that overflow, as at a guarded trial, make the gradient NaN
+    (solve_entropy_dual runs under one np.errstate that keeps this silent)."""
+    w = np.negative(point[0])
     np.exp(w, out=w)
     grad = problem.b - problem.a.T @ w
-    return grad, lambda: (problem.a * w[:, None]).T @ problem.a, (u, w)
+    return grad, lambda: (problem.a * w[:, None]).T @ problem.a, (point, w)
 
 
 def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray,
@@ -261,11 +262,12 @@ def _leading_constraint(direction: np.ndarray) -> int:
     return int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
 
 
-def _certificate(a, b, u, eta, row_tol, b_tol):
+def _certificate(a, b, point, eta, row_tol, b_tol):
     """A Farkas certificate at the iterate eta, or None.
 
-    The first candidate is d = eta / ||eta||, tested on u = a @ eta, the
-    product the weights need. When b . eta < 0 but that test fails while some
+    The first candidate is d = eta / ||eta||, tested on the point
+    (u, min(u), b . eta) of _dual_point, u = a @ eta being the product the
+    weights need. When b . eta < 0 but that test fails while some
     rows' weights have underflowed, the second is eta projected onto the
     orthogonal complement of the rows that still carry weight. Along an
     infeasible problem's diverging dual, eta = t d + r with r bounded, so
@@ -275,11 +277,10 @@ def _certificate(a, b, u, eta, row_tol, b_tol):
     d and puts those rows at zero at once; it must pass the same test as
     eta / ||eta||, over every active row.
     """
-    b_eta = float(b @ eta)
+    u, u_min, b_eta = point
     if b_eta >= 0.0:  # the cheap half of the test first
         return None
     eta_norm = math.sqrt(eta @ eta)
-    u_min = float(u.min())
     if b_eta < b_tol * eta_norm and u_min >= row_tol * eta_norm:
         return eta / eta_norm
     # Every row within the gap: the largest u_i - u_min is max(u) - u_min,

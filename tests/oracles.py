@@ -118,7 +118,7 @@ def dual_objective(problem, eta):
 
 
 def dual_gradient(problem, eta):
-    return _dual_derivatives(problem, eta, problem.a @ eta)[0]
+    return _dual_derivatives(problem, eta, _dual_point(problem, eta)[1])[0]
 
 
 def export_scores_per_row(rho_hat, pi_hat, dataset, path):

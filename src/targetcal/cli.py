@@ -215,14 +215,12 @@ def _smd_rows(dataset: Dataset, c: BalanceMatrix, weight_sets: dict) -> list:
                     dataset.z[study].astype(int), study)]
     if dataset.mode == "fusion":
         comparisons.append(("treatment(pooled)", c, dataset.z.astype(int), everyone))
-    labels = ["unweighted", *weight_sets]
     rows = []
     for comparison, cmat, groups, units in comparisons:
         # All weightings in one call, so the comparison's pooled SD is computed once.
-        smd = standardized_mean_differences(
-            cmat, groups, [np.ones(cmat.n), *(w[units] for w in weight_sets.values())])
-        for label, values in zip(labels, smd):
-            rows += [[comparison, c.names[j], label, values[j]] for j in range(1, c.m)]
+        weightings = {"unweighted": None, **{label: w[units] for label, w in weight_sets.items()}}
+        for label, smd in standardized_mean_differences(cmat, groups, weightings).items():
+            rows += [[comparison, c.names[j], label, smd[j]] for j in range(1, c.m)]
     return rows
 
 

@@ -245,19 +245,19 @@ def target_moments(c: BalanceMatrix, s: np.ndarray) -> np.ndarray:
 def standardized_mean_differences(
     c: BalanceMatrix,
     group: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+    weights: np.ndarray | dict | None = None,
+) -> np.ndarray | dict:
     """Absolute standardized mean difference per balance column.
 
     The numerator uses weighted group means; the denominator is the pooled
     unweighted standard deviation, sqrt((var1 + var0) / 2) with ddof=1, so
     pre- and post-weighting tables share one scale. The intercept column is
-    reported as 0. ``weights`` is one weight per unit, or a (W, n) array of
-    W weightings: then the scale is computed once, the result has one row per
-    weighting, and the first weighting that fails raises.
+    reported as 0. ``weights`` is one weight per unit (None: unit weights),
+    or a dict of such weightings: then the scale is computed once, the result
+    is a dict with the same keys, and the first weighting that fails raises.
     """
     group = np.asarray(group).astype(int)
-    weights = np.ones(c.n) if weights is None else np.asarray(weights, dtype=float)
+    weightings = weights if isinstance(weights, dict) else {None: weights}
     g1 = group == 1
     g0 = group == 0
     if not (g1.any() and g0.any()):
@@ -265,30 +265,31 @@ def standardized_mean_differences(
     # One row per balance column, kept C-contiguous (compress, unlike a
     # boolean index, returns it so), so each row reduces by the same pairwise
     # summation as a per-column np.average / var and the results match bits.
-    # Per group: its columns and its weights under every weighting.
     cols = np.ascontiguousarray(c.c[:, 1:].T)
-    weightings = np.atleast_2d(weights)
-    groups = [(cols.compress(g, axis=1), weightings.compress(g, axis=1)) for g in (g1, g0)]
+    groups = [(cols.compress(g, axis=1), g) for g in (g1, g0)]
     variances = [x.var(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(len(x))
                  for x, _ in groups]
     pooled = np.sqrt((variances[0] + variances[1]) / 2.0)
     flat = pooled == 0.0
-    out = np.zeros((len(weightings), c.m))
-    for j, row in enumerate(out):
+    out = {}
+    for key, w in weightings.items():
+        w = np.ones(c.n) if w is None else np.asarray(w, dtype=float)
         means = []
-        for x, w in groups:
-            total = w[j].sum()
+        for x, g in groups:
+            w_g = w.compress(g)
+            total = w_g.sum()
             if total == 0.0:
                 raise AllZeroError("weights sum to zero in a comparison group")
-            means.append((x * w[j]).sum(axis=1) / total)
+            means.append((x * w_g).sum(axis=1) / total)
         diff = np.abs(means[0] - means[1])
         clash = np.flatnonzero(flat & (diff > 1e-12))
         if clash.size:
             raise ZeroVarianceError(
                 f"column {clash[0] + 1} has zero pooled SD but differing group means"
             )
-        np.divide(diff, pooled, out=row[1:], where=~flat)
-    return out if weights.ndim == 2 else out[0]
+        out[key] = np.zeros(c.m)
+        np.divide(diff, pooled, out=out[key][1:], where=~flat)
+    return out if isinstance(weights, dict) else out[None]
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

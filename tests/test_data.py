@@ -209,20 +209,20 @@ class TestSMD:
             assert got.tobytes() == want.tobytes()
 
     def test_weightings_share_one_scale(self):
-        # A (W, n) stack of weightings gives, row by row, the bits of one
-        # call per weighting; the first weighting that fails raises.
+        # A dict of weightings gives, key by key, the bits of one call per
+        # weighting; the first weighting that fails raises.
         rng = np.random.default_rng(5)
         mat = np.column_stack([np.ones(300), rng.standard_normal((300, 3)) * [1.0, 4.0, 0.2]])
         group = (rng.random(300) < 0.3).astype(int)
-        stack = np.vstack([np.ones(300), rng.random(300) + 0.1, rng.random(300)])
-        got = standardized_mean_differences(BalanceMatrix(mat), group, stack)
-        assert got.shape == (3, 4)
-        for w, row in zip(stack, got):
+        weightings = {"none": None, "a": rng.random(300) + 0.1, "b": rng.random(300)}
+        got = standardized_mean_differences(BalanceMatrix(mat), group, weightings)
+        assert list(got) == ["none", "a", "b"]
+        for key, w in weightings.items():
             want = standardized_mean_differences(BalanceMatrix(mat), group, w)
-            assert row.tobytes() == want.tobytes()
-        stack[2, group == 0] = 0.0
+            assert got[key].tobytes() == want.tobytes()
+        weightings["b"][group == 0] = 0.0
         with pytest.raises(AllZeroError):
-            standardized_mean_differences(BalanceMatrix(mat), group, stack)
+            standardized_mean_differences(BalanceMatrix(mat), group, weightings)
 
     def test_zero_weight_group_rejected(self):
         mat = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])

@@ -1,7 +1,10 @@
 """Committed CLI outputs: ``estimate`` (all 8 kinds) and ``diagnose`` on a
-fusion file, a transport file and a study file plus a target file, and a
-small ``simulate --per-replicate``, each on fixed inputs drawn with
-``derive_seed``.
+fusion file, a transport file, a study file plus a target file and a
+poor-overlap fusion file, and a small ``simulate --per-replicate``, each on
+fixed inputs drawn with ``derive_seed``. On the poor-overlap file (a
+scenario-B draw of 500 rows) the sampling and transport problems are both
+infeasible, so its outputs pin the failure lines of ``estimate`` and
+``diagnose``.
 
 Every output file is kept under ``golden/<run>/`` as written, except that
 config.json names the input and output paths relative to the run folder. A
@@ -50,8 +53,9 @@ def _write_csv(path: Path, ds, rows, with_s: bool, with_zy: bool) -> None:
 
 
 def write_inputs(folder: Path) -> None:
-    """fusion.csv and transport.csv (one file each, with an s column), and
-    study.csv plus target.csv (the target file without z and y)."""
+    """fusion.csv, transport.csv and poor-overlap.csv (one file each, with an
+    s column), and study.csv plus target.csv (the target file without z and
+    y)."""
     everyone = range(N)
     fusion = generate(SCENARIOS["A"], N, derive_seed("cli-golden", "fusion", N))
     _write_csv(folder / "fusion.csv", fusion, everyone, with_s=True, with_zy=True)
@@ -62,12 +66,15 @@ def write_inputs(folder: Path) -> None:
     target = [i for i in everyone if split.s[i] == 0]
     _write_csv(folder / "study.csv", split, study, with_s=False, with_zy=True)
     _write_csv(folder / "target.csv", split, target, with_s=False, with_zy=False)
+    poor = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
+    _write_csv(folder / "poor-overlap.csv", poor, range(poor.n), with_s=True, with_zy=True)
 
 
 INPUTS = {"fusion": ["--mode", "fusion", "--input", "fusion.csv"],
           "transport": ["--mode", "transport", "--input", "transport.csv"],
           "two-file": ["--mode", "transport", "--input", "study.csv",
-                       "--target-input", "target.csv"]}
+                       "--target-input", "target.csv"],
+          "poor-overlap": ["--mode", "fusion", "--input", "poor-overlap.csv"]}
 RUNS = {
     **{f"estimate-{name}": ["estimate", *flags, "--estimators", KINDS]
        for name, flags in INPUTS.items()},

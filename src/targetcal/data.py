@@ -7,12 +7,15 @@ read-only), so they can be shared freely across concurrent replicate workers.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import logging
+import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,16 +191,36 @@ class BalanceMatrix:
     def n(self) -> int:
         return self.c.shape[0]
 
+    @cached_property
+    def _rank_verdict(self) -> RankDeficientError | None:
+        try:
+            check_full_rank(self.c, "balance matrix")
+        except RankDeficientError as exc:
+            return copy.copy(exc)  # without the traceback, whose frames hold self
+        return None
+
+    def full_rank(self) -> None:
+        """Raise the RankDeficientError of the whole matrix, if it has one.
+        The matrix is checked once, on the first call, which
+        build_balance_matrix makes; a failed verdict is raised again as a
+        fresh copy."""
+        if self._rank_verdict is not None:
+            raise copy.copy(self._rank_verdict)
+
 
 def check_full_rank(mat: np.ndarray, what: str = "matrix") -> None:
     """Raise RankDeficientError if standardized columns are collinear.
 
     Columns are scaled to unit norm before the singular-value test so the
-    cutoff is scale-free.
+    cutoff is scale-free. A column whose norm is not finite (it holds NaN or
+    infinity, or its norm overflows) is a NonFiniteError.
     """
     if mat.shape[0] < mat.shape[1]:
         raise RankDeficientError(f"{what} has fewer rows than columns")
     norms = np.linalg.norm(mat, axis=0)
+    if not all(map(math.isfinite, norms.tolist())):
+        j = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise NonFiniteError(f"{what} column {j} holds NaN or infinity, or overflows its norm")
     if np.any(norms == 0):
         raise RankDeficientError(f"{what} has an all-zero column")
     sv = np.linalg.svd(mat / norms, compute_uv=False)
@@ -227,9 +250,9 @@ def build_balance_matrix(dataset: Dataset, spec: BalanceSpec | None = None) -> B
         if not np.isfinite(col).all():
             raise NonFiniteError(f"balance column '{name}' is not finite everywhere")
         cols.append(col)
-    c = np.column_stack(cols)
-    check_full_rank(c, "balance matrix")
-    return BalanceMatrix(c=c, names=tuple(spec.column_names()))
+    c = BalanceMatrix(c=np.column_stack(cols), names=tuple(spec.column_names()))
+    c.full_rank()
+    return c
 
 
 def target_moments(c: BalanceMatrix, s: np.ndarray) -> np.ndarray:

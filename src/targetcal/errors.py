@@ -60,7 +60,8 @@ class NotConvergedError(TargetcalError):
             every active row and b . d < 0 (up to tolerance), or None. Its
             largest entries point at the constraints that cannot be met
             together.
-        iterations: Newton iterations run, as ``DualSolution.iterations`` counts them.
+        iterations: Newton iterations run, as ``DualSolution.iterations`` counts them;
+            0 when a candidate certificate passed before the first step.
     """
 
     def __init__(self, message: str, worst_constraint: int | None = None,

@@ -105,7 +105,8 @@ class Fits:
 
     It also holds one rank verdict per row set of the balance matrix (see
     ``full_rank``), which its fits and solves, TMLE's initial fits and AUG_F's
-    outcome models take in place of their own rank checks.
+    outcome models take in place of their own rank checks. The verdict on
+    all units is the balance matrix's own (``BalanceMatrix.full_rank``).
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
@@ -119,18 +120,19 @@ class Fits:
         """Raise the RankDeficientError of the balance matrix on one row set,
         if it has one: every unit (no ``sample``), the sample s == ``sample``,
         or its units with z == ``arm``. Each row set is checked once, and a
-        failed verdict is raised again, as a fresh copy, on every later call.
+        failed verdict is raised again, as a fresh copy, on every later call;
+        the matrix holds its own verdict on every unit.
 
         An arm-balance matrix [(2z - 1) c, c] over a sample has full column
         rank exactly when c has on both of the sample's arms, so its verdict
         is the pair of arm verdicts (``arms_full_rank``).
         """
+        if sample is None:
+            return self.c.full_rank()
         key = (sample, arm)
         if key not in self._verdicts:
-            rows, where = slice(None), "balance matrix"
-            if sample is not None:
-                rows = self.dataset.s == sample
-                where += " on the study sample" if sample == 1 else " on the target sample"
+            rows = self.dataset.s == sample
+            where = "balance matrix on the " + ("study" if sample == 1 else "target") + " sample"
             if arm is not None:
                 rows = rows & (self.dataset.z == arm)
                 where += f" arm z={arm}"
@@ -158,10 +160,19 @@ class Fits:
 
     @_cached
     def transport(self) -> solver.DualSolution:
-        """Joint arm-balance and sampling calibration of the study sample."""
+        """Joint arm-balance and sampling calibration of the study sample.
+
+        Its constraints are [arm contrast, sampling], so when ``sampling`` has
+        already failed here with a Farkas direction d, [0, d] is a candidate
+        certificate for this problem, which the solve tests before its first
+        step. No sampling solve is started for it."""
+        failed = self._failures.get("sampling")
+        lifted = getattr(failed, "direction", None)
+        if lifted is not None:
+            lifted = np.concatenate([np.zeros(self.c.m), lifted])
         return solver.solve_entropy_dual(
             solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
-            rank_check=partial(self.arms_full_rank, 1))
+            rank_check=partial(self.arms_full_rank, 1), certificate=lifted)
 
     @_cached
     def target_balance(self) -> solver.DualSolution:
@@ -176,14 +187,15 @@ class Fits:
     @property
     def fusion(self) -> tuple:
         """Per-sample arm-balance solves (target, study). The study-sample
-        problem is the transport one, so the study half is ``self.transport``,
-        read last; its error is raised prefixed with the half."""
-        target = self.target_balance
+        problem is the transport one, so the study half is ``self.transport``.
+        It is read first, and its error is raised prefixed with the half, so
+        a failed study half leaves the target half unsolved."""
         try:
-            return target, self.transport
+            study = self.transport
         except TargetcalError as exc:  # the cache keeps its own copy
             exc.args = (f"study-sample half (the transport problem): {exc}",)
             raise
+        return self.target_balance, study
 
     @_cached
     def rho(self) -> np.ndarray:

@@ -168,7 +168,8 @@ def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray
     return x, state, grad, max_iter, False
 
 
-def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None) -> DualSolution:
+def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
+                       certificate=None) -> DualSolution:
     """Minimize the dual by damped_newton from eta = 0 (unit weights).
 
     Every iterate is also tested for a Farkas certificate of an infeasible
@@ -186,13 +187,20 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None) -> DualSolut
     with the constraints unmet (``direction`` is None). Either way
     ``worst_constraint`` names the constraint with the largest relative
     violation at the last iterate, and ``iterations`` counts the iterations.
-    A solve that runs the loop logs one DEBUG record on ``log``, its args a
-    dict of k, n_active, iterations, grad_norm, constraint_residual,
-    converged and eta.
+    Each solve that passes the rank check logs one DEBUG record on ``log``,
+    its args a dict of k, n_active, iterations, grad_norm,
+    constraint_residual, converged and eta.
 
     ``rank_check``, when given, stands in for check_full_rank of ``a``: a
     function that raises the RankDeficientError of a caller's verdict on the
     same columns (``Fits`` passes the verdicts it holds per row set).
+
+    ``certificate``, when given, is a candidate unit vector d, tested as an
+    iterate is (_certificate, with this problem's tolerances) before the
+    first step. If it passes, the solve raises at iteration 0 with
+    ``direction`` set and ``worst_constraint`` read from the gradient at
+    eta = 0, and logs its record; if not, it is ignored. ``Fits`` passes a
+    sampling certificate lifted to the transport problem.
     """
     a, b = problem.a, problem.b
     if a.ndim != 2 or a.shape[0] == 0:
@@ -211,6 +219,10 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None) -> DualSolut
     row_tol = -FARKAS_TOL * float(np.abs(a).max())
     b_tol = -FARKAS_TOL * float(np.abs(b).sum())
     direction = None
+    if certificate is not None:
+        u = a @ certificate
+        direction = _certificate(a, b, (u, float(u.min()), float(b @ certificate)),
+                                 certificate, row_tol, b_tol)
 
     def stop(eta, state, grad):
         nonlocal direction
@@ -220,10 +232,13 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None) -> DualSolut
         direction = _certificate(a, b, state[0], eta, row_tol, b_tol)
         return direction is not None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta, (_, w), grad, iterations, _ = damped_newton(
-            np.zeros(k), partial(_dual_point, problem), partial(_dual_derivatives, problem),
-            stop, b_scale, MAX_ITER)
+    if direction is not None:  # unit weights: the gradient at eta = 0
+        eta, grad, iterations = np.zeros(k), b - a.T @ np.ones(a.shape[0]), 0
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta, (_, w), grad, iterations, _ = damped_newton(
+                np.zeros(k), partial(_dual_point, problem), partial(_dual_derivatives, problem),
+                stop, b_scale, MAX_ITER)
     violation = np.abs(grad) / b_scale
     residual = float(np.max(violation))
     converged = direction is None and residual <= RESIDUAL_TOL

@@ -107,6 +107,36 @@ class TestBalanceMatrix:
         with pytest.raises(RankDeficientError):
             build_balance_matrix(ds)
 
+    def test_verdict_is_taken_once_per_matrix(self, monkeypatch):
+        # build_balance_matrix checks the matrix it makes, and full_rank then
+        # reads that verdict; a hand-built matrix is checked on its first call.
+        checked = []
+
+        def counted(mat, what="matrix", _original=data.check_full_rank):
+            checked.append(what)
+            return _original(mat, what)
+
+        monkeypatch.setattr(data, "check_full_rank", counted)
+        c = build_balance_matrix(two_sample_dataset([[2.0], [3.0], [1.0], [4.0]]))
+        c.full_rank()
+        assert checked == ["balance matrix"]
+        duplicate = BalanceMatrix(np.column_stack([np.ones(4), np.arange(4.0), np.arange(4.0)]))
+        for _ in range(2):
+            with pytest.raises(RankDeficientError, match="balance matrix is rank deficient"):
+                duplicate.full_rank()
+        assert checked == ["balance matrix"] * 2
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_design_is_a_typed_error(self, cell):
+        # Judged from the column norms, before the SVD (which would raise
+        # numpy's LinAlgError) and before any division warns.
+        design = np.column_stack([np.ones(6), np.arange(6.0)])
+        design[2, 1] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^design column 1 holds NaN or infinity"):
+                data.check_full_rank(design, "design")
+
     def test_four_covariates_give_five_columns(self):
         ds = generate(SCENARIOS["A"], 200, seed=5)
         c = build_balance_matrix(ds)

@@ -318,14 +318,15 @@ def test_benchmark_cohort_follows_mode(baseline_balance):
 
 def test_fusion_cbps_reads_the_target_balance(baseline_balance, caplog):
     # On fusion data CBPS's cohort problem is the target half of CAL_F's, so
-    # one k=10 solve of the target sample serves both.
+    # one k=10 solve of the target sample serves both. CAL_F reads its study
+    # half first.
     ds, c = baseline_balance
     fits = Fits(ds, c)
     with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
         compute_tau(ds, EstimatorKind.CAL_F, fits)
         cbps = compute_tau(ds, EstimatorKind.CBPS, fits)
     solves = [r.args for r in caplog.records if r.name == "targetcal.solver"]
-    assert [(r["k"], r["n_active"]) for r in solves] == [(10, ds.n_target), (10, ds.n_study)]
+    assert [(r["k"], r["n_active"]) for r in solves] == [(10, ds.n_study), (10, ds.n_target)]
     assert np.array_equal(cbps.weights_used, fits.target_balance.weights[ds.s == 0])
 
 
@@ -428,7 +429,8 @@ def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, orde
     # A scenario-B replicate whose study-sample (transport) problem is
     # infeasible while its target-sample fusion problem is feasible: CAL_T
     # and CAL_F raise the same certified error from one study-sample solve,
-    # CAL_F's prefixed with the half that failed.
+    # CAL_F's prefixed with the half that failed. CAL_F reads its study half
+    # first, so the target half is never solved.
     ds = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
     fits = Fits(ds, build_balance_matrix(ds))
     calls = Counter()
@@ -444,13 +446,62 @@ def test_infeasible_study_sample_fails_both_calibrations_alike(monkeypatch, orde
         with pytest.raises(NotConvergedError) as err:
             compute_tau(view, EstimatorKind(kind), fits)
         errors[kind] = err.value
-    assert calls == {"assemble_transport": 1, "assemble_fusion": 1, "solve_entropy_dual": 2}
+    assert calls == {"assemble_transport": 1, "solve_entropy_dual": 1}
     assert str(errors["CAL_F"]) == ("study-sample half (the transport problem): "
                                     + str(errors["CAL_T"]))
     assert "Farkas certificate" in str(errors["CAL_T"])
     assert errors["CAL_F"].direction is not None
     assert np.array_equal(errors["CAL_F"].direction, errors["CAL_T"].direction)
     assert errors["CAL_F"].worst_constraint == errors["CAL_T"].worst_constraint
+
+
+def _poor_overlap():
+    """A scenario-B replicate whose sampling and transport problems are both
+    infeasible."""
+    ds = generate(SCENARIOS["B"], 500, derive_seed(1, "B", 500, 0, 0))
+    return ds, Fits(ds, build_balance_matrix(ds))
+
+
+def test_transport_reuses_the_sampling_certificate():
+    # AUG_T's sampling solve fails with a Farkas direction d; CAL_T's solve
+    # then tests [0, d], which certifies the transport problem before any
+    # Newton step.
+    ds, fits = _poor_overlap()
+    with pytest.raises(NotConvergedError) as sampling:
+        compute_tau(ds.to_transport(), EstimatorKind.AUG_T, fits)
+    with pytest.raises(NotConvergedError) as transport:
+        compute_tau(ds.to_transport(), EstimatorKind.CAL_T, fits)
+    d = transport.value.direction
+    assert transport.value.iterations == 0
+    assert np.array_equal(d, np.concatenate([np.zeros(fits.c.m), sampling.value.direction]))
+    assert "Farkas certificate at iteration 0" in str(transport.value)
+    problem = solver.assemble_transport(fits.c, ds.s, ds.z, fits.theta0)
+    assert float(problem.b @ d) < -solver.FARKAS_TOL * np.abs(problem.b).sum()
+    assert float((problem.a @ d).min()) >= -solver.FARKAS_TOL * np.abs(problem.a).max()
+    # worst_constraint is read from the gradient at eta = 0 (unit weights).
+    grad = problem.b - problem.a.sum(axis=0)
+    assert transport.value.worst_constraint == int(np.argmax(np.abs(grad) / (1 + np.abs(problem.b))))
+
+
+def test_transport_alone_iterates_to_its_certificate(monkeypatch, caplog):
+    # With no sampling failure cached, CAL_T finds its own certificate by
+    # iterating, and no sampling solve is started for one.
+    ds, fits = _poor_overlap()
+    calls = Counter()
+
+    def counted(*args, _original=solver.assemble_sampling, **kwargs):
+        calls["assemble_sampling"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_sampling", counted)
+    with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
+        with pytest.raises(NotConvergedError) as err:
+            compute_tau(ds.to_transport(), EstimatorKind.CAL_T, fits)
+    solves = [r.args for r in caplog.records if r.name == "targetcal.solver"]
+    assert not calls
+    assert [r["k"] for r in solves] == [2 * fits.c.m]
+    assert err.value.direction is not None
+    assert err.value.iterations == solves[0]["iterations"] > 0
 
 
 def test_covariate_constant_on_one_study_arm(monkeypatch):

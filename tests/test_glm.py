@@ -89,6 +89,15 @@ class TestLogistic:
         with pytest.raises(NonFiniteError):
             fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), y)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_design_is_a_typed_error(self, cell):
+        design = np.column_stack([np.ones(6), np.arange(6.0)])
+        design[2, 1] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^logistic design column 1"):
+                fit_logistic(design, np.full(6, 0.5))
+
     @pytest.mark.parametrize("cell", [-0.1, 1.5, np.inf, -np.inf])
     def test_response_outside_the_unit_interval_is_a_typed_error(self, cell):
         y = np.full(6, 0.5)
@@ -143,6 +152,15 @@ class TestLinear:
         design = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(RankDeficientError):
             fit_linear(design, np.zeros(10))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_design_is_a_typed_error(self, cell):
+        design = np.column_stack([np.ones(6), np.arange(6.0)])
+        design[2, 1] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^linear design column 1"):
+                fit_linear(design, np.arange(6.0))
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     def test_non_finite_response_is_a_typed_error(self, cell):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -433,11 +434,11 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     # initial outcome fits and its fluctuation fit are its own. CAL_F takes
     # its study-sample solve from CAL_T, so three solves serve the replicate:
     # sampling, transport and the target-sample fusion half. The rank is
-    # checked once per row set: the balance matrix when it is built and again
-    # for the sampling score (Fits takes any BalanceMatrix), the study sample
-    # (propensity score and sampling solve), each study arm (outcome models,
-    # TMLE's initial fits and the transport solve), each target arm (AUG_F's
-    # outcome models and the fusion solve), and TMLE's fluctuation design.
+    # checked once per row set: the balance matrix when it is built (the
+    # sampling score reads that verdict), the study sample (propensity score
+    # and sampling solve), each study arm (outcome models, TMLE's initial
+    # fits and the transport solve), each target arm (AUG_F's outcome models
+    # and the fusion solve), and TMLE's fluctuation design.
     calls = {"fit_logistic": 0, "assemble_sampling": 0, "solve_entropy_dual": 0,
              "check_full_rank": 0}
 
@@ -459,4 +460,26 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95))
     assert [r.kind for r in results if not r.failed] == list(kinds)
     assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3,
-                     "check_full_rank": 8}
+                     "check_full_rank": 7}
+
+
+def test_poor_overlap_replicate_skips_the_moot_solves(monkeypatch, caplog):
+    # A scenario-B replicate whose sampling and transport problems are both
+    # infeasible. AUG_T's sampling certificate, lifted to [0, d], certifies
+    # CAL_T's transport problem at iteration 0; AUG_F reads the cached
+    # sampling failure, and CAL_F, whose study half fails, solves no target
+    # half.
+    solved = []
+    for name in ("assemble_sampling", "assemble_transport", "assemble_fusion"):
+        def tagged(*args, _name=name, _original=getattr(solver, name), **kwargs):
+            solved.append(_name.removeprefix("assemble_"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, tagged)
+    kinds = ("TMLE", "AUG_T", "CAL_T", "AUG_F", "CAL_F")
+    with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
+        results = sim._evaluate_replicate(("B", 500, 0, 1, kinds, 0.95))
+    iterations = [r.args["iterations"] for r in caplog.records if r.name == "targetcal.solver"]
+    assert [r.kind for r in results if r.failed] == ["AUG_T", "CAL_T", "AUG_F", "CAL_F"]
+    assert solved == ["sampling", "transport"]
+    assert len(iterations) == 2 and iterations[0] > 0 and iterations[1] == 0

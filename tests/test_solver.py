@@ -1,3 +1,4 @@
+import logging
 import re
 import warnings
 from collections import Counter
@@ -355,6 +356,43 @@ def test_cap_tests_no_iterate_after_the_last_step(monkeypatch):
             assert f"did not converge after {cap} iterations" in str(err.value)
         else:
             assert f"certificate at iteration {k} " in str(err.value)
+
+def test_candidate_certificate_is_tested_before_the_first_step(caplog):
+    # A candidate that passes the Farkas test ends the solve at iteration 0,
+    # with one record; one that fails is ignored, and the solve runs as
+    # without it.
+    _, problem = _overlap_violation()
+    with pytest.raises(NotConvergedError) as plain:
+        solve_entropy_dual(problem)
+    d = plain.value.direction
+    with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
+        with pytest.raises(NotConvergedError) as err:
+            solve_entropy_dual(problem, certificate=d)
+    # d is a unit vector up to rounding; the certificate is d / ||d||, as for an iterate.
+    assert err.value.iterations == 0
+    assert np.array_equal(err.value.direction, d / np.sqrt(d @ d))
+    assert "Farkas certificate at iteration 0 " in str(err.value)
+    records = [r.args for r in caplog.records if r.name == "targetcal.solver"]
+    assert [(r["iterations"], r["converged"]) for r in records] == [(0, False)]
+    assert records[0]["eta"] == [0.0] * len(d)
+    with pytest.raises(NotConvergedError) as ignored:
+        solve_entropy_dual(problem, certificate=-d)
+    assert str(ignored.value) == str(plain.value)
+    assert np.array_equal(ignored.value.direction, d)
+
+
+def test_failing_candidate_leaves_a_solution_bit_identical():
+    ds = generate(SCENARIOS["A"], 300, derive_seed(2, "A", 300, 0, 0))
+    c = build_balance_matrix(ds)
+    problem = assemble_transport(c, ds.s, ds.z, target_moments(c, ds.s))
+    candidate = np.zeros(problem.a.shape[1])
+    candidate[c.m] = -1.0  # b . d < 0, but the rows' intercepts make a_i . d < 0
+    plain = solve_entropy_dual(problem)
+    tried = solve_entropy_dual(problem, certificate=candidate)
+    assert plain.iterations == tried.iterations
+    assert plain.eta.tobytes() == tried.eta.tobytes()
+    assert plain.weights.tobytes() == tried.weights.tobytes()
+
 
 def test_certificate_constraint_survives_last_bit():
     # In d = (-v, v) the entries j and j + m differ only by rounding; one ulp

@@ -15,7 +15,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     OutOfRangeError,
     RankDeficientError,
     SchemaError,
+    TargetcalError,
     ZeroVarianceError,
 )
 
@@ -191,38 +191,55 @@ class BalanceMatrix:
     def n(self) -> int:
         return self.c.shape[0]
 
-    @cached_property
-    def _rank_verdict(self) -> RankDeficientError | None:
-        try:
-            check_full_rank(self.c, "balance matrix")
-        except RankDeficientError as exc:
-            return copy.copy(exc)  # without the traceback, whose frames hold self
-        return None
-
     def full_rank(self) -> None:
         """Raise the RankDeficientError of the whole matrix, if it has one.
-        The matrix is checked once, on the first call, which
-        build_balance_matrix makes; a failed verdict is raised again as a
-        fresh copy."""
-        if self._rank_verdict is not None:
-            raise copy.copy(self._rank_verdict)
+        The matrix is checked once (see ``remember``), on the first call,
+        which build_balance_matrix makes."""
+        remember(self.__dict__, "_rank", lambda: check_full_rank(self.c, "balance matrix"))
+
+
+def remember(memo: dict, key, compute: Callable):
+    """The value of ``compute()``, computed once per ``key`` of ``memo``. A
+    TargetcalError it raises is stored instead, and every later call raises a
+    fresh copy. The stored copy has no traceback: its frames hold the memo's
+    owner, and the cycle would keep it alive until the garbage collector runs.
+    """
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except TargetcalError as exc:
+            memo[key] = copy.copy(exc)
+            raise
+    value = memo[key]
+    if isinstance(value, TargetcalError):
+        raise copy.copy(value)
+    return value
 
 
 def check_full_rank(mat: np.ndarray, what: str = "matrix") -> None:
     """Raise RankDeficientError if standardized columns are collinear.
 
     Columns are scaled to unit norm before the singular-value test so the
-    cutoff is scale-free. A column whose norm is not finite (it holds NaN or
-    infinity, or its norm overflows) is a NonFiniteError.
+    cutoff is scale-free. A column with NaN or infinity is a NonFiniteError.
     """
     if mat.shape[0] < mat.shape[1]:
         raise RankDeficientError(f"{what} has fewer rows than columns")
-    norms = np.linalg.norm(mat, axis=0)
-    if not all(map(math.isfinite, norms.tolist())):
-        j = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise NonFiniteError(f"{what} column {j} holds NaN or infinity, or overflows its norm")
-    if np.any(norms == 0):
-        raise RankDeficientError(f"{what} has an all-zero column")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=0)
+    # The norm squares each entry, so it overflows for finite entries past
+    # about 1e154 and underflows to 0 below about 1e-162: only a column whose
+    # norm does is first scaled by its largest entry (x / 1 keeps the others).
+    odd = [j for j, v in enumerate(norms.tolist()) if not 0.0 < v < math.inf]
+    if odd:
+        scale = np.ones(mat.shape[1])
+        scale[odd] = np.abs(mat[:, odd]).max(axis=0)
+        if not np.isfinite(scale).all():
+            j = int(np.flatnonzero(~np.isfinite(scale))[0])
+            raise NonFiniteError(f"{what} column {j} holds NaN or infinity")
+        if not scale.all():
+            raise RankDeficientError(f"{what} has an all-zero column")
+        mat = mat / scale
+        norms = np.linalg.norm(mat, axis=0)
     sv = np.linalg.svd(mat / norms, compute_uv=False)
     if sv[-1] < RANK_TOL * sv[0]:
         raise RankDeficientError(

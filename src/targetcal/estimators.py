@@ -10,17 +10,15 @@ same dataset share them.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from . import glm, solver
-from .data import BalanceMatrix, Dataset, check_full_rank, target_moments
-from .errors import (DegenerateOutcomeError, EmptyArmError, ModeError, RankDeficientError,
-                     TargetcalError)
+from .data import BalanceMatrix, Dataset, check_full_rank, remember, target_moments
+from .errors import DegenerateOutcomeError, EmptyArmError, ModeError, TargetcalError
 
 
 class EstimatorKind(enum.Enum):
@@ -52,76 +50,35 @@ class TauEstimate:
     method: str | None = None
 
 
-def _outcome_models(dataset: Dataset, fits: Fits, sample: int) -> tuple:
-    """Main-terms linear fits of y on the balance columns, one per arm of the
-    sample s == ``sample``: (models, mu0, mu1), mu predicted on every unit."""
-    c = fits.c
-    rows = dataset.s == sample
-    c_rows = c.c[rows]
-    z, y = dataset.observed(rows)
-    models = []
-    for arm in (0, 1):
-        mask = z == arm
-        if not mask.any():
-            raise EmptyArmError(f"no units with z={arm} to fit the outcome model")
-        models.append(glm.fit_linear(c_rows[mask], y[mask],
-                                     rank_check=partial(fits.full_rank, sample, arm)))
-    return models, glm.predict(models[0], c.c), glm.predict(models[1], c.c)
-
-
-class _cached(cached_property):
-    """A Fits cached_property that also caches a TargetcalError raised on
-    first use (in ``Fits._failures``) and raises it again on later reads.
-
-    The cache holds a copy without a traceback, and each read raises a fresh
-    copy: a traceback's frames hold the Fits, and the reference cycle would
-    keep every failed Fits alive until the garbage collector runs."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        failed = instance._failures.get(self.attrname)
-        if failed is not None:
-            raise copy.copy(failed)
-        try:
-            return super().__get__(instance, owner)
-        except TargetcalError as exc:
-            instance._failures[self.attrname] = copy.copy(exc)
-            raise
-
-
 class Fits:
     """One dataset's context: its balance matrix, the target moments theta0
-    (the target-sample means of the balance columns), and its nuisance fits
-    and calibration solves, each computed once, on first use.
+    (the target-sample means of the balance columns), and its nuisance fits,
+    calibration solves and rank verdicts, each computed once, on first use,
+    through ``data.remember``: one that raises caches its error, and every
+    later read raises it again without fitting or solving.
 
-    Every member except ``target_balance`` and ``fusion`` reads only the
-    balance matrix, the sample indicator and study-sample treatment and
-    outcome, so a Fits built on a fusion dataset also serves its transport
-    view; ``fusion`` is the pair (``target_balance``, ``transport``). A member
-    that raises caches its error, and every later read raises it again
-    without fitting or solving. Readers share the cached arrays, so none may
-    modify them (a solution's arrays are read-only).
+    Every member except ``target_balance``, ``fusion`` and ``outcome(0)``
+    reads only the balance matrix, the sample indicator and study-sample
+    treatment and outcome, so a Fits built on a fusion dataset also serves
+    its transport view; ``fusion`` is the pair (``target_balance``,
+    ``transport``). Readers share the cached arrays, so none may modify them
+    (a solution's arrays are read-only).
 
-    It also holds one rank verdict per row set of the balance matrix (see
-    ``full_rank``), which its fits and solves, TMLE's initial fits and AUG_F's
-    outcome models take in place of their own rank checks. The verdict on
-    all units is the balance matrix's own (``BalanceMatrix.full_rank``).
+    Its fits and solves, TMLE's initial fits and the outcome models take the
+    rank verdicts (see ``full_rank``) in place of their own rank checks.
     """
 
     def __init__(self, dataset: Dataset, c: BalanceMatrix):
         self.dataset = dataset
         self.c = c
         self.theta0 = target_moments(c, dataset.s)
-        self._failures = {}
-        self._verdicts = {}
+        self._memo = {}
 
     def full_rank(self, sample: int | None = None, arm: int | None = None) -> None:
         """Raise the RankDeficientError of the balance matrix on one row set,
         if it has one: every unit (no ``sample``), the sample s == ``sample``,
-        or its units with z == ``arm``. Each row set is checked once, and a
-        failed verdict is raised again, as a fresh copy, on every later call;
-        the matrix holds its own verdict on every unit.
+        or its units with z == ``arm``. Each row set is checked once; the
+        matrix holds its own verdict on every unit.
 
         An arm-balance matrix [(2z - 1) c, c] over a sample has full column
         rank exactly when c has on both of the sample's arms, so its verdict
@@ -129,36 +86,30 @@ class Fits:
         """
         if sample is None:
             return self.c.full_rank()
-        key = (sample, arm)
-        if key not in self._verdicts:
+
+        def check():
             rows = self.dataset.s == sample
             where = "balance matrix on the " + ("study" if sample == 1 else "target") + " sample"
             if arm is not None:
                 rows = rows & (self.dataset.z == arm)
                 where += f" arm z={arm}"
-            try:
-                check_full_rank(self.c.c[rows], where)
-            except RankDeficientError as exc:
-                self._verdicts[key] = copy.copy(exc)
-                raise
-            self._verdicts[key] = None
-        failed = self._verdicts[key]
-        if failed is not None:
-            raise copy.copy(failed)
+            check_full_rank(self.c.c[rows], where)
+
+        remember(self._memo, ("full_rank", sample, arm), check)
 
     def arms_full_rank(self, sample: int) -> None:
         """The rank verdict of the arm-balance matrix over a sample."""
         for arm in (0, 1):
             self.full_rank(sample, arm)
 
-    @_cached
+    @property
     def sampling(self) -> solver.DualSolution:
         """Study-sample weights calibrated to the target moments."""
-        return solver.solve_entropy_dual(
+        return remember(self._memo, "sampling", lambda: solver.solve_entropy_dual(
             solver.assemble_sampling(self.c, self.dataset.s, self.theta0),
-            rank_check=partial(self.full_rank, 1))
+            rank_check=partial(self.full_rank, 1)))
 
-    @_cached
+    @property
     def transport(self) -> solver.DualSolution:
         """Joint arm-balance and sampling calibration of the study sample.
 
@@ -166,23 +117,28 @@ class Fits:
         already failed here with a Farkas direction d, [0, d] is a candidate
         certificate for this problem, which the solve tests before its first
         step. No sampling solve is started for it."""
-        failed = self._failures.get("sampling")
-        lifted = getattr(failed, "direction", None)
-        if lifted is not None:
-            lifted = np.concatenate([np.zeros(self.c.m), lifted])
-        return solver.solve_entropy_dual(
-            solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
-            rank_check=partial(self.arms_full_rank, 1), certificate=lifted)
+        def solve():
+            lifted = getattr(self._memo.get("sampling"), "direction", None)
+            if lifted is not None:
+                lifted = np.concatenate([np.zeros(self.c.m), lifted])
+            return solver.solve_entropy_dual(
+                solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
+                rank_check=partial(self.arms_full_rank, 1), certificate=lifted)
 
-    @_cached
+        return remember(self._memo, "transport", solve)
+
+    @property
     def target_balance(self) -> solver.DualSolution:
         """Arm balance of the target sample aimed at theta0; reads target z.
         The target half of ``fusion``, and the CBPS weights in fusion mode."""
-        if self.dataset.mode != "fusion":
-            raise ModeError("requested z values include unobserved entries")
-        return solver.solve_entropy_dual(
-            solver.assemble_fusion(self.c, self.dataset.s, self.dataset.z, self.theta0),
-            rank_check=partial(self.arms_full_rank, 0))
+        def solve():
+            if self.dataset.mode != "fusion":
+                raise ModeError("requested z values include unobserved entries")
+            return solver.solve_entropy_dual(
+                solver.assemble_fusion(self.c, self.dataset.s, self.dataset.z, self.theta0),
+                rank_check=partial(self.arms_full_rank, 0))
+
+        return remember(self._memo, "target_balance", solve)
 
     @property
     def fusion(self) -> tuple:
@@ -197,25 +153,45 @@ class Fits:
             raise
         return self.target_balance, study
 
-    @_cached
+    @property
     def rho(self) -> np.ndarray:
         """Logistic sampling score P(s=1 | c) on every unit."""
-        fit = glm.fit_logistic(self.c.c, self.dataset.s.astype(float),
-                               rank_check=self.full_rank)
-        return glm.predict(fit, self.c.c)
+        def fit():
+            model = glm.fit_logistic(self.c.c, self.dataset.s.astype(float),
+                                     rank_check=self.full_rank)
+            return glm.predict(model, self.c.c)
 
-    @_cached
+        return remember(self._memo, "rho", fit)
+
+    @property
     def pi(self) -> np.ndarray:
         """Logistic propensity score, fit on the study sample, on every unit."""
-        study = self.dataset.s == 1
-        fit = glm.fit_logistic(self.c.c[study], self.dataset.z[study],
-                               rank_check=partial(self.full_rank, 1))
-        return glm.predict(fit, self.c.c)
+        def fit():
+            study = self.dataset.s == 1
+            model = glm.fit_logistic(self.c.c[study], self.dataset.z[study],
+                                     rank_check=partial(self.full_rank, 1))
+            return glm.predict(model, self.c.c)
 
-    @_cached
-    def study_outcome(self) -> tuple:
-        """Per-arm study-sample outcome models: (models, mu0, mu1)."""
-        return _outcome_models(self.dataset, self, 1)
+        return remember(self._memo, "pi", fit)
+
+    def outcome(self, sample: int) -> tuple:
+        """Main-terms linear fits of y on the balance columns, one per arm of
+        the sample s == ``sample``: (models, mu0, mu1), mu predicted on every
+        unit. The target sample's (``sample=0``) read target z and y."""
+        def fit():
+            rows = self.dataset.s == sample
+            c_rows = self.c.c[rows]
+            z, y = self.dataset.observed(rows)
+            models = []
+            for arm in (0, 1):
+                mask = z == arm
+                if not mask.any():
+                    raise EmptyArmError(f"no units with z={arm} to fit the outcome model")
+                models.append(glm.fit_linear(c_rows[mask], y[mask],
+                                             rank_check=partial(self.full_rank, sample, arm)))
+            return models, glm.predict(models[0], self.c.c), glm.predict(models[1], self.c.c)
+
+        return remember(self._memo, ("outcome", sample), fit)
 
 
 def _hajek_contrast(weights: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
@@ -254,7 +230,7 @@ def tau_gcomp(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Outcome-regression standardization: fit per-arm means on the study
     sample, average their contrast over the target sample."""
     target = dataset.s == 0
-    (fit0, fit1), mu0, mu1 = fits.study_outcome
+    (fit0, fit1), mu0, mu1 = fits.outcome(1)
     tau = float(np.mean(mu1[target] - mu0[target]))
     return TauEstimate(tau_hat=tau,
                        nuisance={"fit0": fit0, "fit1": fit1, "mu0": mu0, "mu1": mu1})
@@ -319,8 +295,7 @@ def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate
 
     q = fits.sampling.weights
     pi_study = fits.pi[study]
-    _, mu0, mu1 = (fits.study_outcome if outcome_sample == 1
-                   else _outcome_models(dataset, fits, outcome_sample))
+    _, mu0, mu1 = fits.outcome(outcome_sample)
 
     resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
     tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)

@@ -60,9 +60,10 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
     quasi-log-likelihood, unclipped so that its gradient is the score.
 
     Accepts fractional responses in [0, 1] (NaN is a NonFiniteError, a value
-    outside an OutOfRangeError) and an optional fixed offset added to the
-    linear predictor. The fit has converged when every score entry is within
-    its tolerance. A diverging fit (coefficient max-norm above
+    outside an OutOfRangeError) and an optional fixed offset of shape (n,),
+    added to the linear predictor (another shape is a DimensionMismatchError,
+    NaN or infinity a NonFiniteError). The fit has converged when every score
+    entry is within its tolerance. A diverging fit (coefficient max-norm above
     SEPARATION_NORM) is reported as separated and truncated. ``rank_check``,
     when given, stands in for check_full_rank of the design (see
     solver.solve_entropy_dual).
@@ -78,6 +79,10 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
         raise OutOfRangeError("logistic responses must lie in [0, 1]")
     if offset is not None:
         offset = np.asarray(offset, dtype=float)
+        if offset.shape != (n,):
+            raise DimensionMismatchError("offset length does not match design")
+        if not np.isfinite(offset).all():
+            raise NonFiniteError("logistic offset contains NaN or infinity")
     if rank_check is None:
         check_full_rank(design, "logistic design")
     else:

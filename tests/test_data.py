@@ -137,6 +137,22 @@ class TestBalanceMatrix:
             with pytest.raises(NonFiniteError, match="^design column 1 holds NaN or infinity"):
                 data.check_full_rank(design, "design")
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scale_is_judged_on_the_column_scale(self, scale):
+        # Squaring these entries overflows the plain column norm (1e160) or
+        # underflows it to 0 (1e-170); the design is full rank all the same.
+        design = np.column_stack([np.ones(6), scale * np.arange(6.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data.check_full_rank(design, "design")
+            with pytest.raises(RankDeficientError, match="^design is rank deficient"):
+                data.check_full_rank(np.column_stack([design, 2.0 * design[:, 1]]), "design")
+
+    def test_all_zero_column_is_rank_deficient(self):
+        design = np.column_stack([np.ones(6), np.zeros(6)])
+        with pytest.raises(RankDeficientError, match="^design has an all-zero column$"):
+            data.check_full_rank(design, "design")
+
     def test_four_covariates_give_five_columns(self):
         ds = generate(SCENARIOS["A"], 200, seed=5)
         c = build_balance_matrix(ds)

@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -161,6 +163,9 @@ class TestAugmented:
         dt = ds.to_transport()
         with pytest.raises(ModeError):
             tau_aug_fusion(dt, Fits(dt, c))
+        # The target outcome models are the Fits' own, read from its dataset.
+        with pytest.raises(ModeError):
+            tau_aug_fusion(ds, Fits(dt, c))
 
     def test_fusion_uses_target_outcome_models(self):
         # treatment effect 3 in the target sample, 1 in the study sample: the
@@ -372,15 +377,19 @@ def test_failed_solve_is_cached(monkeypatch):
     assert "Farkas certificate" in messages[0]
 
 
-def test_failed_fit_is_cached(monkeypatch):
-    # x2 is constant on the study sample, so the propensity design there is
-    # rank deficient though the balance matrix is not.
+def _rank_deficient_propensity() -> Fits:
+    """x2 is constant on the study sample, so the propensity design there is
+    rank deficient though the balance matrix is not."""
     rng = np.random.default_rng(8)
     s = np.repeat([1, 0], 60)
     x = rng.normal(size=(120, 2))
     x[s == 1, 1] = 0.0
     ds = Dataset.fusion(s, rng.integers(0, 2, 120), rng.normal(size=120), x)
-    fits = Fits(ds, build_balance_matrix(ds))
+    return Fits(ds, build_balance_matrix(ds))
+
+
+def test_failed_fit_is_cached(monkeypatch):
+    fits = _rank_deficient_propensity()
     calls = Counter()
 
     def counted(*args, _original=glm.fit_logistic, **kwargs):
@@ -395,6 +404,66 @@ def test_failed_fit_is_cached(monkeypatch):
         messages.append(str(err.value))
     assert calls == {"fit_logistic": 1}
     assert messages[0] == messages[1]
+
+
+def test_failed_fits_is_freed_without_the_garbage_collector():
+    # Fits keeps a failed member's error without its traceback, whose frames
+    # hold the Fits: kept with it, the reference cycle would hold every
+    # failed Fits until the garbage collector runs.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fits = _rank_deficient_propensity()
+        for _ in range(2):
+            try:
+                fits.pi
+            except RankDeficientError:
+                pass
+            else:
+                pytest.fail("the propensity fit did not fail")
+        alive = weakref.ref(fits)
+        del fits
+        assert alive() is None, "KEPT ALIVE"
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _count_linear_fits(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counted(*args, _original=glm.fit_linear, **kwargs):
+        calls["fit_linear"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "fit_linear", counted)
+    return calls
+
+
+def test_target_outcome_models_are_fitted_once(monkeypatch, baseline_balance):
+    ds, c = baseline_balance
+    fits = Fits(ds, c)
+    calls = _count_linear_fits(monkeypatch)
+    first, second = (compute_tau(ds, EstimatorKind.AUG_F, fits) for _ in range(2))
+    assert calls == {"fit_linear": 2}
+    assert first.tau_hat == second.tau_hat
+    assert first.nuisance["mu1"] is fits.outcome(0)[2]
+
+
+def test_target_outcome_failure_is_cached(monkeypatch, baseline_balance):
+    # No treated unit in the target sample: the control arm is fitted, the
+    # treated arm fails, and the second read raises the same error unfitted.
+    ds, _ = baseline_balance
+    ds = Dataset.fusion(ds.s, np.where(ds.s == 0, 0.0, ds.z), ds.y, ds.x)
+    fits = Fits(ds, build_balance_matrix(ds))
+    calls = _count_linear_fits(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EmptyArmError) as err:
+            compute_tau(ds, EstimatorKind.AUG_F, fits)
+        messages.append(str(err.value))
+    assert calls == {"fit_linear": 1}
+    assert messages == ["no units with z=1 to fit the outcome model"] * 2
 
 
 def test_fusion_study_half_is_the_transport_solve(baseline_balance):

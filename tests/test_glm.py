@@ -106,6 +106,22 @@ class TestLogistic:
             fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), y)
 
 
+    def test_offset_of_another_length_is_a_typed_error(self):
+        with pytest.raises(DimensionMismatchError, match="offset length"):
+            fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), np.full(6, 0.5),
+                         offset=np.zeros(5))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_offset_is_a_typed_error(self, cell):
+        # Was coefficients [0, 0] with converged=False, and for inf a flood
+        # of RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="offset"):
+                fit_logistic(np.column_stack([np.ones(6), np.arange(6.0)]), np.full(6, 0.5),
+                             offset=np.full(6, cell))
+
+
 class TestLinear:
     def test_exact_fit_zero_residuals(self):
         rng = np.random.default_rng(2)

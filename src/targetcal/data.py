@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    DimensionMismatchError,
     EmptyArmError,
     EmptyTargetError,
     ModeError,
@@ -220,8 +221,11 @@ def check_full_rank(mat: np.ndarray, what: str = "matrix") -> None:
     """Raise RankDeficientError if standardized columns are collinear.
 
     Columns are scaled to unit norm before the singular-value test so the
-    cutoff is scale-free. A column with NaN or infinity is a NonFiniteError.
+    cutoff is scale-free. A column with NaN or infinity is a NonFiniteError,
+    and an array that is not two-dimensional a DimensionMismatchError.
     """
+    if mat.ndim != 2:
+        raise DimensionMismatchError(f"{what} must be two-dimensional, not {mat.ndim}-dimensional")
     if mat.shape[0] < mat.shape[1]:
         raise RankDeficientError(f"{what} has fewer rows than columns")
     with np.errstate(over="ignore"):
@@ -335,6 +339,8 @@ def standardized_mean_differences(
 def effective_sample_size(weights: np.ndarray) -> float:
     """Kish effective sample size, (sum w)^2 / sum w^2."""
     w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise NonFiniteError("weights hold NaN or infinity")
     if (w < 0).any():
         raise OutOfRangeError("weights must be nonnegative")
     total = w.sum()

@@ -54,6 +54,16 @@ class GlmFit:
     separated: bool = False
 
 
+def _design_matrix(design, what: str) -> np.ndarray:
+    """The design as a float array; one that is not two-dimensional is a
+    DimensionMismatchError."""
+    design = np.asarray(design, dtype=float)
+    if design.ndim != 2:
+        raise DimensionMismatchError(
+            f"{what} must be two-dimensional, not {design.ndim}-dimensional")
+    return design
+
+
 def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = None, *,
                  rank_check=None) -> GlmFit:
     """Bernoulli quasi-likelihood fit: solver.damped_newton on the negative
@@ -68,7 +78,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
     when given, stands in for check_full_rank of the design (see
     solver.solve_entropy_dual).
     """
-    design = np.asarray(design, dtype=float)
+    design = _design_matrix(design, "logistic design")
     y = np.asarray(y, dtype=float)
     n, p = design.shape
     if y.shape != (n,):
@@ -145,7 +155,7 @@ def fit_linear(design: np.ndarray, y: np.ndarray, *, rank_check=None) -> GlmFit:
     """Ordinary least squares (lstsq). Coefficients that are not finite, as
     from a response with NaN or infinity, are a NonFiniteError;
     ``rank_check`` is as in fit_logistic."""
-    design = np.asarray(design, dtype=float)
+    design = _design_matrix(design, "linear design")
     y = np.asarray(y, dtype=float)
     if y.shape != (design.shape[0],):
         raise DimensionMismatchError("response length does not match design")

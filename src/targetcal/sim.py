@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -198,26 +199,38 @@ def true_tau(scenario: ScenarioSpec, oracle_n: int, seed: int = 0) -> float:
 
     Simulates directly from the generative models in chunks (each chunk
     standardizes its transforms like one generated dataset); no outcome noise
-    enters because the per-unit effect is the noise-free tilt.
+    enters because the per-unit effect is the noise-free tilt. Chunks run on
+    up to one thread per CPU, each from its own key, and their sums are added
+    in chunk order, so the value has the same bits for any number of CPUs. A
+    failure raises the earliest failing chunk's error.
     """
+    sizes = [min(ORACLE_CHUNK, oracle_n - start) for start in range(0, oracle_n, ORACLE_CHUNK)]
+    # map yields in chunk order and re-raises the first failure in that
+    # order; leaving the block joins every thread. With no chunks the pool
+    # starts no thread, and the DegenerateDrawError below is raised.
+    threads = max(1, min(len(sizes), os.cpu_count() or 1))
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(partial(_oracle_chunk, scenario, seed), range(len(sizes)), sizes))
+    # One float add per chunk, in chunk order (the builtin sum compensates
+    # from Python 3.12 on, which would change the bits).
     total = 0.0
     count = 0
-    drawn = 0
-    idx = 0
-    while drawn < oracle_n:
-        size = min(ORACLE_CHUNK, oracle_n - drawn)
-        rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
-        x = rng.standard_normal((size, scenario.covariate_dim))
-        u = transform_u(x) if scenario.reads_u else None
-        s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
-        tilt = scenario.tilt.evaluate(x, u)
-        total += float(tilt[~s].sum())
-        count += int((~s).sum())
-        drawn += size
-        idx += 1
+    for chunk_total, chunk_count in chunks:
+        total += chunk_total
+        count += chunk_count
     if count == 0:
         raise DegenerateDrawError("oracle produced no target-sample units")
     return total / count
+
+
+def _oracle_chunk(scenario: ScenarioSpec, seed: int, idx: int, size: int) -> tuple:
+    """Tilt sum and count over the target-sample units of oracle chunk ``idx``."""
+    rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
+    x = rng.standard_normal((size, scenario.covariate_dim))
+    u = transform_u(x) if scenario.reads_u else None
+    s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
+    tilt = scenario.tilt.evaluate(x, u)
+    return float(tilt[~s].sum()), int((~s).sum())
 
 
 @dataclass
@@ -377,7 +390,7 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
     processes = min(config.workers, len(tasks), os.cpu_count() or 1)
     if processes > 1:
         chunksize = max(1, len(tasks) // (processes * 8))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with futures.ProcessPoolExecutor(max_workers=processes) as pool:
             batches = list(pool.map(_evaluate_replicate, tasks, chunksize=chunksize))
     else:
         batches = [_evaluate_replicate(t) for t in tasks]

@@ -24,6 +24,7 @@ from targetcal.data import (
 )
 from targetcal.errors import (
     AllZeroError,
+    DimensionMismatchError,
     EmptyTargetError,
     ModeError,
     NonFiniteError,
@@ -136,6 +137,11 @@ class TestBalanceMatrix:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^design column 1 holds NaN or infinity"):
                 data.check_full_rank(design, "design")
+
+    def test_one_dimensional_design_is_a_typed_error(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^design must be two-dimensional, not 1-dimensional$"):
+            data.check_full_rank(np.arange(6.0), "design")
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_extreme_scale_is_judged_on_the_column_scale(self, scale):
@@ -308,6 +314,14 @@ class TestESS:
     def test_negative_rejected(self):
         with pytest.raises(OutOfRangeError):
             effective_sample_size(np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, cell):
+        # Before any reduction, which would return NaN or warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^weights hold NaN or infinity$"):
+                effective_sample_size(np.array([1.0, cell]))
 
 
 class TestExportScores:

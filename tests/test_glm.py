@@ -358,3 +358,13 @@ def test_separation_on_the_last_allowed_iteration(monkeypatch, cap):
         new, old = fit_logistic(design, y), fit_logistic_irls(design, y)
     assert (new.converged, new.separated) == (old.converged, old.separated) == (False, cap >= 2)
     assert np.array_equal(_bits(new.coefficients), _bits(old.coefficients))
+
+
+@pytest.mark.parametrize("fit, what", [(fit_logistic, "logistic design"),
+                                       (fit_linear, "linear design")])
+@pytest.mark.parametrize("rank_check", [None, lambda: None])
+def test_one_dimensional_design_is_a_typed_error(fit, what, rank_check):
+    # Judged before the shape is read, whether or not the fit checks the rank.
+    with pytest.raises(DimensionMismatchError,
+                       match=f"^{what} must be two-dimensional, not 1-dimensional$"):
+        fit(np.arange(6.0), np.full(6, 0.5), rank_check=rank_check)

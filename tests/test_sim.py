@@ -2,6 +2,13 @@ import hashlib
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from targetcal.sim import (
     true_tau,
 )
 
+import oracles
 from oracles import generate_always_u, transform_u_two_pass, true_tau_always_u
 
 # Independent transcription of the generative-model coefficient table,
@@ -273,6 +281,80 @@ class TestTrueTau:
         assert a == b
 
 
+class TestOracleThreads:
+    """true_tau runs its chunks on threads and adds their sums in chunk
+    order, so its bits, its error and the threads left running are those of
+    the serial loop in oracles.true_tau_always_u."""
+
+    @pytest.fixture(autouse=True)
+    def three_chunks(self, monkeypatch):
+        # 20,000 draws in three chunks, the last one short.
+        monkeypatch.setattr(sim, "ORACLE_CHUNK", 7_000)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_bits_independent_of_cpu_count(self, monkeypatch, cpus):
+        pools = []
+
+        class RecordedPool(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sim.futures, "ThreadPoolExecutor", RecordedPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        before = threading.active_count()
+        for sid, spec in sorted(SCENARIOS.items()):
+            expected = true_tau_always_u(spec, 20_000, 3, chunk=7_000)
+            assert true_tau(spec, oracle_n=20_000, seed=3).hex() == expected.hex(), sid
+        assert threading.active_count() == before
+        assert pools == [min(3, cpus)] * len(SCENARIOS)
+
+    def test_earliest_failing_chunk_raises(self, monkeypatch):
+        # Chunks 1 and 2 fail, and chunk 1 fails last: an error taken in
+        # the order the chunks finish would be chunk 2's.
+        first_draw = {
+            sim._rng(derive_seed(3, "true-tau", "B", idx)).standard_normal((7_000, 4))[0, 0]: idx
+            for idx in range(3)
+        }
+
+        def failing(x, _transform=transform_u):
+            idx = first_draw[x[0, 0]]
+            if idx == 1:
+                time.sleep(0.2)
+            if idx:
+                raise NonFiniteError(f"chunk {idx} failed")
+            return _transform(x)
+
+        monkeypatch.setattr(sim, "transform_u", failing)
+        monkeypatch.setattr(oracles, "transform_u_two_pass", failing)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        with pytest.raises(NonFiniteError) as serial:
+            true_tau_always_u(SCENARIOS["B"], 20_000, 3, chunk=7_000)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError) as threaded:
+            true_tau(SCENARIOS["B"], oracle_n=20_000, seed=3)
+        assert threading.active_count() == before
+        assert type(threaded.value) is type(serial.value) is NonFiniteError
+        assert str(threaded.value) == str(serial.value) == "chunk 1 failed"
+
+    def test_no_draws_start_no_thread(self):
+        before = threading.active_count()
+        with pytest.raises(DegenerateDrawError, match="no target-sample units"):
+            true_tau(SCENARIOS["A"], oracle_n=0)
+        assert threading.active_count() == before
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # multiprocessing is loaded only when run_experiment starts processes.
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+    code = ("import sys, targetcal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+            " or m == 'concurrent.futures.process'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestDeriveSeed:
     def test_component_sensitivity(self):
         base = derive_seed(7, "A", 500, 0)
@@ -386,7 +468,7 @@ class TestRunner:
                 assert chunksize == max(1, 6 // (expected * 8))
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
         kw = dict(scenarios=("A",), ns=(60,), reps=6, kinds=(EstimatorKind.CAL_T,),
                   seed=4, tau0_overrides={"A": -4.0}, keep_replicates=True)

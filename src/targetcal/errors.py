@@ -56,10 +56,10 @@ class NotConvergedError(TargetcalError):
     Attributes:
         worst_constraint: index of the constraint with the largest relative
             violation at the last iterate, to aid overlap diagnosis.
-        direction: unit vector d over the constraints with a_i . d >= 0 on
-            every active row and b . d < 0 (up to tolerance), or None. Its
-            largest entries point at the constraints that cannot be met
-            together.
+        direction: unit vector d over the constraints, zero outside one
+            block, with a_i . d >= 0 on that block's rows and b . d < 0 (up to
+            tolerance), or None. Its largest entries point at the constraints
+            that cannot be met together.
         iterations: Newton iterations run, as ``DualSolution.iterations`` counts them;
             0 when a candidate certificate passed before the first step.
     """

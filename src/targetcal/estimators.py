@@ -79,10 +79,6 @@ class Fits:
         if it has one: every unit (no ``sample``), the sample s == ``sample``,
         or its units with z == ``arm``. Each row set is checked once; the
         matrix holds its own verdict on every unit.
-
-        An arm-balance matrix [(2z - 1) c, c] over a sample has full column
-        rank exactly when c has on both of the sample's arms, so its verdict
-        is the pair of arm verdicts (``arms_full_rank``).
         """
         if sample is None:
             return self.c.full_rank()
@@ -98,7 +94,8 @@ class Fits:
         remember(self._memo, ("full_rank", sample, arm), check)
 
     def arms_full_rank(self, sample: int) -> None:
-        """The rank verdict of the arm-balance matrix over a sample."""
+        """The rank verdicts of a sample's two arms: those of the blocks of
+        its transport or target-balance problem, each c on one arm."""
         for arm in (0, 1):
             self.full_rank(sample, arm)
 
@@ -111,16 +108,17 @@ class Fits:
 
     @property
     def transport(self) -> solver.DualSolution:
-        """Joint arm-balance and sampling calibration of the study sample.
+        """Each study arm calibrated to the target moments.
 
-        Its constraints are [arm contrast, sampling], so when ``sampling`` has
-        already failed here with a Farkas direction d, [0, d] is a candidate
-        certificate for this problem, which the solve tests before its first
-        step. No sampling solve is started for it."""
+        An arm's block asks of its units what ``sampling`` asks of the study
+        sample, so when ``sampling`` has already failed here with a Farkas
+        direction d, the same d in each arm is a candidate certificate, which
+        the solve tests before its first step. No sampling solve is started
+        for it."""
         def solve():
             lifted = getattr(self._memo.get("sampling"), "direction", None)
             if lifted is not None:
-                lifted = np.concatenate([np.zeros(self.c.m), lifted])
+                lifted = np.tile(lifted, 2)
             return solver.solve_entropy_dual(
                 solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
                 rank_check=partial(self.arms_full_rank, 1), certificate=lifted)
@@ -129,7 +127,7 @@ class Fits:
 
     @property
     def target_balance(self) -> solver.DualSolution:
-        """Arm balance of the target sample aimed at theta0; reads target z.
+        """Each target arm calibrated to theta0; reads target z.
         The target half of ``fusion``, and the CBPS weights in fusion mode."""
         def solve():
             if self.dataset.mode != "fusion":
@@ -142,7 +140,7 @@ class Fits:
 
     @property
     def fusion(self) -> tuple:
-        """Per-sample arm-balance solves (target, study). The study-sample
+        """Per-sample arm-calibration solves (target, study). The study-sample
         problem is the transport one, so the study half is ``self.transport``.
         It is read first, and its error is raised prefixed with the half, so
         a failed study half leaves the target half unsolved."""

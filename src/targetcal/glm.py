@@ -45,12 +45,11 @@ def clip_probability(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlmFit:
-    """Coefficients plus the fitted values stored at fit time."""
+    """Coefficients and how the fit ended; ``predict`` gives fitted values."""
 
     coefficients: np.ndarray
     family: str
     converged: bool
-    fitted: np.ndarray
     separated: bool = False
 
 
@@ -121,13 +120,14 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
         return (design.T @ (mu - y),
                 lambda: (design * (mu * (1.0 - mu))[:, None]).T @ design, mu)
 
-    def stop(beta, mu, grad):
+    def stop(x, _, grads):
         # A NaN coefficient or score entry fails both tests, as under numpy's max and all.
-        return (_separated(beta) or
-                all(abs(g) <= tol for g, tol in zip(grad.tolist(), tolerances)))
+        done = _separated(x[0]) or all(abs(g) <= tol for g, tol in zip(grads[0].tolist(),
+                                                                        tolerances))
+        return [] if done else [0]
 
-    beta, mu, _, _, stopped = damped_newton(np.zeros(p), objective, derivatives, stop,
-                                            score_tol, MAX_IRLS_ITER)
+    (beta,), _, _, _, stopped = damped_newton([np.zeros(p)], [objective], [derivatives], stop,
+                                              [score_tol], MAX_IRLS_ITER)
     separated = _separated(beta)
     if separated:
         warnings.warn(
@@ -139,7 +139,6 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
         coefficients=beta,
         family="logistic",
         converged=stopped and not separated,
-        fitted=clip_probability(mu),
         separated=separated,
     )
 
@@ -167,8 +166,7 @@ def fit_linear(design: np.ndarray, y: np.ndarray, *, rank_check=None) -> GlmFit:
     if not all(map(math.isfinite, beta.tolist())):
         cause = "" if np.isfinite(y).all() else ": the response holds NaN or infinity"
         raise NonFiniteError(f"linear fit coefficients are not finite{cause}")
-    fitted = design @ beta
-    return GlmFit(coefficients=beta, family="linear", converged=True, fitted=fitted)
+    return GlmFit(coefficients=beta, family="linear", converged=True)
 
 
 def predict(fit: GlmFit, design: np.ndarray) -> np.ndarray:

@@ -3,14 +3,15 @@
 The calibration estimators get an M-estimation sandwich built from one
 stacked system of estimating equations over the calibrated groups (the
 study sample for transport, both samples for data fusion): target moments,
-one dual block per group, effect. The augmented and TMLE estimators get a
-plug-in influence-function variance. Every variance function maps
+one dual block per treatment arm of each group, effect. The augmented and
+TMLE estimators get a plug-in influence-function variance. Every variance function maps
 (dataset, fits, estimate) to a standard error: the data, its ``Fits``
 context (balance matrix, target moments, nuisance fits and solves) and the
 point estimate. ``estimate_with_ci`` builds the one normal interval.
 Each group's duals enter the stack as the solver returns them
-(``DualSolution.eta``), so the dual block of the stack is the solver's own
-gradient and its Jacobian block the solver's Hessian.
+(``DualSolution.eta``, one m-vector per arm), so each dual block of the
+stack is the solver's own gradient for one arm and its Jacobian block the
+solver's Hessian block.
 """
 
 from __future__ import annotations
@@ -44,18 +45,17 @@ class CalibrationSystem:
     """Stacked estimating equations of a calibration estimator at nu.
 
     ``groups`` holds the calibrated sample labels: (1,) for transport,
-    (0, 1) for data fusion. Parameter vector nu = (theta0, eta_g for g in
-    groups, tau), length (2G + 1)m + 1 for G groups, where eta_g is the
-    group's ``DualSolution.eta``: unit i of group g has the solver's row
-    a_i = [(2z_i - 1) c_i, c_i] and weight w_i = exp(-a_i . eta_g).
-    A unit's residual has a target-moment block (c_i - theta0 on the target
-    sample), one dual block per group and the effect equation
-    w_i ((2z_i - 1) y_i - z_i tau). A unit's dual block is its term of the
-    solver's gradient, w_i a_i - [0, theta0], so the block sums to minus that
-    gradient and its Jacobian is minus the solver's Hessian sum_i w_i a_i
-    a_i'. Each group's terms are formed on its own rows only, so unobserved
-    target-sample values never enter. All blocks vanish at the fitted
-    parameters because they restate the solver's converged constraints.
+    (0, 1) for data fusion. Parameter vector nu = (theta0, lambda_ga for g in
+    groups and arm a in (0, 1), tau), length (2G + 1)m + 1 for G groups;
+    (lambda_g0, lambda_g1) is the group's ``DualSolution.eta``, so unit i of
+    group g and arm a has weight w_i = exp(-c_i . lambda_ga). A unit's
+    residual has a target-moment block (c_i - theta0 on the target sample),
+    one block per (group, arm), [z_i = a] w_i c_i - theta0 / 2 on the
+    group's units, which sums to minus the solver's gradient for that arm
+    and has its Hessian as minus its Jacobian, and the effect equation
+    w_i ((2z_i - 1) y_i - z_i tau). Each block is formed on its own rows
+    only, so unobserved target-sample values never enter. All blocks vanish
+    at the fitted parameters: they restate the solver's converged constraints.
 
     ``jacobian`` is the residuals' analytic Jacobian, summed over all units;
     ``psi_dot(x)`` is the residual matrix times x, formed without the matrix.
@@ -69,25 +69,23 @@ class CalibrationSystem:
         eye = np.eye(m)
         A = np.zeros((k, k))
         A[:m, :m] = -np.count_nonzero(self.target) * eye
-        # Per group: its units (a mask), the arm-contrast and calibration halves
-        # of its eta in nu, and on its own rows the signed weights (2z - 1) w,
-        # the weights w and the effect residuals.
-        self.groups = []
+        # Per (group, arm): the group's units and the arm's (masks), the
+        # arm's lambda in nu, and on the arm's rows its c, weights and effect
+        # residuals.
+        self.blocks = []
         for j, g in enumerate(groups):
-            rows = s == g
-            arm, cal = (slice((1 + 2 * j + h) * m, (2 + 2 * j + h) * m) for h in (0, 1))
-            c_own, z_own = cmat[rows], z[rows]
-            sign = 2.0 * z_own - 1.0
-            w = np.exp(-(sign * (c_own @ nu[arm]) + c_own @ nu[cal]))
-            signed, effect = sign * w, w * (sign * y[rows] - z_own * nu[-1])
-            # The Hessian's blocks: sum w c c' on the diagonal, sum w (2z-1) c c' off it.
-            A[arm, arm] = A[cal, cal] = -(c_own.T @ (c_own * w[:, None]))
-            A[arm, cal] = A[cal, arm] = -(c_own.T @ (c_own * signed[:, None]))
-            A[cal, :m] = -len(w) * eye
-            A[-1, arm] = -(sign * effect) @ c_own
-            A[-1, cal] = -effect @ c_own
-            A[-1, -1] -= (z_own * w).sum()
-            self.groups.append((rows, arm, cal, signed, w, effect))
+            group = s == g
+            for arm in (0, 1):
+                rows = group & (z == arm)
+                lam = slice((1 + 2 * j + arm) * m, (2 + 2 * j + arm) * m)
+                c_own = cmat[rows]
+                w = np.exp(-(c_own @ nu[lam]))
+                effect = w * ((2 * arm - 1) * y[rows] - arm * nu[-1])
+                A[lam, lam] = -(c_own.T @ (c_own * w[:, None]))
+                A[lam, :m] = -np.count_nonzero(group) / 2.0 * eye
+                A[-1, lam] = -effect @ c_own
+                A[-1, -1] -= arm * w.sum()
+                self.blocks.append((group, rows, lam, c_own, w, effect))
         self.jacobian = A
 
     def psi_dot(self, x: np.ndarray) -> np.ndarray:
@@ -95,9 +93,9 @@ class CalibrationSystem:
         cmat, theta0, m = self.cmat, self.theta0, len(self.theta0)
         out = np.zeros(len(cmat))
         out[self.target] = (cmat @ x[:m])[self.target] - theta0 @ x[:m]
-        for rows, arm, cal, signed, w, effect in self.groups:
-            out[rows] += (signed * (cmat @ x[arm])[rows] + w * (cmat @ x[cal])[rows]
-                          - theta0 @ x[cal] + effect * x[-1])
+        for group, rows, lam, c_own, w, effect in self.blocks:
+            out[group] -= theta0 @ x[lam] / 2.0
+            out[rows] += w * (c_own @ x[lam]) + effect * x[-1]
         return out
 
 

@@ -1,5 +1,5 @@
 """Newton solver for exponential-tilting dual objectives and the constraint
-assemblies behind every calibration problem in the package.
+assembly behind every calibration problem in the package.
 
 All calibration weights here solve a primal program of the form
 
@@ -14,11 +14,11 @@ with implied weights w_i = exp(-a_i . eta). Stationarity of f is
 exactly the primal constraint set, so a converged dual solution delivers
 exact balance up to the residual tolerance.
 
-Every arm-balancing problem (transport, each sample of data fusion, the
-within-cohort benchmark) comes from one assembly over a group of units:
-rows [(2z-1) c_i, c_i] with targets [0, |group| * theta]. Only the group
-and theta differ between them; the sampling problem keeps the c_i block
-alone.
+Every problem is one assembly of blocks over c, each a set of units whose
+weighted c-total must equal a target total, with its own duals: the study
+sample (total n1 * theta0) for the sampling problem, and each treatment arm
+of a sample (total |sample| * theta / 2) for transport, fusion and the
+within-cohort benchmark. f is a sum over blocks, so they solve independently.
 """
 
 from __future__ import annotations
@@ -52,23 +52,26 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EntropyProblem:
-    """Signed constraint matrix over the weight-carrying units.
+    """Blocks of constraints over the weight-carrying units.
 
-    ``a`` has one row per active unit; ``b`` holds the constraint targets;
-    ``active_rows`` maps rows of ``a`` back to unit indices out of ``n_units``
-    so the returned weight vector can be full length.
+    Each of ``blocks`` is (a, b), the m-column rows and m targets of one
+    a^T w = b with its own m duals. ``active_rows`` maps the blocks' rows,
+    in turn, back to unit indices out of ``n_units`` so the returned weight
+    vector can be full length. ``b`` is every block's targets in turn.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    blocks: tuple
     active_rows: np.ndarray
     n_units: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "blocks", tuple(
+            (np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in self.blocks))
         object.__setattr__(self, "active_rows", np.asarray(self.active_rows, dtype=np.intp))
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.concatenate([b for _, b in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,15 @@ class DualSolution:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def _dual_point(problem: EntropyProblem, eta: np.ndarray) -> tuple:
-    """f(eta), centering the exponent so overflow surfaces as inf, and the
-    point (u, min(u), b . eta) for u = a @ eta, which the derivatives and the
-    certificate reuse. The largest exponent is -min(u), and min(u) - u is the
-    centred exponent to the bit (negation is exact)."""
-    u = problem.a @ eta
+def _dual_point(a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> tuple:
+    """A block's term of f at its duals eta, centering the exponent so
+    overflow surfaces as inf, and the point (u, min(u), b . eta) for
+    u = a @ eta, which the derivatives and the certificate reuse. The largest
+    exponent is -min(u), and min(u) - u is the centred exponent to the bit
+    (negation is exact)."""
+    u = a @ eta
     u_min = float(u.min())
-    b_eta = float(problem.b @ eta)
+    b_eta = float(b @ eta)
     if -u_min > 700.0:
         return float("inf"), (u, u_min, b_eta)
     centred = np.subtract(u_min, u)
@@ -100,155 +104,172 @@ def _dual_point(problem: EntropyProblem, eta: np.ndarray) -> tuple:
     return total + b_eta, (u, u_min, b_eta)
 
 
-def _dual_derivatives(problem: EntropyProblem, eta: np.ndarray, point: tuple) -> tuple:
-    """At a point of _dual_point: the gradient b - a^T w, a function forming
-    the Hessian a^T diag(w) a, and (point, w), for the weights w = exp(-u).
-    Weights that overflow, as at a guarded trial, make the gradient NaN
-    (solve_entropy_dual runs under one np.errstate that keeps this silent)."""
+def _dual_derivatives(a: np.ndarray, b: np.ndarray, eta: np.ndarray, point: tuple) -> tuple:
+    """At a point of _dual_point: the block's gradient b - a^T w, a function
+    forming its Hessian a^T diag(w) a, and (point, w), for the weights
+    w = exp(-u). Weights that overflow, as at a guarded trial, make the
+    gradient NaN (solve_entropy_dual runs under one np.errstate that keeps
+    this silent)."""
     w = np.negative(point[0])
     np.exp(w, out=w)
-    grad = problem.b - problem.a.T @ w
-    return grad, lambda: (problem.a * w[:, None]).T @ problem.a, (point, w)
+    return b - a.T @ w, lambda: (a * w[:, None]).T @ a, (point, w)
 
 
-def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray,
+def damped_newton(x: list, objective, derivatives, stop, scale: list,
                   max_iter: int) -> tuple:
     """Minimize a smooth convex f from x by damped Newton steps: the one loop
     of solve_entropy_dual and glm.fit_logistic.
 
-    ``objective(x)`` returns f(x) (inf on overflow) and a point that
-    ``derivatives(x, point)`` reuses; that returns the gradient, a function
-    forming the Hessian and the state read by ``stop(x, state, grad)``, which
-    is true at an answer. ``scale`` is the size of each gradient coordinate.
-    The step is Newton's, the gradient scaled to unit max-norm if the solve
-    fails, or steepest descent if it does not descend; it is halved up to 80
-    times until Armijo's 1e-4 holds. Below f's float resolution the full step
-    must shrink the largest scaled gradient coordinate instead. The run ends
-    when no step is taken, or at the cap. Accepted trials hand on their
-    point, so none is evaluated twice. Returns (x, state, grad, iterations,
-    stopped).
+    x is a list of parts, and f a sum of one term per part. ``objective[k]``
+    maps x_k to its term (inf on overflow) and a point that
+    ``derivatives[k](x_k, point)`` reuses, for part k's gradient, a function
+    forming its Hessian and its state. ``stop(x, states, grads)`` lists the
+    parts not yet at an answer; ``scale[k]`` sizes part k's gradient. Each
+    part listed steps on its own, as a run on it alone would: Newton's step,
+    the gradient scaled to unit max-norm if the solve fails, or steepest
+    descent if it does not descend, halved up to 80 times until Armijo's
+    1e-4 holds; below its term's float resolution the full step must shrink
+    its largest scaled gradient coordinate instead. The run ends when no part
+    is listed, when a part takes no step, or at the cap. Accepted trials hand
+    on their point. Returns (x, states, grads, iterations, stopped).
     """
-    f, point = objective(x)
-    ahead = None  # the derivatives at x when a guarded step formed them
-    for iterations in range(1, max_iter + 1):
-        grad, hessian, state = ahead or derivatives(x, point)
-        ahead = None
-        if stop(x, state, grad):
+    f, point = map(list, zip(*(objective[k](part) for k, part in enumerate(x))))
+    derived = [None] * len(x)  # each part's derivatives at its x, if formed
+    for iterations in range(1, max_iter + 2):
+        derived = [done or derivatives[k](x[k], point[k]) for k, done in enumerate(derived)]
+        grad, _, state = zip(*derived)
+        if iterations > max_iter:
+            return x, state, grad, max_iter, False
+        moving = stop(x, state, grad)
+        if not moving:
             return x, state, grad, iterations, True
-        try:
-            step = np.linalg.solve(hessian(), -grad)
-            if not all(map(math.isfinite, step.tolist())):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = -grad / max(float(np.abs(grad).max()), 1.0)
-        slope = float(grad @ step)
-        if slope >= 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
-        if -slope <= 1e-11 * (1.0 + abs(f)):
-            trial = x + step
-            f_trial, point_trial = objective(trial)
-            ahead = derivatives(trial, point_trial)
-            # A NaN gradient, where the trial's weights overflow, compares false.
-            if not (np.abs(ahead[0]) / scale).max() < (np.abs(grad) / scale).max():
-                return x, state, grad, iterations, False
-            x, f, point = trial, f_trial, point_trial
-        else:
-            t = 1.0
-            for _ in range(80):
-                trial = x + step if t == 1.0 else x + t * step  # 1.0 * step is step
-                f_trial, point_trial = objective(trial)
-                if math.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
-                    x, f, point = trial, f_trial, point_trial
-                    break
-                t *= 0.5
+        x_next, f_next, point_next = list(x), list(f), list(point)
+        for k in moving:
+            g, hessian, _ = derived[k]
+            try:
+                step = np.linalg.solve(hessian(), -g)
+                if not all(map(math.isfinite, step.tolist())):
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                step = -g / max(float(np.abs(g).max()), 1.0)
+            slope = float(g @ step)
+            if slope >= 0.0:
+                step = -g
+                slope = -float(g @ g)
+            if -slope <= 1e-11 * (1.0 + abs(f[k])):
+                trial = x[k] + step
+                f_trial, point_trial = objective[k](trial)
+                ahead = derivatives[k](trial, point_trial)
+                # A NaN gradient, where the trial's weights overflow, compares false.
+                if not (np.abs(ahead[0]) / scale[k]).max() < (np.abs(g) / scale[k]).max():
+                    return x, state, grad, iterations, False
             else:
-                return x, state, grad, iterations, False
-    grad, _, state = ahead or derivatives(x, point)
-    return x, state, grad, max_iter, False
+                ahead, t = None, 1.0
+                for _ in range(80):
+                    trial = x[k] + step if t == 1.0 else x[k] + t * step  # 1.0 * step is step
+                    f_trial, point_trial = objective[k](trial)
+                    if math.isfinite(f_trial) and f_trial <= f[k] + 1e-4 * t * slope:
+                        break
+                    t *= 0.5
+                else:
+                    return x, state, grad, iterations, False
+            x_next[k], f_next[k], point_next[k], derived[k] = trial, f_trial, point_trial, ahead
+        x, f, point = x_next, f_next, point_next
 
 
 def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
                        certificate=None) -> DualSolution:
-    """Minimize the dual by damped_newton from eta = 0 (unit weights).
+    """Minimize the dual by damped_newton from eta = 0 (unit weights), each
+    block one part.
 
-    Every iterate is also tested for a Farkas certificate of an infeasible
-    primal (_certificate): a unit vector d with a_i . d >= 0 on every active
-    row and b . d < 0 (each up to FARKAS_TOL, relative to max|a| and
-    ||b||_1). Then no w >= 0 satisfies a^T w = b, and the dual decreases
-    without bound along d, so the solve stops there. The test moves no
-    iterate. A feasible problem can meet it only through the tolerances,
-    when b lies within them of the boundary of the cone spanned by the rows
-    of a; elsewhere its iterates, and so its solution, are exactly those of
-    the plain Newton loop.
+    Every iterate of a block is also tested for a Farkas certificate of an
+    infeasible primal (_certificate): a unit vector d with a_i . d >= 0 on
+    the block's rows and b . d < 0 on its targets (up to FARKAS_TOL, relative
+    to the block's max|a| and ||b||_1), so that no w >= 0 meets them. The
+    solve stops there. The test moves no iterate, and a feasible block meets
+    it only when b lies within the tolerances of the boundary of the cone of
+    its rows.
 
     Raises NotConvergedError when a certificate is found (``direction``
-    holds d), or when MAX_ITER iterations pass or a step cannot be taken
-    with the constraints unmet (``direction`` is None). Either way
-    ``worst_constraint`` names the constraint with the largest relative
-    violation at the last iterate, and ``iterations`` counts the iterations.
+    holds d on the block's constraints and 0 elsewhere), or when MAX_ITER
+    iterations pass or a step cannot be taken with the constraints unmet
+    (``direction`` is None). ``worst_constraint`` names the constraint with
+    the largest relative violation at the last iterate (constraint j is
+    column j % m of block j // m), and ``iterations`` counts the iterations.
     Each solve that passes the rank check logs one DEBUG record on ``log``,
     its args a dict of k, n_active, iterations, grad_norm,
     constraint_residual, converged and eta.
 
-    ``rank_check``, when given, stands in for check_full_rank of ``a``: a
-    function that raises the RankDeficientError of a caller's verdict on the
-    same columns (``Fits`` passes the verdicts it holds per row set).
+    ``rank_check``, when given, stands in for check_full_rank of each
+    block's rows: a function raising the RankDeficientError of a caller's
+    verdict on the same rows (``Fits`` holds one per row set).
 
-    ``certificate``, when given, is a candidate unit vector d, tested as an
-    iterate is (_certificate, with this problem's tolerances) before the
-    first step. If it passes, the solve raises at iteration 0 with
-    ``direction`` set and ``worst_constraint`` read from the gradient at
-    eta = 0, and logs its record; if not, it is ignored. ``Fits`` passes a
-    sampling certificate lifted to the transport problem.
+    ``certificate``, when given, is a candidate d over all constraints, each
+    block's part tested as an iterate is before the first step. If one
+    passes, the solve raises at iteration 0, ``worst_constraint`` read from
+    the gradient at eta = 0, and logs its record; if none does, it is
+    ignored. ``Fits`` passes a sampling certificate lifted to the transport
+    problem.
     """
-    a, b = problem.a, problem.b
-    if a.ndim != 2 or a.shape[0] == 0:
+    blocks, b = problem.blocks, problem.b
+    if not all(rows.ndim == 2 and len(rows) for rows, _ in blocks):
         raise EmptyArmError("entropy problem has no active rows")
     if rank_check is None:
-        check_full_rank(a, "constraint matrix")
+        for rows, _ in blocks:
+            check_full_rank(rows, "constraint matrix")
     else:
         rank_check()
-    k = a.shape[1]
-    b_scale = 1.0 + np.abs(b)
-    scales = b_scale.tolist()
+    b_scale = [1.0 + np.abs(target) for _, target in blocks]
 
     # Certificate tolerances: a_i . d may dip below zero by rounding, in
     # proportion to the size of the entries of a; b . d must be clearly
     # negative on the scale of b.
-    row_tol = -FARKAS_TOL * float(np.abs(a).max())
-    b_tol = -FARKAS_TOL * float(np.abs(b).sum())
+    tolerances = [(-FARKAS_TOL * float(np.abs(rows).max()),
+                   -FARKAS_TOL * float(np.abs(target).sum())) for rows, target in blocks]
     direction = None
-    if certificate is not None:
-        u = a @ certificate
-        direction = _certificate(a, b, (u, float(u.min()), float(b @ certificate)),
-                                 certificate, row_tol, b_tol)
 
-    def stop(eta, state, grad):
+    def certify(k, eta, point):
         nonlocal direction
-        # Every entry within the tolerance, which a NaN entry is not.
-        if all(abs(g) / scale <= GRAD_TOL for g, scale in zip(grad.tolist(), scales)):
-            return True
-        direction = _certificate(a, b, state[0], eta, row_tol, b_tol)
-        return direction is not None
+        d = _certificate(*blocks[k], point, eta, *tolerances[k])
+        if d is not None:
+            direction = np.zeros(len(b))
+            direction[k * len(d):(k + 1) * len(d)] = d
+        return d is not None
 
-    if direction is not None:  # unit weights: the gradient at eta = 0
-        eta, grad, iterations = np.zeros(k), b - a.T @ np.ones(a.shape[0]), 0
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            eta, (_, w), grad, iterations, _ = damped_newton(
-                np.zeros(k), partial(_dual_point, problem), partial(_dual_derivatives, problem),
-                stop, b_scale, MAX_ITER)
-    violation = np.abs(grad) / b_scale
+    if certificate is not None:
+        for k, candidate in enumerate(np.split(certificate, len(blocks))):
+            if certify(k, candidate, _dual_point(*blocks[k], candidate)[1]):
+                break
+
+    def stop(eta, states, grads):
+        moving = []
+        for k, (g, scale) in enumerate(zip(grads, b_scale)):
+            # Every entry within the tolerance, which a NaN entry is not.
+            if all(abs(gj) / sj <= GRAD_TOL for gj, sj in zip(g.tolist(), scale.tolist())):
+                continue
+            if certify(k, eta[k], states[k][0]):
+                return []
+            moving.append(k)
+        return moving
+
+    # A candidate that passed leaves no step to take: the solve ends at eta = 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta, states, grad, iterations, _ = damped_newton(
+            [np.zeros(len(target)) for _, target in blocks],
+            [partial(_dual_point, *block) for block in blocks],
+            [partial(_dual_derivatives, *block) for block in blocks], stop, b_scale,
+            MAX_ITER if direction is None else 0)
+    eta, grad = np.concatenate(eta), np.concatenate(grad)
+    violation = np.abs(grad) / (1.0 + np.abs(b))
     residual = float(np.max(violation))
     converged = direction is None and residual <= RESIDUAL_TOL
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("solve %s", {"k": k, "n_active": a.shape[0], "iterations": iterations,
-                               "grad_norm": float(np.max(np.abs(grad))),
+        log.debug("solve %s", {"k": len(b), "n_active": len(problem.active_rows),
+                               "iterations": iterations, "grad_norm": float(np.max(np.abs(grad))),
                                "constraint_residual": residual, "converged": converged,
                                "eta": eta.tolist()})
     if direction is not None:
-        j = _leading_constraint(direction)
+        j = int(np.argmax(np.abs(direction)))
         raise NotConvergedError(
             f"entropy dual is infeasible: Farkas certificate at iteration {iterations} "
             f"(relative residual {residual:.3e}); constraint {j} carries the largest "
@@ -265,16 +286,9 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
             iterations=iterations,
         )
     weights = np.zeros(problem.n_units)
-    weights[problem.active_rows] = w
+    weights[problem.active_rows] = np.concatenate([w for _, w in states])
     return DualSolution(eta=eta, weights=weights, iterations=iterations,
                         constraint_residual=residual)
-
-
-def _leading_constraint(direction: np.ndarray) -> int:
-    """The lowest index whose |d_j| is within a relative 1e-9 of the largest,
-    so rounding never picks j or j + m of an arm-balance d = (+-v, v)."""
-    size = np.abs(direction)
-    return int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
 
 
 def _certificate(a, b, point, eta, row_tol, b_tol):
@@ -318,56 +332,47 @@ def _certificate(a, b, point, eta, row_tol, b_tol):
     return None
 
 
-def _arm_balance(c: BalanceMatrix, z: np.ndarray, rows: np.ndarray, theta: np.ndarray,
-                 label: str) -> EntropyProblem:
-    """Arm balance plus calibration to theta over the units in ``rows``.
-
-    Rows are [(2z-1)*c_i, c_i]; targets are [0, |rows| * theta], so a solution
-    balances the two arms against each other (each arm total lands on
-    |rows| * theta / 2) and the whole group against the moments theta.
-    """
+def _assemble(c: BalanceMatrix, rows: np.ndarray, theta, label: str,
+              z: np.ndarray | None = None) -> EntropyProblem:
+    """The one constraint assembly: blocks over c whose units' weighted
+    c-totals add up to |rows| * theta. Without ``z`` it is one block, the
+    units in ``rows``; with it, one block per treatment arm of those units,
+    each with half the total, so the arms are balanced against each other
+    and, together, against the moments theta."""
     if rows.size == 0:
         raise EmptyTargetError(f"{label} is empty")
-    z_act = np.asarray(z, dtype=float)[rows]
-    for arm in (0.0, 1.0):
-        if not np.any(z_act == arm):
-            raise EmptyArmError(f"{label} has no units with z={int(arm)}")
-    c_act = c.c[rows]
-    sign = (2.0 * z_act - 1.0)[:, None]
-    a = np.hstack([sign * c_act, c_act])
-    b = np.concatenate([np.zeros(c.m), rows.size * np.asarray(theta, dtype=float)])
-    return EntropyProblem(a=a, b=b, active_rows=rows, n_units=len(z))
+    blocks = [rows]
+    if z is not None:
+        z_act = np.asarray(z, dtype=float)[rows]
+        blocks = [rows[z_act == arm] for arm in (0.0, 1.0)]
+        for arm, own in enumerate(blocks):
+            if own.size == 0:
+                raise EmptyArmError(f"{label} has no units with z={arm}")
+    total = rows.size * np.asarray(theta, dtype=float) / len(blocks)
+    return EntropyProblem(blocks=[(c.c[own], total) for own in blocks],
+                          active_rows=np.concatenate(blocks), n_units=c.n)
 
 
 def assemble_sampling(c: BalanceMatrix, s: np.ndarray, theta0) -> EntropyProblem:
     """Inverse-odds-of-sampling calibration: reweight the study sample so its
     weighted balance moments equal the target-sample totals n1 * theta0."""
-    s = np.asarray(s)
-    active = np.flatnonzero(s == 1)
-    if active.size == 0:
-        raise EmptyTargetError("study sample is empty")
-    n1 = active.size
-    return EntropyProblem(a=c.c[active], b=n1 * np.asarray(theta0, dtype=float),
-                          active_rows=active, n_units=len(s))
+    return _assemble(c, np.flatnonzero(np.asarray(s) == 1), theta0, "study sample")
 
 
 def assemble_transport(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -> EntropyProblem:
     """Joint treatment-contrast and sampling calibration over the study sample:
-    the arm balance of the study sample aimed at the target moments theta0."""
-    active = np.flatnonzero(np.asarray(s) == 1)
-    return _arm_balance(c, z, active, theta0, "study sample")
+    each study arm aimed at the target moments theta0."""
+    return _assemble(c, np.flatnonzero(np.asarray(s) == 1), theta0, "study sample", z)
 
 
 def assemble_fusion(c: BalanceMatrix, s: np.ndarray, z: np.ndarray, theta0) -> EntropyProblem:
-    """The target-sample half of data fusion: the arm balance of the target
-    sample aimed at theta0, the weight-stabilization constraint set with
-    totals n0 * theta0. The study-sample half is the assemble_transport
-    problem."""
-    return _arm_balance(c, z, np.flatnonzero(np.asarray(s) == 0), theta0, "sample s=0")
+    """The target-sample half of data fusion: each target arm aimed at theta0,
+    the weight-stabilization constraint set with totals n0 * theta0 / 2 per
+    arm. The study-sample half is the assemble_transport problem."""
+    return _assemble(c, np.flatnonzero(np.asarray(s) == 0), theta0, "sample s=0", z)
 
 
 def assemble_ate_benchmark(c: BalanceMatrix, z: np.ndarray) -> EntropyProblem:
     """Single-sample special case: balance the two arms against the
-    full-sample balance means (totals n * theta_full)."""
-    return _arm_balance(c, z, np.arange(c.n), c.c.mean(axis=0), "sample")
-
+    full-sample balance means (totals n * theta_full / 2 per arm)."""
+    return _assemble(c, np.arange(c.n), c.c.mean(axis=0), "sample", z)

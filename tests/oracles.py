@@ -2,7 +2,10 @@
 per-cell and per-column forms of the columnar data path in targetcal.data,
 the sandwich variance that builds the whole residual matrix in the
 (gamma, delta) parameterization of the duals (`convert_dual`,
-`calibration_system_full_psi`, `sandwich_se_full_psi`), the two-branch
+`calibration_system_full_psi`, `sandwich_se_full_psi`), the stacked
+arm-balance assembly with rows [(2z-1) c_i, c_i] and targets
+[0, |rows| theta] that the per-arm blocks replaced (`stacked_arm_balance`),
+the two-branch
 logistic function glm.expit replaced, the logistic fit's own Newton loop
 with its step-halving rules that glm.fit_logistic gave up for the solver's
 shared damped-Newton driver (`fit_logistic_irls`), the alternating
@@ -10,8 +13,10 @@ sampling/balance calibration that cross-checks the joint transport solve,
 and the scenario draws that always compute the u transforms
 (`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
 `dual_objective` and `dual_gradient` evaluate the entropy dual and its
-gradient through the solver's own `_dual_point` and `_dual_derivatives`, so
-the finite-difference and derivative-free checks test the code it runs.
+gradient at a flat eta (every block's duals in turn) through the solver's
+own `_dual_point` and `_dual_derivatives`, so the finite-difference and
+derivative-free checks test the code it runs; `dual_weights` gives the
+weights of the active rows there.
 
 `read_csv_columns_per_cell` parses one cell at a time with the csv module;
 `export_scores_per_row` writes one row at a time; `smd_per_column` reduces
@@ -39,7 +44,7 @@ from targetcal.errors import (
 )
 from targetcal.glm import MAX_IRLS_ITER, SEPARATION_NORM, GlmFit, clip_probability, expit
 from targetcal.sim import _rng, derive_seed
-from targetcal.solver import _dual_derivatives, _dual_point, assemble_transport
+from targetcal.solver import EntropyProblem, _dual_derivatives, _dual_point
 
 # iterative_calibration: largest weight change that ends it, and pass limit.
 ITERATIVE_TOL = 1e-12
@@ -113,12 +118,37 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
     return cols, cov_names
 
 
+def _parts(problem, eta):
+    return np.split(np.asarray(eta, dtype=float), len(problem.blocks))
+
+
 def dual_objective(problem, eta):
-    return _dual_point(problem, eta)[0]
+    return sum(_dual_point(*block, x)[0] for block, x in zip(problem.blocks, _parts(problem, eta)))
 
 
 def dual_gradient(problem, eta):
-    return _dual_derivatives(problem, eta, _dual_point(problem, eta)[1])[0]
+    return np.concatenate([_dual_derivatives(*block, x, _dual_point(*block, x)[1])[0]
+                           for block, x in zip(problem.blocks, _parts(problem, eta))])
+
+
+def dual_weights(problem, eta):
+    """exp(-a_i . eta_k) on the active rows, eta_k the duals of row i's block."""
+    return np.concatenate([np.exp(-(a @ x))
+                           for (a, _), x in zip(problem.blocks, _parts(problem, eta))])
+
+
+def stacked_arm_balance(c, z, rows, theta):
+    """The arm balance of the units in ``rows`` as one block of 2m columns:
+    rows [(2z-1) c_i, c_i], targets [0, |rows| theta]. It asks what the two
+    per-arm blocks of the solver's assembly ask (each arm's total is
+    |rows| theta / 2), with duals (eta_arm, eta_cal) = ((l1 - l0) / 2,
+    (l1 + l0) / 2) for the per-arm duals l0, l1."""
+    z_act = np.asarray(z, dtype=float)[rows]
+    c_act = c.c[rows]
+    sign = (2.0 * z_act - 1.0)[:, None]
+    b = np.concatenate([np.zeros(c.m), rows.size * np.asarray(theta)])
+    return EntropyProblem(blocks=[(np.hstack([sign * c_act, c_act]), b)], active_rows=rows,
+                          n_units=len(z))
 
 
 def export_scores_per_row(rho_hat, pi_hat, dataset, path):
@@ -165,11 +195,12 @@ def smd_per_column(c, group, weights=None):
 
 
 def convert_dual(eta, m):
-    """Map a solver dual [lambda, gamma_joint] to (gamma, delta), where the
-    unit weight is exp(-z c'delta - c'gamma): gamma = gamma_joint - lambda,
-    delta = 2 lambda, which leaves the weights unchanged."""
-    lam, gamma_joint = eta[:m], eta[m:]
-    return gamma_joint - lam, 2.0 * lam
+    """Map a solver dual [lambda_0, lambda_1] (one m-vector per arm) to
+    (gamma, delta), where the unit weight is exp(-z c'delta - c'gamma):
+    gamma = lambda_0, delta = lambda_1 - lambda_0, which leaves the weights
+    unchanged."""
+    lam0, lam1 = eta[:m], eta[m:]
+    return lam0, lam1 - lam0
 
 
 def calibration_system_full_psi(
@@ -328,7 +359,6 @@ def fit_logistic_irls(design, y, offset=None):
         coefficients=beta,
         family="logistic",
         converged=converged and not separated,
-        fitted=clip_probability(mu),
         separated=separated,
     )
 
@@ -366,12 +396,12 @@ def iterative_calibration(c, s, z, theta0):
     Each pass first re-tilts the current weights to hit the sampling
     constraints, then re-tilts them to zero out the treatment contrast. The
     fixed point satisfies both constraint families, so it coincides with the
-    joint assemble_transport solution. Returns the full-length weights and
-    the number of passes.
+    assemble_transport solution. Returns the full-length weights and the
+    number of passes.
     """
-    joint = assemble_transport(c, s, z, theta0)
+    joint = stacked_arm_balance(c, z, np.flatnonzero(np.asarray(s) == 1), theta0)
     m = c.m
-    contrast, c_act = np.hsplit(joint.a, 2)
+    contrast, c_act = np.hsplit(joint.blocks[0][0], 2)
     p = np.ones(c_act.shape[0])
     for passes in range(1, ITERATIVE_MAX_OUTER + 1):
         p_new = _tilt(contrast, joint.b[:m], _tilt(c_act, joint.b[m:], p))

@@ -24,7 +24,7 @@ from targetcal.solver import (
 )
 
 from conftest import random_feasible_transport, stacked_system
-from oracles import dual_gradient, dual_objective, iterative_calibration
+from oracles import dual_gradient, dual_objective, dual_weights, iterative_calibration
 
 REPS = 1000
 WORKERS = min(4, os.cpu_count() or 1)
@@ -230,7 +230,7 @@ class TestCriterion7OracleEquivalence:
                              "fatol": 4 * np.spacing(abs(f(eta))), "adaptive": True},
                 )
                 eta = res.x
-            w_oracle = np.exp(-(prob.a @ eta))
+            w_oracle = dual_weights(prob, eta)
             diff = float(np.max(np.abs(w_oracle - sol.weights[prob.active_rows])))
             worst = max(worst, diff)
             done += 1
@@ -247,7 +247,7 @@ class TestCriterion8DerivativeChecks:
             n = int(rng.integers(30, 120))
             k = int(rng.integers(2, 5))
             a = rng.standard_normal((n, k))
-            prob = EntropyProblem(a=a, b=rng.standard_normal(k) * 2,
+            prob = EntropyProblem(blocks=[(a, rng.standard_normal(k) * 2)],
                                   active_rows=np.arange(n), n_units=n)
             eta = 0.3 * rng.standard_normal(k)
             grad = dual_gradient(prob, eta)

@@ -533,22 +533,23 @@ def _poor_overlap():
 
 def test_transport_reuses_the_sampling_certificate():
     # AUG_T's sampling solve fails with a Farkas direction d; CAL_T's solve
-    # then tests [0, d], which certifies the transport problem before any
-    # Newton step.
+    # then tests d in each arm, and d certifies the first arm's block (z=0)
+    # before any Newton step.
     ds, fits = _poor_overlap()
     with pytest.raises(NotConvergedError) as sampling:
         compute_tau(ds.to_transport(), EstimatorKind.AUG_T, fits)
     with pytest.raises(NotConvergedError) as transport:
         compute_tau(ds.to_transport(), EstimatorKind.CAL_T, fits)
-    d = transport.value.direction
+    d, m = transport.value.direction, fits.c.m
     assert transport.value.iterations == 0
-    assert np.array_equal(d, np.concatenate([np.zeros(fits.c.m), sampling.value.direction]))
+    assert np.array_equal(d, np.concatenate([sampling.value.direction, np.zeros(m)]))
     assert "Farkas certificate at iteration 0" in str(transport.value)
     problem = solver.assemble_transport(fits.c, ds.s, ds.z, fits.theta0)
-    assert float(problem.b @ d) < -solver.FARKAS_TOL * np.abs(problem.b).sum()
-    assert float((problem.a @ d).min()) >= -solver.FARKAS_TOL * np.abs(problem.a).max()
+    a, b = problem.blocks[0]
+    assert float(b @ d[:m]) < -solver.FARKAS_TOL * np.abs(b).sum()
+    assert float((a @ d[:m]).min()) >= -solver.FARKAS_TOL * np.abs(a).max()
     # worst_constraint is read from the gradient at eta = 0 (unit weights).
-    grad = problem.b - problem.a.sum(axis=0)
+    grad = problem.b - np.concatenate([a.sum(axis=0) for a, _ in problem.blocks])
     assert transport.value.worst_constraint == int(np.argmax(np.abs(grad) / (1 + np.abs(problem.b))))
 
 

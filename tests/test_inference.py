@@ -114,26 +114,27 @@ class TestTransportSystem:
 
 class TestSolverDuals:
     """The system is the solver's own assembly at the fitted duals: the same
-    weights, and as dual Jacobian blocks minus the solver's Hessians."""
+    weights, and as dual Jacobian blocks minus the solver's Hessian blocks,
+    one (group, arm) block per block of the solver's problem."""
 
     @staticmethod
     def _check(system, duals, problems):
         A = system.jacobian
         psi_sum = residual_matrix(system).sum(axis=0)
-        m = len(system.theta0)
         for j, (dual, problem) in enumerate(zip(duals, problems)):
-            rows = problem.active_rows
-            own_rows, _, _, _, weights, _ = system.groups[j]
-            # The group's weights exist on the solver's active rows alone.
-            assert np.array_equal(np.flatnonzero(own_rows), rows)
-            assert np.max(np.abs(weights - dual.weights[rows])) < 1e-10
-            block = slice((1 + 2 * j) * m, (3 + 2 * j) * m)
-            # The block sums to minus the solver's gradient b - a'w ...
-            gradient = problem.b - problem.a.T @ dual.weights[rows]
-            assert np.max(np.abs(psi_sum[block] + gradient)) < 1e-9 * np.max(np.abs(problem.b))
-            # ... and its Jacobian is minus the solver's Hessian (a w)'a.
-            hessian = (problem.a * dual.weights[rows, None]).T @ problem.a
-            assert np.max(np.abs(A[block, block] + hessian)) <= 1e-12 * np.max(np.abs(hessian))
+            start = 0
+            for arm, (a, b) in enumerate(problem.blocks):
+                _, own_rows, block, _, weights, _ = system.blocks[2 * j + arm]
+                rows, start = problem.active_rows[start:start + len(a)], start + len(a)
+                # The arm's weights exist on the solver's rows of that arm alone.
+                assert np.array_equal(np.flatnonzero(own_rows), rows)
+                assert np.max(np.abs(weights - dual.weights[rows])) < 1e-10
+                # The block sums to minus the solver's gradient b - a'w ...
+                gradient = b - a.T @ dual.weights[rows]
+                assert np.max(np.abs(psi_sum[block] + gradient)) < 1e-9 * np.max(np.abs(b))
+                # ... and its Jacobian is minus the solver's Hessian block (a w)'a.
+                hessian = (a * dual.weights[rows, None]).T @ a
+                assert np.max(np.abs(A[block, block] + hessian)) <= 1e-12 * np.max(np.abs(hessian))
 
     def test_transport(self):
         rng = np.random.default_rng(55)
@@ -254,8 +255,8 @@ class TestSandwich:
         fits = Fits(ds, build_balance_matrix(ds))
         report = estimate_with_ci(ds, fits, kind=EstimatorKind.CAL_F)
         target, _ = fits.fusion
-        a = assemble_fusion(fits.c, np.zeros(ds.n), ds.z, fits.theta0).a
-        assert -(a[unit] @ target.eta) > 709.0
+        arm = int(ds.z[unit])
+        assert -(fits.c.c[unit] @ target.eta[arm * fits.c.m:(arm + 1) * fits.c.m]) > 709.0
         assert math.isfinite(report.tau_hat) and math.isfinite(report.se) and report.se > 0
 
 

@@ -547,7 +547,7 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
 
 def test_poor_overlap_replicate_skips_the_moot_solves(monkeypatch, caplog):
     # A scenario-B replicate whose sampling and transport problems are both
-    # infeasible. AUG_T's sampling certificate, lifted to [0, d], certifies
+    # infeasible. AUG_T's sampling certificate, the same d in each arm, certifies
     # CAL_T's transport problem at iteration 0; AUG_F reads the cached
     # sampling failure, and CAL_F, whose study half fails, solves no target
     # half.

@@ -8,12 +8,11 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from targetcal import solver
-from targetcal.data import build_balance_matrix, target_moments
+from targetcal.data import BalanceMatrix, build_balance_matrix, target_moments
 from targetcal.errors import DegenerateDrawError, NotConvergedError, RankDeficientError
 from targetcal.sim import MAX_REDRAWS, SCENARIOS, derive_seed, generate
 from targetcal.solver import (
     EntropyProblem,
-    _leading_constraint,
     assemble_ate_benchmark,
     assemble_fusion,
     assemble_sampling,
@@ -22,7 +21,13 @@ from targetcal.solver import (
 )
 
 from conftest import draw_row_a, random_feasible_transport
-from oracles import dual_gradient, dual_objective, iterative_calibration
+from oracles import (
+    dual_gradient,
+    dual_objective,
+    dual_weights,
+    iterative_calibration,
+    stacked_arm_balance,
+)
 
 
 def nelder_mead_eta(problem, k, maxiter=200_000):
@@ -39,15 +44,15 @@ def nelder_mead_eta(problem, k, maxiter=200_000):
 
 class TestSolveBasics:
     def test_intercept_only_unit_weights(self):
-        prob = EntropyProblem(a=np.ones((4, 1)), b=np.array([4.0]),
+        prob = EntropyProblem(blocks=[(np.ones((4, 1)), np.array([4.0]))],
                               active_rows=np.arange(4), n_units=4)
         sol = solve_entropy_dual(prob)
         assert np.allclose(sol.eta, 0.0, atol=1e-12)
         assert np.allclose(sol.weights, 1.0)
 
     def test_symmetric_two_unit(self):
-        prob = EntropyProblem(a=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                              b=np.array([2.0, 0.0]),
+        prob = EntropyProblem(blocks=[(np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                       np.array([2.0, 0.0]))],
                               active_rows=np.arange(2), n_units=2)
         sol = solve_entropy_dual(prob)
         assert np.allclose(sol.eta, 0.0, atol=1e-10)
@@ -55,7 +60,7 @@ class TestSolveBasics:
 
     def test_rank_deficient_rejected(self):
         a = np.column_stack([np.ones(5), np.ones(5)])
-        prob = EntropyProblem(a=a, b=np.array([5.0, 5.0]),
+        prob = EntropyProblem(blocks=[(a, np.array([5.0, 5.0]))],
                               active_rows=np.arange(5), n_units=5)
         with pytest.raises(RankDeficientError):
             solve_entropy_dual(prob)
@@ -63,7 +68,7 @@ class TestSolveBasics:
     def test_infeasible_raises_with_worst_constraint(self, monkeypatch):
         # Demand a weighted mean far outside the covariate hull.
         a = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
-        prob = EntropyProblem(a=a, b=np.array([20.0, 100.0]),
+        prob = EntropyProblem(blocks=[(a, np.array([20.0, 100.0]))],
                               active_rows=np.arange(20), n_units=20)
         monkeypatch.setattr(solver, "MAX_ITER", 60)
         with pytest.raises(NotConvergedError) as err:
@@ -73,7 +78,7 @@ class TestSolveBasics:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((30, 3))
-        prob = EntropyProblem(a=a, b=rng.standard_normal(3),
+        prob = EntropyProblem(blocks=[(a, rng.standard_normal(3))],
                               active_rows=np.arange(30), n_units=30)
         for _ in range(10):
             eta = rng.standard_normal(3) * 0.5
@@ -94,27 +99,30 @@ class TestSolveBasics:
         theta0 = target_moments(c, ds.s)
         prob = assemble_transport(c, ds.s, ds.z, theta0)
         sol = solve_entropy_dual(prob)
-        # replay a damped-Newton path identical to the solver's and check
-        # each accepted step keeps the objective non-increasing
-        eta = np.zeros(prob.a.shape[1])
-        f_prev = dual_objective(prob, eta)
-        for _ in range(sol.iterations):
-            w = np.exp(-(prob.a @ eta))
-            grad = prob.b - prob.a.T @ w
-            hess = (prob.a * w[:, None]).T @ prob.a
-            step = np.linalg.solve(hess, -grad)
-            t = 1.0
-            for _ in range(80):
-                trial = eta + t * step
-                f_t = dual_objective(prob, trial)
-                if np.isfinite(f_t) and f_t <= f_prev + 1e-4 * t * float(grad @ step):
-                    eta, f_new = trial, f_t
+        # replay each arm's damped-Newton path, identical to the solver's, and
+        # check each accepted step keeps the arm's term of the objective
+        # non-increasing
+        for a, b in prob.blocks:
+            arm = EntropyProblem(blocks=[(a, b)], active_rows=np.arange(len(a)), n_units=len(a))
+            eta = np.zeros(a.shape[1])
+            f_prev = dual_objective(arm, eta)
+            for _ in range(sol.iterations):
+                w = np.exp(-(a @ eta))
+                grad = b - a.T @ w
+                hess = (a * w[:, None]).T @ a
+                step = np.linalg.solve(hess, -grad)
+                t = 1.0
+                for _ in range(80):
+                    trial = eta + t * step
+                    f_t = dual_objective(arm, trial)
+                    if np.isfinite(f_t) and f_t <= f_prev + 1e-4 * t * float(grad @ step):
+                        eta, f_new = trial, f_t
+                        break
+                    t *= 0.5
+                else:
                     break
-                t *= 0.5
-            else:
-                break
-            assert f_new <= f_prev + 1e-10 * (1 + abs(f_prev))
-            f_prev = f_new
+                assert f_new <= f_prev + 1e-10 * (1 + abs(f_prev))
+                f_prev = f_new
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(21)
@@ -124,13 +132,13 @@ class TestSolveBasics:
         prob = assemble_transport(c, ds.s, ds.z, theta0)
         sol = solve_entropy_dual(prob)
         kappa = 3.7
-        scaled = EntropyProblem(a=prob.a, b=kappa * prob.b,
+        scaled = EntropyProblem(blocks=[(a, kappa * b) for a, b in prob.blocks],
                                 active_rows=prob.active_rows, n_units=prob.n_units)
         sol2 = solve_entropy_dual(scaled)
         m = c.m
-        # only the plain-intercept coordinate (first column of the c block) moves
+        # only the intercept coordinate (first column) of each arm's block moves
         expected = sol.eta.copy()
-        expected[m] -= np.log(kappa)
+        expected[[0, m]] -= np.log(kappa)
         assert np.allclose(sol2.eta, expected, atol=1e-7)
         active = ds.s == 1
         ratio = sol2.weights[active] / sol.weights[active]
@@ -238,7 +246,7 @@ class TestOracleAgreement:
             prob = assemble_sampling(c, ds.s, theta0)
             sol = solve_entropy_dual(prob)
             eta_nm = nelder_mead_eta(prob, c.m)
-            w_nm = np.exp(-(prob.a @ eta_nm))
+            w_nm = dual_weights(prob, eta_nm)
             assert np.max(np.abs(w_nm - sol.weights[prob.active_rows])) < 1e-5
             assert np.max(np.abs(eta_nm - sol.eta)) < 1e-5
 
@@ -250,7 +258,7 @@ class TestOracleAgreement:
         prob = assemble_transport(c, ds.s, ds.z, theta0)
         sol = solve_entropy_dual(prob)
         eta_nm = nelder_mead_eta(prob, 2 * c.m)
-        w_nm = np.exp(-(prob.a @ eta_nm))
+        w_nm = dual_weights(prob, eta_nm)
         assert np.max(np.abs(w_nm - sol.weights[prob.active_rows])) < 1e-5
 
 
@@ -320,20 +328,22 @@ def test_infeasible_solve_carries_farkas_certificate(monkeypatch):
         solve_entropy_dual(problem)
     d = err.value.direction
     assert d is not None, "no certificate within 50 iterations"
-    a, b = problem.a, problem.b
+    m = c.m
+    assert d.shape == (2 * m,)
     assert np.linalg.norm(d) == pytest.approx(1.0)
-    assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
-    assert b @ d < -1e-9 * np.sum(np.abs(b))
-    # The lowest index whose |d_j| is within a relative 1e-9 of the largest.
-    j = int(np.flatnonzero(np.abs(d) >= (1 - 1e-9) * np.abs(d).max())[0])
+    # Constraint j, the largest |d_j|, is column j % m of arm j // m, and d
+    # lives in that arm's block alone.
+    j = int(np.argmax(np.abs(d)))
+    arm = j // m
     assert f"constraint {j} " in str(err.value)
-    # Rows are [(2z-1) c_i, c_i], so constraint j is on column j % m. Here
-    # d = (-v, v): no control unit has c_i . v < 0, where the target mean
-    # lies, and the plane's offset (the intercept) weighs the most. The tie
-    # of j with j + m goes to the arm contrast.
-    assert d.shape == (2 * c.m,)
-    assert np.allclose(d[:c.m], -d[c.m:], atol=1e-6)
-    assert j < c.m and c.names[j] == "intercept"
+    assert not d[(1 - arm) * m:(2 - arm) * m].any()
+    # Read v = d_arm as a separating hyperplane: every unit of the arm has
+    # c_i . v >= 0 while its target, theta0 . v scaled, is negative, so the
+    # arm does not cover the target moments.
+    (a, b), v = problem.blocks[arm], d[arm * m:(arm + 1) * m]
+    assert np.min(a @ v) >= -1e-9 * np.max(np.abs(a))
+    assert b @ v < -1e-9 * np.sum(np.abs(b))
+    assert float(problem.b @ d) == float(b @ v)
     assert err.value.worst_constraint is not None
 
 
@@ -385,8 +395,8 @@ def test_failing_candidate_leaves_a_solution_bit_identical():
     ds = generate(SCENARIOS["A"], 300, derive_seed(2, "A", 300, 0, 0))
     c = build_balance_matrix(ds)
     problem = assemble_transport(c, ds.s, ds.z, target_moments(c, ds.s))
-    candidate = np.zeros(problem.a.shape[1])
-    candidate[c.m] = -1.0  # b . d < 0, but the rows' intercepts make a_i . d < 0
+    candidate = np.zeros(len(problem.b))
+    candidate[[0, c.m]] = -1.0  # b . d < 0, but the rows' intercepts make a_i . d < 0
     plain = solve_entropy_dual(problem)
     tried = solve_entropy_dual(problem, certificate=candidate)
     assert plain.iterations == tried.iterations
@@ -394,20 +404,68 @@ def test_failing_candidate_leaves_a_solution_bit_identical():
     assert plain.weights.tobytes() == tried.weights.tobytes()
 
 
-def test_certificate_constraint_survives_last_bit():
-    # In d = (-v, v) the entries j and j + m differ only by rounding; one ulp
-    # more or less on either must not move the constraint the message names.
-    c, problem = _overlap_violation()
-    with pytest.raises(NotConvergedError) as err:
-        solve_entropy_dual(problem)
-    d = err.value.direction
-    j = _leading_constraint(d)
-    assert f"constraint {j} " in str(err.value)
-    for k in (j, j + c.m):
-        for toward in (0.0, 2.0 * d[k]):
-            bumped = d.copy()
-            bumped[k] = np.nextafter(d[k], toward)
-            assert _leading_constraint(bumped) == j, (k, toward)
+def _draw(scenario, master, rep, n=500):
+    """A replicate drawn as run_experiment draws it."""
+    for attempt in range(MAX_REDRAWS):
+        try:
+            return generate(SCENARIOS[scenario], n, derive_seed(master, scenario, n, rep, attempt))
+        except DegenerateDrawError:
+            continue
+    raise AssertionError("no draw")
+
+
+def _verdict(problem):
+    try:
+        return "converged", solve_entropy_dual(problem)
+    except NotConvergedError as exc:
+        return ("uncertified" if exc.direction is None else "certified"), exc
+
+
+def _arms(problem):
+    """Each block of a problem as a one-block problem over the same units."""
+    rows = np.split(problem.active_rows, np.cumsum([len(a) for a, _ in problem.blocks])[:-1])
+    return [EntropyProblem(blocks=[block], active_rows=own, n_units=problem.n_units)
+            for block, own in zip(problem.blocks, rows)]
+
+
+@pytest.mark.parametrize("scenario", "ABCD")
+def test_arms_match_stacked_reference_and_separate_solves(scenario):
+    """The transport, fusion-target and benchmark problems of fixed draws,
+    against the stacked [(2z-1) c, c] assembly they replaced and against
+    their arms solved one at a time: the same verdict as the stacked
+    problem, the same weights to a relative 1e-8 where both converge, and
+    the separate arms' weights to 1e-12 and the larger of their iteration
+    counts."""
+    verdicts = Counter()
+    for rep in range(8):
+        ds = _draw(scenario, 11, rep)
+        c = build_balance_matrix(ds)
+        theta0 = target_moments(c, ds.s)
+        study, target = np.flatnonzero(ds.s == 1), np.flatnonzero(ds.s == 0)
+        cohort = BalanceMatrix(c.c[study], names=c.names)
+        cases = [
+            (assemble_transport(c, ds.s, ds.z, theta0),
+             stacked_arm_balance(c, ds.z, study, theta0)),
+            (assemble_fusion(c, ds.s, ds.z, theta0), stacked_arm_balance(c, ds.z, target, theta0)),
+            (assemble_ate_benchmark(cohort, ds.z[study]),
+             stacked_arm_balance(cohort, ds.z[study], np.arange(study.size),
+                                 cohort.c.mean(axis=0))),
+        ]
+        for problem, stacked in cases:
+            verdict, got = _verdict(problem)
+            assert verdict == _verdict(stacked)[0]
+            verdicts[verdict] += 1
+            if verdict != "converged":
+                continue
+            rows = problem.active_rows
+            reference = solve_entropy_dual(stacked).weights[rows]
+            assert np.allclose(got.weights[rows], reference, rtol=1e-8, atol=0.0)
+            arms = [solve_entropy_dual(arm) for arm in _arms(problem)]
+            alone = sum(arm.weights for arm in arms)[rows]
+            assert np.allclose(got.weights[rows], alone, rtol=1e-12, atol=0.0)
+            assert got.iterations == max(arm.iterations for arm in arms)
+    assert verdicts["converged"] > 0
+    assert verdicts["uncertified"] == 0
 
 
 def _campaign_problems(scenario):
@@ -436,25 +494,27 @@ def _campaign_problems(scenario):
 # scenario C's steep propensity leaves a study or target arm unable to reach
 # theta0. The last entry is the total Newton iterations of the problems that
 # converge, which the certificate test must leave as they are.
-@pytest.mark.parametrize("scenario, converged_iterations", [("B", 589), ("C", 708)],
+@pytest.mark.parametrize("scenario, converged_iterations", [("B", 572), ("C", 699)],
                          ids=["B", "C"])
 def test_certificates_agree_with_lp_feasibility(scenario, converged_iterations):
-    """A certified problem has no w >= 0 with a^T w = b, and every other
-    problem converges; an LP feasibility check decides each independently.
+    """A certified problem has no w >= 0 that meets a_k^T w_k = b_k in every
+    block k, and every other problem converges; an LP feasibility check
+    decides each independently.
     Certificates come within a dozen Newton iterations."""
     verdicts = Counter()
     iterations = Counter()
     for problem in _campaign_problems(scenario):
-        lp = linprog(np.zeros(problem.a.shape[0]), A_eq=problem.a.T, b_eq=problem.b,
-                     bounds=(0, None), method="highs")
-        assert lp.status in (0, 2)  # feasible, infeasible
+        # Feasible exactly when every block is.
+        lp = [linprog(np.zeros(len(a)), A_eq=a.T, b_eq=b, bounds=(0, None),
+                      method="highs").status for a, b in problem.blocks]
+        assert set(lp) <= {0, 2}  # feasible, infeasible
         try:
             count = solve_entropy_dual(problem).iterations
             verdict = "converged"
         except NotConvergedError as exc:
             count = exc.iterations
             verdict = "uncertified" if exc.direction is None else "certified"
-        assert verdict == ("certified" if lp.status == 2 else "converged")
+        assert verdict == ("certified" if 2 in lp else "converged")
         if verdict == "certified":
             assert count <= 12
         verdicts[verdict] += 1

@@ -120,14 +120,13 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, offset: np.ndarray | None = 
         return (design.T @ (mu - y),
                 lambda: (design * (mu * (1.0 - mu))[:, None]).T @ design, mu)
 
-    def stop(x, _, grads):
+    def stop(beta, _, grad):
         # A NaN coefficient or score entry fails both tests, as under numpy's max and all.
-        done = _separated(x[0]) or all(abs(g) <= tol for g, tol in zip(grads[0].tolist(),
-                                                                        tolerances))
-        return [] if done else [0]
+        return (_separated(beta) or
+                all(abs(g) <= tol for g, tol in zip(grad.tolist(), tolerances)))
 
-    (beta,), _, _, _, stopped = damped_newton([np.zeros(p)], [objective], [derivatives], stop,
-                                              [score_tol], MAX_IRLS_ITER)
+    beta, _, _, _, stopped = damped_newton(np.zeros(p), objective, derivatives, stop,
+                                           score_tol, MAX_IRLS_ITER)
     separated = _separated(beta)
     if separated:
         warnings.warn(

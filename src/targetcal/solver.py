@@ -18,7 +18,8 @@ Every problem is one assembly of blocks over c, each a set of units whose
 weighted c-total must equal a target total, with its own duals: the study
 sample (total n1 * theta0) for the sampling problem, and each treatment arm
 of a sample (total |sample| * theta / 2) for transport, fusion and the
-within-cohort benchmark. f is a sum over blocks, so they solve independently.
+within-cohort benchmark. f is a sum over blocks, so they solve independently:
+solve_entropy_dual runs one Newton loop per block, in turn.
 """
 
 from __future__ import annotations
@@ -115,89 +116,85 @@ def _dual_derivatives(a: np.ndarray, b: np.ndarray, eta: np.ndarray, point: tupl
     return b - a.T @ w, lambda: (a * w[:, None]).T @ a, (point, w)
 
 
-def damped_newton(x: list, objective, derivatives, stop, scale: list,
+def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray,
                   max_iter: int) -> tuple:
     """Minimize a smooth convex f from x by damped Newton steps: the one loop
     of solve_entropy_dual and glm.fit_logistic.
 
-    x is a list of parts, and f a sum of one term per part. ``objective[k]``
-    maps x_k to its term (inf on overflow) and a point that
-    ``derivatives[k](x_k, point)`` reuses, for part k's gradient, a function
-    forming its Hessian and its state. ``stop(x, states, grads)`` lists the
-    parts not yet at an answer; ``scale[k]`` sizes part k's gradient. Each
-    part listed steps on its own, as a run on it alone would: Newton's step,
-    the gradient scaled to unit max-norm if the solve fails, or steepest
-    descent if it does not descend, halved up to 80 times until Armijo's
-    1e-4 holds; below its term's float resolution the full step must shrink
-    its largest scaled gradient coordinate instead. The run ends when no part
-    is listed, when a part takes no step, or at the cap. Accepted trials hand
-    on their point. Returns (x, states, grads, iterations, stopped).
+    ``objective(x)`` returns f(x) (inf on overflow) and a point that
+    ``derivatives(x, point)`` reuses; that returns the gradient, a function
+    forming the Hessian and the state read by ``stop(x, state, grad)``, which
+    is true at an answer. ``scale`` is the size of each gradient coordinate.
+    The step is Newton's, the gradient scaled to unit max-norm if the solve
+    fails, or steepest descent if it does not descend; it is halved up to 80
+    times until Armijo's 1e-4 holds. Below f's float resolution the full step
+    must shrink the largest scaled gradient coordinate instead. The run ends
+    when no step is taken, or at the cap, which is checked after the
+    derivatives: ``max_iter=0`` returns the gradient at x. Accepted trials
+    hand on their point, so none is evaluated twice. Returns (x, state, grad,
+    iterations, stopped).
     """
-    f, point = map(list, zip(*(objective[k](part) for k, part in enumerate(x))))
-    derived = [None] * len(x)  # each part's derivatives at its x, if formed
+    f, point = objective(x)
+    ahead = None  # the derivatives at x when a guarded step formed them
     for iterations in range(1, max_iter + 2):
-        derived = [done or derivatives[k](x[k], point[k]) for k, done in enumerate(derived)]
-        grad, _, state = zip(*derived)
+        grad, hessian, state = ahead or derivatives(x, point)
         if iterations > max_iter:
             return x, state, grad, max_iter, False
-        moving = stop(x, state, grad)
-        if not moving:
+        if stop(x, state, grad):
             return x, state, grad, iterations, True
-        x_next, f_next, point_next = list(x), list(f), list(point)
-        for k in moving:
-            g, hessian, _ = derived[k]
-            try:
-                step = np.linalg.solve(hessian(), -g)
-                if not all(map(math.isfinite, step.tolist())):
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError:
-                step = -g / max(float(np.abs(g).max()), 1.0)
-            slope = float(g @ step)
-            if slope >= 0.0:
-                step = -g
-                slope = -float(g @ g)
-            if -slope <= 1e-11 * (1.0 + abs(f[k])):
-                trial = x[k] + step
-                f_trial, point_trial = objective[k](trial)
-                ahead = derivatives[k](trial, point_trial)
-                # A NaN gradient, where the trial's weights overflow, compares false.
-                if not (np.abs(ahead[0]) / scale[k]).max() < (np.abs(g) / scale[k]).max():
-                    return x, state, grad, iterations, False
+        try:
+            step = np.linalg.solve(hessian(), -grad)
+            if not all(map(math.isfinite, step.tolist())):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            step = -grad / max(float(np.abs(grad).max()), 1.0)
+        slope = float(grad @ step)
+        if slope >= 0.0:
+            step = -grad
+            slope = -float(grad @ grad)
+        if -slope <= 1e-11 * (1.0 + abs(f)):
+            trial = x + step
+            f_trial, point_trial = objective(trial)
+            ahead = derivatives(trial, point_trial)
+            # A NaN gradient, where the trial's weights overflow, compares false.
+            if not (np.abs(ahead[0]) / scale).max() < (np.abs(grad) / scale).max():
+                return x, state, grad, iterations, False
+        else:
+            ahead, t = None, 1.0
+            for _ in range(80):
+                trial = x + step if t == 1.0 else x + t * step  # 1.0 * step is step
+                f_trial, point_trial = objective(trial)
+                if math.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
+                    break
+                t *= 0.5
             else:
-                ahead, t = None, 1.0
-                for _ in range(80):
-                    trial = x[k] + step if t == 1.0 else x[k] + t * step  # 1.0 * step is step
-                    f_trial, point_trial = objective[k](trial)
-                    if math.isfinite(f_trial) and f_trial <= f[k] + 1e-4 * t * slope:
-                        break
-                    t *= 0.5
-                else:
-                    return x, state, grad, iterations, False
-            x_next[k], f_next[k], point_next[k], derived[k] = trial, f_trial, point_trial, ahead
-        x, f, point = x_next, f_next, point_next
+                return x, state, grad, iterations, False
+        x, f, point = trial, f_trial, point_trial
 
 
 def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
                        certificate=None) -> DualSolution:
-    """Minimize the dual by damped_newton from eta = 0 (unit weights), each
-    block one part.
+    """Minimize the dual block by block, each by damped_newton from eta = 0
+    (unit weights); a block's iterates are those of a solve of it alone.
 
     Every iterate of a block is also tested for a Farkas certificate of an
     infeasible primal (_certificate): a unit vector d with a_i . d >= 0 on
     the block's rows and b . d < 0 on its targets (up to FARKAS_TOL, relative
     to the block's max|a| and ||b||_1), so that no w >= 0 meets them. The
-    solve stops there. The test moves no iterate, and a feasible block meets
-    it only when b lies within the tolerances of the boundary of the cone of
-    its rows.
+    test moves no iterate, and a feasible block meets it only when b lies
+    within the tolerances of the boundary of the cone of its rows.
 
-    Raises NotConvergedError when a certificate is found (``direction``
-    holds d on the block's constraints and 0 elsewhere), or when MAX_ITER
-    iterations pass or a step cannot be taken with the constraints unmet
-    (``direction`` is None). ``worst_constraint`` names the constraint with
-    the largest relative violation at the last iterate (constraint j is
-    column j % m of block j // m), and ``iterations`` counts the iterations.
-    Each solve that passes the rank check logs one DEBUG record on ``log``,
-    its args a dict of k, n_active, iterations, grad_norm,
+    The first block that is certified, or that ends above RESIDUAL_TOL (at
+    MAX_ITER, or where a step cannot be taken), ends the solve: each later
+    block is read at eta = 0 and never stepped. A block that ends at or below
+    RESIDUAL_TOL counts as converged, and the next block runs. A failed solve
+    raises NotConvergedError: ``direction`` holds the certificate d on the
+    block's constraints and 0 elsewhere, or is None. ``worst_constraint``
+    names the constraint with the largest relative violation at the last
+    iterates (constraint j is column j % m of block j // m), and
+    ``iterations`` is the largest count of any block that ran, as is a
+    solution's. Each solve that passes the rank check logs one DEBUG record
+    on ``log``, its args a dict of k, n_active, iterations, grad_norm,
     constraint_residual, converged and eta.
 
     ``rank_check``, when given, stands in for check_full_rank of each
@@ -205,11 +202,10 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
     verdict on the same rows (``Fits`` holds one per row set).
 
     ``certificate``, when given, is a candidate d over all constraints, each
-    block's part tested as an iterate is before the first step. If one
-    passes, the solve raises at iteration 0, ``worst_constraint`` read from
-    the gradient at eta = 0, and logs its record; if none does, it is
-    ignored. ``Fits`` passes a sampling certificate lifted to the transport
-    problem.
+    block's part tested as an iterate is before any block steps. If one
+    passes, the solve raises at iteration 0, every block read at eta = 0,
+    and logs its record; if none does, it is ignored. ``Fits`` passes a
+    sampling certificate lifted to the transport problem.
     """
     blocks, b = problem.blocks, problem.b
     if not all(rows.ndim == 2 and len(rows) for rows, _ in blocks):
@@ -241,32 +237,31 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
             if certify(k, candidate, _dual_point(*blocks[k], candidate)[1]):
                 break
 
-    def stop(eta, states, grads):
-        moving = []
-        for k, (g, scale) in enumerate(zip(grads, b_scale)):
-            # Every entry within the tolerance, which a NaN entry is not.
-            if all(abs(gj) / sj <= GRAD_TOL for gj, sj in zip(g.tolist(), scale.tolist())):
-                continue
-            if certify(k, eta[k], states[k][0]):
-                return []
-            moving.append(k)
-        return moving
+    def stop(k, eta, state, grad):
+        # Every entry within the tolerance, which a NaN entry is not.
+        return (all(abs(g) / s <= GRAD_TOL for g, s in zip(grad.tolist(), b_scale[k].tolist()))
+                or certify(k, eta, state[0]))
 
-    # A candidate that passed leaves no step to take: the solve ends at eta = 0.
+    failed = direction is not None  # a passing candidate leaves no step to take
+    runs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        eta, states, grad, iterations, _ = damped_newton(
-            [np.zeros(len(target)) for _, target in blocks],
-            [partial(_dual_point, *block) for block in blocks],
-            [partial(_dual_derivatives, *block) for block in blocks], stop, b_scale,
-            MAX_ITER if direction is None else 0)
-    eta, grad = np.concatenate(eta), np.concatenate(grad)
+        for k, block in enumerate(blocks):
+            x, (_, w), g, count, _ = damped_newton(
+                np.zeros(len(block[1])), partial(_dual_point, *block),
+                partial(_dual_derivatives, *block), partial(stop, k), b_scale[k],
+                0 if failed else MAX_ITER)
+            runs.append((x, g, w, count))
+            # A NaN entry is above the tolerance too.
+            failed = (failed or direction is not None
+                      or not float(np.max(np.abs(g) / b_scale[k])) <= RESIDUAL_TOL)
+    eta, grad, block_weights, counts = zip(*runs)
+    eta, grad, iterations = np.concatenate(eta), np.concatenate(grad), max(counts)
     violation = np.abs(grad) / (1.0 + np.abs(b))
     residual = float(np.max(violation))
-    converged = direction is None and residual <= RESIDUAL_TOL
     if log.isEnabledFor(logging.DEBUG):
         log.debug("solve %s", {"k": len(b), "n_active": len(problem.active_rows),
                                "iterations": iterations, "grad_norm": float(np.max(np.abs(grad))),
-                               "constraint_residual": residual, "converged": converged,
+                               "constraint_residual": residual, "converged": not failed,
                                "eta": eta.tolist()})
     if direction is not None:
         j = int(np.argmax(np.abs(direction)))
@@ -278,7 +273,7 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
             direction=direction,
             iterations=iterations,
         )
-    if not converged:
+    if failed:
         raise NotConvergedError(
             f"entropy dual did not converge after {iterations} iterations "
             f"(relative residual {residual:.3e}); the primal is likely infeasible",
@@ -286,7 +281,7 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
             iterations=iterations,
         )
     weights = np.zeros(problem.n_units)
-    weights[problem.active_rows] = np.concatenate([w for _, w in states])
+    weights[problem.active_rows] = np.concatenate(block_weights)
     return DualSolution(eta=eta, weights=weights, iterations=iterations,
                         constraint_residual=residual)
 

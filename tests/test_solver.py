@@ -434,8 +434,9 @@ def test_arms_match_stacked_reference_and_separate_solves(scenario):
     against the stacked [(2z-1) c, c] assembly they replaced and against
     their arms solved one at a time: the same verdict as the stacked
     problem, the same weights to a relative 1e-8 where both converge, and
-    the separate arms' weights to 1e-12 and the larger of their iteration
-    counts."""
+    the separate arms' duals and weights to the bit. A failing problem fails
+    as its first failing arm does; the iterations are the largest count of
+    the arms up to and including that one."""
     verdicts = Counter()
     for rep in range(8):
         ds = _draw(scenario, 11, rep)
@@ -455,17 +456,53 @@ def test_arms_match_stacked_reference_and_separate_solves(scenario):
             verdict, got = _verdict(problem)
             assert verdict == _verdict(stacked)[0]
             verdicts[verdict] += 1
+            arms = []
+            for arm in _arms(problem):
+                arms.append(_verdict(arm))
+                if arms[-1][0] != "converged":
+                    break
+            assert got.iterations == max(solved.iterations for _, solved in arms)
             if verdict != "converged":
+                assert (verdict, type(got)) == (arms[-1][0], type(arms[-1][1]))
                 continue
             rows = problem.active_rows
             reference = solve_entropy_dual(stacked).weights[rows]
             assert np.allclose(got.weights[rows], reference, rtol=1e-8, atol=0.0)
-            arms = [solve_entropy_dual(arm) for arm in _arms(problem)]
-            alone = sum(arm.weights for arm in arms)[rows]
-            assert np.allclose(got.weights[rows], alone, rtol=1e-12, atol=0.0)
-            assert got.iterations == max(arm.iterations for arm in arms)
+            assert np.array_equal(got.eta, np.concatenate([solved.eta for _, solved in arms]))
+            assert np.array_equal(got.weights, sum(solved.weights for _, solved in arms))
     assert verdicts["converged"] > 0
     assert verdicts["uncertified"] == 0
+
+
+def test_first_failing_block_ends_the_solve(monkeypatch, caplog):
+    # The poor-overlap draw's control arm (block 0) is infeasible and its
+    # treated arm is not. The control arm's certificate ends the solve; the
+    # treated arm is read at eta = 0 and never stepped.
+    c, problem = _overlap_violation()
+    control, treated = _arms(problem)
+    with pytest.raises(NotConvergedError) as alone:
+        solve_entropy_dual(control)
+    assert solve_entropy_dual(treated).iterations > 0  # it would take steps
+    treated_rows, dual_point = problem.blocks[1][0], solver._dual_point
+    treated_points = []
+
+    def recording(a, b, eta):
+        if a is treated_rows:
+            treated_points.append(eta.copy())
+        return dual_point(a, b, eta)
+
+    monkeypatch.setattr(solver, "_dual_point", recording)
+    with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
+        with pytest.raises(NotConvergedError) as err:
+            solve_entropy_dual(problem)
+    m = c.m
+    d = err.value.direction
+    assert d[:m].any() and not d[m:].any()
+    assert treated_points and not any(eta.any() for eta in treated_points)
+    records = [r.args for r in caplog.records if r.name == "targetcal.solver"]
+    assert len(records) == 1 and records[0]["eta"][m:] == [0.0] * m
+    assert err.value.iterations == alone.value.iterations
+    assert np.array_equal(d[:m], alone.value.direction)
 
 
 def _campaign_problems(scenario):

@@ -222,10 +222,13 @@ def check_full_rank(mat: np.ndarray, what: str = "matrix") -> None:
 
     Columns are scaled to unit norm before the singular-value test so the
     cutoff is scale-free. A column with NaN or infinity is a NonFiniteError,
-    and an array that is not two-dimensional a DimensionMismatchError.
+    and an array that is not two-dimensional, or has no column, a
+    DimensionMismatchError.
     """
     if mat.ndim != 2:
         raise DimensionMismatchError(f"{what} must be two-dimensional, not {mat.ndim}-dimensional")
+    if not mat.shape[1]:
+        raise DimensionMismatchError(f"{what} has no columns")
     if mat.shape[0] < mat.shape[1]:
         raise RankDeficientError(f"{what} has fewer rows than columns")
     with np.errstate(over="ignore"):
@@ -318,6 +321,8 @@ def standardized_mean_differences(
     out = {}
     for key, w in weightings.items():
         w = np.ones(c.n) if w is None else np.asarray(w, dtype=float)
+        if w.shape != (c.n,):
+            raise DimensionMismatchError(f"weights have shape {w.shape}, not ({c.n},)")
         means = []
         for x, g in groups:
             w_g = w.compress(g)

@@ -48,28 +48,30 @@ class OutOfRangeError(TargetcalError):
 class NotConvergedError(TargetcalError):
     """A solver stopped without meeting its constraints.
 
-    The entropy dual raises it in two cases: it proved the primal infeasible
-    with a Farkas certificate (``direction`` is set), or it reached its
-    iteration limit or stalled, which usually means the same but proves
-    nothing (``direction`` is None). Either signals an overlap violation.
+    The entropy dual raises it about its first failing block (a treatment
+    arm, or the study sample): it proved the block's primal infeasible with a
+    Farkas certificate (``direction`` is set), or it reached its iteration
+    limit or stalled, which usually means the same but proves nothing
+    (``direction`` is None). Either signals an overlap violation.
 
     Attributes:
-        worst_constraint: index of the constraint with the largest relative
-            violation at the last iterate, to aid overlap diagnosis.
-        direction: unit vector d over the constraints, zero outside one
-            block, with a_i . d >= 0 on that block's rows and b . d < 0 (up to
-            tolerance), or None. Its largest entries point at the constraints
-            that cannot be met together.
-        iterations: Newton iterations run, as ``DualSolution.iterations`` counts them;
-            0 when a candidate certificate passed before the first step.
+        worst_constraint: the block's constraint (balance column) with the
+            largest relative violation at its last iterate.
+        direction: unit m-vector d with a_i . d >= 0 on the block's rows and
+            b . d < 0 (up to tolerance), or None. Its largest entries point
+            at the balance columns that cannot be met together.
+        iterations: the block's Newton iterations; 0 when a candidate
+            certificate passed before its first step.
+        block: the failing block's index: the arm, or 0 for the sampling problem.
     """
 
     def __init__(self, message: str, worst_constraint: int | None = None,
-                 direction=None, iterations: int | None = None):
+                 direction=None, iterations: int | None = None, block: int | None = None):
         super().__init__(message)
         self.worst_constraint = worst_constraint
         self.direction = direction
         self.iterations = iterations
+        self.block = block
 
 
 class DegenerateOutcomeError(TargetcalError):

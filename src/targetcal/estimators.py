@@ -112,16 +112,14 @@ class Fits:
 
         An arm's block asks of its units what ``sampling`` asks of the study
         sample, so when ``sampling`` has already failed here with a Farkas
-        direction d, the same d in each arm is a candidate certificate, which
-        the solve tests before its first step. No sampling solve is started
+        direction d, d is a candidate certificate for each arm, which the
+        solve tests before the arm's first step. No sampling solve is started
         for it."""
         def solve():
-            lifted = getattr(self._memo.get("sampling"), "direction", None)
-            if lifted is not None:
-                lifted = np.tile(lifted, 2)
             return solver.solve_entropy_dual(
                 solver.assemble_transport(self.c, self.dataset.s, self.dataset.z, self.theta0),
-                rank_check=partial(self.arms_full_rank, 1), certificate=lifted)
+                rank_check=partial(self.arms_full_rank, 1),
+                certificate=getattr(self._memo.get("sampling"), "direction", None))
 
         return remember(self._memo, "transport", solve)
 

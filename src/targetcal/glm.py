@@ -54,12 +54,14 @@ class GlmFit:
 
 
 def _design_matrix(design, what: str) -> np.ndarray:
-    """The design as a float array; one that is not two-dimensional is a
-    DimensionMismatchError."""
+    """The design as a float array; one that is not two-dimensional, or has
+    no column, is a DimensionMismatchError."""
     design = np.asarray(design, dtype=float)
     if design.ndim != 2:
         raise DimensionMismatchError(
             f"{what} must be two-dimensional, not {design.ndim}-dimensional")
+    if not design.shape[1]:
+        raise DimensionMismatchError(f"{what} has no columns")
     return design
 
 

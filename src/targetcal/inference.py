@@ -35,8 +35,8 @@ def confidence_interval(tau_hat: float, se: float, level: float) -> tuple[float,
     """Symmetric normal-quantile interval tau_hat +/- z * se."""
     if not 0.0 < level < 1.0:
         raise InvalidLevelError("confidence level must lie in (0, 1)")
-    if se < 0:
-        raise InvalidLevelError("standard error must be nonnegative")
+    if not 0.0 <= se < math.inf:  # false for NaN too
+        raise InvalidLevelError("standard error must be finite and nonnegative")
     zq = NormalDist().inv_cdf(0.5 + level / 2.0)
     return tau_hat - zq * se, tau_hat + zq * se
 

@@ -288,8 +288,6 @@ class RunnerConfig:
     keep_replicates: bool = False
 
     def validate(self) -> None:
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
         if not self.scenarios:
             raise ConfigError("no scenarios requested")
         for sid in self.scenarios:
@@ -304,14 +302,16 @@ class RunnerConfig:
                 raise ConfigError(f"unknown estimator '{kind}'") from None
         if not self.ns:
             raise ConfigError("no sample sizes requested")
-        if any(n < 2 for n in self.ns):
-            raise ConfigError("sample sizes must be >= 2")
+        # Counts are integers, which a bool is not: 2.5 would reach range().
+        for name, value, least in [("reps", self.reps, 1), ("workers", self.workers, 1),
+                                   ("oracle_n", self.oracle_n, 1),
+                                   *(("sample size", n, 2) for n in self.ns)]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("confidence level must lie in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.oracle_n < 1:
-            raise ConfigError("oracle_n must be >= 1")
         # A repeated value would run its cells twice and pool both runs.
         for label, values in (("scenario", self.scenarios), ("sample size", self.ns),
                               ("estimator", [getattr(k, "value", k) for k in self.kinds])):

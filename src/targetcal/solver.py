@@ -172,42 +172,66 @@ def damped_newton(x: np.ndarray, objective, derivatives, stop, scale: np.ndarray
         x, f, point = trial, f_trial, point_trial
 
 
+def _solve_block(a: np.ndarray, b: np.ndarray, candidate) -> tuple:
+    """One block's damped_newton from eta = 0 (unit weights), each iterate
+    also tested for a Farkas certificate of an infeasible primal
+    (_certificate): a unit vector d with a_i . d >= 0 on the block's rows and
+    b . d < 0 on its targets (up to FARKAS_TOL, relative to the block's
+    max|a| and ||b||_1), so that no w >= 0 meets them. The test moves no
+    iterate, and a feasible block meets it only when b lies within the
+    tolerances of the boundary of the cone of its rows. A ``candidate`` d is
+    tested first; if it passes, no step is taken. Returns (eta, w, grad,
+    iterations, d) at the last iterate, d the certificate or None.
+    """
+    scale = 1.0 + np.abs(b)
+    # a_i . d may dip below zero by rounding, in proportion to the size of
+    # the entries of a; b . d must be clearly negative on the scale of b.
+    tolerances = (-FARKAS_TOL * float(np.abs(a).max()), -FARKAS_TOL * float(np.abs(b).sum()))
+    found = [None]  # the last certificate tested; one that passes ends the run
+    if candidate is not None:
+        found[0] = _certificate(a, b, _dual_point(a, b, candidate)[1], candidate, *tolerances)
+
+    def stop(eta, state, grad):
+        # Every entry within the tolerance, which a NaN entry is not.
+        if all(abs(g) / s <= GRAD_TOL for g, s in zip(grad.tolist(), scale.tolist())):
+            return True
+        found[0] = _certificate(a, b, state[0], eta, *tolerances)
+        return found[0] is not None
+
+    eta, (_, w), grad, iterations, _ = damped_newton(
+        np.zeros(len(b)), partial(_dual_point, a, b), partial(_dual_derivatives, a, b), stop,
+        scale, MAX_ITER if found[0] is None else 0)
+    return eta, w, grad, iterations, found[0]
+
+
 def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
                        certificate=None) -> DualSolution:
-    """Minimize the dual block by block, each by damped_newton from eta = 0
-    (unit weights); a block's iterates are those of a solve of it alone.
-
-    Every iterate of a block is also tested for a Farkas certificate of an
-    infeasible primal (_certificate): a unit vector d with a_i . d >= 0 on
-    the block's rows and b . d < 0 on its targets (up to FARKAS_TOL, relative
-    to the block's max|a| and ||b||_1), so that no w >= 0 meets them. The
-    test moves no iterate, and a feasible block meets it only when b lies
-    within the tolerances of the boundary of the cone of its rows.
+    """Minimize the dual block by block, each by _solve_block, so a block's
+    iterates are those of a solve of it alone.
 
     The first block that is certified, or that ends above RESIDUAL_TOL (at
-    MAX_ITER, or where a step cannot be taken), ends the solve: each later
-    block is read at eta = 0 and never stepped. A block that ends at or below
-    RESIDUAL_TOL counts as converged, and the next block runs. A failed solve
-    raises NotConvergedError: ``direction`` holds the certificate d on the
-    block's constraints and 0 elsewhere, or is None. ``worst_constraint``
-    names the constraint with the largest relative violation at the last
-    iterates (constraint j is column j % m of block j // m), and
-    ``iterations`` is the largest count of any block that ran, as is a
-    solution's. Each solve that passes the rank check logs one DEBUG record
-    on ``log``, its args a dict of k, n_active, iterations, grad_norm,
-    constraint_residual, converged and eta.
+    MAX_ITER, or where a step cannot be taken), ends the solve; no later
+    block is evaluated. A block that ends at or below RESIDUAL_TOL counts as
+    converged. A failed solve raises NotConvergedError about the failing
+    block alone: its index ``block`` (the arm, or 0 for the sampling
+    problem), its certificate ``direction`` over its m constraints or None,
+    its own ``iterations``, and its ``worst_constraint``, the largest
+    relative violation at its last iterate. A solution's ``iterations`` is
+    the largest count of any block. Each solve that passes the rank check
+    logs one DEBUG record on ``log``, its args a dict of k, n_active,
+    iterations, grad_norm, constraint_residual, converged, block (the failing
+    block, whose figures these are, or None) and eta (of the blocks that ran).
 
     ``rank_check``, when given, stands in for check_full_rank of each
     block's rows: a function raising the RankDeficientError of a caller's
     verdict on the same rows (``Fits`` holds one per row set).
 
-    ``certificate``, when given, is a candidate d over all constraints, each
-    block's part tested as an iterate is before any block steps. If one
-    passes, the solve raises at iteration 0, every block read at eta = 0,
-    and logs its record; if none does, it is ignored. ``Fits`` passes a
-    sampling certificate lifted to the transport problem.
+    ``certificate``, when given, is a candidate d of length m that each block
+    tests before its first step; a block it certifies fails at iteration 0.
+    ``Fits`` passes a failed sampling solve's direction to the transport
+    problem.
     """
-    blocks, b = problem.blocks, problem.b
+    blocks = problem.blocks
     if not all(rows.ndim == 2 and len(rows) for rows, _ in blocks):
         raise EmptyArmError("entropy problem has no active rows")
     if rank_check is None:
@@ -215,74 +239,41 @@ def solve_entropy_dual(problem: EntropyProblem, *, rank_check=None,
             check_full_rank(rows, "constraint matrix")
     else:
         rank_check()
-    b_scale = [1.0 + np.abs(target) for _, target in blocks]
-
-    # Certificate tolerances: a_i . d may dip below zero by rounding, in
-    # proportion to the size of the entries of a; b . d must be clearly
-    # negative on the scale of b.
-    tolerances = [(-FARKAS_TOL * float(np.abs(rows).max()),
-                   -FARKAS_TOL * float(np.abs(target).sum())) for rows, target in blocks]
-    direction = None
-
-    def certify(k, eta, point):
-        nonlocal direction
-        d = _certificate(*blocks[k], point, eta, *tolerances[k])
-        if d is not None:
-            direction = np.zeros(len(b))
-            direction[k * len(d):(k + 1) * len(d)] = d
-        return d is not None
-
-    if certificate is not None:
-        for k, candidate in enumerate(np.split(certificate, len(blocks))):
-            if certify(k, candidate, _dual_point(*blocks[k], candidate)[1]):
-                break
-
-    def stop(k, eta, state, grad):
-        # Every entry within the tolerance, which a NaN entry is not.
-        return (all(abs(g) / s <= GRAD_TOL for g, s in zip(grad.tolist(), b_scale[k].tolist()))
-                or certify(k, eta, state[0]))
-
-    failed = direction is not None  # a passing candidate leaves no step to take
-    runs = []
+    eta, weights, figures, failed = [], [], (0, 0.0, 0.0), None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, block in enumerate(blocks):
-            x, (_, w), g, count, _ = damped_newton(
-                np.zeros(len(block[1])), partial(_dual_point, *block),
-                partial(_dual_derivatives, *block), partial(stop, k), b_scale[k],
-                0 if failed else MAX_ITER)
-            runs.append((x, g, w, count))
+        for k, (a, b) in enumerate(blocks):
+            x, w, grad, count, d = _solve_block(a, b, certificate)
+            eta.append(x)
+            weights.append(w)
+            violation = np.abs(grad) / (1.0 + np.abs(b))
+            own = (count, float(np.max(np.abs(grad))), float(np.max(violation)))
             # A NaN entry is above the tolerance too.
-            failed = (failed or direction is not None
-                      or not float(np.max(np.abs(g) / b_scale[k])) <= RESIDUAL_TOL)
-    eta, grad, block_weights, counts = zip(*runs)
-    eta, grad, iterations = np.concatenate(eta), np.concatenate(grad), max(counts)
-    violation = np.abs(grad) / (1.0 + np.abs(b))
-    residual = float(np.max(violation))
+            if d is not None or not own[2] <= RESIDUAL_TOL:
+                failed, figures = k, own
+                break
+            figures = tuple(map(max, figures, own))
+    iterations, grad_norm, residual = figures
+    eta = np.concatenate(eta)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("solve %s", {"k": len(b), "n_active": len(problem.active_rows),
-                               "iterations": iterations, "grad_norm": float(np.max(np.abs(grad))),
-                               "constraint_residual": residual, "converged": not failed,
-                               "eta": eta.tolist()})
-    if direction is not None:
-        j = int(np.argmax(np.abs(direction)))
-        raise NotConvergedError(
-            f"entropy dual is infeasible: Farkas certificate at iteration {iterations} "
-            f"(relative residual {residual:.3e}); constraint {j} carries the largest "
-            f"weight {direction[j]:+.3f} in the certifying direction",
-            worst_constraint=int(np.argmax(violation)),
-            direction=direction,
-            iterations=iterations,
-        )
-    if failed:
-        raise NotConvergedError(
-            f"entropy dual did not converge after {iterations} iterations "
-            f"(relative residual {residual:.3e}); the primal is likely infeasible",
-            worst_constraint=int(np.argmax(violation)),
-            iterations=iterations,
-        )
-    weights = np.zeros(problem.n_units)
-    weights[problem.active_rows] = np.concatenate(block_weights)
-    return DualSolution(eta=eta, weights=weights, iterations=iterations,
+        log.debug("solve %s", {"k": len(problem.b), "n_active": len(problem.active_rows),
+                               "iterations": iterations, "grad_norm": grad_norm,
+                               "constraint_residual": residual, "converged": failed is None,
+                               "block": failed, "eta": eta.tolist()})
+    if failed is not None:
+        where = f"block {failed} of {len(blocks)}"
+        if d is None:
+            message = (f"entropy dual did not converge in {where} after {iterations} iterations "
+                       f"(relative residual {residual:.3e}); the primal is likely infeasible")
+        else:
+            j = int(np.argmax(np.abs(d)))
+            message = (f"entropy dual is infeasible: Farkas certificate for {where} at iteration "
+                       f"{iterations} (relative residual {residual:.3e}); constraint {j} carries "
+                       f"the largest weight {d[j]:+.3f} in the certifying direction")
+        raise NotConvergedError(message, worst_constraint=int(np.argmax(violation)),
+                                direction=d, iterations=iterations, block=failed)
+    full = np.zeros(problem.n_units)
+    full[problem.active_rows] = np.concatenate(weights)
+    return DualSolution(eta=eta, weights=full, iterations=iterations,
                         constraint_residual=residual)
 
 

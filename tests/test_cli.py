@@ -489,7 +489,7 @@ def test_verbose_solver_dump(demo_csv, tmp_path, caplog):
     assert code == 0
     [solve] = _solve_records(caplog)
     assert solve.keys() == {"k", "n_active", "iterations", "grad_norm", "constraint_residual",
-                            "converged", "eta"}
+                            "converged", "block", "eta"}
     assert solve["k"] == len(solve["eta"]) == 10 and solve["converged"]
     assert solve["n_active"] == sum(line.startswith("1,") for line in open(demo_csv))
     assert not (out / "solves.csv").exists()

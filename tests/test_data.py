@@ -143,6 +143,12 @@ class TestBalanceMatrix:
                            match="^design must be two-dimensional, not 1-dimensional$"):
             data.check_full_rank(np.arange(6.0), "design")
 
+    def test_zero_column_design_is_a_typed_error(self):
+        # Judged before the SVD, whose empty list of singular values has no
+        # last entry.
+        with pytest.raises(DimensionMismatchError, match="^design has no columns$"):
+            data.check_full_rank(np.empty((5, 0)), "design")
+
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_extreme_scale_is_judged_on_the_column_scale(self, scale):
         # Squaring these entries overflows the plain column norm (1e160) or
@@ -281,6 +287,15 @@ class TestSMD:
         with pytest.raises(AllZeroError):
             standardized_mean_differences(BalanceMatrix(mat), np.array([1, 1, 0, 0]),
                                           np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_weights_of_another_length_rejected(self, length):
+        # Judged before the weights meet the group masks; every weighting of
+        # a dict is checked.
+        mat = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(DimensionMismatchError, match=rf"^weights have shape \({length},\)"):
+            standardized_mean_differences(BalanceMatrix(mat), np.array([1, 1, 0, 0]),
+                                          {"a": np.ones(4), "b": np.ones(length)})
 
 
 class TestESS:

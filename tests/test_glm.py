@@ -365,3 +365,13 @@ def test_one_dimensional_design_is_a_typed_error(fit, what, rank_check):
     with pytest.raises(DimensionMismatchError,
                        match=f"^{what} must be two-dimensional, not 1-dimensional$"):
         fit(np.arange(6.0), np.full(6, 0.5), rank_check=rank_check)
+
+
+@pytest.mark.parametrize("fit, what", [(fit_logistic, "logistic design"),
+                                       (fit_linear, "linear design")])
+@pytest.mark.parametrize("rank_check", [None, lambda: None])
+def test_zero_column_design_is_a_typed_error(fit, what, rank_check):
+    # Judged before the rank check, whose empty list of singular values has
+    # no last entry, and whether or not the fit checks the rank.
+    with pytest.raises(DimensionMismatchError, match=f"^{what} has no columns$"):
+        fit(np.empty((5, 0)), np.full(5, 0.5), rank_check=rank_check)

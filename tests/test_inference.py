@@ -59,6 +59,10 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 1.0)
         with pytest.raises(InvalidLevelError):
             confidence_interval(0.0, -0.1, 0.9)
+        # Otherwise the interval would be (nan, nan) or (-inf, inf), silently.
+        for se in (np.nan, np.inf):
+            with pytest.raises(InvalidLevelError, match="finite and nonnegative"):
+                confidence_interval(0.0, se, 0.95)
 
 
 def fitted_transport(seed=414, n=800):

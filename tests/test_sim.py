@@ -447,6 +447,13 @@ class TestRunner:
             run_experiment(RunnerConfig(reps=0))
         with pytest.raises(ConfigError, match="no sample sizes requested"):
             run_experiment(RunnerConfig(ns=()))
+        # A count that is not an integer would fail inside the runner as a
+        # TypeError, after the oracle has run.
+        for bad, name in [({"reps": 2.5}, "reps"), ({"reps": True}, "reps"),
+                          ({"ns": (200.5,)}, "sample size"), ({"ns": (True,)}, "sample size"),
+                          ({"workers": 1.5}, "workers"), ({"oracle_n": 1e6}, "oracle_n")]:
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
+                run_experiment(RunnerConfig(**bad))
 
     @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 6), (None, None)])
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, cpus, expected):

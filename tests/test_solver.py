@@ -328,23 +328,21 @@ def test_infeasible_solve_carries_farkas_certificate(monkeypatch):
         solve_entropy_dual(problem)
     d = err.value.direction
     assert d is not None, "no certificate within 50 iterations"
-    m = c.m
-    assert d.shape == (2 * m,)
+    assert d.shape == (c.m,)
     assert np.linalg.norm(d) == pytest.approx(1.0)
-    # Constraint j, the largest |d_j|, is column j % m of arm j // m, and d
-    # lives in that arm's block alone.
+    # d belongs to the failing block, the arm; constraint j, the largest
+    # |d_j|, is its balance column j.
+    arm = err.value.block
     j = int(np.argmax(np.abs(d)))
-    arm = j // m
+    assert f"block {arm} of 2 " in str(err.value)
     assert f"constraint {j} " in str(err.value)
-    assert not d[(1 - arm) * m:(2 - arm) * m].any()
-    # Read v = d_arm as a separating hyperplane: every unit of the arm has
-    # c_i . v >= 0 while its target, theta0 . v scaled, is negative, so the
+    # Read d as a separating hyperplane: every unit of the arm has
+    # c_i . d >= 0 while its target, theta0 . d scaled, is negative, so the
     # arm does not cover the target moments.
-    (a, b), v = problem.blocks[arm], d[arm * m:(arm + 1) * m]
-    assert np.min(a @ v) >= -1e-9 * np.max(np.abs(a))
-    assert b @ v < -1e-9 * np.sum(np.abs(b))
-    assert float(problem.b @ d) == float(b @ v)
-    assert err.value.worst_constraint is not None
+    a, b = problem.blocks[arm]
+    assert np.min(a @ d) >= -1e-9 * np.max(np.abs(a))
+    assert b @ d < -1e-9 * np.sum(np.abs(b))
+    assert 0 <= err.value.worst_constraint < c.m
 
 
 def test_cap_tests_no_iterate_after_the_last_step(monkeypatch):
@@ -354,18 +352,19 @@ def test_cap_tests_no_iterate_after_the_last_step(monkeypatch):
     _, problem = _overlap_violation()
     with pytest.raises(NotConvergedError) as err:
         solve_entropy_dual(problem)
-    k = int(re.search(r"certificate at iteration (\d+)", str(err.value)).group(1))
+    k = int(re.search(r"certificate for block 0 of 2 at iteration (\d+)",
+                      str(err.value)).group(1))
     assert err.value.iterations == k
     for cap in range(1, k + 2):
         monkeypatch.setattr(solver, "MAX_ITER", cap)
         with pytest.raises(NotConvergedError) as err:
             solve_entropy_dual(problem)
-        assert err.value.iterations == min(cap, k)
+        assert (err.value.block, err.value.iterations) == (0, min(cap, k))
         if cap < k:
             assert err.value.direction is None
-            assert f"did not converge after {cap} iterations" in str(err.value)
+            assert f"did not converge in block 0 of 2 after {cap} iterations" in str(err.value)
         else:
-            assert f"certificate at iteration {k} " in str(err.value)
+            assert f"block 0 of 2 at iteration {k} " in str(err.value)
 
 def test_candidate_certificate_is_tested_before_the_first_step(caplog):
     # A candidate that passes the Farkas test ends the solve at iteration 0,
@@ -381,9 +380,9 @@ def test_candidate_certificate_is_tested_before_the_first_step(caplog):
     # d is a unit vector up to rounding; the certificate is d / ||d||, as for an iterate.
     assert err.value.iterations == 0
     assert np.array_equal(err.value.direction, d / np.sqrt(d @ d))
-    assert "Farkas certificate at iteration 0 " in str(err.value)
+    assert "Farkas certificate for block 0 of 2 at iteration 0 " in str(err.value)
     records = [r.args for r in caplog.records if r.name == "targetcal.solver"]
-    assert [(r["iterations"], r["converged"]) for r in records] == [(0, False)]
+    assert [(r["iterations"], r["converged"], r["block"]) for r in records] == [(0, False, 0)]
     assert records[0]["eta"] == [0.0] * len(d)
     with pytest.raises(NotConvergedError) as ignored:
         solve_entropy_dual(problem, certificate=-d)
@@ -395,8 +394,8 @@ def test_failing_candidate_leaves_a_solution_bit_identical():
     ds = generate(SCENARIOS["A"], 300, derive_seed(2, "A", 300, 0, 0))
     c = build_balance_matrix(ds)
     problem = assemble_transport(c, ds.s, ds.z, target_moments(c, ds.s))
-    candidate = np.zeros(len(problem.b))
-    candidate[[0, c.m]] = -1.0  # b . d < 0, but the rows' intercepts make a_i . d < 0
+    candidate = np.zeros(c.m)
+    candidate[0] = -1.0  # b . d < 0, but the rows' intercepts make a_i . d < 0
     plain = solve_entropy_dual(problem)
     tried = solve_entropy_dual(problem, certificate=candidate)
     assert plain.iterations == tried.iterations
@@ -435,8 +434,8 @@ def test_arms_match_stacked_reference_and_separate_solves(scenario):
     their arms solved one at a time: the same verdict as the stacked
     problem, the same weights to a relative 1e-8 where both converge, and
     the separate arms' duals and weights to the bit. A failing problem fails
-    as its first failing arm does; the iterations are the largest count of
-    the arms up to and including that one."""
+    as its first failing arm does, with that arm's block index, direction and
+    iterations; a solution's iterations are the largest count of the arms."""
     verdicts = Counter()
     for rep in range(8):
         ds = _draw(scenario, 11, rep)
@@ -461,10 +460,14 @@ def test_arms_match_stacked_reference_and_separate_solves(scenario):
                 arms.append(_verdict(arm))
                 if arms[-1][0] != "converged":
                     break
-            assert got.iterations == max(solved.iterations for _, solved in arms)
             if verdict != "converged":
-                assert (verdict, type(got)) == (arms[-1][0], type(arms[-1][1]))
+                alone = arms[-1][1]
+                assert (verdict, type(got)) == (arms[-1][0], type(alone))
+                assert (got.block, got.iterations) == (len(arms) - 1, alone.iterations)
+                assert (got.direction is None) == (alone.direction is None)
+                assert got.direction is None or np.array_equal(got.direction, alone.direction)
                 continue
+            assert got.iterations == max(solved.iterations for _, solved in arms)
             rows = problem.active_rows
             reference = solve_entropy_dual(stacked).weights[rows]
             assert np.allclose(got.weights[rows], reference, rtol=1e-8, atol=0.0)
@@ -477,32 +480,47 @@ def test_arms_match_stacked_reference_and_separate_solves(scenario):
 def test_first_failing_block_ends_the_solve(monkeypatch, caplog):
     # The poor-overlap draw's control arm (block 0) is infeasible and its
     # treated arm is not. The control arm's certificate ends the solve; the
-    # treated arm is read at eta = 0 and never stepped.
+    # treated arm is never evaluated, not even at eta = 0, and the error is
+    # the control arm's own.
     c, problem = _overlap_violation()
     control, treated = _arms(problem)
     with pytest.raises(NotConvergedError) as alone:
         solve_entropy_dual(control)
     assert solve_entropy_dual(treated).iterations > 0  # it would take steps
     treated_rows, dual_point = problem.blocks[1][0], solver._dual_point
-    treated_points = []
 
     def recording(a, b, eta):
-        if a is treated_rows:
-            treated_points.append(eta.copy())
+        assert a is not treated_rows, "the treated block was evaluated"
         return dual_point(a, b, eta)
 
     monkeypatch.setattr(solver, "_dual_point", recording)
     with caplog.at_level(logging.DEBUG, logger="targetcal.solver"):
         with pytest.raises(NotConvergedError) as err:
             solve_entropy_dual(problem)
-    m = c.m
     d = err.value.direction
-    assert d[:m].any() and not d[m:].any()
-    assert treated_points and not any(eta.any() for eta in treated_points)
+    assert d.shape == (c.m,) and np.array_equal(d, alone.value.direction)
+    assert (err.value.block, err.value.iterations, err.value.worst_constraint) == (
+        0, alone.value.iterations, alone.value.worst_constraint)
+    assert str(err.value) == str(alone.value).replace("block 0 of 1", "block 0 of 2")
     records = [r.args for r in caplog.records if r.name == "targetcal.solver"]
-    assert len(records) == 1 and records[0]["eta"][m:] == [0.0] * m
-    assert err.value.iterations == alone.value.iterations
-    assert np.array_equal(d[:m], alone.value.direction)
+    assert len(records) == 1 and records[0]["block"] == 0
+    assert records[0]["k"] == 2 * c.m and len(records[0]["eta"]) == c.m
+
+
+def test_failure_names_its_own_block_and_count():
+    # The A-H sweep's scenario-B replicate 4 (n=300, master seed 5): the
+    # control arm converges in 10 iterations, then the treated arm is
+    # certified at its own iteration 8, which the error reports.
+    ds = _draw("B", 5, 4, n=300)
+    c = build_balance_matrix(ds)
+    problem = assemble_transport(c, ds.s, ds.z, target_moments(c, ds.s))
+    control, _ = _arms(problem)
+    assert solve_entropy_dual(control).iterations == 10
+    with pytest.raises(NotConvergedError) as err:
+        solve_entropy_dual(problem)
+    assert (err.value.block, err.value.iterations) == (1, 8)
+    assert err.value.direction.shape == (c.m,)
+    assert "Farkas certificate for block 1 of 2 at iteration 8 " in str(err.value)
 
 
 def _campaign_problems(scenario):

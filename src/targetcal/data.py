@@ -304,6 +304,8 @@ def standardized_mean_differences(
     is a dict with the same keys, and the first weighting that fails raises.
     """
     group = np.asarray(group).astype(int)
+    if group.shape != (c.n,):
+        raise DimensionMismatchError(f"group has shape {group.shape}, not ({c.n},)")
     weightings = weights if isinstance(weights, dict) else {None: weights}
     g1 = group == 1
     g0 = group == 0

@@ -86,10 +86,6 @@ class DimensionMismatchError(TargetcalError):
     """Design column count does not match the fitted model."""
 
 
-class SingularJacobianError(TargetcalError):
-    """The stacked estimating-equation Jacobian is numerically singular."""
-
-
 class MissingComponentsError(TargetcalError):
     """A variance computation is missing required nuisance components."""
 

@@ -11,7 +11,11 @@ point estimate. ``estimate_with_ci`` builds the one normal interval.
 Each group's duals enter the stack as the solver returns them
 (``DualSolution.eta``, one m-vector per arm), so each dual block of the
 stack is the solver's own gradient for one arm and its Jacobian block the
-solver's Hessian block.
+solver's Hessian block. The stacked Jacobian is block lower-triangular, so
+the sandwich's tau entry comes by back-substitution, one m x m solve per
+arm Hessian, and the Jacobian itself is never formed. There is no
+condition-number gate: an arm Hessian is singular only on rank-deficient
+rows, which ``Fits.arms_full_rank`` refuses before the solve.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    InvalidLevelError,
-    MissingComponentsError,
-    NonFiniteError,
-    SingularJacobianError,
-)
+from .errors import InvalidLevelError, MissingComponentsError, NonFiniteError
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 
 
@@ -57,21 +56,17 @@ class CalibrationSystem:
     only, so unobserved target-sample values never enter. All blocks vanish
     at the fitted parameters: they restate the solver's converged constraints.
 
-    ``jacobian`` is the residuals' analytic Jacobian, summed over all units;
-    ``psi_dot(x)`` is the residual matrix times x, formed without the matrix.
+    ``blocks`` holds, per (group, arm) in the order of nu (arm 0 first),
+    the group's and the arm's unit masks, the arm's slice of nu, and on the
+    arm's rows its c, weights and effect residuals. ``psi_dot(x)`` is the
+    residual matrix times x, formed without the matrix.
     """
 
     def __init__(self, cmat: np.ndarray, s: np.ndarray, z: np.ndarray, y: np.ndarray,
                  nu: np.ndarray, groups: tuple):
-        m, k = cmat.shape[1], len(nu)
+        m = cmat.shape[1]
         self.cmat, self.theta0 = cmat, nu[:m]
         self.target = s == 0
-        eye = np.eye(m)
-        A = np.zeros((k, k))
-        A[:m, :m] = -np.count_nonzero(self.target) * eye
-        # Per (group, arm): the group's units and the arm's (masks), the
-        # arm's lambda in nu, and on the arm's rows its c, weights and effect
-        # residuals.
         self.blocks = []
         for j, g in enumerate(groups):
             group = s == g
@@ -81,12 +76,7 @@ class CalibrationSystem:
                 c_own = cmat[rows]
                 w = np.exp(-(c_own @ nu[lam]))
                 effect = w * ((2 * arm - 1) * y[rows] - arm * nu[-1])
-                A[lam, lam] = -(c_own.T @ (c_own * w[:, None]))
-                A[lam, :m] = -np.count_nonzero(group) / 2.0 * eye
-                A[-1, lam] = -effect @ c_own
-                A[-1, -1] -= arm * w.sum()
                 self.blocks.append((group, rows, lam, c_own, w, effect))
-        self.jacobian = A
 
     def psi_dot(self, x: np.ndarray) -> np.ndarray:
         """psi @ x for the residual matrix psi: one entry per unit."""
@@ -99,27 +89,30 @@ class CalibrationSystem:
         return out
 
 
-def _check_solvable(A: np.ndarray) -> None:
-    if not np.isfinite(A).all():
-        raise SingularJacobianError("Jacobian contains non-finite entries")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularJacobianError(f"Jacobian is numerically singular (cond {cond:.2e})")
-
-
 def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple,
                        tau_hat: float) -> float:
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
     Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
-    it equals ||psi x||^2.
+    it equals ||psi x||^2. The Jacobian A is block lower-triangular in the
+    order (theta0, lambda per (group, arm), tau): its theta0 block is
+    -n0 I, each lambda block -H on the diagonal (H = c' diag(w) c, the
+    solver's Hessian for that arm) and -(n_g / 2) I under theta0, and the
+    tau row holds -(effect' c) per arm and -sum(w) over the treated arms.
+    So A' x = e_tau solves by back-substitution, one m x m solve per arm,
+    without forming A (Stefanski and Boos, "The calculus of M-estimation",
+    Am. Stat. 56, 2002).
     """
     nu = np.concatenate([fits.theta0, *(dual.eta for dual in duals), [tau_hat]])
     system = CalibrationSystem(fits.c.c, dataset.s, dataset.z, dataset.y, nu, groups)
-    _check_solvable(system.jacobian)
-    e_tau = np.zeros(len(nu))
-    e_tau[-1] = 1.0
-    x = np.linalg.solve(system.jacobian.T, e_tau)
+    m = len(fits.theta0)
+    x = np.zeros(len(nu))
+    x[-1] = -1.0 / sum(w.sum() for *_, w, _ in system.blocks[1::2])
+    for group, _, lam, c_own, w, effect in system.blocks:
+        hessian = c_own.T @ (c_own * w[:, None])
+        x[lam] = np.linalg.solve(hessian, -(effect @ c_own) * x[-1])
+        x[:m] -= np.count_nonzero(group) / 2.0 * x[lam]
+    x[:m] /= np.count_nonzero(system.target)
     return float(np.linalg.norm(system.psi_dot(x)))
 
 

@@ -302,13 +302,15 @@ class RunnerConfig:
                 raise ConfigError(f"unknown estimator '{kind}'") from None
         if not self.ns:
             raise ConfigError("no sample sizes requested")
-        # Counts are integers, which a bool is not: 2.5 would reach range().
-        for name, value, least in [("reps", self.reps, 1), ("workers", self.workers, 1),
+        # Counts and the seed are integers, which a bool is not: 2.5 would
+        # reach range(), and derive_seed would fold a seed of 2.5 in as 2.
+        for name, value, least in [("seed", self.seed, None),
+                                   ("reps", self.reps, 1), ("workers", self.workers, 1),
                                    ("oracle_n", self.oracle_n, 1),
                                    *(("sample size", n, 2) for n in self.ns)]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
-            if value < least:
+            if least is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("confidence level must lie in (0, 1)")

@@ -74,10 +74,31 @@ def random_feasible_transport(rng, n=None, m=None):
 
 def residual_matrix(system):
     """The whole residual matrix of a CalibrationSystem, column j psi @ e_j."""
-    return np.column_stack([system.psi_dot(e) for e in np.eye(len(system.jacobian))])
+    k = system.blocks[-1][2].stop + 1
+    return np.column_stack([system.psi_dot(e) for e in np.eye(k)])
+
+
+def jacobian(system):
+    """The analytic Jacobian of a CalibrationSystem's residuals, summed over
+    all units, placed from the system's own per-block values: -n0 I for
+    theta0, and per (group, arm) -H = -c' diag(w) c, -(n_g / 2) I under
+    theta0, -(effect' c) and -sum(w) (treated arms) in the tau row. The
+    library solves A' x = e_tau by back-substitution over the same blocks
+    and never forms A."""
+    m = len(system.theta0)
+    k = system.blocks[-1][2].stop + 1
+    eye = np.eye(m)
+    A = np.zeros((k, k))
+    A[:m, :m] = -np.count_nonzero(system.target) * eye
+    for index, (group, _, lam, c_own, w, effect) in enumerate(system.blocks):
+        A[lam, lam] = -(c_own.T @ (c_own * w[:, None]))
+        A[lam, :m] = -np.count_nonzero(group) / 2.0 * eye
+        A[-1, lam] = -effect @ c_own
+        A[-1, -1] -= index % 2 * w.sum()
+    return A
 
 
 def stacked_system(cmat, s, z, y, nu, groups):
     """The whole residual matrix and the Jacobian of the calibration system."""
     system = CalibrationSystem(cmat, s, z, y, nu, groups)
-    return residual_matrix(system), system.jacobian
+    return residual_matrix(system), jacobian(system)

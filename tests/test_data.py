@@ -297,6 +297,15 @@ class TestSMD:
             standardized_mean_differences(BalanceMatrix(mat), np.array([1, 1, 0, 0]),
                                           {"a": np.ones(4), "b": np.ones(length)})
 
+    @pytest.mark.parametrize("group", [[1, 1, 0], [1, 1, 0, 0, 1]])
+    def test_group_of_another_length_rejected(self, group):
+        # A short group would leave the trailing units out of both groups; a
+        # long one would fail as numpy's IndexError.
+        mat = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^group has shape \({len(group)},\), not \(4,\)$"):
+            standardized_mean_differences(BalanceMatrix(mat), np.array(group))
+
 
 class TestESS:
     def test_uniform_weights(self):

@@ -448,12 +448,19 @@ class TestRunner:
         with pytest.raises(ConfigError, match="no sample sizes requested"):
             run_experiment(RunnerConfig(ns=()))
         # A count that is not an integer would fail inside the runner as a
-        # TypeError, after the oracle has run.
+        # TypeError, after the oracle has run. derive_seed folds the seed in
+        # with int(), so a seed of 2.5 would run seed 2 and True seed 1.
         for bad, name in [({"reps": 2.5}, "reps"), ({"reps": True}, "reps"),
                           ({"ns": (200.5,)}, "sample size"), ({"ns": (True,)}, "sample size"),
-                          ({"workers": 1.5}, "workers"), ({"oracle_n": 1e6}, "oracle_n")]:
+                          ({"workers": 1.5}, "workers"), ({"oracle_n": 1e6}, "oracle_n"),
+                          ({"seed": 2.5}, "seed"), ({"seed": True}, "seed"),
+                          ({"seed": "3"}, "seed")]:
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
                 run_experiment(RunnerConfig(**bad))
+
+    def test_any_integer_seed_accepted(self):
+        for seed in (-1, 0, np.int64(7), 2 ** 70):
+            RunnerConfig(seed=seed).validate()
 
     @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 6), (None, None)])
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, cpus, expected):

@@ -303,9 +303,14 @@ def standardized_mean_differences(
     or a dict of such weightings: then the scale is computed once, the result
     is a dict with the same keys, and the first weighting that fails raises.
     """
-    group = np.asarray(group).astype(int)
+    group = np.asarray(group)
     if group.shape != (c.n,):
         raise DimensionMismatchError(f"group has shape {group.shape}, not ({c.n},)")
+    # Tested before the cast, which would truncate 0.9 to 0, and a unit in
+    # neither group would drop out of both.
+    if not ((group == 0) | (group == 1)).all():
+        raise ModeError("group must be binary (0 or 1)")
+    group = group.astype(int)
     weightings = weights if isinstance(weights, dict) else {None: weights}
     g1 = group == 1
     g0 = group == 0

@@ -224,12 +224,24 @@ def tau_unadjusted(dataset: Dataset, fits: Fits) -> TauEstimate:
 
 def tau_gcomp(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Outcome-regression standardization: fit per-arm means on the study
-    sample, average their contrast over the target sample."""
+    sample, average their contrast over the target sample. A study unit's
+    influence term is +-n1 h_i r_i, r its residual and h the minimum-norm
+    solution of X' h = theta0 on its arm: the HC0 delta method, as
+    theta0' (X'X)^-1 X' diag(r^2) X (X'X)^-1 theta0 = sum (h r)^2.
+    """
+    study = dataset.s == 1
     target = dataset.s == 0
-    (fit0, fit1), mu0, mu1 = fits.outcome(1)
+    models, mu0, mu1 = fits.outcome(1)
     tau = float(np.mean(mu1[target] - mu0[target]))
-    return TauEstimate(tau_hat=tau,
-                       nuisance={"fit0": fit0, "fit1": fit1, "mu0": mu0, "mu1": mu1})
+    z, y = dataset.observed(study)
+    c_study = fits.c.c[study]
+    phi = np.empty(dataset.n_study)
+    for arm, model in enumerate(models):
+        mask = z == arm
+        design = c_study[mask]
+        h = np.linalg.lstsq(design.T, fits.theta0, rcond=None)[0]
+        phi[mask] = (2 * arm - 1) * dataset.n_study * h * (y[mask] - design @ model.coefficients)
+    return TauEstimate(tau_hat=tau, nuisance={"phi": phi, "mu0": mu0, "mu1": mu1})
 
 
 def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
@@ -241,8 +253,8 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     two score-derived covariates with the initial fit as a fixed offset (no
     intercept); update, unstandardize, and average the updated contrast over
     the target sample. The nuisance holds the updated arm means ``mu0``,
-    ``mu1`` and the sampling-score odds q = (n1/n0)(1 - rho)/rho, which weigh
-    the study units in the influence variance.
+    ``mu1`` and the influence terms ``phi``, weighted by the sampling-score
+    odds q = (n1/n0)(1 - rho)/rho.
     """
     c = fits.c
     study = dataset.s == 1
@@ -278,24 +290,29 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     q = (dataset.n_study / dataset.n_target) * (1.0 - rho) / rho
     return TauEstimate(
         tau_hat=tau,
-        nuisance={"epsilon": (float(eps0), float(eps1)), "q": q, "mu0": mu0, "mu1": mu1,
+        nuisance={"epsilon": (float(eps0), float(eps1)), "mu0": mu0, "mu1": mu1,
+                  "phi": _weighted_residual(dataset, q, pi, mu0, mu1),
                   "outcome_range": (y_lo, y_hi)},
     )
 
 
-def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate:
+def _weighted_residual(dataset: Dataset, q: np.ndarray, pi: np.ndarray,
+                       mu0: np.ndarray, mu1: np.ndarray) -> np.ndarray:
+    """Study units' influence terms q [z (y - mu1) / pi - (1 - z)(y - mu0) / (1 - pi)]:
+    their inverse-propensity residual contrasts weighted by q (all on every unit)."""
     study = dataset.s == 1
-    target = dataset.s == 0
     z, y = dataset.observed(study)
-    n1, n0 = dataset.n_study, dataset.n_target
+    pi = pi[study]
+    return q[study] * (z * (y - mu1[study]) / pi - (1.0 - z) * (y - mu0[study]) / (1.0 - pi))
 
-    q = fits.sampling.weights
-    pi_study = fits.pi[study]
+
+def _augmented(dataset: Dataset, fits: Fits, outcome_sample: int) -> TauEstimate:
+    target = dataset.s == 0
+    q, pi = fits.sampling.weights, fits.pi
     _, mu0, mu1 = fits.outcome(outcome_sample)
-
-    resid = z * (y - mu1[study]) / pi_study - (1.0 - z) * (y - mu0[study]) / (1.0 - pi_study)
-    tau = float(np.sum(q[study] * resid) / n1 + np.sum(mu1[target] - mu0[target]) / n0)
-    return TauEstimate(tau_hat=tau, weights_used=q, nuisance={"q": q, "mu0": mu0, "mu1": mu1})
+    phi = _weighted_residual(dataset, q, pi, mu0, mu1)
+    tau = float(np.sum(phi) / dataset.n_study + np.mean(mu1[target] - mu0[target]))
+    return TauEstimate(tau_hat=tau, weights_used=q, nuisance={"phi": phi, "mu0": mu0, "mu1": mu1})
 
 
 def tau_aug_transport(dataset: Dataset, fits: Fits) -> TauEstimate:
@@ -329,14 +346,16 @@ def tau_cbps_benchmark(dataset: Dataset, fits: Fits) -> TauEstimate:
     """Within-cohort benchmark: arm-balancing weights aimed at the benchmark
     cohort's own balance means, then a Hajek contrast. In fusion mode the
     cohort is the target sample and its means are theta0, so the weights are
-    ``fits.target_balance``'s."""
+    ``fits.target_balance``'s; else its arms are the study arms, whose rank
+    verdicts ``fits`` holds."""
     mask = _cohort(dataset)
     z, y = dataset.observed(mask)
     if dataset.mode == "fusion":
         w = fits.target_balance.weights[mask]
     else:
         c_sub = BalanceMatrix(fits.c.c[mask], names=fits.c.names)
-        w = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z)).weights
+        w = solver.solve_entropy_dual(solver.assemble_ate_benchmark(c_sub, z),
+                                      rank_check=partial(fits.arms_full_rank, 1)).weights
     tau = _hajek_contrast(w, z, y)
     return TauEstimate(tau_hat=tau, weights_used=w, nuisance={"z": z, "y": y})
 

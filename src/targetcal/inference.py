@@ -3,8 +3,9 @@
 The calibration estimators get an M-estimation sandwich built from one
 stacked system of estimating equations over the calibrated groups (the
 study sample for transport, both samples for data fusion): target moments,
-one dual block per treatment arm of each group, effect. The augmented and
-TMLE estimators get a plug-in influence-function variance. Every variance function maps
+one dual block per treatment arm of each group, effect. GCOMP, TMLE and
+the augmented estimators get a plug-in influence-function variance from the
+influence terms their point estimates keep. Every variance function maps
 (dataset, fits, estimate) to a standard error: the data, its ``Fits``
 context (balance matrix, target moments, nuisance fits and solves) and the
 point estimate. ``estimate_with_ci`` builds the one normal interval.
@@ -127,64 +128,71 @@ def sandwich_variance_fusion(dataset: Dataset, fits: Fits, estimate: TauEstimate
 
 
 def influence_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
-    """Plug-in influence-function SE for the augmented and TMLE paths.
+    """Plug-in influence-function SE for GCOMP, TMLE and the augmented paths.
 
-    Reads the estimate's sampling weights ``q`` and arm means ``mu0``,
-    ``mu1`` (on every unit) from its nuisance. Study units contribute the
-    q-weighted residual contrast scaled by n/n1; target units contribute the
-    centered model contrast scaled by n/n0. The construction is an
-    approximation (it takes the nuisance fits as fixed) and empirically errs
-    conservative when models are misspecified.
+    Reads from the estimate's nuisance the study units' influence terms
+    ``phi`` and the arm means ``mu0``, ``mu1`` (on every unit). Study units
+    contribute phi scaled by n/n1; target units contribute the centered
+    model contrast scaled by n/n0. The construction is an approximation (it
+    takes the nuisance fits as fixed) and empirically errs conservative when
+    models are misspecified.
     """
     try:
-        q, mu0, mu1 = (estimate.nuisance[key] for key in ("q", "mu0", "mu1"))
+        phi, mu0, mu1 = (estimate.nuisance[key] for key in ("phi", "mu0", "mu1"))
     except KeyError:
         raise MissingComponentsError(
             f"influence variance not defined for {estimate.kind}") from None
-    pi = fits.pi
-    tau_hat = estimate.tau_hat
-    study = dataset.s == 1
     target = dataset.s == 0
     n, n1, n0 = dataset.n, dataset.n_study, dataset.n_target
-    z, y = dataset.observed(study)
-    resid = z * (y - mu1[study]) / pi[study] - (1.0 - z) * (y - mu0[study]) / (1.0 - pi[study])
     d = np.zeros(n)
-    d[study] = (n / n1) * q[study] * resid
-    d[target] = (n / n0) * (mu1[target] - mu0[target] - tau_hat)
+    d[dataset.s == 1] = (n / n1) * phi
+    d[target] = (n / n0) * (mu1[target] - mu0[target] - estimate.tau_hat)
     return math.sqrt(float(np.mean(d ** 2)) / n)
 
 
-def _weighted_welch_variance(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> float:
-    out = 0.0
+def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
+    """Approximate SE for the benchmark estimators UNADJ and CBPS: a
+    weighted Welch variance on effective sample sizes over the cohort's
+    ``z`` and ``y`` in the nuisance, under the estimate's weights (UNADJ
+    keeps none: with unit weights, the plain Welch variance).
+    ``estimate_with_ci`` labels it method="influence": a plug-in
+    approximation outside the sandwich stack.
+    """
+    try:
+        z, y = estimate.nuisance["z"], estimate.nuisance["y"]
+    except KeyError:
+        raise MissingComponentsError(
+            f"descriptive variance not defined for {estimate.kind}") from None
+    w = np.ones(len(y)) if estimate.weights_used is None else estimate.weights_used
+    var = 0.0
     for arm in (0, 1):
         mask = z == arm
         wa, ya = w[mask], y[mask]
         mean = np.average(ya, weights=wa)
-        var = np.average((ya - mean) ** 2, weights=wa)
         ess = wa.sum() ** 2 / np.sum(wa ** 2)
-        out += var / max(ess - 1.0, 1.0)
-    return out
+        var += np.average((ya - mean) ** 2, weights=wa) / max(ess - 1.0, 1.0)
+    return math.sqrt(var)
 
 
 def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
                      level: float = 0.95) -> TauEstimate:
     """Compute a point estimate and fill in the matching variance for its kind.
 
-    Calibration estimators get the M-estimation sandwich; augmented and TMLE
-    estimators the plug-in influence variance; the benchmark estimators a
-    descriptive approximation. Pass one ``fits`` to every kind run on the
-    same data (or on its transport view) to share its nuisance fits and
-    solves.
+    Calibration estimators get the M-estimation sandwich; GCOMP, TMLE and
+    the augmented estimators the plug-in influence variance; the benchmark
+    estimators UNADJ and CBPS a descriptive approximation. Pass one ``fits``
+    to every kind run on the same data (or on its transport view) to share
+    its nuisance fits and solves.
     """
     est = compute_tau(dataset, kind, fits)
     if kind is EstimatorKind.CAL_T:
         variance, method = sandwich_variance_transport, "sandwich"
     elif kind is EstimatorKind.CAL_F:
         variance, method = sandwich_variance_fusion, "sandwich"
-    elif kind in (EstimatorKind.TMLE, EstimatorKind.AUG_T, EstimatorKind.AUG_F):
-        variance, method = influence_variance, "influence"
-    else:
+    elif kind in (EstimatorKind.UNADJ, EstimatorKind.CBPS):
         variance, method = descriptive_variance, "influence"
+    else:
+        variance, method = influence_variance, "influence"
     with np.errstate(over="ignore", invalid="ignore"):
         est.se = variance(dataset, fits, est)
     if not (math.isfinite(est.tau_hat) and math.isfinite(est.se)):
@@ -193,37 +201,3 @@ def estimate_with_ci(dataset: Dataset, fits: Fits, *, kind: EstimatorKind,
     est.ci_low, est.ci_high = confidence_interval(est.tau_hat, est.se, level)
     est.method = method
     return est
-
-
-def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:
-    """Approximate SEs for the benchmark estimators.
-
-    UNADJ and CBPS use a weighted Welch variance on effective sample sizes
-    (with UNADJ's unit weights, the plain Welch variance); GCOMP the
-    outcome-regression delta method with HC0 coefficient covariances.
-    ``estimate_with_ci`` labels all three method="influence": they are
-    plug-in influence approximations outside the sandwich stack.
-    """
-    kind = estimate.kind
-    if kind in (EstimatorKind.UNADJ, EstimatorKind.CBPS):
-        z, y = estimate.nuisance["z"], estimate.nuisance["y"]
-        w = np.ones(len(y)) if estimate.weights_used is None else estimate.weights_used
-        var = _weighted_welch_variance(y, z, w)
-    elif kind is EstimatorKind.GCOMP:
-        target = dataset.s == 0
-        study = dataset.s == 1
-        z, y = dataset.observed(study)
-        var = 0.0
-        for arm, key in ((0, "fit0"), (1, "fit1")):
-            mask = z == arm
-            design = fits.c.c[study][mask]
-            resid = y[mask] - design @ estimate.nuisance[key].coefficients
-            # theta0' (X'X)^-1 X' diag(r^2) X (X'X)^-1 theta0 = sum (h r)^2, where
-            # h = X (X'X)^-1 theta0 is the minimum-norm solution of X' h = theta0.
-            h = np.linalg.lstsq(design.T, fits.theta0, rcond=None)[0]
-            var += float(np.sum((h * resid) ** 2))
-        contrast = estimate.nuisance["mu1"][target] - estimate.nuisance["mu0"][target]
-        var += float(np.sum((contrast - estimate.tau_hat) ** 2)) / dataset.n_target ** 2
-    else:
-        raise MissingComponentsError(f"no descriptive variance for {kind}")
-    return math.sqrt(max(var, 0.0))

@@ -10,6 +10,7 @@ execution order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import defaultdict
 from concurrent import futures
@@ -312,8 +313,8 @@ class RunnerConfig:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
             if least is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("confidence level must lie in (0, 1)")
+        if not (_is_real(self.level) and 0.0 < self.level < 1.0):
+            raise ConfigError(f"confidence level must lie in (0, 1), not {self.level!r}")
         # A repeated value would run its cells twice and pool both runs.
         for label, values in (("scenario", self.scenarios), ("sample size", self.ns),
                               ("estimator", [getattr(k, "value", k) for k in self.kinds])):
@@ -322,6 +323,20 @@ class RunnerConfig:
                 if value in seen:
                     raise ConfigError(f"{label} '{value}' is requested twice")
                 seen.add(value)
+        # A tau0 that is not a finite number would fail in the runner, or
+        # turn every bias and coverage into NaN; one for a scenario not run
+        # would go unused.
+        for sid, tau0 in self.tau0_overrides.items():
+            if sid not in self.scenarios:
+                raise ConfigError(f"tau0 override for scenario '{sid}', which is not requested")
+            if not (_is_real(tau0) and math.isfinite(tau0)):
+                raise ConfigError(f"tau0 override for scenario '{sid}' must be a finite "
+                                  f"number, not {tau0!r}")
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool (a str or True is not a level or tau0)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _evaluate_replicate(task: tuple) -> list:

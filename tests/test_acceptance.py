@@ -62,7 +62,8 @@ def tau0_oracle():
 def run_cell(scenarios, n, kinds, seed, tau0s, keep=False):
     cfg = RunnerConfig(
         scenarios=tuple(scenarios), ns=(n,), reps=REPS, kinds=tuple(kinds),
-        seed=seed, workers=WORKERS, tau0_overrides=tau0s, keep_replicates=keep,
+        seed=seed, workers=WORKERS, tau0_overrides={sid: tau0s[sid] for sid in scenarios},
+        keep_replicates=keep,
     )
     return run_experiment(cfg)
 

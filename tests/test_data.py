@@ -306,6 +306,14 @@ class TestSMD:
                            match=rf"^group has shape \({len(group)},\), not \(4,\)$"):
             standardized_mean_differences(BalanceMatrix(mat), np.array(group))
 
+    @pytest.mark.parametrize("group", [[1, 1, 2, 0, 0, 0], [1, 1, 0.9, 0, 0, 0],
+                                       [1, 1, -1, 0, 0, 0], [1, 1, np.nan, 0, 0, 0]])
+    def test_group_outside_zero_one_rejected(self, group):
+        # Cast to int first, 2 and -1 dropped out of both groups and 0.9 counted as 0.
+        mat = np.column_stack([np.ones(6), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        with pytest.raises(ModeError, match=r"^group must be binary \(0 or 1\)$"):
+            standardized_mean_differences(BalanceMatrix(mat), np.array(group))
+
 
 class TestESS:
     def test_uniform_weights(self):

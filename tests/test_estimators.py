@@ -605,3 +605,24 @@ def test_covariate_constant_on_one_study_arm(monkeypatch):
         assert message.startswith(prefix + verdict), kind
     assert checked.count("balance matrix on the study sample arm z=0") == 1
     assert len(checked) == len(set(checked))
+
+
+def test_cbps_reads_the_study_arm_rank_verdicts(monkeypatch):
+    # On a transport view the benchmark cohort is the study sample, whose arm
+    # verdicts Fits holds: after CAL_T, CBPS checks no row set again (it
+    # used to run two "constraint matrix" checks of its own).
+    dt = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0)).to_transport()
+    fits = Fits(dt, build_balance_matrix(dt))
+    checked = []
+
+    def counted(mat, what="matrix", _original=data.check_full_rank):
+        checked.append(what)
+        return _original(mat, what)
+
+    for module in (estimators, glm, solver):
+        monkeypatch.setattr(module, "check_full_rank", counted)
+    estimate_with_ci(dt, fits, kind=EstimatorKind.CAL_T)
+    arms = [f"balance matrix on the study sample arm z={arm}" for arm in (0, 1)]
+    assert checked == arms
+    estimate_with_ci(dt, fits, kind=EstimatorKind.CBPS)
+    assert checked == arms

@@ -323,6 +323,37 @@ class TestInfluence:
         with pytest.raises(MissingComponentsError):
             influence_variance(dt, fits, est)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_gcomp_se_is_the_hc0_delta_method(self, shift):
+        # GCOMP's influence terms give the HC0 delta method, written out:
+        # per arm theta0' (X'X)^-1 X' diag(r^2) X (X'X)^-1 theta0 = sum (h r)^2
+        # with X' h = theta0 (min-norm h), plus the target contrast's variance.
+        ds = generate(SCENARIOS["A"], 500, derive_seed(3, "A", 500, 0, 0))
+        x = ds.x.copy()
+        x[:, 0] += shift
+        dt = Dataset.fusion(ds.s, ds.z, ds.y, x).to_transport()
+        fits = Fits(dt, build_balance_matrix(dt))
+        est = estimate_with_ci(dt, fits, kind=EstimatorKind.GCOMP)
+        study, target = dt.s == 1, dt.s == 0
+        models, mu0, mu1 = fits.outcome(1)
+        var = np.sum((mu1[target] - mu0[target] - est.tau_hat) ** 2) / dt.n_target ** 2
+        for arm in (0, 1):
+            arm_rows = study & (dt.z == arm)
+            design = fits.c.c[arm_rows]
+            resid = dt.y[arm_rows] - design @ models[arm].coefficients
+            h = np.linalg.lstsq(design.T, fits.theta0, rcond=None)[0]
+            var += np.sum((h * resid) ** 2)
+        assert est.method == "influence"
+        assert est.se == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["GCOMP", "TMLE"])
+    def test_descriptive_variance_rejects_outcome_model_kinds(self, kind):
+        dt = draw_row_a(300, np.random.default_rng(9)).to_transport()
+        fits = Fits(dt, build_balance_matrix(dt))
+        est = compute_tau(dt, EstimatorKind[kind], fits)
+        with pytest.raises(MissingComponentsError):
+            descriptive_variance(dt, fits, est)
+
 
 class TestDescriptive:
     def test_unadjusted_is_the_welch_variance(self, baseline_balance):

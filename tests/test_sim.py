@@ -457,6 +457,16 @@ class TestRunner:
                           ({"seed": "3"}, "seed")]:
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
                 run_experiment(RunnerConfig(**bad))
+        # A string level raised a bare TypeError; a string tau0 passed and
+        # failed in the runner as a ValueError, a NaN one gave NaN bias and
+        # coverage, and one for a scenario not requested was ignored.
+        for bad, message in [({"level": "0.5"}, "confidence level must lie in"),
+                             ({"tau0_overrides": {"A": "x"}}, "must be a finite number"),
+                             ({"tau0_overrides": {"A": math.nan}}, "must be a finite number"),
+                             ({"tau0_overrides": {"A": -4.0, "B": -3.5}},
+                              "scenario 'B', which is not requested")]:
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(RunnerConfig(reps=1, **bad))
 
     def test_any_integer_seed_accepted(self):
         for seed in (-1, 0, np.int64(7), 2 ** 70):

@@ -12,7 +12,6 @@ import csv
 import itertools
 import logging
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -389,119 +388,83 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
                           for i, s, z, rho, pi in rows)
 
 
-def _float_column(cells: np.ndarray, blanks: bool = False) -> tuple:
-    """Cast one column of a block of CSV fields to float.
-
-    Returns the values, the mask of non-blank fields and the index of the
-    first field that is not a number (None when there is none). With
-    ``blanks`` a blank field reads as NaN; otherwise it is not a number.
-    """
-    try:
-        return cells.astype(float), np.ones(len(cells), dtype=bool), None
-    except ValueError:
-        pass
-    fields = cells.tolist()
-    seen = np.array([bool(f.strip()) for f in fields], dtype=bool)
-    values = np.full(len(fields), np.nan)
-    for i, field in enumerate(fields):
-        if blanks and not seen[i]:
-            continue
-        try:
-            values[i] = float(field)
-        except ValueError:
-            return values, seen, i
-    return values, seen, None
-
-
-def _file_line(path, row: int) -> int:
-    """The line on which data row ``row`` of ``path`` starts; data rows count
-    from 0 after the header and skip blank lines, as np.loadtxt counts them."""
-    starts, start = [], 1
-    # Only line breaks count, so a byte that is not UTF-8 may read as U+FFFD.
-    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
-        reader = csv.reader(fh)
-        for record in reader:
-            if record:
-                starts.append(start)
-            start = reader.line_num + 1
-    return starts[row + 1]
-
-
-def _parse_block(path, fh, width: int, first: int) -> np.ndarray:
-    """Read the next BLOCK_ROWS data rows of the open file ``fh`` as a
-    (rows, width) array of str fields, empty at the end of the file; ``first``
-    is the data row the block starts at. np.loadtxt skips blank lines and
-    reads a quoted field across lines, so a block holds whole rows."""
-    try:
-        cells = np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
-                           quotechar='"', ndmin=2, max_rows=BLOCK_ROWS)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text "
-                          f"(byte 0x{exc.object[exc.start]:02x})") from None
-    except ValueError as exc:
-        # numpy counts data rows from 1 and compares with the first row.
-        ragged = re.search(r"from (\d+) to (\d+) at row (\d+)", str(exc))
-        if ragged is None:
-            raise SchemaError(f"{path}: {exc}") from None
-        first_width, got, row = map(int, ragged.groups())
-        if first_width != width:
-            got, row = first_width, 1
-        raise SchemaError(f"{path}: row {_file_line(path, first + row - 1)} has {got} "
-                          f"fields, expected {width}") from None
-    if len(cells) and cells.shape[1] != width:
-        raise SchemaError(f"{path}: row {_file_line(path, first)} has {cells.shape[1]} "
-                          f"fields, expected {width}")
-    return cells
-
-
-def _block_columns(path, cells: np.ndarray, header: list, cov_cols: list, mode: str,
-                   force_s: int | None, first: int) -> dict:
-    """The dataset columns of one block of fields (see read_csv_columns);
-    ``first`` is the data row the block starts at.
-
-    A faulty block raises SchemaError naming its earliest faulty row's first
-    faulty field, in the order s, z, y, covariates, and the line of the file
-    the row is on. Each column is cast whole, and searched field by field
-    only when that cast fails.
-    """
+def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
+                   force_s: int | None) -> dict:
+    """The dataset columns of one block of fields, each cast whole (see
+    read_csv_columns); a faulty block raises ValueError, for _fault to name."""
     n = len(cells)
-    faults = []  # (row in the block, message), in field order
-
-    def cast(fields: np.ndarray, label: str, blanks: bool = False) -> tuple:
-        values, seen, bad = _float_column(fields, blanks)
-        if bad is not None:
-            field = fields[bad].strip()
-            what = f"non-numeric value '{field}'" if field else "empty value"
-            faults.append((bad, f"{what} in {label}"))
-        return values, seen
-
+    if cells.shape[1] != len(header):
+        raise ValueError("wrong number of fields")
     if force_s is not None:
         s = np.full(n, force_s, dtype=np.int8)
     else:
-        j = header.index("s")
-        s, _ = cast(cells[:, j], "column 's'")
-        bad = np.flatnonzero((s != 0.0) & (s != 1.0))
-        if bad.size:
-            faults.append((bad[0], f"column 's' must be 0 or 1, got "
-                                   f"'{cells[bad[0], j].strip()}'"))
-    cols = {}
+        s = cells[:, header.index("s")].astype(float)
+        if not ((s == 0.0) | (s == 1.0)).all():
+            raise ValueError("s is not 0 or 1")
+    cols = {"s": s.astype(np.int8, copy=False)}
     # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
     dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
     for name in ("z", "y"):
+        values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
         if name in header:
             fields = cells[:, header.index(name)]
-            values, seen = cast(np.where(dropped, "", fields), f"column '{name}'", blanks=True)
-            seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
-        else:
-            values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
+            try:  # fails on a blank or a dropped field
+                values, seen = np.where(dropped, "", fields).astype(float), np.ones(n, dtype=bool)
+            except ValueError:  # then a blank field reads as NaN
+                seen = np.array([bool(f.strip()) for f in fields.tolist()], dtype=bool)
+                values[seen & ~dropped] = fields[seen & ~dropped].astype(float)
         cols[name], cols[f"{name}_observed"] = values, seen
-    cols["x"] = np.empty((n, len(cov_cols)))
-    for k, j in enumerate(cov_cols):
-        cols["x"][:, k] = cast(cells[:, j], f"covariate '{header[j]}'")[0]
-    if faults:
-        row, message = min(faults, key=lambda fault: fault[0])
-        raise SchemaError(f"{path}: {message} (row {_file_line(path, first + row)})")
-    return {"s": s.astype(np.int8, copy=False), **cols}
+    cols["x"] = cells[:, cov_cols].astype(float)
+    return cols
+
+
+def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
+           first: int) -> SchemaError:
+    """The SchemaError for the block of data rows that starts at data row
+    ``first`` and that np.loadtxt or a cast rejected.
+
+    csv.reader reads the file again, through that block only. The fault is
+    the block's first row with the wrong number of fields; failing that, its
+    earliest row with a faulty field, and that row's first, in the order s,
+    z, y, covariates (a dropped target z/y field is not read). A row is named
+    by the line of the file it starts on.
+    """
+    # Only line breaks and fields count, so a byte that is not UTF-8 may read as U+FFFD.
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
+        reader = csv.reader(fh)
+
+        def rows():  # the header first
+            start = 1
+            for record in reader:
+                if record:  # np.loadtxt skips blank lines
+                    yield start, [field.strip() for field in record]
+                start = reader.line_num + 1
+
+        block = list(itertools.islice(rows(), first + 1, first + 1 + BLOCK_ROWS))
+    for line, fields in block:
+        if len(fields) != len(header):
+            return SchemaError(f"{path}: row {line} has {len(fields)} fields, "
+                               f"expected {len(header)}")
+    order = [header.index(name) for name in ("s", "z", "y") if name in header] + cov_cols
+    for line, fields in block:
+        s = force_s
+        for j in order:
+            name, field = header[j], fields[j]
+            if name in ("z", "y") and (not field or mode == "transport" and s == 0):
+                continue
+            label = f"covariate '{name}'" if j in cov_cols else f"column '{name}'"
+            try:
+                value = float(field)
+            except ValueError:
+                what = f"non-numeric value '{field}'" if field else "empty value"
+                return SchemaError(f"{path}: {what} in {label} (row {line})")
+            if name == "s":
+                if value not in (0.0, 1.0):
+                    return SchemaError(f"{path}: column 's' must be 0 or 1, "
+                                       f"got '{field}' (row {line})")
+                s = value
+    line = block[0][0] if block else reader.line_num + 1
+    return SchemaError(f"{path}: malformed CSV from row {line}")
 
 
 def read_csv_columns(path, mode: str = "fusion",
@@ -523,44 +486,41 @@ def read_csv_columns(path, mode: str = "fusion",
     np.loadtxt reads the body from the open file in blocks of BLOCK_ROWS data
     rows (blank lines and the extra lines of a quoted field do not count),
     each cast to float before the next is read, so the str fields of one
-    block at a time are held. A file with more than one fault reports the
-    first block's.
+    block at a time are held. Any fault in a block (a wrong field count, a
+    field that float() rejects, an ``s`` not 0 or 1) goes to one locator,
+    _fault, which finds it in the file; numpy's error text is not read. A
+    file with more than one fault reports the first block's.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*contained no data")
         try:
-            header = next(csv.reader(fh))
+            header = [h.strip() for h in next(csv.reader(fh))]
+            twice = [h for j, h in enumerate(header) if h in header[:j]]
+            if twice:
+                raise SchemaError(f"{path}: duplicate column '{twice[0]}'")
+            if force_s is not None and "s" in header:
+                raise SchemaError(f"{path}: column 's' is not allowed when the study and "
+                                  "target samples are separate files")
+            required = ["s"] * (force_s is None) + ["z", "y"] * (mode == "fusion")
+            missing = [name for name in required if name not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column '{missing[0]}'")
+            cov_cols = [j for j, h in enumerate(header) if h not in ("s", "z", "y")]
+            if not cov_cols:
+                raise SchemaError(f"{path}: no covariate columns found")
+            blocks = [_block_columns(np.empty((0, len(header)), dtype=object), header,
+                                     cov_cols, mode, force_s)]
+            while len(cells := np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
+                                          quotechar='"', ndmin=2, max_rows=BLOCK_ROWS)):
+                blocks.append(_block_columns(cells, header, cov_cols, mode, force_s))
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text "
                               f"(byte 0x{exc.object[exc.start]:02x})") from None
-        header = [h.strip() for h in header]
-        twice = [h for j, h in enumerate(header) if h in header[:j]]
-        if twice:
-            raise SchemaError(f"{path}: duplicate column '{twice[0]}'")
-        if force_s is None and "s" not in header:
-            raise SchemaError(f"{path}: missing required column 's'")
-        if force_s is not None and "s" in header:
-            raise SchemaError(f"{path}: column 's' is not allowed when the study and "
-                              "target samples are separate files")
-        if mode == "fusion":
-            for name in ("z", "y"):
-                if name not in header:
-                    raise SchemaError(f"{path}: missing required column '{name}'")
-        cov_cols = [j for j, h in enumerate(header) if h not in ("s", "z", "y")]
-        if not cov_cols:
-            raise SchemaError(f"{path}: no covariate columns found")
-        blocks, rows = [], 0
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
-            while len(cells := _parse_block(path, fh, len(header), rows)):
-                blocks.append(_block_columns(path, cells, header, cov_cols, mode,
-                                             force_s, rows))
-                rows += len(cells)
-    if not blocks:
-        blocks.append(_block_columns(path, np.empty((0, len(header)), dtype=object),
-                                     header, cov_cols, mode, force_s, 0))
+        except ValueError:
+            rows = sum(len(block["s"]) for block in blocks)
+            raise _fault(path, header, cov_cols, mode, force_s, rows) from None
     cols = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
     return cols, [header[j] for j in cov_cols]
 

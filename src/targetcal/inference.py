@@ -26,7 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, effective_sample_size
 from .errors import InvalidLevelError, MissingComponentsError, NonFiniteError
 from .estimators import EstimatorKind, Fits, TauEstimate, compute_tau
 
@@ -169,7 +169,7 @@ def descriptive_variance(dataset: Dataset, fits: Fits, estimate: TauEstimate) ->
         mask = z == arm
         wa, ya = w[mask], y[mask]
         mean = np.average(ya, weights=wa)
-        ess = wa.sum() ** 2 / np.sum(wa ** 2)
+        ess = effective_sample_size(wa)
         var += np.average((ya - mean) ** 2, weights=wa) / max(ess - 1.0, 1.0)
     return math.sqrt(var)
 

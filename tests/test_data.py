@@ -495,6 +495,14 @@ class TestCsvIngestion:
             load_dataset_csv(tmp_path / "study.csv", mode="transport",
                              target_path=tmp_path / "target.csv")
 
+    def test_two_files_must_share_covariate_order(self, tmp_path):
+        (tmp_path / "study.csv").write_text("z,y,x1,x2\n1,2.5,0.1,0.2\n0,1.5,0.3,0.4\n")
+        (tmp_path / "target.csv").write_text("x2,x1\n0.5,0.6\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                "must share covariate columns (['x1', 'x2'] vs ['x2', 'x1'])")):
+            load_dataset_csv(tmp_path / "study.csv", mode="transport",
+                             target_path=tmp_path / "target.csv")
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("z,y,x1\n1,2.0,0.1\n")
@@ -697,6 +705,31 @@ class TestCsvBlocks:
             read_csv_columns(path, mode="fusion")
         assert str(got.value) == f"{path}: {message}"
 
+    def test_target_file_fault_skips_dropped_fields(self, tmp_path, monkeypatch):
+        # A force_s=0 file holds target rows only, so transport mode reads
+        # none of its z/y fields, 'NA' included, and the covariate is the fault.
+        path = tmp_path / "target.csv"
+        path.write_text("z,y,x1\nNA,,0.1\n\n1,2,0.3\n,NA,abc\n")
+        for block in (1, 2, 3, 8192):
+            monkeypatch.setattr(data, "BLOCK_ROWS", block)
+            with pytest.raises(SchemaError) as got:
+                read_csv_columns(path, mode="transport", force_s=0)
+            assert str(got.value) == f"{path}: non-numeric value 'abc' in covariate 'x1' (row 5)"
+
+    def test_fault_csv_reader_cannot_find_names_the_block(self, tmp_path, monkeypatch):
+        # Should np.loadtxt reject a block that csv.reader reads as valid, the
+        # error names the block's first line, and numpy's text is not shown.
+        path = tmp_path / "d.csv"
+        path.write_text("s,z,y,x1\n\n1,1,2.5,0.1\n0,0,1.5,0.2\n")
+
+        def reject(*args, **kwargs):
+            raise ValueError("numpy's own message")
+
+        monkeypatch.setattr(np, "loadtxt", reject)
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert str(got.value) == f"{path}: malformed CSV from row 3"
+
     def test_peak_memory_is_bounded(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
         n = 50_000
@@ -779,6 +812,78 @@ def test_ingest_matches_per_cell_parser(csv_dir, case, bom):
         for block in (1, 2, 3, 8192):
             patch.setattr(data, "BLOCK_ROWS", block)
             assert_same_columns(read_csv_columns(path, mode=mode, force_s=force_s), want)
+
+
+# Spellings float() rejects, and values of s that are numbers but not 0 or 1.
+NON_NUMBERS = st.sampled_from(["abc", "NA", "1.2.3", "--1", "1e", "0x1", "1 2", "_1"])
+BAD_S = st.sampled_from(["2", "-1", "0.5", "nan", "1e3", "-inf"])
+
+
+@st.composite
+def single_fault_files(draw):
+    """A valid CSV text with one fault in a field that is read, with the mode
+    and force_s to read it by and the message it must raise. There are no
+    blank lines and no quoted line breaks, so data row i is on line i + 2."""
+    mode = draw(st.sampled_from(data.MODES))
+    force_s = draw(st.sampled_from([None, 0, 1]))
+    names = ["z", "y"] + [f"x{j + 1}" for j in range(draw(st.integers(1, 3)))]
+    names = draw(st.permutations(names + ["s"] * (force_s is None)))
+
+    def field(text):
+        text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = force_s if force_s is not None else draw(st.sampled_from([0, 1]))
+        cells = {name: draw(NUMBERS) for name in names}
+        cells["s"] = str(s)
+        if mode == "transport" and s == 0:
+            cells["z"], cells["y"] = draw(st.sampled_from(["", "NA", "1"])), draw(NON_NUMBERS)
+        else:
+            cells["z"] = draw(st.sampled_from(["0", "1", ""]))
+            cells["y"] = draw(st.one_of(NUMBERS, st.just("")))
+        rows.append(cells)
+    i = draw(st.integers(0, len(rows) - 1))
+    row, line = rows[i], i + 2
+    fields = [[field(r[name]) for name in names] for r in rows]
+    read = [name for name in names if name not in ("z", "y")
+            or not (mode == "transport" and row["s"] == "0")]
+    kinds = ["value", "short", "long"] + ["bad_s"] * (force_s is None)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("short", "long"):
+        fields[i] = fields[i][:-1] if kind == "short" else fields[i] + ["0"]
+        message = f"row {line} has {len(fields[i])} fields, expected {len(names)}"
+    elif kind == "bad_s":
+        value = draw(BAD_S)
+        fields[i][names.index("s")] = value
+        message = f"column 's' must be 0 or 1, got '{value}' (row {line})"
+    else:
+        name = draw(st.sampled_from(read))
+        value = draw(NON_NUMBERS if name in ("z", "y") else st.one_of(NON_NUMBERS, st.just("")))
+        fields[i][names.index(name)] = field(value)
+        what = f"non-numeric value '{value}'" if value else "empty value"
+        label = f"column '{name}'" if name in ("s", "z", "y") else f"covariate '{name}'"
+        message = f"{what} in {label} (row {line})"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(names)] + [",".join(f) for f in fields]
+    return end.join(lines) + draw(st.sampled_from(["", end])), mode, force_s, message
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=single_fault_files())
+def test_single_fault_message(csv_dir, case):
+    """A file with one fault raises the message that names it, whole or in
+    blocks of one, two or three rows."""
+    text, mode, force_s, message = case
+    path = csv_dir / "fault.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (1, 2, 3, 8192):
+            patch.setattr(data, "BLOCK_ROWS", block)
+            with pytest.raises(SchemaError) as got:
+                read_csv_columns(path, mode=mode, force_s=force_s)
+            assert str(got.value) == f"{path}: {message}"
 
 
 class TestCsvHeader:

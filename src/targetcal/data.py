@@ -427,20 +427,25 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
     the block's first row with the wrong number of fields; failing that, its
     earliest row with a faulty field, and that row's first, in the order s,
     z, y, covariates (a dropped target z/y field is not read). A row is named
-    by the line of the file it starts on.
+    by the line of the file it starts on. A row that csv.reader cannot read
+    at all (a field over its size limit) is the fault, wherever it lies.
     """
     # Only line breaks and fields count, so a byte that is not UTF-8 may read as U+FFFD.
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.reader(fh)
+        start = 1  # the line the next record starts on
 
         def rows():  # the header first
-            start = 1
+            nonlocal start
             for record in reader:
                 if record:  # np.loadtxt skips blank lines
                     yield start, [field.strip() for field in record]
                 start = reader.line_num + 1
 
-        block = list(itertools.islice(rows(), first + 1, first + 1 + BLOCK_ROWS))
+        try:
+            block = list(itertools.islice(rows(), first + 1, first + 1 + BLOCK_ROWS))
+        except csv.Error as exc:
+            return SchemaError(f"{path}: {exc} in row {start}")
     for line, fields in block:
         if len(fields) != len(header):
             return SchemaError(f"{path}: row {line} has {len(fields)} fields, "
@@ -515,6 +520,8 @@ def read_csv_columns(path, mode: str = "fusion",
                 blocks.append(_block_columns(cells, header, cov_cols, mode, force_s))
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+        except csv.Error as exc:  # only the header is read with csv.reader
+            raise SchemaError(f"{path}: {exc} in the header") from None
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text "
                               f"(byte 0x{exc.object[exc.start]:02x})") from None

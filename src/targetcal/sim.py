@@ -27,8 +27,9 @@ from .inference import estimate_with_ci
 
 RNG_ALGORITHM = "numpy Philox4x64-10, SplitMix64-derived keys"
 
-# Draws per chunk of the true-effect oracle, and fresh draws a replicate may
-# take before it is recorded as degenerate.
+# Draws per chunk of the true-effect oracle (and the most points its exact
+# quadrature may take), and fresh draws a replicate may take before it is
+# recorded as degenerate.
 ORACLE_CHUNK = 1_000_000
 MAX_REDRAWS = 10
 
@@ -196,22 +197,33 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
 
 
 def true_tau(scenario: ScenarioSpec, oracle_n: int, seed: int = 0) -> float:
-    """Monte Carlo oracle for the target-population effect E[tilt | s=0].
+    """The target-population effect E[tilt | s=0].
 
-    Simulates directly from the generative models in chunks (each chunk
-    standardizes its transforms like one generated dataset); no outcome noise
-    enters because the per-unit effect is the noise-free tilt. Chunks run on
-    up to one thread per CPU, each from its own key, and their sums are added
-    in chunk order, so the value has the same bits for any number of CPUs. A
-    failure raises the earliest failing chunk's error.
+    Where rho and the tilt are both linear in x ~ N(0, I) (A and F), the
+    value is exact and ``oracle_n`` and ``seed`` are not read: see
+    _exact_tau. Elsewhere it is a Monte Carlo mean of the tilt over the
+    target-sample units of ``oracle_n`` draws. They are simulated from the
+    generative models in chunks of ORACLE_CHUNK, each chunk standardizing u
+    by its own moments, as one generated dataset does; no outcome noise
+    enters because the per-unit effect is the noise-free tilt. The draws are
+    keyed on the first scenario in SCENARIOS with the same rho, tilt and
+    covariate count, so scenarios with one estimand (C, E and H; D and G)
+    share its bits. Chunks run on up to one thread per CPU, each from its
+    own key, and their sums are added in chunk order, so the value has the
+    same bits for any number of CPUs. A failure raises the earliest failing
+    chunk's error.
     """
+    exact = _exact_tau(scenario)
+    if exact is not None:
+        return exact
     sizes = [min(ORACLE_CHUNK, oracle_n - start) for start in range(0, oracle_n, ORACLE_CHUNK)]
     # map yields in chunk order and re-raises the first failure in that
     # order; leaving the block joins every thread. With no chunks the pool
     # starts no thread, and the DegenerateDrawError below is raised.
     threads = max(1, min(len(sizes), os.cpu_count() or 1))
+    chunk = partial(_oracle_chunk, scenario, seed, _estimand_id(scenario))
     with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(partial(_oracle_chunk, scenario, seed), range(len(sizes)), sizes))
+        chunks = list(pool.map(chunk, range(len(sizes)), sizes))
     # One float add per chunk, in chunk order (the builtin sum compensates
     # from Python 3.12 on, which would change the bits).
     total = 0.0
@@ -224,9 +236,57 @@ def true_tau(scenario: ScenarioSpec, oracle_n: int, seed: int = 0) -> float:
     return total / count
 
 
-def _oracle_chunk(scenario: ScenarioSpec, seed: int, idx: int, size: int) -> tuple:
+def true_taus(scenario_ids, oracle_n: int, seed: int = 0) -> dict[str, float]:
+    """true_tau for each scenario id, each distinct estimand computed once."""
+    ids = {sid: _estimand_id(SCENARIOS[sid]) for sid in scenario_ids}
+    taus = {key: true_tau(SCENARIOS[key], oracle_n, seed) for key in dict.fromkeys(ids.values())}
+    return {sid: taus[key] for sid, key in ids.items()}
+
+
+def _estimand_id(scenario: ScenarioSpec) -> str:
+    """The first scenario in SCENARIOS with ``scenario``'s rho, tilt and
+    covariates, which fix E[tilt | s=0]; its own id if there is none."""
+    estimand = (scenario.rho, scenario.tilt, scenario.covariate_dim)
+    return next((sid for sid, spec in SCENARIOS.items()
+                 if (spec.rho, spec.tilt, spec.covariate_dim) == estimand), scenario.id)
+
+
+def _exact_tau(scenario: ScenarioSpec) -> float | None:
+    """E[tilt | s=0] by quadrature when rho and the tilt are both on x, or
+    None when either is on u or the grid would outgrow one oracle chunk.
+
+    With rho = a0 + a.x, tilt = t0 + t.x and v = a.x/|a| ~ N(0, 1), E[x | v]
+    = v a/|a|, so tau0 = t0 + (t.a/|a|) E[v g(v)] / E[g(v)] with g(v) = 1 -
+    expit(a0 + |a| v), the probability of s=0; with |a| = 0 it is t0. Both
+    integrals take the trapezoid rule on one uniform grid over [-40, 40]
+    (the normal density underflows beyond 38.6). Its error falls as
+    exp(-2 pi d / step) for an integrand analytic within d of the real axis;
+    g has poles pi/|a| from it, so a step of pi / (8 max(1, |a|)) leaves an
+    error near exp(-16 pi), below rounding, and A's -4 comes out to 1 ulp.
+    """
+    if scenario.rho.basis != "x" or scenario.tilt.basis != "x":
+        return None
+    a0, *a = scenario.rho.coef
+    t0, *t = scenario.tilt.coef
+    norm = math.hypot(*a)
+    step = math.pi / (8.0 * max(1.0, norm))
+    half = math.ceil(40.0 / step)
+    if 2 * half + 1 > ORACLE_CHUNK:
+        return None
+    v = step * np.arange(-half, half + 1)
+    mass = np.exp(-0.5 * v * v) * expit(-(a0 + norm * v))
+    total = mass.sum()
+    if total == 0.0:
+        raise DegenerateDrawError("oracle's target sample has probability zero")
+    if norm == 0.0:
+        return float(t0)
+    return float(t0 + np.dot(t, a) / norm * (mass @ v / total))
+
+
+def _oracle_chunk(scenario: ScenarioSpec, seed: int, estimand: str, idx: int,
+                  size: int) -> tuple:
     """Tilt sum and count over the target-sample units of oracle chunk ``idx``."""
-    rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
+    rng = _rng(derive_seed(seed, "true-tau", estimand, idx))
     x = rng.standard_normal((size, scenario.covariate_dim))
     u = transform_u(x) if scenario.reads_u else None
     s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
@@ -389,12 +449,9 @@ def run_experiment(config: RunnerConfig) -> MetricsTable:
     kind_values = tuple(
         k.value if isinstance(k, EstimatorKind) else str(k) for k in config.kinds
     )
-    tau0s = {}
-    for sid in config.scenarios:
-        if sid in config.tau0_overrides:
-            tau0s[sid] = float(config.tau0_overrides[sid])
-        else:
-            tau0s[sid] = true_tau(SCENARIOS[sid], oracle_n=config.oracle_n, seed=config.seed)
+    tau0s = true_taus([sid for sid in config.scenarios if sid not in config.tau0_overrides],
+                      oracle_n=config.oracle_n, seed=config.seed)
+    tau0s.update((sid, float(tau0)) for sid, tau0 in config.tau0_overrides.items())
 
     tasks = [
         (sid, n, rep, config.seed, kind_values, config.level)

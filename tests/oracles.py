@@ -10,8 +10,11 @@ logistic function glm.expit replaced, the logistic fit's own Newton loop
 with its step-halving rules that glm.fit_logistic gave up for the solver's
 shared damped-Newton driver (`fit_logistic_irls`), the alternating
 sampling/balance calibration that cross-checks the joint transport solve,
-and the scenario draws that always compute the u transforms
-(`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`).
+the scenario draws that always compute the u transforms
+(`transform_u_two_pass`, `generate_always_u`, `true_tau_always_u`), and
+two checks on the exact tau0 of sim.true_tau: a Monte Carlo that weights
+each draw by P(s=0 | x) (`true_tau_conditioned`) and scipy's adaptive
+quadrature of the same 1-D integral (`true_tau_adaptive`).
 `dual_objective` and `dual_gradient` evaluate the entropy dual and its
 gradient at a flat eta (every block's duals in turn) through the solver's
 own `_dual_point` and `_dual_derivatives`, so the finite-difference and
@@ -31,6 +34,8 @@ import math
 import warnings
 
 import numpy as np
+from scipy import integrate
+from scipy.special import expit as sp_expit
 
 from targetcal.data import Dataset, check_full_rank
 from targetcal.errors import (
@@ -43,7 +48,7 @@ from targetcal.errors import (
     ZeroVarianceError,
 )
 from targetcal.glm import MAX_IRLS_ITER, SEPARATION_NORM, GlmFit, clip_probability, expit
-from targetcal.sim import _rng, derive_seed
+from targetcal.sim import SCENARIOS, _rng, derive_seed
 from targetcal.solver import EntropyProblem, _dual_derivatives, _dual_point
 
 # iterative_calibration: largest weight change that ends it, and pass limit.
@@ -467,14 +472,19 @@ def generate_always_u(scenario, n, seed):
 
 
 def true_tau_always_u(scenario, oracle_n, seed, chunk):
-    """sim.true_tau's chunked oracle loop with u computed in every chunk."""
+    """sim.true_tau's chunked Monte Carlo loop with u computed in every
+    chunk, its draws keyed on the first scenario in SCENARIOS with the same
+    rho, tilt and covariate count (its own id if none)."""
+    estimand = next((sid for sid, spec in SCENARIOS.items()
+                     if spec.rho == scenario.rho and spec.tilt == scenario.tilt
+                     and spec.covariate_dim == scenario.covariate_dim), scenario.id)
     total = 0.0
     count = 0
     drawn = 0
     idx = 0
     while drawn < oracle_n:
         size = min(chunk, oracle_n - drawn)
-        rng = _rng(derive_seed(seed, "true-tau", scenario.id, idx))
+        rng = _rng(derive_seed(seed, "true-tau", estimand, idx))
         x = rng.standard_normal((size, scenario.covariate_dim))
         u = transform_u_two_pass(x)
         s = rng.random(size) < expit(scenario.rho.evaluate(x, u))
@@ -484,3 +494,42 @@ def true_tau_always_u(scenario, oracle_n, seed, chunk):
         drawn += size
         idx += 1
     return total / count
+
+
+def true_tau_conditioned(scenario, oracle_n, seed, chunk=1_000_000):
+    """E[tilt | s=0] as the mean tilt over ``oracle_n`` draws of x, each
+    weighted by P(s=0 | x) = 1 - expit(rho) instead of drawing s, with the
+    ratio estimator's delta-method standard error. Returns (tau0, se)."""
+    rng = np.random.default_rng(seed)
+    # sum w, sum w t, sum w^2, sum w^2 t, sum w^2 t^2
+    sums = np.zeros(5)
+    for start in range(0, oracle_n, chunk):
+        x = rng.standard_normal((min(chunk, oracle_n - start), scenario.covariate_dim))
+        u = transform_u_two_pass(x) if scenario.reads_u else None
+        w = 1.0 - expit(scenario.rho.evaluate(x, u))
+        t = scenario.tilt.evaluate(x, u)
+        sums += [w.sum(), w @ t, w @ w, (w * w) @ t, (w * w) @ (t * t)]
+    total, wt, ww, wwt, wwtt = sums
+    tau0 = wt / total
+    return tau0, math.sqrt(wwtt - 2.0 * tau0 * wwt + tau0 * tau0 * ww) / total
+
+
+def true_tau_adaptive(scenario):
+    """E[tilt | s=0] for rho and tilt on x: with v = a.x/|a| ~ N(0, 1),
+    t0 + (t.a/|a|) E[v g(v)] / E[g(v)], g(v) = 1 - expit(a0 + |a| v), each
+    integral by scipy's adaptive quadrature, split where g is steepest."""
+    a0, *a = scenario.rho.coef
+    t0, *t = scenario.tilt.coef
+    norm = math.hypot(*a)
+    if norm == 0.0:
+        return float(t0)
+
+    def integral(f):
+        return integrate.quad(lambda v: f(v) * math.exp(-0.5 * v * v) * sp_expit(-(a0 + norm * v)),
+                              -40.0, 40.0, points=[-a0 / norm], limit=400,
+                              epsabs=0.0, epsrel=1e-13)[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ratio = integral(lambda v: v) / integral(lambda v: 1.0)
+    return t0 + float(np.dot(t, a)) / norm * ratio

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from targetcal.data import build_balance_matrix, standardized_mean_differences, target_moments
 from targetcal.errors import NotConvergedError
 from targetcal.estimators import EstimatorKind
-from targetcal.sim import SCENARIOS, RunnerConfig, run_experiment, true_tau
+from targetcal.sim import RunnerConfig, run_experiment, true_taus
 from targetcal.solver import (
     EntropyProblem,
     assemble_sampling,
@@ -53,10 +53,7 @@ def acceptance_report():
 
 @pytest.fixture(scope="session")
 def tau0_oracle():
-    return {
-        sid: true_tau(SCENARIOS[sid], oracle_n=ORACLE_DRAWS, seed=ORACLE_SEED)
-        for sid in "ABCDEFGH"
-    }
+    return true_taus("ABCDEFGH", oracle_n=ORACLE_DRAWS, seed=ORACLE_SEED)
 
 
 def run_cell(scenarios, n, kinds, seed, tau0s, keep=False):

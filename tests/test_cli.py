@@ -169,6 +169,14 @@ class TestEstimate:
         assert code == 1
         assert "SchemaError" in capsys.readouterr().err
 
+    def test_header_field_over_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"s,z,y,{'x' * 200_000}\n1,1,2.5,0.1\n0,0,1.5,0.2\n")
+        code = main(["estimate", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: SchemaError: {bad}: field larger than field limit (131072) in the header\n")
+
     @pytest.mark.parametrize("cell", ["", "0.7"], ids=["empty", "fraction"])
     def test_non_binary_sample_indicator_rejected(self, demo_csv, tmp_path, capsys, cell):
         lines = demo_csv.read_text().splitlines()

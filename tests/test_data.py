@@ -525,6 +525,26 @@ class TestCsvIngestion:
                 f"{path}: non-numeric value 'abc' in column 'y' (row 2)")):
             read_csv_columns(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (f"s,z,y,{'x' * 200_000}\n1,1,2.5,0.1\n", "in the header"),
+        (f's,z,y,x1\n1,1,2.5,"1.{"0" * 200_000}"\n0,0,1.5\n', "in row 2"),
+    ], ids=["header", "row"])
+    def test_field_over_csv_limit(self, tmp_path, text, message):
+        # csv.reader refuses a field over 131,072 characters; it reads the
+        # header, and a faulty block again to find the fault.
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path)
+        assert str(got.value) == f"{path}: field larger than field limit (131072) {message}"
+
+    def test_field_over_csv_limit_in_a_valid_body(self, tmp_path):
+        # np.loadtxt has no field limit.
+        path = tmp_path / "d.csv"
+        path.write_text(f'y,s,z,x1\n2.5,1,1,"1.{"0" * 200_000}"\n1.5,0,0,0.25\n')
+        cols, names = read_csv_columns(path)
+        assert names == ["x1"] and cols["x"].tolist() == [[1.0], [0.25]]
+
 
 def assert_same_columns(got, want):
     (gcols, gnames), (wcols, wnames) = got, want

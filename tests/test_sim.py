@@ -30,7 +30,13 @@ from targetcal.sim import (
 )
 
 import oracles
-from oracles import generate_always_u, transform_u_two_pass, true_tau_always_u
+from oracles import (
+    generate_always_u,
+    transform_u_two_pass,
+    true_tau_adaptive,
+    true_tau_always_u,
+    true_tau_conditioned,
+)
 
 # Independent transcription of the generative-model coefficient table,
 # re-typed by hand: (basis, intercept, four slopes) per model.
@@ -169,6 +175,16 @@ class TestTransformU:
         assert str(got.value) == str(expected.value)
 
 
+def check_oracle(spec, got):
+    """got is true_tau(spec) at 20,000 draws, seed 3, in chunks of 7,000:
+    the quadrature's value where rho and the tilt are on x (A and F), and
+    otherwise the bits of the serial always-u loop."""
+    if spec.rho.basis == spec.tilt.basis == "x":
+        assert got == pytest.approx(true_tau_adaptive(spec), rel=0.0, abs=1e-12), spec.id
+    else:
+        assert got.hex() == true_tau_always_u(spec, 20_000, 3, chunk=7_000).hex(), spec.id
+
+
 def _draw_bytes(dataset):
     return [np.ascontiguousarray(a).tobytes()
             for a in (dataset.s, dataset.z, dataset.y, dataset.x)]
@@ -182,9 +198,7 @@ class TestDrawsAgainstAlwaysU:
     def test_true_tau_bits(self, monkeypatch, sid):
         # Three chunks, the last one short.
         monkeypatch.setattr(sim, "ORACLE_CHUNK", 7_000)
-        got = true_tau(SCENARIOS[sid], oracle_n=20_000, seed=3)
-        expected = true_tau_always_u(SCENARIOS[sid], 20_000, 3, chunk=7_000)
-        assert got.hex() == expected.hex()
+        check_oracle(SCENARIOS[sid], true_tau(SCENARIOS[sid], oracle_n=20_000, seed=3))
 
     @pytest.mark.parametrize("sid", sorted(SCENARIOS))
     def test_generate_bits(self, sid):
@@ -242,6 +256,10 @@ class TestGenerate:
         ds = generate(SCENARIOS["H"], 300, seed=9)
         assert ds.mode == "fusion"
 
+    def test_one_unit_rejected(self):
+        with pytest.raises(ConfigError, match="need n >= 2"):
+            generate(SCENARIOS["A"], 1, seed=0)
+
     def test_degenerate_draw_detected(self):
         steep = ScenarioSpec(
             "X",
@@ -276,9 +294,89 @@ class TestTrueTau:
         assert value == pytest.approx(direct, abs=0.03)
 
     def test_deterministic(self):
-        a = true_tau(SCENARIOS["A"], oracle_n=200_000, seed=4)
-        b = true_tau(SCENARIOS["A"], oracle_n=200_000, seed=4)
+        a = true_tau(SCENARIOS["D"], oracle_n=200_000, seed=4)
+        b = true_tau(SCENARIOS["D"], oracle_n=200_000, seed=4)
         assert a == b
+
+
+class TestExactOracle:
+    """Where rho and the tilt are both on x, true_tau is a quadrature that
+    reads neither oracle_n nor seed; elsewhere scenarios with the same rho
+    and tilt share one Monte Carlo estimand and its draws."""
+
+    def test_a_and_f_are_minus_four(self):
+        a = true_tau(SCENARIOS["A"], oracle_n=10_000_000, seed=1)
+        assert abs(a + 4.0) <= 1e-12
+        for sid, oracle_n, seed in [("F", 10_000_000, 1), ("A", 1, 0), ("F", 5, 99)]:
+            assert true_tau(SCENARIOS[sid], oracle_n=oracle_n, seed=seed).hex() == a.hex()
+
+    @pytest.mark.parametrize("rho", [(0.5, -0.5, 0.5, -0.5, 0.5), (2.0, -2.0, 2.0, -2.0, 2.0)],
+                             ids=["A", "steep"])
+    def test_matches_conditioned_monte_carlo(self, rho):
+        spec = ScenarioSpec("X", LinearModel(rho, "x"), *_models(SCENARIOS["A"]))
+        got = true_tau(spec, oracle_n=1, seed=0)
+        mc, se = true_tau_conditioned(spec, 4_000_000, seed=7)
+        assert abs(got - mc) <= 4.0 * se, (got, mc, se)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    def test_matches_adaptive_quadrature(self, scale):
+        # The grid's step shrinks with |a|, the slope of rho along v.
+        rho = LinearModel((0.7, -scale, 2.0, -0.3 * scale, 2.0), "x")
+        spec = ScenarioSpec("X", rho, *_models(SCENARIOS["F"]))
+        got = true_tau(spec, oracle_n=1, seed=0)
+        assert got == pytest.approx(true_tau_adaptive(spec), rel=0.0, abs=1e-12)
+
+    def test_flat_rho_gives_tilt_intercept(self):
+        spec = ScenarioSpec("X", LinearModel((1.5, 0.0, 0.0, 0.0, 0.0), "x"),
+                            *_models(SCENARIOS["A"]))
+        assert true_tau(spec, oracle_n=1, seed=0) == spec.tilt.coef[0] == -2.0
+
+    def test_unreachable_target_sample(self):
+        spec = ScenarioSpec("X", LinearModel((800.0, 0.5, 0.0, 0.0, 0.0), "x"),
+                            *_models(SCENARIOS["A"]))
+        with pytest.raises(DegenerateDrawError, match="probability zero"):
+            true_tau(spec, oracle_n=1_000, seed=0)
+
+    def test_grid_beyond_one_chunk_takes_monte_carlo(self, monkeypatch):
+        # |a| = 40 needs a grid of 8,151 points, more than a 7,000-draw chunk.
+        monkeypatch.setattr(sim, "ORACLE_CHUNK", 7_000)
+        spec = ScenarioSpec("X", LinearModel((0.5, -20.0, 20.0, -20.0, 20.0), "x"),
+                            *_models(SCENARIOS["A"]))
+        got = true_tau(spec, oracle_n=20_000, seed=3)
+        assert got.hex() == true_tau_always_u(spec, 20_000, 3, chunk=7_000).hex()
+
+    def test_one_estimand_one_value(self, monkeypatch):
+        monkeypatch.setattr(sim, "ORACLE_CHUNK", 7_000)
+        taus = {sid: true_tau(spec, oracle_n=20_000, seed=3).hex()
+                for sid, spec in SCENARIOS.items()}
+        groups = ["AF", "B", "CEH", "DG"]
+        for group in groups:
+            assert {taus[sid] for sid in group} == {taus[group[0]]}, group
+        assert len({taus[group[0]] for group in groups}) == len(groups)
+        assert sim.true_taus("HDFB", oracle_n=20_000, seed=3) == {
+            sid: float.fromhex(taus[sid]) for sid in "HDFB"}
+
+    def test_campaign_runs_each_estimand_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec, oracle_n, seed=0, _true_tau=true_tau):
+            calls.append(spec.id)
+            return _true_tau(spec, oracle_n, seed)
+
+        monkeypatch.setattr(sim, "true_tau", counted)
+        cfg = RunnerConfig(scenarios=tuple("FHGEC"), ns=(60,), reps=1,
+                           kinds=(EstimatorKind.CAL_T,), seed=2, oracle_n=20_000,
+                           tau0_overrides={"G": -2.7})
+        echo = run_experiment(cfg).config["tau0"]
+        assert calls == ["A", "C"]
+        c = true_tau(SCENARIOS["C"], oracle_n=20_000, seed=2)
+        assert echo == {"F": true_tau(SCENARIOS["A"], oracle_n=1), "H": c, "G": -2.7,
+                        "E": c, "C": c}
+
+
+def _models(spec):
+    """spec's models after rho, in ScenarioSpec's order."""
+    return spec.pi_study, spec.pi_target, spec.mu0_study, spec.mu0_target, spec.tilt
 
 
 class TestOracleThreads:
@@ -304,10 +402,10 @@ class TestOracleThreads:
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
         before = threading.active_count()
         for sid, spec in sorted(SCENARIOS.items()):
-            expected = true_tau_always_u(spec, 20_000, 3, chunk=7_000)
-            assert true_tau(spec, oracle_n=20_000, seed=3).hex() == expected.hex(), sid
+            check_oracle(spec, true_tau(spec, oracle_n=20_000, seed=3))
         assert threading.active_count() == before
-        assert pools == [min(3, cpus)] * len(SCENARIOS)
+        # A and F are exact and start no pool.
+        assert pools == [min(3, cpus)] * (len(SCENARIOS) - 2)
 
     def test_earliest_failing_chunk_raises(self, monkeypatch):
         # Chunks 1 and 2 fail, and chunk 1 fails last: an error taken in
@@ -340,7 +438,7 @@ class TestOracleThreads:
     def test_no_draws_start_no_thread(self):
         before = threading.active_count()
         with pytest.raises(DegenerateDrawError, match="no target-sample units"):
-            true_tau(SCENARIOS["A"], oracle_n=0)
+            true_tau(SCENARIOS["B"], oracle_n=0)
         assert threading.active_count() == before
 
 
@@ -382,6 +480,8 @@ class TestRunner:
         reps = [r for r in table.replicates if r.kind == "CAL_T"]
         taus = np.array([r.tau_hat for r in reps])
         row = table.row("A", 300, "CAL_T")
+        with pytest.raises(KeyError):
+            table.row("A", 301, "CAL_T")
         # rmse^2 = bias^2 + variance identity on the collected replicates
         assert row.rmse ** 2 == pytest.approx(
             row.bias ** 2 + taus.var(), abs=1e-10)
@@ -447,6 +547,10 @@ class TestRunner:
             run_experiment(RunnerConfig(reps=0))
         with pytest.raises(ConfigError, match="no sample sizes requested"):
             run_experiment(RunnerConfig(ns=()))
+        with pytest.raises(ConfigError, match="no scenarios requested"):
+            run_experiment(RunnerConfig(scenarios=()))
+        with pytest.raises(ConfigError, match="no estimators requested"):
+            run_experiment(RunnerConfig(kinds=()))
         # A count that is not an integer would fail inside the runner as a
         # TypeError, after the oracle has run. derive_seed folds the seed in
         # with int(), so a seed of 2.5 would run seed 2 and True seed 1.

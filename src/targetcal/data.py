@@ -391,7 +391,9 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
 def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
                    force_s: int | None) -> dict:
     """The dataset columns of one block of fields, each cast whole (see
-    read_csv_columns); a faulty block raises ValueError, for _fault to name."""
+    read_csv_columns). A faulty block raises ValueError, for _fault to name:
+    a wrong field count, a field float() rejects, an s or read z not 0 or 1,
+    or a read y or covariate that is NaN or infinite."""
     n = len(cells)
     if cells.shape[1] != len(header):
         raise ValueError("wrong number of fields")
@@ -413,8 +415,13 @@ def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
             except ValueError:  # then a blank field reads as NaN
                 seen = np.array([bool(f.strip()) for f in fields.tolist()], dtype=bool)
                 values[seen & ~dropped] = fields[seen & ~dropped].astype(float)
+        kept = values[seen & ~dropped]
+        if not ((kept == 0.0) | (kept == 1.0) if name == "z" else np.isfinite(kept)).all():
+            raise ValueError(f"observed {name} out of range")
         cols[name], cols[f"{name}_observed"] = values, seen
     cols["x"] = cells[:, cov_cols].astype(float)
+    if not np.isfinite(cols["x"]).all():
+        raise ValueError("covariate not finite")
     return cols
 
 
@@ -425,8 +432,9 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
 
     csv.reader reads the file again, through that block only. The fault is
     the block's first row with the wrong number of fields; failing that, its
-    earliest row with a faulty field, and that row's first, in the order s,
-    z, y, covariates (a dropped target z/y field is not read). A row is named
+    earliest row with a faulty field (one float() rejects, an s or z not 0
+    or 1, a y or covariate not finite), and that row's first, in the order
+    s, z, y, covariates (a dropped target z/y field is not read). A row is named
     by the line of the file it starts on. A row that csv.reader cannot read
     at all (a field over its size limit) is the fault, wherever it lies.
     """
@@ -463,10 +471,12 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
             except ValueError:
                 what = f"non-numeric value '{field}'" if field else "empty value"
                 return SchemaError(f"{path}: {what} in {label} (row {line})")
+            if name in ("s", "z") and value not in (0.0, 1.0):
+                return SchemaError(f"{path}: column '{name}' must be 0 or 1, "
+                                   f"got '{field}' (row {line})")
+            if not math.isfinite(value):
+                return SchemaError(f"{path}: non-finite value '{field}' in {label} (row {line})")
             if name == "s":
-                if value not in (0.0, 1.0):
-                    return SchemaError(f"{path}: column 's' must be 0 or 1, "
-                                       f"got '{field}' (row {line})")
                 s = value
     line = block[0][0] if block else reader.line_num + 1
     return SchemaError(f"{path}: malformed CSV from row {line}")
@@ -479,7 +489,8 @@ def read_csv_columns(path, mode: str = "fusion",
     The header must contain ``s`` (unless ``force_s`` fixes the indicator for
     the whole file, when it must not) and, depending on mode, ``z`` and ``y``;
     every remaining column is treated as a covariate, and no name may appear
-    twice. ``s`` must be 0 or 1 in every row. Empty z/y fields mark absent
+    twice. ``s`` must be 0 or 1 in every row, and so must every z that is
+    read; every y and covariate read must be finite. Empty z/y fields mark absent
     values; transport mode reads target-sample z/y as NaN without casting them.
     Fields may be quoted and padded with whitespace; blank lines are skipped,
     there are no comment lines, and a leading byte-order mark is ignored; a
@@ -492,7 +503,8 @@ def read_csv_columns(path, mode: str = "fusion",
     rows (blank lines and the extra lines of a quoted field do not count),
     each cast to float before the next is read, so the str fields of one
     block at a time are held. Any fault in a block (a wrong field count, a
-    field that float() rejects, an ``s`` not 0 or 1) goes to one locator,
+    field that float() rejects, an ``s`` or observed ``z`` not 0 or 1, an
+    observed ``y`` or a covariate that is NaN or infinite) goes to one locator,
     _fault, which finds it in the file; numpy's error text is not read. A
     file with more than one fault reports the first block's.
     """

@@ -281,7 +281,12 @@ def tau_tmle(dataset: Dataset, fits: Fits) -> TauEstimate:
     h0 = (1.0 - z) * ratio0[study]
     h1 = z * ratio1[study]
     offset = z * glm.logit(mu1_star[study]) + (1.0 - z) * glm.logit(mu0_star[study])
-    fluct = glm.fit_logistic(np.column_stack([h0, h1]), y_star, offset=offset)
+    # h0 and h1 are positive and finite (the scores are clipped) on the
+    # disjoint study arms and zero elsewhere, so the two columns are
+    # orthogonal: full rank once both arms are, a verdict the initial fits
+    # have already read.
+    fluct = glm.fit_logistic(np.column_stack([h0, h1]), y_star, offset=offset,
+                             rank_check=partial(fits.arms_full_rank, 1))
     eps0, eps1 = fluct.coefficients
 
     mu0 = y_lo + (y_hi - y_lo) * glm.expit(glm.logit(mu0_star) + eps0 * ratio0)

@@ -9,14 +9,16 @@ influence terms their point estimates keep. Every variance function maps
 (dataset, fits, estimate) to a standard error: the data, its ``Fits``
 context (balance matrix, target moments, nuisance fits and solves) and the
 point estimate. ``estimate_with_ci`` builds the one normal interval.
-Each group's duals enter the stack as the solver returns them
-(``DualSolution.eta``, one m-vector per arm), so each dual block of the
-stack is the solver's own gradient for one arm and its Jacobian block the
-solver's Hessian block. The stacked Jacobian is block lower-triangular, so
-the sandwich's tau entry comes by back-substitution, one m x m solve per
-arm Hessian, and the Jacobian itself is never formed. There is no
-condition-number gate: an arm Hessian is singular only on rank-deficient
-rows, which ``Fits.arms_full_rank`` refuses before the solve.
+The sandwich reads each (group, arm) block of the stack straight from the
+group's ``DualSolution``: the arm's rows and the solver's own weights on
+them, so each dual block is the solver's gradient for one arm and its
+Jacobian block the solver's Hessian. The stacked Jacobian is block
+lower-triangular, so the sandwich's tau entry comes by back-substitution,
+one m x m solve per arm Hessian, and neither the Jacobian nor the stacked
+parameter vector is ever formed; ``tests/conftest.py`` keeps the stacked
+system at an arbitrary parameter as the reference the tests check against.
+There is no condition-number gate: an arm Hessian is singular only on
+rank-deficient rows, which ``Fits.arms_full_rank`` refuses before the solve.
 """
 
 from __future__ import annotations
@@ -41,80 +43,47 @@ def confidence_interval(tau_hat: float, se: float, level: float) -> tuple[float,
     return tau_hat - zq * se, tau_hat + zq * se
 
 
-class CalibrationSystem:
-    """Stacked estimating equations of a calibration estimator at nu.
-
-    ``groups`` holds the calibrated sample labels: (1,) for transport,
-    (0, 1) for data fusion. Parameter vector nu = (theta0, lambda_ga for g in
-    groups and arm a in (0, 1), tau), length (2G + 1)m + 1 for G groups;
-    (lambda_g0, lambda_g1) is the group's ``DualSolution.eta``, so unit i of
-    group g and arm a has weight w_i = exp(-c_i . lambda_ga). A unit's
-    residual has a target-moment block (c_i - theta0 on the target sample),
-    one block per (group, arm), [z_i = a] w_i c_i - theta0 / 2 on the
-    group's units, which sums to minus the solver's gradient for that arm
-    and has its Hessian as minus its Jacobian, and the effect equation
-    w_i ((2z_i - 1) y_i - z_i tau). Each block is formed on its own rows
-    only, so unobserved target-sample values never enter. All blocks vanish
-    at the fitted parameters: they restate the solver's converged constraints.
-
-    ``blocks`` holds, per (group, arm) in the order of nu (arm 0 first),
-    the group's and the arm's unit masks, the arm's slice of nu, and on the
-    arm's rows its c, weights and effect residuals. ``psi_dot(x)`` is the
-    residual matrix times x, formed without the matrix.
-    """
-
-    def __init__(self, cmat: np.ndarray, s: np.ndarray, z: np.ndarray, y: np.ndarray,
-                 nu: np.ndarray, groups: tuple):
-        m = cmat.shape[1]
-        self.cmat, self.theta0 = cmat, nu[:m]
-        self.target = s == 0
-        self.blocks = []
-        for j, g in enumerate(groups):
-            group = s == g
-            for arm in (0, 1):
-                rows = group & (z == arm)
-                lam = slice((1 + 2 * j + arm) * m, (2 + 2 * j + arm) * m)
-                c_own = cmat[rows]
-                w = np.exp(-(c_own @ nu[lam]))
-                effect = w * ((2 * arm - 1) * y[rows] - arm * nu[-1])
-                self.blocks.append((group, rows, lam, c_own, w, effect))
-
-    def psi_dot(self, x: np.ndarray) -> np.ndarray:
-        """psi @ x for the residual matrix psi: one entry per unit."""
-        cmat, theta0, m = self.cmat, self.theta0, len(self.theta0)
-        out = np.zeros(len(cmat))
-        out[self.target] = (cmat @ x[:m])[self.target] - theta0 @ x[:m]
-        for group, rows, lam, c_own, w, effect in self.blocks:
-            out[group] -= theta0 @ x[lam] / 2.0
-            out[rows] += w * (c_own @ x[lam]) + effect * x[-1]
-        return out
-
-
 def _sandwich_variance(dataset: Dataset, fits: Fits, duals: tuple, groups: tuple,
                        tau_hat: float) -> float:
     """Sandwich variance of tau_hat, one dual solution per calibrated group.
 
-    Only the tau entry of A^-1 (psi' psi) A^-T is needed: with A' x = e_tau
-    it equals ||psi x||^2. The Jacobian A is block lower-triangular in the
-    order (theta0, lambda per (group, arm), tau): its theta0 block is
-    -n0 I, each lambda block -H on the diagonal (H = c' diag(w) c, the
-    solver's Hessian for that arm) and -(n_g / 2) I under theta0, and the
-    tau row holds -(effect' c) per arm and -sum(w) over the treated arms.
-    So A' x = e_tau solves by back-substitution, one m x m solve per arm,
-    without forming A (Stefanski and Boos, "The calculus of M-estimation",
-    Am. Stat. 56, 2002).
+    The stack (theta0, lambda per (group, arm), tau) has per unit a
+    target-moment block c_i - theta0 on the target sample, per (group, arm)
+    a block [z_i = a] w_i c_i - theta0 / 2 on the group's units, w the
+    solver's weights, and the effect equation w_i ((2 z_i - 1) y_i - z_i tau).
+    Each block reads its arm's rows only, so unobserved target-sample values
+    never enter. With A' x = e_tau, the variance is ||psi x||^2. A is block
+    lower-triangular: -n0 I for theta0; per arm -H on the diagonal (H =
+    c' diag(w) c, the solver's Hessian) and -(n_g / 2) I under theta0; in
+    the tau row -(effect' c) per arm and -sum(w) over the treated arms. So
+    x comes by back-substitution, one m x m solve per arm (Stefanski and
+    Boos, "The calculus of M-estimation", Am. Stat. 56, 2002). psi x is
+    summed per unit in the stack's order: target term, then per arm the
+    group's and the rows' terms.
     """
-    nu = np.concatenate([fits.theta0, *(dual.eta for dual in duals), [tau_hat]])
-    system = CalibrationSystem(fits.c.c, dataset.s, dataset.z, dataset.y, nu, groups)
-    m = len(fits.theta0)
-    x = np.zeros(len(nu))
-    x[-1] = -1.0 / sum(w.sum() for *_, w, _ in system.blocks[1::2])
-    for group, _, lam, c_own, w, effect in system.blocks:
-        hessian = c_own.T @ (c_own * w[:, None])
-        x[lam] = np.linalg.solve(hessian, -(effect @ c_own) * x[-1])
-        x[:m] -= np.count_nonzero(group) / 2.0 * x[lam]
-    x[:m] /= np.count_nonzero(system.target)
-    return float(np.linalg.norm(system.psi_dot(x)))
+    c, theta0 = fits.c.c, fits.theta0
+    target = dataset.s == 0
+    blocks = []  # (group, rows, c, w, effect) per (group, arm), arm 0 first
+    for dual, g in zip(duals, groups):
+        group = dataset.s == g
+        for arm in (0, 1):
+            rows = group & (dataset.z == arm)
+            w = dual.weights.compress(rows)  # as w[rows], at a quarter of its cost
+            effect = w * ((2 * arm - 1) * dataset.y[rows] - arm * tau_hat)
+            blocks.append((group, rows, c[rows], w, effect))
+    x_tau = -1.0 / sum(w.sum() for *_, w, _ in blocks[1::2])
+    x_lams = [np.linalg.solve(c_own.T @ (c_own * w[:, None]), -(effect @ c_own) * x_tau)
+              for *_, c_own, w, effect in blocks]
+    x_theta = np.zeros(len(theta0))
+    for (group, *_), x_lam in zip(blocks, x_lams):
+        x_theta -= np.count_nonzero(group) / 2.0 * x_lam
+    x_theta /= np.count_nonzero(target)
+    psi_x = np.zeros(dataset.n)
+    psi_x[target] = (c @ x_theta)[target] - theta0 @ x_theta
+    for (group, rows, c_own, w, effect), x_lam in zip(blocks, x_lams):
+        psi_x[group] -= theta0 @ x_lam / 2.0
+        psi_x[rows] += w * (c_own @ x_lam) + effect * x_tau
+    return float(np.linalg.norm(psi_x))
 
 
 def sandwich_variance_transport(dataset: Dataset, fits: Fits, estimate: TauEstimate) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from targetcal.data import Dataset, build_balance_matrix
-from targetcal.inference import CalibrationSystem
 
 
 def sigmoid(x):
@@ -70,6 +69,55 @@ def random_feasible_transport(rng, n=None, m=None):
     s[2] = 0
     z[0], z[1] = 1.0, 0.0
     return Dataset.fusion(s, z, y, x)
+
+
+class CalibrationSystem:
+    """Stacked estimating equations of a calibration estimator at an
+    arbitrary nu: the reference that inference._sandwich_variance, which
+    reads every block at the fit from the solver's own weights, and the
+    finite-difference checks of criterion 8 are tested against.
+
+    ``groups`` holds the calibrated sample labels: (1,) for transport,
+    (0, 1) for data fusion. Parameter vector nu = (theta0, lambda_ga for g in
+    groups and arm a in (0, 1), tau), length (2G + 1)m + 1 for G groups;
+    (lambda_g0, lambda_g1) is the group's ``DualSolution.eta``, so unit i of
+    group g and arm a has weight w_i = exp(-c_i . lambda_ga). A unit's
+    residual has a target-moment block (c_i - theta0 on the target sample),
+    one block per (group, arm), [z_i = a] w_i c_i - theta0 / 2 on the
+    group's units, and the effect equation w_i ((2z_i - 1) y_i - z_i tau),
+    each formed on its own rows only. All blocks vanish at the fitted
+    parameters.
+
+    ``blocks`` holds, per (group, arm) in the order of nu (arm 0 first),
+    the group's and the arm's unit masks, the arm's slice of nu, and on the
+    arm's rows its c, weights and effect residuals. ``psi_dot(x)`` is the
+    residual matrix times x, formed without the matrix.
+    """
+
+    def __init__(self, cmat, s, z, y, nu, groups):
+        m = cmat.shape[1]
+        self.cmat, self.theta0 = cmat, nu[:m]
+        self.target = s == 0
+        self.blocks = []
+        for j, g in enumerate(groups):
+            group = s == g
+            for arm in (0, 1):
+                rows = group & (z == arm)
+                lam = slice((1 + 2 * j + arm) * m, (2 + 2 * j + arm) * m)
+                c_own = cmat[rows]
+                w = np.exp(-(c_own @ nu[lam]))
+                effect = w * ((2 * arm - 1) * y[rows] - arm * nu[-1])
+                self.blocks.append((group, rows, lam, c_own, w, effect))
+
+    def psi_dot(self, x):
+        """psi @ x for the residual matrix psi: one entry per unit."""
+        cmat, theta0, m = self.cmat, self.theta0, len(self.theta0)
+        out = np.zeros(len(cmat))
+        out[self.target] = (cmat @ x[:m])[self.target] - theta0 @ x[:m]
+        for group, rows, lam, c_own, w, effect in self.blocks:
+            out[group] -= theta0 @ x[lam] / 2.0
+            out[rows] += w * (c_own @ x[lam]) + effect * x[-1]
+        return out
 
 
 def residual_matrix(system):

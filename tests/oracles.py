@@ -106,7 +106,13 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
             yo[i] = "y" in idx and row[idx["y"]].strip() != ""
         else:
             zv = parse(row, "z", mode == "fusion")
+            if zv not in (None, 0.0, 1.0):
+                cell = row[idx["z"]].strip()
+                raise SchemaError(f"{path}: column 'z' must be 0 or 1, got '{cell}'")
             yv = parse(row, "y", mode == "fusion")
+            if yv is not None and not math.isfinite(yv):
+                cell = row[idx["y"]].strip()
+                raise SchemaError(f"{path}: non-finite value '{cell}' in column 'y'")
             if zv is not None:
                 z[i], zo[i] = zv, True
             if yv is not None:
@@ -119,6 +125,8 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
                 raise SchemaError(
                     f"{path}: non-numeric value '{cell}' in covariate '{name}'"
                 ) from None
+            if not math.isfinite(x[i, j]):
+                raise SchemaError(f"{path}: non-finite value '{cell}' in covariate '{name}'")
     cols = {"s": s, "z": z, "y": y, "x": x, "z_observed": zo, "y_observed": yo}
     return cols, cov_names
 

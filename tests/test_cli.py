@@ -427,6 +427,12 @@ class TestConfigValidation:
         "simulate_u_standardize_config": ("simulate", {"u_standardize": "population"}, [],
                                           "u_standardize"),
         "diagnose_seed_config": ("diagnose", {"seed": 1}, [], "seed"),
+        "estimate_config_not_object": ("estimate", [1, 2], [], "must hold a JSON object"),
+        "estimate_unknown_balance_column": ("estimate", None, ["--balance-columns", "x1,x9"],
+                                            "unknown balance column 'x9'"),
+        "estimate_empty_balance_spec": ("estimate", None, ["--balance-columns", " , "],
+                                        "empty balance specification"),
+        "diagnose_missing_input": ("diagnose", {"input": None}, [], "input: required"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -25,6 +25,7 @@ from targetcal.data import (
 from targetcal.errors import (
     AllZeroError,
     DimensionMismatchError,
+    EmptyArmError,
     EmptyTargetError,
     ModeError,
     NonFiniteError,
@@ -86,6 +87,30 @@ class TestDataset:
         ds = tiny_dataset()
         with pytest.raises(ValueError):
             ds.y[0] = 99.0
+
+    # Each case changes one argument of a valid fusion dataset of four units.
+    INVALID = {
+        "one_dimensional_x": ({"x": np.zeros(4)}, ModeError,
+                              "covariate matrix must be two-dimensional"),
+        "one_unit": ({"s": [1], "z": [1.0], "y": [1.0], "x": np.zeros((1, 1))}, ModeError,
+                     "need at least two units"),
+        "short_z": ({"z": [1.0, 0.0, 1.0]}, ModeError, "z must have length 4"),
+        "nan_covariate": ({"x": [[0.0], [np.nan], [1.0], [2.0]]}, NonFiniteError,
+                          "covariates contain NaN or infinity"),
+        "unobserved_study_y": ({"y": [1.0, np.nan, 3.0, 4.0]}, ModeError,
+                               "z and y must be observed for every study-sample unit"),
+        "non_binary_z": ({"z": [1.0, 0.0, 2.0, 0.0]}, ModeError, "observed z must be binary"),
+        "infinite_y": ({"y": [1.0, 2.0, 3.0, np.inf]}, NonFiniteError,
+                       "observed y contains NaN or infinity"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_arrays_rejected(self, case):
+        changes, error, message = self.INVALID[case]
+        arrays = {"s": [1, 1, 0, 0], "z": [1.0, 0.0, 1.0, 0.0], "y": [1.0, 2.0, 3.0, 4.0],
+                  "x": np.zeros((4, 1)), **changes}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Dataset.fusion(**arrays)
 
     @pytest.mark.parametrize("cell", [0.9, 257.0, -0.5, np.nan])
     def test_sample_indicator_must_be_binary(self, cell):
@@ -170,6 +195,16 @@ class TestBalanceMatrix:
         c = build_balance_matrix(ds)
         assert c.m == 5
         assert np.allclose(c.c[:, 0], 1.0)
+
+    @pytest.mark.parametrize("entry, message", [
+        (("x1", "cube", 0), "unknown balance transformation 'cube'"),
+        (("x2", "identity", 1), "balance column index 1 out of range"),
+        (("x0", "identity", -1), "balance column index -1 out of range")],
+        ids=["unknown_op", "index_past_end", "negative_index"])
+    def test_bad_spec_entry_rejected(self, entry, message):
+        ds = two_sample_dataset([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            build_balance_matrix(ds, BalanceSpec(entries=(entry,)))
 
     def test_nonfinite_transform_rejected(self):
         ds = two_sample_dataset([[0.0], [1.0], [2.0], [3.0]])
@@ -306,6 +341,12 @@ class TestSMD:
                            match=rf"^group has shape \({len(group)},\), not \(4,\)$"):
             standardized_mean_differences(BalanceMatrix(mat), np.array(group))
 
+    @pytest.mark.parametrize("group", [[1, 1, 1, 1], [0, 0, 0, 0]])
+    def test_one_sided_group_rejected(self, group):
+        mat = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(EmptyArmError, match="^both comparison groups must be nonempty$"):
+            standardized_mean_differences(BalanceMatrix(mat), np.array(group))
+
     @pytest.mark.parametrize("group", [[1, 1, 2, 0, 0, 0], [1, 1, 0.9, 0, 0, 0],
                                        [1, 1, -1, 0, 0, 0], [1, 1, np.nan, 0, 0, 0]])
     def test_group_outside_zero_one_rejected(self, group):
@@ -373,6 +414,13 @@ class TestExportScores:
         rho[0] = 0.0
         with pytest.raises(OutOfRangeError):
             export_scores(rho, np.full(6, 0.5), ds, "/dev/null")
+
+    @pytest.mark.parametrize("rho, pi, name", [(np.full(5, 0.5), np.full(6, 0.5), "sampling"),
+                                               (np.full(6, 0.5), np.full(7, 0.5), "propensity")])
+    def test_score_of_another_length_rejected(self, tmp_path, rho, pi, name):
+        with pytest.raises(SchemaError, match=f"^{name} score vector has wrong length$"):
+            export_scores(rho, pi, tiny_dataset(), tmp_path / "scores.csv")
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -567,6 +615,8 @@ class TestCsvAgainstPerCellParser:
         "padded": ("fusion", " s , z ,y, x1 \n 1 , 0 ,2.5 , 0.3\n0,1 , -1.5,  4 \n"),
         "target_blanks": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,,,0.2\n0, , ,0.3\n1,0,1,0.4\n"),
         "target_markers": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,NA,,0.2\n0, , NA ,0.3\n1,0,1,0.4\n"),
+        # Dropped target fields are not cast, so neither is out of range.
+        "target_out_of_range": ("transport", "s,z,y,x1\n1,1,2.5,0.1\n0,2,inf,0.2\n1,0,1,0.4\n"),
         "no_trailing_newline": ("fusion", "s,z,y,x1\n1,1,2.5,0.1\n0,0,1.5,0.2"),
         "quoted_newlines": ("fusion", 's,z,y,x1\n1,1,"2.5\n",0.1\n0,"0",1.5,"0.2\r\n"\n'
                                       '"1","0\n\n",1,2\n0,1,-1,3\n'),
@@ -616,6 +666,11 @@ class TestCsvAgainstPerCellParser:
         "empty_file": "",
         "duplicate_column": "s,z,y,x1,z\n1,1,2.5,0.1,0\n",
         "duplicate_covariate": "s,z,y,x1,x1\n1,1,2.5,0.1,0.2\n",
+        "non_binary_treatment": "s,z,y,x1\n1,1,2.5,0.1\n0,2,1.5,0.3\n",
+        "nan_treatment": "s,z,y,x1\n1,1,2.5,0.1\n1,nan,1.5,0.3\n",
+        "infinite_outcome": "s,z,y,x1\n1,1,2.5,0.1\n0,0,inf,0.3\n",
+        "nan_outcome": "s,z,y,x1\n1,1,2.5,0.1\n1,0, NaN ,0.3\n",
+        "infinite_covariate": "s,z,y,x1,x2\n1,1,2.5,0.1,0.2\n0,0,1.5,0.3,-inf\n",
     }
 
     @pytest.mark.parametrize("case", sorted(INVALID))
@@ -639,6 +694,28 @@ class TestCsvAgainstPerCellParser:
         with pytest.raises(SchemaError) as got:
             read_csv_columns(path, mode="fusion")
         assert str(got.value) == f"{want.value} (row 2)"
+
+    # A read z out of {0, 1} and a read y or covariate that is NaN or
+    # infinite are named by file, column, value and row; a row with several
+    # reports the first in the order s, z, y, covariates.
+    OUT_OF_RANGE = {
+        "z": ("1,1,2.5,0.1\n0,2,inf,-inf", "column 'z' must be 0 or 1, got '2'"),
+        "z_nan": ("1,1,2.5,0.1\n1,nan,1.5,0.2", "column 'z' must be 0 or 1, got 'nan'"),
+        "y": ("1,1,2.5,0.1\n1,0,inf,-inf", "non-finite value 'inf' in column 'y'"),
+        "covariate": ("1,1,2.5,0.1\n1,0,1.5,-inf", "non-finite value '-inf' in covariate 'x1'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_names_row(self, tmp_path, case):
+        body, message = self.OUT_OF_RANGE[case]
+        path = tmp_path / "d.csv"
+        path.write_text(f"s,z,y,x1\n{body}\n1,0,1,0.3\n")
+        with pytest.raises(SchemaError) as want:
+            read_csv_columns_per_cell(path, mode="fusion")
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert str(want.value) == f"{path}: {message}"
+        assert str(got.value) == f"{want.value} (row 3)"
 
     @pytest.mark.parametrize("cell", ["", " ", "0.7", "2", "-1", "nan", "yes"])
     def test_sample_indicator_must_be_binary(self, tmp_path, cell):
@@ -772,7 +849,7 @@ class TestCsvBlocks:
 # text.
 NUMBERS = st.one_of(st.integers(-5, 5).map(str),
                     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-                    st.sampled_from(["nan", "-inf", "1E5", ".5", "-0"]))
+                    st.sampled_from(["1E5", ".5", "-0", "+3"]))
 DROPPED = st.text(alphabet=' ,"\n\rNA1', max_size=5)
 
 
@@ -834,9 +911,11 @@ def test_ingest_matches_per_cell_parser(csv_dir, case, bom):
             assert_same_columns(read_csv_columns(path, mode=mode, force_s=force_s), want)
 
 
-# Spellings float() rejects, and values of s that are numbers but not 0 or 1.
+# Spellings float() rejects, values of s and z that are numbers but not 0 or
+# 1, and numbers that are not finite.
 NON_NUMBERS = st.sampled_from(["abc", "NA", "1.2.3", "--1", "1e", "0x1", "1 2", "_1"])
-BAD_S = st.sampled_from(["2", "-1", "0.5", "nan", "1e3", "-inf"])
+NOT_BINARY = st.sampled_from(["2", "-1", "0.5", "nan", "1e3", "-inf"])
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity"])
 
 
 @st.composite
@@ -869,15 +948,22 @@ def single_fault_files(draw):
     fields = [[field(r[name]) for name in names] for r in rows]
     read = [name for name in names if name not in ("z", "y")
             or not (mode == "transport" and row["s"] == "0")]
-    kinds = ["value", "short", "long"] + ["bad_s"] * (force_s is None)
+    binary = [name for name in ("s", "z") if name in read]
+    kinds = ["value", "short", "long", "non_finite"] + ["not_binary"] * bool(binary)
     kind = draw(st.sampled_from(kinds))
     if kind in ("short", "long"):
         fields[i] = fields[i][:-1] if kind == "short" else fields[i] + ["0"]
         message = f"row {line} has {len(fields[i])} fields, expected {len(names)}"
-    elif kind == "bad_s":
-        value = draw(BAD_S)
-        fields[i][names.index("s")] = value
-        message = f"column 's' must be 0 or 1, got '{value}' (row {line})"
+    elif kind == "not_binary":
+        name, value = draw(st.sampled_from(binary)), draw(NOT_BINARY)
+        fields[i][names.index(name)] = value
+        message = f"column '{name}' must be 0 or 1, got '{value}' (row {line})"
+    elif kind == "non_finite":
+        name = draw(st.sampled_from([name for name in read if name not in ("s", "z")]))
+        value = draw(NON_FINITE)
+        fields[i][names.index(name)] = field(value)
+        label = "column 'y'" if name == "y" else f"covariate '{name}'"
+        message = f"non-finite value '{value}' in {label} (row {line})"
     else:
         name = draw(st.sampled_from(read))
         value = draw(NON_NUMBERS if name in ("z", "y") else st.one_of(NON_NUMBERS, st.just("")))

@@ -335,6 +335,15 @@ def test_fusion_cbps_reads_the_target_balance(baseline_balance, caplog):
     assert np.array_equal(cbps.weights_used, fits.target_balance.weights[ds.s == 0])
 
 
+@pytest.mark.parametrize("weights, z, message", [
+    ([1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0], "both treatment arms are required"),
+    ([0.0, 0.0, 2.0, 1.0], [1.0, 1.0, 0.0, 0.0], "an arm carries zero total weight"),
+    ([1.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], "an arm carries zero total weight")])
+def test_hajek_contrast_needs_weight_in_both_arms(weights, z, message):
+    with pytest.raises(EmptyArmError, match=f"^{message}$"):
+        estimators._hajek_contrast(np.array(weights), np.array(z), np.arange(4.0))
+
+
 def test_target_sample_without_an_arm(baseline_balance):
     # Fusion data whose target sample has no treated unit: the four kinds
     # that read target treatment fail by name, the four others succeed.

@@ -367,6 +367,13 @@ def test_one_dimensional_design_is_a_typed_error(fit, what, rank_check):
         fit(np.arange(6.0), np.full(6, 0.5), rank_check=rank_check)
 
 
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear])
+@pytest.mark.parametrize("length", [5, 7])
+def test_response_of_another_length_is_a_typed_error(fit, length):
+    with pytest.raises(DimensionMismatchError, match="^response length does not match design$"):
+        fit(np.column_stack([np.ones(6), np.arange(6.0)]), np.full(length, 0.5))
+
+
 @pytest.mark.parametrize("fit, what", [(fit_logistic, "logistic design"),
                                        (fit_linear, "linear design")])
 @pytest.mark.parametrize("rank_check", [None, lambda: None])

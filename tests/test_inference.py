@@ -17,7 +17,6 @@ from targetcal.estimators import (
     tau_cal_transport,
 )
 from targetcal.inference import (
-    CalibrationSystem,
     confidence_interval,
     descriptive_variance,
     estimate_with_ci,
@@ -29,6 +28,7 @@ from targetcal.sim import SCENARIOS, derive_seed, generate
 from targetcal.solver import assemble_fusion, assemble_transport
 
 from conftest import (
+    CalibrationSystem,
     draw_row_a,
     jacobian,
     random_feasible_transport,
@@ -130,9 +130,11 @@ class TestSolverDuals:
             for arm, (a, b) in enumerate(problem.blocks):
                 _, own_rows, block, _, weights, _ = system.blocks[2 * j + arm]
                 rows, start = problem.active_rows[start:start + len(a)], start + len(a)
-                # The arm's weights exist on the solver's rows of that arm alone.
+                # The arm's weights exist on the solver's rows of that arm
+                # alone, and are the solver's to the bit, as the sandwich
+                # reads them from the solution.
                 assert np.array_equal(np.flatnonzero(own_rows), rows)
-                assert np.max(np.abs(weights - dual.weights[rows])) < 1e-10
+                assert np.array_equal(weights, dual.weights[rows])
                 # The block sums to minus the solver's gradient b - a'w ...
                 gradient = b - a.T @ dual.weights[rows]
                 assert np.max(np.abs(psi_sum[block] + gradient)) < 1e-9 * np.max(np.abs(b))
@@ -227,7 +229,7 @@ class TestSandwich:
         assert eig.min() >= -1e-8 * max(eig.max(), 1e-30)
         assert se ** 2 == pytest.approx(cov[-1, -1], rel=1e-10)
 
-    # The SE from the residual products psi_dot(x) against the one from the
+    # The SE from the per-unit sums of psi x against the one from the
     # whole (gamma, delta) residual matrix in one product, which differs from
     # it only in the last bits. ``block`` enters no SE; it only names a draw.
     @pytest.mark.parametrize("seed, n, block", [(414, 1500, 512), (1, 1500, 256),

@@ -647,8 +647,9 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     # checked once per row set: the balance matrix when it is built (the
     # sampling score reads that verdict), the study sample (propensity score
     # and sampling solve), each study arm (outcome models, TMLE's initial
-    # fits and the transport solve), each target arm (AUG_F's outcome models
-    # and the fusion solve), and TMLE's fluctuation design.
+    # fits, its fluctuation fit, whose two columns are orthogonal, and the
+    # transport solve), and each target arm (AUG_F's outcome models and the
+    # fusion solve).
     calls = {"fit_logistic": 0, "assemble_sampling": 0, "solve_entropy_dual": 0,
              "check_full_rank": 0}
 
@@ -670,7 +671,7 @@ def test_replicate_shares_one_nuisance_plan(monkeypatch):
     results = sim._evaluate_replicate(("A", 500, 0, 0, kinds, 0.95))
     assert [r.kind for r in results if not r.failed] == list(kinds)
     assert calls == {"fit_logistic": 5, "assemble_sampling": 1, "solve_entropy_dual": 3,
-                     "check_full_rank": 7}
+                     "check_full_rank": 6}
 
 
 def test_poor_overlap_replicate_skips_the_moot_solves(monkeypatch, caplog):

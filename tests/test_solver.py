@@ -9,7 +9,8 @@ from scipy.optimize import linprog, minimize
 
 from targetcal import solver
 from targetcal.data import BalanceMatrix, build_balance_matrix, target_moments
-from targetcal.errors import DegenerateDrawError, NotConvergedError, RankDeficientError
+from targetcal.errors import (DegenerateDrawError, EmptyArmError, EmptyTargetError,
+                              NotConvergedError, RankDeficientError)
 from targetcal.sim import MAX_REDRAWS, SCENARIOS, derive_seed, generate
 from targetcal.solver import (
     EntropyProblem,
@@ -42,6 +43,10 @@ def nelder_mead_eta(problem, k, maxiter=200_000):
     return res.x
 
 
+# An intercept and one covariate on four units.
+FOUR_UNITS = BalanceMatrix(np.column_stack([np.ones(4), np.arange(4.0)]))
+
+
 class TestSolveBasics:
     def test_intercept_only_unit_weights(self):
         prob = EntropyProblem(blocks=[(np.ones((4, 1)), np.array([4.0]))],
@@ -64,6 +69,19 @@ class TestSolveBasics:
                               active_rows=np.arange(5), n_units=5)
         with pytest.raises(RankDeficientError):
             solve_entropy_dual(prob)
+
+    @pytest.mark.parametrize("empty, error, message", [
+        (lambda: solve_entropy_dual(EntropyProblem(blocks=[(np.empty((0, 2)), np.ones(2))],
+                                                   active_rows=[], n_units=4)),
+         EmptyArmError, "entropy problem has no active rows"),
+        (lambda: assemble_sampling(FOUR_UNITS, np.zeros(4), np.ones(2)),
+         EmptyTargetError, "study sample is empty"),
+        (lambda: assemble_fusion(FOUR_UNITS, np.ones(4), np.array([1.0, 0.0, 1.0, 0.0]),
+                                 np.ones(2)),
+         EmptyTargetError, "sample s=0 is empty")], ids=["no_rows", "no_study", "no_target"])
+    def test_empty_rows_are_typed_errors(self, empty, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            empty()
 
     def test_infeasible_raises_with_worst_constraint(self, monkeypatch):
         # Demand a weighted mean far outside the covariate hull.

@@ -22,9 +22,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import (MODES, BalanceMatrix, BalanceSpec, Dataset, build_balance_matrix,
-                   effective_sample_size, export_scores, load_dataset_csv,
-                   standardized_mean_differences)
+from .data import (FORK_ROWS, MODES, BalanceMatrix, BalanceSpec, Dataset,
+                   build_balance_matrix, effective_sample_size, export_scores,
+                   load_dataset_csv, second_cpu, standardized_mean_differences,
+                   start_export_scores)
 from .errors import ConfigError, TargetcalError
 from .estimators import EstimatorKind, Fits
 from .inference import estimate_with_ci
@@ -253,11 +254,27 @@ def _load(settings: dict) -> Fits:
     return Fits(dataset, build_balance_matrix(dataset, spec))
 
 
+def _start_scores(fits: Fits, path: Path) -> Callable | None:
+    """The join of a scores.csv writer started now in a forked child (see
+    data.start_export_scores), when the sample has FORK_ROWS units and the
+    host a second CPU; else None, and _write_balance writes scores.csv. A
+    score fit that fails starts no writer either, so that _write_balance
+    raises its error where it always has, and nor does a fork that fails.
+    Fits caches both scores, so this adds no work."""
+    if second_cpu(fits.dataset.n, FORK_ROWS):
+        try:
+            return start_export_scores(fits.rho, fits.pi, fits.dataset, path)
+        except (TargetcalError, OSError):
+            pass
+    return None
+
+
 def _write_balance(command: str, settings: dict, fits: Fits, labels, failures: list,
-                   **echo) -> dict:
+                   scores: Callable | None, **echo) -> dict:
     """Write smd.csv, scores.csv and config.json, and return the weight sets
-    named by ``labels``. A weight set whose solve fails is left out, and its
-    error is appended to ``failures``."""
+    named by ``labels``. ``scores`` joins a scores.csv writer already started
+    (see _start_scores), and raises its OSError. A weight set whose solve
+    fails is left out, and its error is appended to ``failures``."""
     weight_sets = {}
     for label in labels:
         try:
@@ -267,7 +284,10 @@ def _write_balance(command: str, settings: dict, fits: Fits, labels, failures: l
     out = settings["out"]
     _write_csv(out / "smd.csv", ["comparison", "column", "weighting", "smd"],
                _smd_rows(fits.dataset, fits.c, weight_sets))
-    export_scores(fits.rho, fits.pi, fits.dataset, out / "scores.csv")
+    if scores is None:
+        export_scores(fits.rho, fits.pi, fits.dataset, out / "scores.csv")
+    else:
+        scores()
     _echo_config(out, command, settings | echo)
     return weight_sets
 
@@ -278,26 +298,31 @@ def cmd_estimate(args: argparse.Namespace) -> list:
     if settings["estimators"] is None:
         settings["estimators"] = _estimators(DEFAULT_ESTIMATORS[settings["mode"]])
     fits = _load(settings)
-    results, failures, labels = [], [], []
-    for kind in settings["estimators"]:
-        try:
-            est = estimate_with_ci(fits.dataset, fits, kind=kind, level=settings["level"])
-            summary = _weight_summary(est.weights_used)
-        except TargetcalError as exc:
-            failures.append(f"estimator {kind.value} failed: {type(exc).__name__}: {exc}")
-            continue
-        results.append([kind.value, est.tau_hat, est.se, est.ci_low, est.ci_high, *summary,
-                        est.method])
-        if kind in WEIGHT_SETS:
-            labels.append(WEIGHT_SETS[kind])
-
     out = settings["out"]
-    _write_csv(out / "results.csv", ["estimator", "tau_hat", "se", "ci_low", "ci_high", "ess",
-                                     "max_weight", "method"], results)
-    _write_text(out / "results.txt", ["estimator", "tau_hat", "se", "ci_low", "ci_high"],
-                [10, 12, 12, 12, 12], [row[:5] for row in results])
-    _write_balance(ESTIMATE, settings, fits, labels, failures,
-                   benchmark_sample="target" if settings["mode"] == "fusion" else "study")
+    scores = _start_scores(fits, out / "scores.csv")
+    try:
+        results, failures, labels = [], [], []
+        for kind in settings["estimators"]:
+            try:
+                est = estimate_with_ci(fits.dataset, fits, kind=kind, level=settings["level"])
+                summary = _weight_summary(est.weights_used)
+            except TargetcalError as exc:
+                failures.append(f"estimator {kind.value} failed: {type(exc).__name__}: {exc}")
+                continue
+            results.append([kind.value, est.tau_hat, est.se, est.ci_low, est.ci_high, *summary,
+                            est.method])
+            if kind in WEIGHT_SETS:
+                labels.append(WEIGHT_SETS[kind])
+
+        _write_csv(out / "results.csv", ["estimator", "tau_hat", "se", "ci_low", "ci_high",
+                                         "ess", "max_weight", "method"], results)
+        _write_text(out / "results.txt", ["estimator", "tau_hat", "se", "ci_low", "ci_high"],
+                    [10, 12, 12, 12, 12], [row[:5] for row in results])
+        _write_balance(ESTIMATE, settings, fits, labels, failures, scores,
+                       benchmark_sample="target" if settings["mode"] == "fusion" else "study")
+    finally:
+        if scores is not None:
+            scores(kill=True)  # the writer, if an error left it running
     return failures
 
 
@@ -334,10 +359,16 @@ def cmd_diagnose(args: argparse.Namespace) -> list:
     """balance and overlap diagnostics"""
     settings = _settings(args)
     fits = _load(settings)
+    scores = _start_scores(fits, settings["out"] / "scores.csv")
     failures = []
     labels = ("sampling", "transport") + (("fusion",) if settings["mode"] == "fusion" else ())
+    try:
+        weight_sets = _write_balance(DIAGNOSE, settings, fits, labels, failures, scores)
+    finally:
+        if scores is not None:
+            scores(kill=True)  # the writer, if an error left it running
     ess_rows = []
-    for label, w in _write_balance(DIAGNOSE, settings, fits, labels, failures).items():
+    for label, w in weight_sets.items():
         active = w > 0 if label == "fusion" else fits.dataset.s == 1
         ess_rows.append([label, *_weight_summary(w[active])])
     _write_csv(settings["out"] / "ess.csv", ["weighting", "ess", "max_weight"], ess_rows)

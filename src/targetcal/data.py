@@ -7,11 +7,14 @@ read-only), so they can be shared freely across concurrent replicate workers.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
 import itertools
 import logging
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,6 +45,16 @@ RANK_TOL = 1e-10
 # per-field Python object is held for the whole sample.
 BLOCK_ROWS = 8192
 
+# The sizes from which the CLI's text I/O shares its work with a forked child
+# process on a host with a second CPU (see second_cpu): bytes of CSV body,
+# of which the child reads the second half, and units, whose scores.csv the
+# child writes. Below them the fork costs about what it saves.
+FORK_BYTES = 1 << 20
+FORK_ROWS = 10_000
+
+# Bytes read at a time where a CSV body is scanned for its split point.
+BLOCK_BYTES = 1 << 20
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -71,7 +84,7 @@ class Dataset:
         s = np.asarray(self.s)
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2:
-            raise ModeError("covariate matrix must be two-dimensional")
+            raise DimensionMismatchError("covariate matrix must be two-dimensional")
         n = x.shape[0]
         if n < 2:
             raise ModeError("need at least two units")
@@ -79,7 +92,7 @@ class Dataset:
         y = np.asarray(self.y, dtype=float)
         for name, arr in (("s", s), ("z", z), ("y", y)):
             if arr.shape != (n,):
-                raise ModeError(f"{name} must have length {n}")
+                raise DimensionMismatchError(f"{name} must have length {n}")
         if self.mode not in MODES:
             raise ModeError(f"unknown mode '{self.mode}'")
         # Tested before the cast, which would truncate 0.9 to 0 and 257 to 1.
@@ -318,8 +331,8 @@ def standardized_mean_differences(
     # One row per balance column, kept C-contiguous (compress, unlike a
     # boolean index, returns it so), so each row reduces by the same pairwise
     # summation as a per-column np.average / var and the results match bits.
-    cols = np.ascontiguousarray(c.c[:, 1:].T)
-    groups = [(cols.compress(g, axis=1), g) for g in (g1, g0)]
+    # Compressed straight from the transposed view, no whole copy is made.
+    groups = [(c.c[:, 1:].T.compress(g, axis=1), g) for g in (g1, g0)]
     variances = [x.var(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(len(x))
                  for x, _ in groups]
     pooled = np.sqrt((variances[0] + variances[1]) / 2.0)
@@ -360,13 +373,96 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(total ** 2 / np.sum(w ** 2))
 
 
-def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path) -> None:
-    """Write fitted sampling and propensity scores to CSV for external plotting.
+def second_cpu(size: int, floor: int) -> bool:
+    """Whether work of ``size`` goes to a forked child process (see
+    _in_child): it is at least ``floor``, os.fork exists, and this process
+    may run on two CPUs or more."""
+    return (size >= floor and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
-    Columns: unit_id, s, z, sampling_score, propensity_score. The z field is
-    empty for units whose treatment is unobserved. Scores must lie strictly
-    inside (0, 1).
+
+def _other_cpus() -> set:
+    """The CPUs this process may run on, but the one it ran on last (field 39
+    of /proc/self/stat); an empty set where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            here = int(fh.read().rpartition(b")")[2].split()[36])
+        return os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError, IndexError, ValueError):
+        return set()
+
+
+def _in_child(func: Callable, *args) -> Callable:
+    """Start ``func(*args)`` in a forked child process, which runs on another
+    CPU while this one goes on, and return ``join(kill=False)``.
+
+    ``join()`` waits for the child and returns what ``func`` returned, or
+    raises what it raised (ChildProcessError if the child sent neither);
+    ``join(kill=True)`` ends the child and returns None. Either reaps the
+    child, and a later call does nothing, so a ``finally`` that joins makes
+    sure no child outlives its caller. The child sends its outcome pickled
+    over a pipe and leaves by os._exit, so it runs nothing else: no exit
+    handler, no flush of a buffer it shares with this process. ``func`` must
+    start no thread and make no BLAS call: fork copies the calling thread
+    only, and a lock that another thread (OpenBLAS's pool) held stays held.
     """
+    others = _other_cpus()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: a limit, or memory
+        os.close(read)
+        os.close(write)
+        raise
+    if not pid:
+        try:
+            os.close(read)
+            with open(write, "wb") as sink:
+                try:
+                    outcome = True, func(*args)
+                except Exception as exc:
+                    outcome = False, exc
+                pickle.dump(outcome, sink, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    source = open(read, "rb")
+    # The child starts on this process's CPU, and the kernel may leave it
+    # there for a while (200-400 ms on a 2-vCPU VM, longer than the whole
+    # overlap on a mid-sized file): move it to the others now.
+    if others:
+        try:
+            os.sched_setaffinity(pid, others)
+        except OSError:  # the CPUs were not this process's to give
+            pass
+
+    def join(kill: bool = False):
+        nonlocal pid
+        if not pid:
+            return None
+        try:
+            if kill:
+                import signal  # here, as `import targetcal.cli` loads no signal module
+
+                os.kill(pid, signal.SIGKILL)
+                return None
+            try:
+                ok, value = pickle.load(source)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"child process {pid} sent no result") from None
+        finally:
+            source.close()
+            os.waitpid(pid, 0)
+            pid = 0
+        if ok:
+            return value
+        raise value
+
+    return join
+
+
+def _checked_scores(rho_hat, pi_hat, dataset: Dataset) -> tuple:
+    """The scores export_scores writes, as float arrays, once checked."""
     rho_hat = np.asarray(rho_hat, dtype=float)
     pi_hat = np.asarray(pi_hat, dtype=float)
     for name, v in (("sampling", rho_hat), ("propensity", pi_hat)):
@@ -374,6 +470,10 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
             raise SchemaError(f"{name} score vector has wrong length")
         if not ((v > 0.0) & (v < 1.0)).all():
             raise OutOfRangeError(f"{name} scores must lie strictly in (0, 1)")
+    return rho_hat, pi_hat
+
+
+def _write_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path) -> None:
     fusion = dataset.mode == "fusion"
     # No field (an int, a float repr or "") ever needs quoting, so the lines
     # are the bytes csv.writer would write, at a fraction of its cost.
@@ -388,12 +488,30 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
                           for i, s, z, rho, pi in rows)
 
 
+def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path) -> None:
+    """Write fitted sampling and propensity scores to CSV for external plotting.
+
+    Columns: unit_id, s, z, sampling_score, propensity_score. The z field is
+    empty for units whose treatment is unobserved. Scores must lie strictly
+    inside (0, 1).
+    """
+    _write_scores(*_checked_scores(rho_hat, pi_hat, dataset), dataset, path)
+
+
+def start_export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset,
+                        path) -> Callable:
+    """export_scores, run in a forked child process; returns its join (see
+    _in_child). The scores are checked here first, so the child can fail
+    only with an OSError, which the join raises."""
+    return _in_child(_write_scores, *_checked_scores(rho_hat, pi_hat, dataset), dataset, path)
+
+
 def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
                    force_s: int | None) -> dict:
     """The dataset columns of one block of fields, each cast whole (see
     read_csv_columns). A faulty block raises ValueError, for _fault to name:
-    a wrong field count, a field float() rejects, an s or read z not 0 or 1,
-    or a read y or covariate that is NaN or infinite."""
+    a wrong field count, a field float() rejects (a blank one included), an
+    s or read z not 0 or 1, or a read y or covariate that is NaN or infinite."""
     n = len(cells)
     if cells.shape[1] != len(header):
         raise ValueError("wrong number of fields")
@@ -404,20 +522,19 @@ def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
         if not ((s == 0.0) | (s == 1.0)).all():
             raise ValueError("s is not 0 or 1")
     cols = {"s": s.astype(np.int8, copy=False)}
-    # Transport mode drops target z/y uncast, so a marker such as "NA" is no error.
+    # Transport mode drops target z/y uncast, so a marker such as "NA" is no
+    # error; a dropped field only counts as given when it is not blank.
     dropped = s == 0 if mode == "transport" else np.zeros(n, dtype=bool)
     for name in ("z", "y"):
         values, seen = np.full(n, np.nan), np.zeros(n, dtype=bool)
         if name in header:
             fields = cells[:, header.index(name)]
-            try:  # fails on a blank or a dropped field
-                values, seen = np.where(dropped, "", fields).astype(float), np.ones(n, dtype=bool)
-            except ValueError:  # then a blank field reads as NaN
-                seen = np.array([bool(f.strip()) for f in fields.tolist()], dtype=bool)
-                values[seen & ~dropped] = fields[seen & ~dropped].astype(float)
-        kept = values[seen & ~dropped]
-        if not ((kept == 0.0) | (kept == 1.0) if name == "z" else np.isfinite(kept)).all():
-            raise ValueError(f"observed {name} out of range")
+            values[~dropped] = fields[~dropped].astype(float)
+            kept = values[~dropped]
+            if not ((kept == 0.0) | (kept == 1.0) if name == "z" else np.isfinite(kept)).all():
+                raise ValueError(f"observed {name} out of range")
+            seen[~dropped] = True
+            seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
         cols[name], cols[f"{name}_observed"] = values, seen
     cols["x"] = cells[:, cov_cols].astype(float)
     if not np.isfinite(cols["x"]).all():
@@ -432,8 +549,9 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
 
     csv.reader reads the file again, through that block only. The fault is
     the block's first row with the wrong number of fields; failing that, its
-    earliest row with a faulty field (one float() rejects, an s or z not 0
-    or 1, a y or covariate not finite), and that row's first, in the order
+    earliest row with a faulty field (one float() rejects, a blank one
+    included, an s or z not 0 or 1, a y or covariate not finite), and that
+    row's first, in the order
     s, z, y, covariates (a dropped target z/y field is not read). A row is named
     by the line of the file it starts on. A row that csv.reader cannot read
     at all (a field over its size limit) is the fault, wherever it lies.
@@ -463,7 +581,7 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
         s = force_s
         for j in order:
             name, field = header[j], fields[j]
-            if name in ("z", "y") and (not field or mode == "transport" and s == 0):
+            if name in ("z", "y") and mode == "transport" and s == 0:
                 continue
             label = f"covariate '{name}'" if j in cov_cols else f"column '{name}'"
             try:
@@ -482,6 +600,68 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
     return SchemaError(f"{path}: malformed CSV from row {line}")
 
 
+def _read_blocks(lines, blocks: list, columns: tuple) -> list:
+    """``blocks`` with the column blocks of ``lines``, a CSV body, appended:
+    np.loadtxt reads BLOCK_ROWS data rows at a time and _block_columns casts
+    them (see read_csv_columns). ``columns`` are _block_columns' last four
+    arguments. Lines may be str or UTF-8 bytes."""
+    while len(cells := np.loadtxt(lines, delimiter=",", dtype=object, comments=None,
+                                  quotechar='"', ndmin=2, max_rows=BLOCK_ROWS,
+                                  encoding="utf-8")):
+        blocks.append(_block_columns(cells, *columns))
+    return blocks
+
+
+def _read_range(path, start: int, lines: int | None, columns: tuple) -> list:
+    """The column blocks of ``lines`` lines of ``path`` (None: every line)
+    from byte ``start`` on, a line being bytes up to a b"\\n"."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _read_blocks(itertools.islice(fh, lines), [], columns)
+
+
+def _read_halves(path, head: str, columns: tuple) -> list | None:
+    """The column blocks of ``path``'s body, the text after ``head``, read in
+    two byte ranges at once: this process reads up to the first line break
+    after the body's midpoint, and a forked child (see _in_child) the rest.
+
+    None, with no fork, unless the body has FORK_BYTES and the host a second
+    CPU (see second_cpu), the body holds no '"' byte (a quoted field may span
+    a line break) and a line break after its midpoint. None too when no
+    child can be forked, or either range fails: then read_csv_columns reads
+    the body whole, and raises what it raises on any fault. A split after a
+    b"\\n" byte cuts no UTF-8 sequence, and a bare "\\r" line end makes
+    np.loadtxt fail.
+    """
+    with open(path, "rb") as fh:
+        start = len(head.encode()) + len(codecs.BOM_UTF8) * (fh.read(3) == codecs.BOM_UTF8)
+        end = fh.seek(0, os.SEEK_END)
+        if not second_cpu(end - start, FORK_BYTES):
+            return None
+        middle, split, lines = (start + end) // 2, None, 0
+        fh.seek(start)
+        for at in range(start, end, BLOCK_BYTES):
+            chunk = fh.read(BLOCK_BYTES)
+            if b'"' in chunk:
+                return None
+            if split is None:
+                cut = chunk.find(b"\n", max(middle - at, 0)) + 1
+                split = at + cut if cut else None
+                lines += chunk.count(b"\n", 0, cut or len(chunk))
+    if split is None or split == end:
+        return None
+    try:
+        join = _in_child(_read_range, path, split, None, columns)
+    except OSError:
+        return None
+    try:
+        return _read_range(path, start, lines, columns) + join()
+    except Exception:
+        return None
+    finally:
+        join(kill=True)
+
+
 def read_csv_columns(path, mode: str = "fusion",
                      force_s: int | None = None) -> tuple[dict, list[str]]:
     """Read raw dataset columns from CSV.
@@ -490,28 +670,34 @@ def read_csv_columns(path, mode: str = "fusion",
     the whole file, when it must not) and, depending on mode, ``z`` and ``y``;
     every remaining column is treated as a covariate, and no name may appear
     twice. ``s`` must be 0 or 1 in every row, and so must every z that is
-    read; every y and covariate read must be finite. Empty z/y fields mark absent
-    values; transport mode reads target-sample z/y as NaN without casting them.
+    read; every y and covariate read must be finite, and no z or y read may
+    be blank. Transport mode reads target-sample z/y as NaN without casting
+    them.
     Fields may be quoted and padded with whitespace; blank lines are skipped,
     there are no comment lines, and a leading byte-order mark is ignored; a
     file that is not UTF-8 text is a SchemaError.
     Returns a dict of arrays (s, z, y, x, z_observed, y_observed), where the
-    masks mark non-blank z and y fields, plus the covariate column names;
-    load_dataset_csv turns them into a Dataset.
+    masks mark the z and y fields given (read, or dropped but not blank),
+    plus the covariate column names; load_dataset_csv turns them into a
+    Dataset.
 
-    np.loadtxt reads the body from the open file in blocks of BLOCK_ROWS data
-    rows (blank lines and the extra lines of a quoted field do not count),
-    each cast to float before the next is read, so the str fields of one
-    block at a time are held. Any fault in a block (a wrong field count, a
-    field that float() rejects, an ``s`` or observed ``z`` not 0 or 1, an
-    observed ``y`` or a covariate that is NaN or infinite) goes to one locator,
-    _fault, which finds it in the file; numpy's error text is not read. A
-    file with more than one fault reports the first block's.
+    np.loadtxt reads the body in blocks of BLOCK_ROWS data rows (blank lines
+    and the extra lines of a quoted field do not count), each cast to float
+    before the next is read, so the str fields of one block at a time are
+    held. A large body is read in two halves at once, one by a forked child
+    (see _read_halves); the columns are the same either way. Any fault in a
+    block (a wrong field count, a field that float() rejects, an ``s`` or
+    observed ``z`` not 0 or 1, an observed ``y`` or a covariate that is NaN
+    or infinite) goes to one locator, _fault, which finds it in the file;
+    numpy's error text is not read. A file with more than one fault reports
+    the first block's.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", ".*contained no data")
         try:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            head = []  # the header's lines, so that _read_halves knows where the body starts
+            header = [h.strip() for h in next(csv.reader(head.append(line) or line
+                                                         for line in fh))]
             twice = [h for j, h in enumerate(header) if h in header[:j]]
             if twice:
                 raise SchemaError(f"{path}: duplicate column '{twice[0]}'")
@@ -525,11 +711,13 @@ def read_csv_columns(path, mode: str = "fusion",
             cov_cols = [j for j, h in enumerate(header) if h not in ("s", "z", "y")]
             if not cov_cols:
                 raise SchemaError(f"{path}: no covariate columns found")
-            blocks = [_block_columns(np.empty((0, len(header)), dtype=object), header,
-                                     cov_cols, mode, force_s)]
-            while len(cells := np.loadtxt(fh, delimiter=",", dtype=object, comments=None,
-                                          quotechar='"', ndmin=2, max_rows=BLOCK_ROWS)):
-                blocks.append(_block_columns(cells, header, cov_cols, mode, force_s))
+            columns = header, cov_cols, mode, force_s
+            blocks = [_block_columns(np.empty((0, len(header)), dtype=object), *columns)]
+            halves = _read_halves(path, "".join(head), columns)
+            if halves is None:
+                _read_blocks(fh, blocks, columns)
+            else:
+                blocks += halves
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         except csv.Error as exc:  # only the header is read with csv.reader
@@ -572,6 +760,4 @@ def load_dataset_csv(path, mode: str = "fusion",
         if dropped:
             log.warning("transport mode: ignoring z/y observed for %d target-sample units",
                         dropped)
-    elif mode == "fusion" and not (z_seen & y_seen)[target_rows].all():
-        raise ModeError("fusion mode requested but z/y are not observed everywhere")
     return Dataset(**cols, mode=mode), names

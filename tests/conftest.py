@@ -1,8 +1,11 @@
 """Shared fixtures and small dataset builders."""
 
+import os
+
 import numpy as np
 import pytest
 
+from targetcal import cli, data
 from targetcal.data import Dataset, build_balance_matrix
 
 
@@ -26,6 +29,39 @@ def draw_row_a(n: int, rng: np.random.Generator, noise_sd: float = 1.0):
     y1 = mu0 + tilt + noise_sd * rng.standard_normal(n)
     y = z * y1 + (1 - z) * y0
     return Dataset.fusion(s, z, y, x)
+
+
+def force_fork(patch: pytest.MonkeyPatch) -> list:
+    """Make the CLI's text I/O share its work with a forked child at any
+    size, as it does on a large input on a host with a second CPU: CSV ingest
+    splits every body it can, and estimate and diagnose write scores.csv in a
+    child. Returns the list of the pids forked from now on."""
+    patch.setattr(data, "FORK_BYTES", 0)
+    patch.setattr(data, "FORK_ROWS", 0)
+    patch.setattr(cli, "FORK_ROWS", 0)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids forked by the test, run as by force_fork."""
+    return force_fork(monkeypatch)
 
 
 @pytest.fixture

@@ -83,7 +83,7 @@ def read_csv_columns_per_cell(path, mode="fusion", force_s=None):
             return None
         cell = row[idx[name]].strip()
         if cell == "":
-            return None
+            raise SchemaError(f"{path}: empty value in column '{name}'")
         try:
             return float(cell)
         except ValueError:

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import targetcal
-from targetcal import solver
+from targetcal import estimators, solver
 from targetcal.cli import OPTIONS, main
 from targetcal.data import Dataset
+from targetcal.errors import NotConvergedError
 from targetcal.sim import SCENARIOS, derive_seed, generate
+
+from conftest import assert_no_child, force_fork
 
 
 def write_dataset_csv(path, ds, include_target_zy=True, only=None, force_cols=None):
@@ -327,6 +330,79 @@ class TestDiagnose:
         assert [r["weighting"] for r in ess] == ["sampling"]
         assert len(list(csv.DictReader(open(out / "scores.csv")))) == 500
         assert json.loads((out / "config.json").read_text())["mode"] == mode
+
+
+class TestForkedTextIO:
+    """Run with CSV ingest and the scores.csv writer in forked children, as
+    on a large input on a host with a second CPU, a command exits and writes
+    to stderr as it does in one process, and leaves no child behind, on
+    success and on failure."""
+
+    @staticmethod
+    def run_both(argv: list, tmp_path, capsys, forks: int, make_out=None) -> tuple:
+        """The exit status and stderr of ``argv`` run in one process and then
+        with its text I/O forked; ``forks`` is how many children the second
+        run starts."""
+        runs = []
+        for forked in (False, True):
+            out = tmp_path / f"out-{forked}"
+            if make_out:
+                make_out(out)
+            with pytest.MonkeyPatch.context() as patch:
+                pids = force_fork(patch) if forked else []
+                code = main([*argv, "--out", str(out)])
+            assert len(pids) == forks * forked
+            assert_no_child()
+            runs.append((code, capsys.readouterr().err.replace(str(out), "OUT")))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    def test_success(self, demo_csv, tmp_path, capsys, command):
+        code, err = self.run_both([command, "--mode", "fusion", "--input", str(demo_csv)],
+                                  tmp_path, capsys, forks=2)
+        assert (code, err) == (0, "")
+        for name in ("scores.csv", "smd.csv", "config.json"):
+            assert ((tmp_path / "out-False" / name).read_bytes()
+                    == (tmp_path / "out-True" / name).read_bytes().replace(b"out-True",
+                                                                           b"out-False"))
+
+    def test_failed_estimator(self, demo_csv, tmp_path, capsys):
+        code, err = self.run_both(["estimate", "--mode", "transport", "--input", str(demo_csv),
+                                   "--estimators", "CAL_T,CAL_F"], tmp_path, capsys, forks=2)
+        assert code == 1 and err.startswith("estimator CAL_F failed: ModeError: ")
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    def test_failed_sampling_score(self, demo_csv, tmp_path, capsys, monkeypatch, command):
+        # No writer starts, and the error comes where export_scores raises it.
+        def fail(fits):
+            raise NotConvergedError("sampling score fit failed")
+
+        monkeypatch.setattr(estimators.Fits, "rho", property(fail))
+        code, err = self.run_both([command, "--mode", "fusion", "--input", str(demo_csv)],
+                                  tmp_path, capsys, forks=1)
+        assert code == 1
+        assert err.endswith("error: NotConvergedError: sampling score fit failed\n")
+
+    def test_failed_fork(self, demo_csv, tmp_path, capsys, monkeypatch):
+        # With no process to be had, both stages run in this one.
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        code, err = self.run_both(["estimate", "--mode", "fusion", "--input", str(demo_csv),
+                                   "--estimators", "UNADJ"], tmp_path, capsys, forks=0)
+        assert (code, err) == (0, "")
+        assert ((tmp_path / "out-False" / "scores.csv").read_bytes()
+                == (tmp_path / "out-True" / "scores.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    def test_writer_error(self, demo_csv, tmp_path, capsys, command):
+        code, err = self.run_both([command, "--mode", "fusion", "--input", str(demo_csv)],
+                                  tmp_path, capsys, forks=2,
+                                  make_out=lambda out: (out / "scores.csv").mkdir(parents=True))
+        assert (code, err) == (1, "error: IsADirectoryError: [Errno 21] Is a directory: "
+                                  "'OUT/scores.csv'\n")
 
 
 class TestSimulate:

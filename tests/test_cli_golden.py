@@ -4,6 +4,7 @@
 import pytest
 
 import cli_golden
+from conftest import force_fork
 
 
 @pytest.fixture(scope="module")
@@ -23,3 +24,19 @@ def test_outputs_match_golden(outputs, golden, run):
     for name, body in want.items():
         # Line lists, kept ends and all, so a failure shows the first line that moved.
         assert got[name].decode().splitlines(True) == body.decode().splitlines(True), name
+
+
+@pytest.fixture(scope="module")
+def forked_outputs(tmp_path_factory):
+    """The outputs with CSV ingest and the scores.csv writer in forked
+    children, as on a large input on a host with a second CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        pids = force_fork(patch)
+        outputs = cli_golden.run_all(tmp_path_factory.mktemp("cli-golden-forked"))
+    assert len(pids) >= 2 * (len(cli_golden.RUNS) - 1)
+    return outputs
+
+
+@pytest.mark.parametrize("run", sorted(cli_golden.RUNS))
+def test_forked_outputs_match_golden(forked_outputs, golden, run):
+    assert forked_outputs[run] == golden[run]

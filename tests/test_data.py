@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 import tracemalloc
 import warnings
@@ -36,7 +37,7 @@ from targetcal.errors import (
 )
 from targetcal.sim import SCENARIOS, generate
 
-from conftest import tiny_dataset
+from conftest import assert_no_child, force_fork, tiny_dataset
 from oracles import export_scores_per_row, read_csv_columns_per_cell, smd_per_column
 
 # Monte Carlo oracle values, frozen from a 4e7-draw direct simulation of the
@@ -90,11 +91,13 @@ class TestDataset:
 
     # Each case changes one argument of a valid fusion dataset of four units.
     INVALID = {
-        "one_dimensional_x": ({"x": np.zeros(4)}, ModeError,
+        "one_dimensional_x": ({"x": np.zeros(4)}, DimensionMismatchError,
                               "covariate matrix must be two-dimensional"),
         "one_unit": ({"s": [1], "z": [1.0], "y": [1.0], "x": np.zeros((1, 1))}, ModeError,
                      "need at least two units"),
-        "short_z": ({"z": [1.0, 0.0, 1.0]}, ModeError, "z must have length 4"),
+        "short_z": ({"z": [1.0, 0.0, 1.0]}, DimensionMismatchError, "z must have length 4"),
+        "long_s": ({"s": [1, 1, 0, 0, 0]}, DimensionMismatchError, "s must have length 4"),
+        "short_y": ({"y": [1.0, 2.0]}, DimensionMismatchError, "y must have length 4"),
         "nan_covariate": ({"x": [[0.0], [np.nan], [1.0], [2.0]]}, NonFiniteError,
                           "covariates contain NaN or infinity"),
         "unobserved_study_y": ({"y": [1.0, np.nan, 3.0, 4.0]}, ModeError,
@@ -488,7 +491,8 @@ class TestCsvIngestion:
     def test_fusion_rejects_blank_target_fields(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("s,z,y,x1\n1,1,2.5,0.1\n1,0,1.5,0.3\n0,,,-0.6\n")
-        with pytest.raises(ModeError):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: empty value in column 'z' "
+                                                        "(row 4)")):
             load_dataset_csv(path, mode="fusion")
 
     def test_transport_drops_target_fields(self, tmp_path, caplog):
@@ -717,6 +721,28 @@ class TestCsvAgainstPerCellParser:
         assert str(want.value) == f"{path}: {message}"
         assert str(got.value) == f"{want.value} (row 3)"
 
+    # A blank z or y that is read (every study row's, and in fusion mode every
+    # target row's too) is named like any other field fault.
+    BLANK = {
+        "fusion_study_z": ("fusion", "1,1,2.5,0.1\n1,,1.5,0.2", "column 'z'"),
+        "fusion_target_y": ("fusion", "1,1,2.5,0.1\n0,0, ,0.2", "column 'y'"),
+        "fusion_target_both": ("fusion", "1,1,2.5,0.1\n0,,,0.2", "column 'z'"),
+        "transport_study_y": ("transport", "1,1,2.5,0.1\n1,0,,0.2", "column 'y'"),
+        "transport_study_z": ("transport", "0,,,0.1\n1,\"\",1,0.2", "column 'z'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLANK))
+    def test_blank_read_field_names_row(self, tmp_path, case):
+        mode, body, label = self.BLANK[case]
+        path = tmp_path / "d.csv"
+        path.write_text(f"s,z,y,x1\n{body}\n1,0,1,0.3\n")
+        with pytest.raises(SchemaError) as want:
+            read_csv_columns_per_cell(path, mode=mode)
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode=mode)
+        assert str(want.value) == f"{path}: empty value in {label}"
+        assert str(got.value) == f"{want.value} (row 3)"
+
     @pytest.mark.parametrize("cell", ["", " ", "0.7", "2", "-1", "nan", "yes"])
     def test_sample_indicator_must_be_binary(self, tmp_path, cell):
         path = tmp_path / "d.csv"
@@ -748,6 +774,120 @@ class TestCsvInBlocks(TestCsvAgainstPerCellParser):
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def block_rows(self, request, monkeypatch):
         monkeypatch.setattr(data, "BLOCK_ROWS", request.param)
+
+
+class TestCsvInHalves(TestCsvAgainstPerCellParser):
+    """Every case above, with the body read in two halves at once wherever
+    it can be, and the same columns or message as a serial read."""
+
+    @pytest.fixture(autouse=True)
+    def halves(self, forked):
+        yield
+        assert_no_child()
+
+
+class TestCsvInForkedBlocks(TestCsvInHalves):
+    """Every case above, in two halves and one, two and three rows at a time."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", request.param)
+
+
+class TestForkedChild:
+    """data._in_child, and the two-halves read it serves."""
+
+    def test_returns_or_raises_the_outcome(self):
+        assert data._in_child(sum, [1, 2, 3])() == 6
+        join = data._in_child(float, "abc")
+        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+            join()
+        assert join() is None  # a later call does nothing
+        assert_no_child()
+
+    def test_outcome_it_cannot_send(self):
+        join = data._in_child(lambda: lambda: None)  # a lambda does not pickle
+        with pytest.raises(ChildProcessError, match="sent no result"):
+            join()
+        assert_no_child()
+
+    def test_child_moves_off_this_cpu(self, monkeypatch):
+        # The set _other_cpus gives is this process's CPUs but the one it is on.
+        assert data._other_cpus() < os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1 << 20}, raising=False)
+        assert data._in_child(sum, [1])() == 1  # a CPU the host lacks: the child stays put
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert data._other_cpus() == set()
+        assert data._in_child(sum, [2])() == 2
+        assert_no_child()
+
+    def test_failed_fork_reads_whole(self, tmp_path, forked, monkeypatch):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            data._in_child(sum, [1])
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+        path = tmp_path / "d.csv"
+        self.cohort(path)
+        assert_same_columns(read_csv_columns(path, mode="fusion"),
+                            read_csv_columns_per_cell(path, mode="fusion"))
+
+    def test_kill_ends_the_child(self):
+        join = data._in_child(os.read, os.pipe()[0], 1)  # would block for ever
+        assert join(kill=True) is None
+        assert_no_child()
+
+    @staticmethod
+    def cohort(path, n=2000, ends="\n"):
+        """A fusion file of ``n`` rows, whose lines end in turn in each of ``ends``."""
+        ds = generate(SCENARIOS["D"], n, seed=9)
+        lines = [f"{s},{int(z)},{y!r},{x!r}{ends[i % len(ends)]}" for i, (s, z, y, x)
+                 in enumerate(zip(ds.s.tolist(), ds.z.tolist(), ds.y.tolist(),
+                                  ds.x[:, 0].tolist()))]
+        path.write_bytes(("s,z,y,x1\n" + "".join(lines)).encode())
+
+    def test_large_body_read_in_halves(self, tmp_path, forked):
+        path = tmp_path / "d.csv"
+        self.cohort(path)
+        got = read_csv_columns(path, mode="fusion")
+        assert len(forked) == 1
+        assert_same_columns(got, read_csv_columns_per_cell(path, mode="fusion"))
+        assert_no_child()
+
+    def test_quote_keeps_the_body_whole(self, tmp_path, forked):
+        path = tmp_path / "d.csv"
+        self.cohort(path)
+        path.write_bytes(path.read_bytes() + b'1,0,"2.5",0.1\n')
+        got = read_csv_columns(path, mode="fusion")
+        assert not forked
+        assert_same_columns(got, read_csv_columns_per_cell(path, mode="fusion"))
+
+    def test_bare_carriage_returns_read_whole(self, tmp_path, forked):
+        # Most lines end in a bare \r, which the halves' byte lines do not
+        # split at: np.loadtxt rejects them, and the body is read again whole.
+        path = tmp_path / "d.csv"
+        self.cohort(path, ends="\r\r\n")
+        got = read_csv_columns(path, mode="fusion")
+        assert len(forked) == 1
+        assert got[0]["s"].shape == (2000,)
+        assert_same_columns(got, read_csv_columns_per_cell(path, mode="fusion"))
+        assert_no_child()
+
+    @pytest.mark.parametrize("row", [10, 1990], ids=["lower", "upper"])
+    def test_fault_in_either_half(self, tmp_path, row, forked):
+        path = tmp_path / "d.csv"
+        self.cohort(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[row - 1] = b"1,1,abc,0.1"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert len(forked) == 1
+        assert str(got.value) == f"{path}: non-numeric value 'abc' in column 'y' (row {row})"
+        assert_no_child()
 
 
 class TestCsvBlocks:
@@ -881,8 +1021,7 @@ def csv_files(draw):
         if mode == "transport" and s == 0:
             cells["z"], cells["y"] = draw(DROPPED), draw(DROPPED)
         else:
-            cells["z"] = draw(st.sampled_from(["0", "1", ""]))
-            cells["y"] = draw(st.one_of(NUMBERS, st.just("")))
+            cells["z"] = draw(st.sampled_from(["0", "1"]))
         lines += [",".join(field(cells[name]) for name in names)] + blanks()
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     return text, mode, force_s
@@ -897,7 +1036,8 @@ def csv_dir(tmp_path_factory):
 @given(case=csv_files(), bom=st.booleans())
 def test_ingest_matches_per_cell_parser(csv_dir, case, bom):
     """read_csv_columns returns what the per-cell parser returns on any valid
-    file, whole or in blocks of one, two or three rows, with no warning."""
+    file, whole or in blocks of one, two or three rows, read in one process
+    or in two halves at once, with no warning."""
     text, mode, force_s = case
     path = csv_dir / "d.csv"
     path.write_bytes(text.encode())
@@ -906,9 +1046,12 @@ def test_ingest_matches_per_cell_parser(csv_dir, case, bom):
         path.write_bytes(("\ufeff" + text).encode())
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
-        for block in (1, 2, 3, 8192):
-            patch.setattr(data, "BLOCK_ROWS", block)
-            assert_same_columns(read_csv_columns(path, mode=mode, force_s=force_s), want)
+        for forks in (False, True):
+            if forks:
+                force_fork(patch)
+            for block in (1, 2, 3, 8192):
+                patch.setattr(data, "BLOCK_ROWS", block)
+                assert_same_columns(read_csv_columns(path, mode=mode, force_s=force_s), want)
 
 
 # Spellings float() rejects, values of s and z that are numbers but not 0 or
@@ -940,8 +1083,7 @@ def single_fault_files(draw):
         if mode == "transport" and s == 0:
             cells["z"], cells["y"] = draw(st.sampled_from(["", "NA", "1"])), draw(NON_NUMBERS)
         else:
-            cells["z"] = draw(st.sampled_from(["0", "1", ""]))
-            cells["y"] = draw(st.one_of(NUMBERS, st.just("")))
+            cells["z"] = draw(st.sampled_from(["0", "1"]))
         rows.append(cells)
     i = draw(st.integers(0, len(rows) - 1))
     row, line = rows[i], i + 2
@@ -966,7 +1108,7 @@ def single_fault_files(draw):
         message = f"non-finite value '{value}' in {label} (row {line})"
     else:
         name = draw(st.sampled_from(read))
-        value = draw(NON_NUMBERS if name in ("z", "y") else st.one_of(NON_NUMBERS, st.just("")))
+        value = draw(st.one_of(NON_NUMBERS, st.just("")))
         fields[i][names.index(name)] = field(value)
         what = f"non-numeric value '{value}'" if value else "empty value"
         label = f"column '{name}'" if name in ("s", "z", "y") else f"covariate '{name}'"
@@ -980,16 +1122,19 @@ def single_fault_files(draw):
 @given(case=single_fault_files())
 def test_single_fault_message(csv_dir, case):
     """A file with one fault raises the message that names it, whole or in
-    blocks of one, two or three rows."""
+    blocks of one, two or three rows, read in one process or in two halves."""
     text, mode, force_s, message = case
     path = csv_dir / "fault.csv"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as patch:
-        for block in (1, 2, 3, 8192):
-            patch.setattr(data, "BLOCK_ROWS", block)
-            with pytest.raises(SchemaError) as got:
-                read_csv_columns(path, mode=mode, force_s=force_s)
-            assert str(got.value) == f"{path}: {message}"
+        for forks in (False, True):
+            if forks:
+                force_fork(patch)
+            for block in (1, 2, 3, 8192):
+                patch.setattr(data, "BLOCK_ROWS", block)
+                with pytest.raises(SchemaError) as got:
+                    read_csv_columns(path, mode=mode, force_s=force_s)
+                assert str(got.value) == f"{path}: {message}"
 
 
 class TestCsvHeader:

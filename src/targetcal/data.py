@@ -473,19 +473,65 @@ def _checked_scores(rho_hat, pi_hat, dataset: Dataset) -> tuple:
     return rho_hat, pi_hat
 
 
-def _write_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path) -> None:
+def _score_blocks(dataset: Dataset) -> int:
+    """How many blocks of BLOCK_ROWS units scores.csv is written in."""
+    return -(-dataset.n // BLOCK_ROWS)
+
+
+def _score_block(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, index: int) -> str:
+    """The scores.csv lines of block ``index``. No field (an int, a float
+    repr or "") ever needs quoting, so they are the bytes csv.writer would
+    write, at a fraction of its cost."""
     fusion = dataset.mode == "fusion"
-    # No field (an int, a float repr or "") ever needs quoting, so the lines
-    # are the bytes csv.writer would write, at a fraction of its cost.
-    with open(path, "w", newline="") as fh:
-        fh.write("unit_id,s,z,sampling_score,propensity_score\r\n")
-        for start in range(0, dataset.n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            rows = zip(itertools.count(start), dataset.s[block].tolist(),
-                       dataset.z[block].tolist(), rho_hat[block].tolist(),
-                       pi_hat[block].tolist())
-            fh.writelines(f"{i},{s},{repr(z) if fusion or s else ''},{rho!r},{pi!r}\r\n"
-                          for i, s, z, rho, pi in rows)
+    start = index * BLOCK_ROWS
+    block = slice(start, start + BLOCK_ROWS)
+    rows = zip(itertools.count(start), dataset.s[block].tolist(), dataset.z[block].tolist(),
+               rho_hat[block].tolist(), pi_hat[block].tolist())
+    return "".join(f"{i},{s},{repr(z) if fusion or s else ''},{rho!r},{pi!r}\r\n"
+                   for i, s, z, rho, pi in rows)
+
+
+def _write_front(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path,
+                 marks) -> int:
+    """Write scores.csv's header and its blocks from the first on while they
+    lie below ``marks[1]``, the lowest block claimed by the other side (see
+    _format_back), and return how many were written. ``marks[0]`` counts them
+    as they are written; a fault sets it to every block, so that the other
+    side stops at once, and raises."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("unit_id,s,z,sampling_score,propensity_score\r\n")
+            while marks[0] < marks[1]:
+                fh.write(_score_block(rho_hat, pi_hat, dataset, marks[0]))
+                marks[0] += 1
+        return marks[0]
+    except BaseException:
+        marks[0] = _score_blocks(dataset)
+        raise
+
+
+def _format_back(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, marks) -> list:
+    """The scores.csv blocks from the last down to ``marks[0]``, the count
+    _write_front has written, in file order. ``marks[1]`` is lowered to each
+    block before it is formatted."""
+    tail = []
+    while marks[1] > marks[0]:
+        marks[1] -= 1
+        tail.append(_score_block(rho_hat, pi_hat, dataset, marks[1]))
+    return tail[::-1]
+
+
+def _join_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path, marks,
+                 child: Callable) -> None:
+    """Format blocks from the back until they meet _write_front's, take its
+    count from ``child()`` (which raises its fault), and append the blocks
+    past it to ``path``. Each side's mark is written by that side only and
+    moves one way, so a stale read can only make both format the block where
+    they meet: the blocks formatted here always reach down to the count."""
+    tail = _format_back(rho_hat, pi_hat, dataset, marks)
+    written = child()
+    with open(path, "a", newline="") as fh:
+        fh.writelines(tail[written - marks[1]:])
 
 
 def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, path) -> None:
@@ -495,15 +541,32 @@ def export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset, pat
     empty for units whose treatment is unobserved. Scores must lie strictly
     inside (0, 1).
     """
-    _write_scores(*_checked_scores(rho_hat, pi_hat, dataset), dataset, path)
+    checked = _checked_scores(rho_hat, pi_hat, dataset)
+    _write_front(*checked, dataset, path, [0, _score_blocks(dataset)])
 
 
 def start_export_scores(rho_hat: np.ndarray, pi_hat: np.ndarray, dataset: Dataset,
                         path) -> Callable:
-    """export_scores, run in a forked child process; returns its join (see
-    _in_child). The scores are checked here first, so the child can fail
-    only with an OSError, which the join raises."""
-    return _in_child(_write_scores, *_checked_scores(rho_hat, pi_hat, dataset), dataset, path)
+    """export_scores, shared with a forked child process (see _in_child),
+    which writes blocks from the front (_write_front) while this process goes
+    on; returns ``join(kill=False)``. ``join()`` formats blocks from the back
+    until the two meet, waits for the child and appends its share (see
+    _join_scores); ``join(kill=True)`` ends the child. The two read each
+    other's progress from two marks in shared memory. The scores are checked
+    here first, so the child can fail only with an OSError, which the join
+    raises; a child that fails marks every block written before it raises,
+    so the join formats none."""
+    import mmap  # here, as `import targetcal.cli` loads no mmap module
+
+    scores = *_checked_scores(rho_hat, pi_hat, dataset), dataset
+    marks = memoryview(mmap.mmap(-1, 16)).cast("q")
+    marks[1] = _score_blocks(dataset)
+    child = _in_child(_write_front, *scores, path, marks)
+
+    def join(kill: bool = False):
+        return child(kill=True) if kill else _join_scores(*scores, path, marks, child)
+
+    return join
 
 
 def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
@@ -536,7 +599,7 @@ def _block_columns(cells: np.ndarray, header: list, cov_cols: list, mode: str,
             seen[~dropped] = True
             seen[dropped] = [bool(f.strip()) for f in fields[dropped].tolist()]
         cols[name], cols[f"{name}_observed"] = values, seen
-    cols["x"] = cells[:, cov_cols].astype(float)
+    cols["x"] = cells[:, cov_cols].astype(float, copy=False)
     if not np.isfinite(cols["x"]).all():
         raise ValueError("covariate not finite")
     return cols
@@ -600,12 +663,12 @@ def _fault(path, header: list, cov_cols: list, mode: str, force_s: int | None,
     return SchemaError(f"{path}: malformed CSV from row {line}")
 
 
-def _read_blocks(lines, blocks: list, columns: tuple) -> list:
+def _read_blocks(lines, blocks: list, columns: tuple, dtype: type = object) -> list:
     """``blocks`` with the column blocks of ``lines``, a CSV body, appended:
-    np.loadtxt reads BLOCK_ROWS data rows at a time and _block_columns casts
-    them (see read_csv_columns). ``columns`` are _block_columns' last four
-    arguments. Lines may be str or UTF-8 bytes."""
-    while len(cells := np.loadtxt(lines, delimiter=",", dtype=object, comments=None,
+    np.loadtxt reads BLOCK_ROWS data rows at a time, as ``dtype``, and
+    _block_columns casts them (see read_csv_columns). ``columns`` are
+    _block_columns' last four arguments. Lines may be str or UTF-8 bytes."""
+    while len(cells := np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None,
                                   quotechar='"', ndmin=2, max_rows=BLOCK_ROWS,
                                   encoding="utf-8")):
         blocks.append(_block_columns(cells, *columns))
@@ -614,10 +677,16 @@ def _read_blocks(lines, blocks: list, columns: tuple) -> list:
 
 def _read_range(path, start: int, lines: int | None, columns: tuple) -> list:
     """The column blocks of ``lines`` lines of ``path`` (None: every line)
-    from byte ``start`` on, a line being bytes up to a b"\\n"."""
+    from byte ``start`` on, a line being bytes up to a b"\\n". In fusion
+    mode every field is read, and np.loadtxt parses each straight to float,
+    with no str per field; its parser accepts a subset of what float() does
+    (not "1_000", say), and a range it rejects is read again whole (see
+    _read_halves). Transport mode reads str fields, as a dropped target z/y
+    field may hold any text."""
+    dtype = float if columns[2] == "fusion" else object
     with open(path, "rb") as fh:
         fh.seek(start)
-        return _read_blocks(itertools.islice(fh, lines), [], columns)
+        return _read_blocks(itertools.islice(fh, lines), [], columns, dtype)
 
 
 def _read_halves(path, head: str, columns: tuple) -> list | None:
@@ -627,11 +696,12 @@ def _read_halves(path, head: str, columns: tuple) -> list | None:
 
     None, with no fork, unless the body has FORK_BYTES and the host a second
     CPU (see second_cpu), the body holds no '"' byte (a quoted field may span
-    a line break) and a line break after its midpoint. None too when no
-    child can be forked, or either range fails: then read_csv_columns reads
-    the body whole, and raises what it raises on any fault. A split after a
-    b"\\n" byte cuts no UTF-8 sequence, and a bare "\\r" line end makes
-    np.loadtxt fail.
+    a line break) and no byte 0x1c to 0x1f (numpy's float parser strips them
+    from a field as space, float() does not), and a line break after its
+    midpoint. None too when no child can be forked, or either range fails:
+    then read_csv_columns reads the body whole, and raises what it raises on
+    any fault. A split after a b"\\n" byte cuts no UTF-8 sequence, and a bare
+    "\\r" line end makes np.loadtxt fail.
     """
     with open(path, "rb") as fh:
         start = len(head.encode()) + len(codecs.BOM_UTF8) * (fh.read(3) == codecs.BOM_UTF8)
@@ -642,7 +712,7 @@ def _read_halves(path, head: str, columns: tuple) -> list | None:
         fh.seek(start)
         for at in range(start, end, BLOCK_BYTES):
             chunk = fh.read(BLOCK_BYTES)
-            if b'"' in chunk:
+            if any(byte in chunk for byte in b'"\x1c\x1d\x1e\x1f'):
                 return None
             if split is None:
                 cut = chunk.find(b"\n", max(middle - at, 0)) + 1
@@ -685,10 +755,11 @@ def read_csv_columns(path, mode: str = "fusion",
     and the extra lines of a quoted field do not count), each cast to float
     before the next is read, so the str fields of one block at a time are
     held. A large body is read in two halves at once, one by a forked child
-    (see _read_halves); the columns are the same either way. Any fault in a
-    block (a wrong field count, a field that float() rejects, an ``s`` or
-    observed ``z`` not 0 or 1, an observed ``y`` or a covariate that is NaN
-    or infinite) goes to one locator, _fault, which finds it in the file;
+    (see _read_halves), which in fusion mode parse their fields straight to
+    float; the columns are the same either way. Any fault in a block (a
+    wrong field count, a field that float() rejects, an ``s`` or observed
+    ``z`` not 0 or 1, an observed ``y`` or a covariate that is NaN or
+    infinite) goes to one locator, _fault, which finds it in the file;
     numpy's error text is not read. A file with more than one fault reports
     the first block's.
     """

@@ -405,6 +405,18 @@ class TestForkedTextIO:
                                   "'OUT/scores.csv'\n")
 
 
+def test_import_loads_no_process_module():
+    # Every CLI call pays for `import targetcal.cli` first. The modules that
+    # only forked children, their marks and their kill use are imported where
+    # they are used.
+    env = {**os.environ, "PYTHONPATH": str(Path(targetcal.__file__).parents[1])}
+    code = ("import sys, targetcal.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'mmap', 'signal', 'subprocess', 'multiprocessing'}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSimulate:
     def test_smoke_and_shape(self, tmp_path):
         out = tmp_path / "sim"

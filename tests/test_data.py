@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -462,6 +463,108 @@ class TestExportScores:
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+class ChildMarks:
+    """The child's view of the writer's two marks: once it has written
+    ``meet`` blocks, its next read of the parent's mark waits until ``go`` is
+    set, and then returns the mark as it was before (``stale``) or as it is."""
+
+    def __init__(self, marks: list, meet: int, stale: bool):
+        self.marks, self.meet, self.stale = marks, meet, stale
+        self.met, self.go = threading.Event(), threading.Event()
+
+    def __getitem__(self, i):
+        value = self.marks[i]
+        if i == 1 and self.marks[0] == self.meet and not self.met.is_set():
+            self.met.set()
+            assert self.go.wait(10)
+            value = value if self.stale else self.marks[1]
+        return value
+
+    def __setitem__(self, i, value):
+        self.marks[i] = value
+
+
+class TestSharedScoreWriter:
+    """The scores.csv writer that a forked child shares with its parent,
+    without the fork: the child's loop (data._write_front, from the first
+    block) and the parent's join (data._join_scores, from the last) run here
+    as plain functions over one marks list, in the orders the two processes
+    may take. Every file is export_scores' bytes."""
+
+    BLOCKS = 5  # of 64 units, the last of 44
+
+    @pytest.fixture
+    def case(self, tmp_path, monkeypatch):
+        """The scores, export_scores' bytes, the path to write, and the
+        list of the blocks either side formats, in the order formatted."""
+        ds = generate(SCENARIOS["A"], 300, seed=5).to_transport()
+        rng = np.random.default_rng(6)
+        scores = rng.uniform(0.01, 0.99, ds.n), rng.uniform(0.01, 0.99, ds.n), ds
+        export_scores(*scores, tmp_path / "want.csv")
+        monkeypatch.setattr(data, "BLOCK_ROWS", 64)
+        formatted, block = [], data._score_block
+        monkeypatch.setattr(data, "_score_block", lambda *args: formatted.append(args[3])
+                            or block(*args))
+        return scores, (tmp_path / "want.csv").read_bytes(), tmp_path / "got.csv", formatted
+
+    def test_parent_first(self, case):
+        scores, want, path, formatted = case
+        marks = [0, self.BLOCKS]
+        data._join_scores(*scores, path, marks,
+                          lambda: data._write_front(*scores, path, marks))
+        assert path.read_bytes() == want
+        assert formatted == [4, 3, 2, 1, 0] and marks == [0, 0]
+
+    def test_child_first(self, case):
+        scores, want, path, formatted = case
+        marks = [0, self.BLOCKS]
+        written = data._write_front(*scores, path, marks)
+        data._join_scores(*scores, path, marks, lambda: written)
+        assert path.read_bytes() == want
+        assert formatted == [0, 1, 2, 3, 4] and marks == [5, 5]
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
+    @pytest.mark.parametrize("meet", range(BLOCKS + 1))
+    def test_meeting_at_every_block(self, case, meet, stale):
+        # The child pauses as it reads the parent's mark with `meet` blocks
+        # written, and the parent's loop runs then. Read stale, the mark
+        # lets the child write the block where they meet too.
+        scores, want, path, formatted = case
+        marks = [0, self.BLOCKS]
+        child = ChildMarks(marks, meet, stale)
+        written = []
+        thread = threading.Thread(
+            target=lambda: written.append(data._write_front(*scores, path, child)))
+        thread.start()
+        assert child.met.wait(10)
+
+        def join():
+            child.go.set()
+            thread.join()
+            return written[0]
+
+        data._join_scores(*scores, path, marks, join)
+        assert path.read_bytes() == want
+        both = int(stale and meet < self.BLOCKS)
+        assert written == [meet + both] and marks == [meet + both, meet]
+        assert sorted(formatted) == sorted([*range(self.BLOCKS), *[meet] * both])
+
+    def test_child_fails_on_open(self, case, tmp_path):
+        # The child marks every block written, and the parent formats none.
+        scores, _, _, formatted = case
+        marks = [0, self.BLOCKS]
+        with pytest.raises(IsADirectoryError) as fault:
+            data._write_front(*scores, tmp_path, marks)
+
+        def join():
+            raise fault.value
+
+        with pytest.raises(IsADirectoryError):
+            data._join_scores(*scores, tmp_path / "got.csv", marks, join)
+        assert formatted == [] and marks == [self.BLOCKS, self.BLOCKS]
+        assert not (tmp_path / "got.csv").exists()
+
+
 class TestCsvIngestion:
     def test_single_file_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -784,6 +887,59 @@ class TestCsvInHalves(TestCsvAgainstPerCellParser):
     def halves(self, forked):
         yield
         assert_no_child()
+
+    BODY = ["1,1,2.5,0.1", "0,0,1.5,0.2", "1,0,1,0.3", "0,1,2,0.4", "1,1,3,0.5", "0,0,4,0.6"]
+
+    def fusion_file(self, path, row: int, column: int, field: str) -> None:
+        """BODY, with data row ``row``'s field ``column`` set to ``field``."""
+        lines = [line.split(",") for line in self.BODY]
+        lines[row][column] = field
+        path.write_bytes(("s,z,y,x1\n" + "".join(",".join(f) + "\n" for f in lines)).encode())
+
+    # Spellings float() reads and numpy's float parser does not: the fusion
+    # half that holds one fails, and the body is read again whole.
+    @pytest.mark.parametrize("field, column", [("1_000", 3), ("2_5", 2), ("١", 3),
+                                               ("２", 2)],
+                             ids=["underscore", "underscore_y", "arabic_indic", "fullwidth"])
+    @pytest.mark.parametrize("row", [0, 5], ids=["lower", "upper"])
+    def test_field_only_float_reads(self, tmp_path, forked, field, column, row):
+        path = tmp_path / "d.csv"
+        self.fusion_file(path, row, column, field)
+        got = read_csv_columns(path, mode="fusion")
+        assert len(forked) == 1
+        assert_same_columns(got, read_csv_columns_per_cell(path, mode="fusion"))
+        assert got[0]["y" if column == 2 else "x"][row].item() == float(field)
+
+    # numpy's float parser strips bytes 0x1c to 0x1f from a field as space,
+    # and float() does not: a body that holds one is not split, and is
+    # rejected as a serial read rejects it.
+    @pytest.mark.parametrize("row", [0, 5], ids=["lower", "upper"])
+    def test_field_only_numpy_reads(self, tmp_path, forked, row):
+        path = tmp_path / "d.csv"
+        self.fusion_file(path, row, 3, "\x1c0.5")
+        with pytest.raises(SchemaError):
+            read_csv_columns(path, mode="fusion")
+        assert not forked
+
+    FUSION_FAULTS = {
+        "s": (0, "2", "column 's' must be 0 or 1, got '2' (row {line})"),
+        "z": (1, "nan", "column 'z' must be 0 or 1, got 'nan' (row {line})"),
+        "y": (2, "inf", "non-finite value 'inf' in column 'y' (row {line})"),
+        "y_blank": (2, " ", "empty value in column 'y' (row {line})"),
+        "covariate": (3, "abc", "non-numeric value 'abc' in covariate 'x1' (row {line})"),
+        "ragged": (3, "0.1,0.2", "row {line} has 5 fields, expected 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FUSION_FAULTS))
+    @pytest.mark.parametrize("row", [0, 5], ids=["lower", "upper"])
+    def test_fault_in_either_fusion_half(self, tmp_path, forked, case, row):
+        column, field, message = self.FUSION_FAULTS[case]
+        path = tmp_path / "d.csv"
+        self.fusion_file(path, row, column, field)
+        with pytest.raises(SchemaError) as got:
+            read_csv_columns(path, mode="fusion")
+        assert len(forked) == 1
+        assert str(got.value) == f"{path}: " + message.format(line=row + 2)
 
 
 class TestCsvInForkedBlocks(TestCsvInHalves):
